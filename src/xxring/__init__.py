@@ -9,10 +9,12 @@ from .analytic_n4 import ClosedFormN4, closed_forms
 from .basis import SectorBasis, enumerate_sector, lambda_x, lambda_z_sign, translate
 from .eigensolver import (
     EigenDecomposition,
+    RingModel,
     Spectrum,
     eigh_symmetric,
     full_spectrum,
     ground_state_vector,
+    ring_model,
 )
 from .entanglement import (
     concurrence_from_correlators,
@@ -33,6 +35,7 @@ from .experiments import (
 )
 from .hamiltonian import ModelParams, SectorMatrix, build_sector_hamiltonian, full_hamiltonian
 from .thermal import (
+    GibbsBlock,
     PairDensity,
     ThermalObservables,
     correlator_xx_direct,
@@ -40,6 +43,7 @@ from .thermal import (
     gxx_from_energy,
     observables,
     reduced_pair_density,
+    reweight,
 )
 
 __version__ = "0.1.0"

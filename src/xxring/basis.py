@@ -12,8 +12,10 @@ from itertools import combinations
 
 import numpy as np
 
-# Full space 65536 and a largest sector of 12870: dense eigensolves stay
-# desk-scale up to this ring size.
+# Full space 65536 and a largest sector of 12870. Dense eigensolves are not
+# desk-scale at the top of this range: the n = 14 middle sector (3432) takes
+# about 4.5 s, and n = 16 extrapolates to about 10 min and more than 2.5 GB
+# for the middle sector's matrix and eigenvectors alone.
 N_MAX = 16
 
 

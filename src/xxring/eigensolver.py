@@ -1,8 +1,16 @@
-"""Dense symmetric eigendecompositions for sector blocks and small oracles."""
+"""Dense symmetric eigendecompositions, and the per-ring spectral cache.
+
+Within the magnetization sector with r down spins the Hamiltonian is
+j * K_r + b * sz_r * I, where K_r is the exchange block at j = 1, b = 0. So
+the eigenvectors depend only on the ring size: each ring's K_r blocks are
+diagonalized once (`ring_model`), and the spectrum at any (j, b) is a view
+of that entry with eigenvalues j * kappa + b * sz (`full_spectrum`).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -10,6 +18,14 @@ from .basis import SectorBasis, embed_in_full_space
 from .hamiltonian import ModelParams, build_sector_hamiltonian
 
 _SYMMETRY_RTOL = 1e-12
+
+# Levels within GROUND_RTOL * max(1, |E0|) of the ground energy E0 count as
+# the degenerate ground level.
+GROUND_RTOL = 1e-8
+
+# Rings kept resident. Six covers the proposition suites (rings 2..6 and an
+# odd control) with one to spare.
+RING_CACHE_SIZE = 6
 
 
 @dataclass(frozen=True)
@@ -27,12 +43,99 @@ class SectorSpectrum:
     eig: EigenDecomposition
 
 
+class RingModel:
+    """The exchange blocks K_r of the n-site ring, diagonalized once.
+
+    Levels are laid out sector by sector (r = 0..n) and ascending in kappa
+    within a sector; `kappa` and `sz` are the flat per-level arrays, so the
+    level energies at (j, b) are j * kappa + b * sz. Per-level bond
+    expectations are computed the first time a bond is asked for and kept.
+    """
+
+    def __init__(self, n: int):
+        sectors = []
+        for r in range(n + 1):
+            block = build_sector_hamiltonian(ModelParams(n=n, j=1.0, b=0.0), r)
+            sectors.append(SectorSpectrum(sz=block.basis.sz, basis=block.basis,
+                                          eig=eigh_symmetric(block.entries)))
+        self.n = n
+        self.sectors = tuple(sectors)
+        self.kappa = np.concatenate([sec.eig.values for sec in sectors])
+        self.sz = np.concatenate([np.full(len(sec.basis), float(sec.sz)) for sec in sectors])
+        self.kappa.setflags(write=False)
+        self.sz.setflags(write=False)
+        self._bond_columns: dict[tuple[int, int] | None, np.ndarray] = {}
+
+    def energies(self, j: float, b) -> np.ndarray:
+        """Level energies j * kappa + b * sz; one row per field if b is an array."""
+        return j * self.kappa + np.asarray(b, dtype=float)[..., None] * self.sz
+
+    def bond_columns(self, bond: tuple[int, int] | None) -> np.ndarray:
+        """Per-level expectations on a bond (i, j), shape (levels, 6).
+
+        Columns: sum(sigma_z), the flip-flop element <sigma_x(i) sigma_x(j)>,
+        and the probabilities of the pair patterns 00, 01, 10, 11 (bit of i
+        first). bond=None (no bond, as on a single site) gives sum(sigma_z)
+        and zeros.
+        """
+        columns = self._bond_columns.get(bond)
+        if columns is None:
+            columns = np.zeros((self.kappa.size, 6))
+            columns[:, 0] = self.sz
+            if bond is not None:
+                start = 0
+                for sec in self.sectors:
+                    stop = start + len(sec.basis)
+                    columns[start:stop, 1:] = _sector_bond_expectations(sec, *bond)
+                    start = stop
+            columns.setflags(write=False)
+            self._bond_columns[bond] = columns
+        return columns
+
+
+def _sector_bond_expectations(sec: SectorSpectrum, i: int, j: int) -> np.ndarray:
+    """Flip-flop element and pair-pattern probabilities of every eigenvector
+    of a sector, shape (dim, 5).
+
+    Only the magnetization-preserving part of sigma_x(i) sigma_x(j) (the
+    01 <-> 10 swap) has matrix elements inside a sector.
+    """
+    labels = np.array(sec.basis.labels, dtype=np.int64)
+    vectors = sec.eig.vectors
+    bit_i, bit_j = (labels >> i) & 1, (labels >> j) & 1
+    out = np.zeros((labels.size, 5))
+    rows = np.nonzero((bit_i == 1) & (bit_j == 0))[0]
+    if rows.size:
+        partners = np.searchsorted(labels, labels[rows] ^ ((1 << i) | (1 << j)))
+        out[:, 0] = 2.0 * np.einsum("lk,lk->k", vectors[rows, :], vectors[partners, :])
+    pattern = 2 * bit_i + bit_j
+    squares = vectors ** 2
+    for p in range(4):
+        hits = pattern == p
+        if hits.any():
+            out[:, 1 + p] = squares[hits, :].sum(axis=0)
+    return out
+
+
+@functools.lru_cache(maxsize=RING_CACHE_SIZE)
+def ring_model(n: int) -> RingModel:
+    """The cached `RingModel` of the n-site ring, least recently used first out.
+
+    Eigenvectors take 8 * binomial(2n, n) bytes and the flat level arrays
+    and bond columns up to 8 * 2^n * (2 + 6n) more, so the worst case, rings
+    11..16 all resident with every bond asked for, retains about 6.6 GB
+    (4.9 GB of it the n = 16 entry). Rings 2..6 retain under 50 kB together.
+    """
+    return RingModel(n)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Per-sector eigendecompositions covering the whole 2^n space."""
 
     params: ModelParams
     sectors: tuple[SectorSpectrum, ...]
+    ring: RingModel = field(repr=False, compare=False)
 
     @property
     def ground_energy(self) -> float:
@@ -46,7 +149,7 @@ class Spectrum:
         """(sector, column) pairs spanning the degenerate ground subspace."""
         e0 = self.ground_energy
         if tol is None:
-            tol = 1e-8 * max(1.0, abs(e0))
+            tol = GROUND_RTOL * max(1.0, abs(e0))
         hits = []
         for sec in self.sectors:
             for k in np.nonzero(sec.eig.values <= e0 + tol)[0]:
@@ -73,13 +176,23 @@ def eigh_symmetric(matrix: np.ndarray) -> EigenDecomposition:
 
 
 def full_spectrum(params: ModelParams) -> Spectrum:
-    """Diagonalize every magnetization sector of the ring."""
+    """Spectrum of every magnetization sector of the ring at (j, b).
+
+    A view of the cached ring: no diagonalization happens once the ring
+    size has been seen. Eigenvalues are j * kappa + b * sz; for j < 0 the
+    columns are reversed so that every sector stays ascending.
+    """
+    ring = ring_model(params.n)
     sectors = []
-    for r in range(params.n + 1):
-        block = build_sector_hamiltonian(params, r)
-        sectors.append(SectorSpectrum(sz=block.basis.sz, basis=block.basis,
-                                      eig=eigh_symmetric(block.entries)))
-    return Spectrum(params=params, sectors=tuple(sectors))
+    for sec in ring.sectors:
+        values = params.j * sec.eig.values + params.b * sec.sz
+        vectors = sec.eig.vectors
+        if params.j < 0:
+            values, vectors = values[::-1], vectors[:, ::-1]
+        values.setflags(write=False)
+        sectors.append(SectorSpectrum(sz=sec.sz, basis=sec.basis,
+                                      eig=EigenDecomposition(values=values, vectors=vectors)))
+    return Spectrum(params=params, sectors=tuple(sectors), ring=ring)
 
 
 def ground_state_vector(spectrum: Spectrum, tol: float | None = None) -> np.ndarray:

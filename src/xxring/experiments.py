@@ -4,22 +4,15 @@ verification of the model's symmetry propositions."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entanglement import concurrence_from_correlators, concurrence_xstate
-from .eigensolver import Spectrum, eigh_symmetric, full_spectrum
-from .hamiltonian import ModelParams, build_sector_hamiltonian
-from .thermal import (
-    PairDensity,
-    correlator_xx_direct,
-    ground_state_reduced,
-    observables,
-    pair_state_probabilities,
-)
+from .eigensolver import Spectrum, full_spectrum, ring_model
+from .hamiltonian import ModelParams
+from .thermal import GibbsBlock, PairDensity, ground_state_reduced, observables, reweight
 
 # Below this, the clamped concurrence is indistinguishable from roundoff.
 POSITIVE_CONCURRENCE = 1e-12
@@ -41,7 +34,11 @@ class DegenerateGroundError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point of the concurrence-vs-(T, B) sweep."""
+    """One grid point of the concurrence-vs-(T, B) sweep.
+
+    concurrence is the same production route as `thermal_concurrence`: the
+    X-state closed form on positive-sum corner populations.
+    """
 
     t: float
     b: float
@@ -63,6 +60,18 @@ class PropositionReport:
     passed: bool
 
 
+def _xstate_concurrence(probabilities, g_xx: float) -> float:
+    """X-state concurrence from the pair probabilities (p00, p01, p10, p11)
+    and the bond correlator g_xx."""
+    p00, p01, p10, p11 = probabilities
+    rho = PairDensity(u_plus=p00, u_minus=p11, w=(p01 + p10) / 2.0, z=g_xx / 2.0)
+    return concurrence_xstate(rho)
+
+
+def _point_concurrence(g: GibbsBlock) -> float:
+    return _xstate_concurrence(g.probabilities[0, 0].tolist(), float(g.g_xx[0, 0]))
+
+
 def thermal_concurrence(spectrum: Spectrum, t: float) -> float:
     """Nearest-neighbor concurrence of the Gibbs state at temperature t.
 
@@ -71,19 +80,18 @@ def thermal_concurrence(spectrum: Spectrum, t: float) -> float:
     stays relatively accurate deep in the polarized regime, where the
     correlator route loses its radicand to cancellation.
     """
-    p00, p01, p10, p11 = pair_state_probabilities(spectrum, t)
-    z = correlator_xx_direct(spectrum, t) / 2.0
-    rho = PairDensity(u_plus=p00, u_minus=p11, w=(p01 + p10) / 2.0, z=z)
-    return concurrence_xstate(rho)
+    params = spectrum.params
+    return _point_concurrence(reweight(spectrum.ring, params.j, [params.b], [t]))
 
 
 def sweep(params: ModelParams, t_grid, b_grid, max_rows: int = MAX_SWEEP_ROWS) -> list[SweepRow]:
     """Evaluate observables and concurrence on the (t, b) grid.
 
-    One spectrum per field value is reused across the whole temperature axis.
-    Rows come out in grid order: b outer, t inner. The concurrence column is
-    derived from the row's own correlator columns, so each record is
-    self-consistent.
+    The whole grid is one reweighting of the cached ring spectrum. Rows come
+    out in grid order: b outer, t inner. The concurrence column comes from
+    the same positive-sum probabilities as `thermal_concurrence`, so a row
+    agrees with `observables` and `thermal_concurrence` at its point; a
+    single site has no bond and reports 0.
     """
     t_values = [float(t) for t in t_grid]
     b_values = [float(b) for b in b_grid]
@@ -93,15 +101,17 @@ def sweep(params: ModelParams, t_grid, b_grid, max_rows: int = MAX_SWEEP_ROWS) -
         raise ValueError("temperature grid entries must be positive")
     if len(t_values) * len(b_values) > max_rows:
         raise ValueError(f"grid of {len(t_values) * len(b_values)} rows exceeds cap {max_rows}")
+    bond = (0, 1) if params.n > 1 else None
+    block = reweight(ring_model(params.n), params.j, b_values, t_values, bond)
+    columns = [a.tolist() for a in (block.z_shifted, block.u, block.m, block.g_xx, block.g_zz)]
+    probabilities = block.probabilities.tolist()
     rows = []
-    for b in b_values:
-        spectrum = full_spectrum(dataclasses.replace(params, b=b))
-        for t in t_values:
-            obs = observables(spectrum, t)
-            c = concurrence_from_correlators(obs.g_xx, obs.g_zz, obs.m / params.n)
-            rows.append(SweepRow(t=t, b=b, j=params.j, n=params.n,
-                                 z_shifted=math.exp(obs.log_z_shifted),
-                                 u=obs.u, m=obs.m, g_xx=obs.g_xx, g_zz=obs.g_zz,
+    for k_b, b in enumerate(b_values):
+        z, u, m, g_xx, g_zz = (column[k_b] for column in columns)
+        for k_t, t in enumerate(t_values):
+            c = _xstate_concurrence(probabilities[k_b][k_t], g_xx[k_t]) if bond else 0.0
+            rows.append(SweepRow(t=t, b=b, j=params.j, n=params.n, z_shifted=z[k_t],
+                                 u=u[k_t], m=m[k_t], g_xx=g_xx[k_t], g_zz=g_zz[k_t],
                                  concurrence=c))
     return rows
 
@@ -144,12 +154,8 @@ def _sector_floor_lines(n: int, j: float) -> list[tuple[float, int]]:
     minimum is exactly linear in b: intercept from the zero-field block,
     slope equal to the sector magnetization.
     """
-    lines = []
-    for r in range(n + 1):
-        block = build_sector_hamiltonian(ModelParams(n=n, j=j, b=0.0), r)
-        eps = float(eigh_symmetric(block.entries).values[0])
-        lines.append((eps, block.basis.sz))
-    return lines
+    spectrum = full_spectrum(ModelParams(n=n, j=j, b=0.0))
+    return [(float(sec.eig.values[0]), sec.sz) for sec in spectrum.sectors]
 
 
 def level_crossings(n: int, j: float, b_max: float, resolution: float = 0.01) -> list[float]:
@@ -238,7 +244,7 @@ def _draw_parameters(rng: np.random.Generator) -> tuple[float, float, float]:
 
 
 def _concurrence_at(n: int, j: float, b: float, t: float) -> float:
-    return thermal_concurrence(full_spectrum(ModelParams(n=n, j=j, b=b)), t)
+    return _point_concurrence(reweight(ring_model(n), j, [b], [t]))
 
 
 def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED) -> list[PropositionReport]:

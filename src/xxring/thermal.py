@@ -1,10 +1,18 @@
 """Gibbs-state observables and the nearest-neighbor reduced density matrix.
 
-All Boltzmann weights are computed from energies shifted by the global ground
-energy, so temperatures down to 1e-3 are safe. T = 0 is a separate code path
-(uniform mixture over the degenerate ground subspace), never a large-beta
-limit: at level crossings the limit state is the degenerate mixture, and
-beta ~ 1e6 exponentials are ill-conditioned anyway.
+Everything thermal is a reweighting of one cached ring spectrum: `reweight`
+takes the level energies E = j * kappa + b * sz for a whole block of fields
+and temperatures, subtracts each field's ground energy, applies one exp and
+contracts the weights with the ring's per-level columns (sum(sigma_z), the
+flip-flop element and the four pair-pattern probabilities) in one matrix
+product. `observables`, `reduced_pair_density`, `pair_state_probabilities`
+and `correlator_xx_direct` are that kernel at a single point.
+
+Shifting by the ground energy keeps temperatures down to 1e-3 safe. T = 0 is
+a separate code path (`ground_state_reduced`: the uniform mixture over the
+degenerate ground subspace), never a large-beta limit: at level crossings
+the limit state is the degenerate mixture, and beta ~ 1e6 exponentials are
+ill-conditioned anyway.
 """
 
 from __future__ import annotations
@@ -14,7 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import SectorSpectrum, Spectrum
+from .eigensolver import GROUND_RTOL, RingModel, Spectrum
+
+# A kernel pass holds at most this many (field, temperature, level) weights;
+# larger grids are reweighted a few fields at a time.
+_BLOCK_WEIGHTS = 1 << 20
 
 
 class NonAdjacentPairError(ValueError):
@@ -67,58 +79,79 @@ def _require_adjacent(n: int, pair: tuple[int, int]) -> tuple[int, int]:
     return i, j
 
 
-def _boltzmann(spectrum: Spectrum, t: float) -> tuple[list[np.ndarray], float]:
-    if not t > 0:
-        raise ValueError("temperature must be positive; use ground_state_reduced at T = 0")
-    e0 = spectrum.ground_energy
-    weights = [np.exp(-(sec.eig.values - e0) / t) for sec in spectrum.sectors]
-    z_shifted = float(sum(w.sum() for w in weights))
-    if not math.isfinite(z_shifted) or z_shifted < 1.0:
-        raise FloatingPointError(f"non-finite shifted partition sum at t={t}")
-    return weights, z_shifted
+def _gzz_from_probabilities(p: np.ndarray) -> np.ndarray:
+    """<sigma_z(i) sigma_z(j)> = p00 - p01 - p10 + p11 over the last axis."""
+    return p[..., 0] - p[..., 1] - p[..., 2] + p[..., 3]
 
 
-def _zz_expectations(sec: SectorSpectrum, i: int, j: int) -> np.ndarray:
-    """<v_k| sigma_z(i) sigma_z(j) |v_k> for every eigenvector of the sector."""
-    labels = np.fromiter(sec.basis.labels, dtype=np.int64, count=len(sec.basis))
-    diag = (1 - 2 * ((labels >> i) & 1)) * (1 - 2 * ((labels >> j) & 1))
-    return np.einsum("lk,l,lk->k", sec.eig.vectors, diag.astype(float), sec.eig.vectors)
+@dataclass(frozen=True)
+class GibbsBlock:
+    """Gibbs averages on a grid: one row per field, one column per temperature.
 
-
-def _flipflop_expectations(sec: SectorSpectrum, i: int, j: int) -> np.ndarray:
-    """<v_k| sigma_x(i) sigma_x(j) |v_k> for every eigenvector of the sector.
-
-    Only the magnetization-preserving part of sigma_x sigma_x (the 01 <-> 10
-    swap) has matrix elements inside a sector, so this is exact for states
-    that commute with sum(sigma_z).
+    z_shifted is sum_n exp(-(E_n - E0(b))/t) with E0(b) the ground energy at
+    that field. Every array has shape (B, T), except probabilities, (B, T, 4),
+    which holds the bond's pair patterns 00, 01, 10, 11.
     """
-    mask = (1 << i) | (1 << j)
-    rows, cols = [], []
-    index = sec.basis.index
-    for label in sec.basis.labels:
-        if ((label >> i) & 1) and not ((label >> j) & 1):
-            rows.append(index[label])
-            cols.append(index[label ^ mask])
-    if not rows:
-        return np.zeros(sec.eig.vectors.shape[1])
-    return 2.0 * np.einsum("lk,lk->k", sec.eig.vectors[rows, :], sec.eig.vectors[cols, :])
+
+    z_shifted: np.ndarray
+    u: np.ndarray
+    m: np.ndarray
+    g_xx: np.ndarray
+    g_zz: np.ndarray
+    probabilities: np.ndarray
+
+
+def reweight(ring: RingModel, j: float, b_values, t_values,
+             bond: tuple[int, int] | None = (0, 1)) -> GibbsBlock:
+    """Boltzmann averages of one ring over a (fields x temperatures) grid.
+
+    The (B, L) level energies j * kappa + b * sz are shifted by each field's
+    ground energy, one exp gives the (B, T, L) weights, and one matrix
+    product with the ring's (L, 6) bond columns gives M, g_xx and the pair
+    probabilities; g_zz = p00 - p01 - p10 + p11. bond=None (a single site)
+    leaves the bond averages at zero.
+    """
+    if bond is not None:
+        bond = _require_adjacent(ring.n, bond)
+    b = np.asarray(b_values, dtype=float).ravel()
+    t = np.asarray(t_values, dtype=float).ravel()
+    if b.size == 0 or t.size == 0:
+        raise ValueError("field and temperature grids must be nonempty")
+    if not np.all(t > 0):
+        raise ValueError("temperature must be positive; use ground_state_reduced at T = 0")
+    energies = ring.energies(j, b)
+    columns = ring.bond_columns(bond)
+    shifted = energies - energies.min(axis=1, keepdims=True)
+    z = np.empty((b.size, t.size))
+    u = np.empty((b.size, t.size))
+    moments = np.empty((b.size, t.size, columns.shape[1]))
+    step = max(1, _BLOCK_WEIGHTS // (t.size * ring.kappa.size))
+    for lo in range(0, b.size, step):
+        rows = slice(lo, lo + step)
+        weights = np.exp(-shifted[rows, None, :] / t[:, None])
+        z[rows] = weights.sum(axis=-1)
+        u[rows] = (weights @ energies[rows, :, None])[..., 0]
+        moments[rows] = weights @ columns
+    if not (np.all(np.isfinite(z)) and np.all(z >= 1.0)):
+        raise FloatingPointError("non-finite shifted partition sum")
+    u /= z
+    moments /= z[..., None]
+    probabilities = moments[..., 2:]
+    out = GibbsBlock(z_shifted=z, u=u, m=moments[..., 0], g_xx=moments[..., 1],
+                     g_zz=_gzz_from_probabilities(probabilities), probabilities=probabilities)
+    if not all(np.all(np.isfinite(a)) for a in (out.u, out.m, out.g_xx, out.g_zz)):
+        raise FloatingPointError("non-finite thermal observable")
+    return out
+
+
+def _at(spectrum: Spectrum, t: float, bond: tuple[int, int] | None) -> GibbsBlock:
+    params = spectrum.params
+    return reweight(spectrum.ring, params.j, [params.b], [t], bond)
 
 
 def correlator_xx_direct(spectrum: Spectrum, t: float, bond: tuple[int, int] = (0, 1)) -> float:
     """Thermal <sigma_x(i) sigma_x(j)> on a ring bond, from the sector spectra."""
-    i, j = _require_adjacent(spectrum.params.n, bond)
-    weights, z_shifted = _boltzmann(spectrum, t)
-    acc = 0.0
-    for sec, w in zip(spectrum.sectors, weights):
-        acc += float(_flipflop_expectations(sec, i, j) @ w)
-    return acc / z_shifted
-
-
-def _correlator_zz(spectrum: Spectrum, weights, z_shifted, i: int, j: int) -> float:
-    acc = 0.0
-    for sec, w in zip(spectrum.sectors, weights):
-        acc += float(_zz_expectations(sec, i, j) @ w)
-    return acc / z_shifted
+    return float(_at(spectrum, t, bond).g_xx[0, 0])
 
 
 def observables(spectrum: Spectrum, t: float) -> ThermalObservables:
@@ -127,19 +160,11 @@ def observables(spectrum: Spectrum, t: float) -> ThermalObservables:
     U and M are spectral sums (sum of E_n resp. sector sum(sigma_z) against
     Boltzmann weights), not symbolic derivatives of Z.
     """
-    weights, z_shifted = _boltzmann(spectrum, t)
-    u = sum(float(sec.eig.values @ w) for sec, w in zip(spectrum.sectors, weights)) / z_shifted
-    m = sum(sec.sz * float(w.sum()) for sec, w in zip(spectrum.sectors, weights)) / z_shifted
-    if spectrum.params.n > 1:
-        g_zz = _correlator_zz(spectrum, weights, z_shifted, 0, 1)
-        g_xx = correlator_xx_direct(spectrum, t, (0, 1))
-    else:
-        g_zz = g_xx = 0.0  # a single site has no bond
-    out = ThermalObservables(t=t, log_z_shifted=math.log(z_shifted),
-                             u=u, m=m, g_xx=g_xx, g_zz=g_zz)
-    if not all(math.isfinite(v) for v in (out.u, out.m, out.g_xx, out.g_zz)):
-        raise FloatingPointError(f"non-finite thermal observable at t={t}")
-    return out
+    # a single site has no bond: its correlators stay zero
+    g = _at(spectrum, t, (0, 1) if spectrum.params.n > 1 else None)
+    return ThermalObservables(t=t, log_z_shifted=math.log(g.z_shifted[0, 0]),
+                              u=float(g.u[0, 0]), m=float(g.m[0, 0]),
+                              g_xx=float(g.g_xx[0, 0]), g_zz=float(g.g_zz[0, 0]))
 
 
 def gxx_from_energy(obs: ThermalObservables, params) -> float:
@@ -163,26 +188,9 @@ def _pair_density(m_bar: float, g_zz: float, g_xx: float) -> PairDensity:
 
 def reduced_pair_density(spectrum: Spectrum, t: float, pair: tuple[int, int] = (0, 1)) -> PairDensity:
     """Thermal two-qubit reduced density matrix on a ring bond."""
-    i, j = _require_adjacent(spectrum.params.n, pair)
-    weights, z_shifted = _boltzmann(spectrum, t)
-    n = spectrum.params.n
-    m = sum(sec.sz * float(w.sum()) for sec, w in zip(spectrum.sectors, weights)) / z_shifted
-    g_zz = _correlator_zz(spectrum, weights, z_shifted, i, j)
-    g_xx = correlator_xx_direct(spectrum, t, (i, j))
-    return _pair_density(m / n, g_zz, g_xx)
-
-
-def _pattern_probability_expectations(sec: SectorSpectrum, i: int, j: int) -> np.ndarray:
-    """Per-eigenvector probabilities of the four pair patterns 00, 01, 10, 11."""
-    labels = np.fromiter(sec.basis.labels, dtype=np.int64, count=len(sec.basis))
-    pattern = 2 * ((labels >> i) & 1) + ((labels >> j) & 1)
-    v2 = sec.eig.vectors ** 2
-    out = np.zeros((4, sec.eig.vectors.shape[1]))
-    for p in range(4):
-        rows = pattern == p
-        if rows.any():
-            out[p] = v2[rows, :].sum(axis=0)
-    return out
+    g = _at(spectrum, t, pair)
+    return _pair_density(float(g.m[0, 0]) / spectrum.params.n,
+                         float(g.g_zz[0, 0]), float(g.g_xx[0, 0]))
 
 
 def pair_state_probabilities(spectrum: Spectrum, t: float,
@@ -194,25 +202,18 @@ def pair_state_probabilities(spectrum: Spectrum, t: float,
     X form are (p00, p11); recovering them from magnetization and g_zz
     instead cancels catastrophically in the nearly polarized regime.
     """
-    i, j = _require_adjacent(spectrum.params.n, pair)
-    weights, z_shifted = _boltzmann(spectrum, t)
-    probs = np.zeros(4)
-    for sec, w in zip(spectrum.sectors, weights):
-        probs += _pattern_probability_expectations(sec, i, j) @ w
-    probs /= z_shifted
-    return float(probs[0]), float(probs[1]), float(probs[2]), float(probs[3])
+    p00, p01, p10, p11 = _at(spectrum, t, pair).probabilities[0, 0]
+    return float(p00), float(p01), float(p10), float(p11)
 
 
 def ground_state_reduced(spectrum: Spectrum, pair: tuple[int, int] = (0, 1)) -> PairDensity:
     """Two-qubit reduced density of the T -> 0+ Gibbs limit: the uniform
     mixture over the full degenerate ground subspace."""
-    i, j = _require_adjacent(spectrum.params.n, pair)
-    states = spectrum.ground_states()
-    n = spectrum.params.n
-    m_bar = g_zz = g_xx = 0.0
-    for sec, k in states:
-        m_bar += sec.sz / n
-        g_zz += float(_zz_expectations(sec, i, j)[k])
-        g_xx += float(_flipflop_expectations(sec, i, j)[k])
-    d = len(states)
-    return _pair_density(m_bar / d, g_zz / d, g_xx / d)
+    pair = _require_adjacent(spectrum.params.n, pair)
+    params = spectrum.params
+    energies = spectrum.ring.energies(params.j, params.b)
+    e0 = float(energies.min())
+    ground = (energies <= e0 + GROUND_RTOL * max(1.0, abs(e0))).astype(float)
+    moments = (ground @ spectrum.ring.bond_columns(pair)) / ground.sum()
+    return _pair_density(float(moments[0]) / params.n, float(_gzz_from_probabilities(moments[2:])),
+                         float(moments[1]))

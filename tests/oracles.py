@@ -2,7 +2,9 @@
 
 Everything here works on the full 2^n space with dense (mostly complex)
 matrices and plain numpy factorizations, deliberately independent of the
-sector-blocked production code it is used to check.
+sector-blocked production code it is used to check. The one exception is the
+per-sector reference route at the end, which reuses the package's sector
+blocks to check the spectral cache and the batched thermal kernel.
 """
 
 import numpy as np
@@ -121,3 +123,96 @@ def four_site_w_prime():
     return state_from_terms(4, [
         (-0.5, 0b1110), (0.5, 0b1101), (-0.5, 0b1011), (0.5, 0b0111),
     ])
+
+
+# Per-sector reference route: each (j, b) block diagonalized on its own, and
+# every expectation summed sector by sector in Python loops. This is the
+# thermal pipeline as it stood before the spectral cache and the batched
+# kernel replaced it, kept to check them against.
+
+
+def reference_sectors(n, j, b):
+    """(sz, labels, eigenvalues, eigenvectors) of every sector of H(j, b)."""
+    from xxring.hamiltonian import ModelParams, build_sector_hamiltonian
+
+    out = []
+    for r in range(n + 1):
+        block = build_sector_hamiltonian(ModelParams(n=n, j=j, b=b), r)
+        values, vectors = np.linalg.eigh(block.entries)
+        out.append((block.basis.sz, block.basis.labels, values, vectors))
+    return out
+
+
+def _zz_expectations(labels, vectors, i, k):
+    labels = np.asarray(labels, dtype=np.int64)
+    diag = (1 - 2 * ((labels >> i) & 1)) * (1 - 2 * ((labels >> k) & 1))
+    return np.einsum("lk,l,lk->k", vectors, diag.astype(float), vectors)
+
+
+def _flipflop_expectations(labels, vectors, i, k):
+    mask = (1 << i) | (1 << k)
+    index = {label: pos for pos, label in enumerate(labels)}
+    rows, cols = [], []
+    for label in labels:
+        if ((label >> i) & 1) and not ((label >> k) & 1):
+            rows.append(index[label])
+            cols.append(index[label ^ mask])
+    if not rows:
+        return np.zeros(vectors.shape[1])
+    return 2.0 * np.einsum("lk,lk->k", vectors[rows, :], vectors[cols, :])
+
+
+def _pattern_probability_expectations(labels, vectors, i, k):
+    labels = np.asarray(labels, dtype=np.int64)
+    pattern = 2 * ((labels >> i) & 1) + ((labels >> k) & 1)
+    v2 = vectors ** 2
+    out = np.zeros((4, vectors.shape[1]))
+    for p in range(4):
+        rows = pattern == p
+        if rows.any():
+            out[p] = v2[rows, :].sum(axis=0)
+    return out
+
+
+def reference_thermal(n, j, b, t, bond=(0, 1)):
+    """Gibbs averages from per-sector Boltzmann sums: u, m and, when the
+    ring has a bond, g_xx, g_zz and the pair probabilities p00..p11."""
+    sectors = reference_sectors(n, j, b)
+    e0 = min(values[0] for _, _, values, _ in sectors)
+    weights = [np.exp(-(values - e0) / t) for _, _, values, _ in sectors]
+    z = sum(w.sum() for w in weights)
+    out = {
+        "u": sum(values @ w for (_, _, values, _), w in zip(sectors, weights)) / z,
+        "m": sum(sz * w.sum() for (sz, _, _, _), w in zip(sectors, weights)) / z,
+    }
+    if n > 1:
+        i, k = bond
+        probs = sum(_pattern_probability_expectations(labels, vectors, i, k) @ w
+                    for (_, labels, _, vectors), w in zip(sectors, weights)) / z
+        out.update({
+            "g_xx": sum(_flipflop_expectations(labels, vectors, i, k) @ w
+                        for (_, labels, _, vectors), w in zip(sectors, weights)) / z,
+            "g_zz": sum(_zz_expectations(labels, vectors, i, k) @ w
+                        for (_, labels, _, vectors), w in zip(sectors, weights)) / z,
+            "p00": probs[0], "p01": probs[1], "p10": probs[2], "p11": probs[3],
+        })
+    return out
+
+
+def reference_ground_reduced(n, j, b, pair=(0, 1), tol=1e-8):
+    """(u_plus, u_minus, w, z) of the uniform mixture over the degenerate
+    ground subspace, from per-eigenvector sector expectations."""
+    sectors = reference_sectors(n, j, b)
+    e0 = min(values[0] for _, _, values, _ in sectors)
+    i, k = pair
+    m_bar = g_zz = g_xx = 0.0
+    count = 0
+    for sz, labels, values, vectors in sectors:
+        for col in np.nonzero(values <= e0 + tol * max(1.0, abs(e0)))[0]:
+            m_bar += sz / n
+            g_zz += _zz_expectations(labels, vectors, i, k)[col]
+            g_xx += _flipflop_expectations(labels, vectors, i, k)[col]
+            count += 1
+    m_bar, g_zz, g_xx = m_bar / count, g_zz / count, g_xx / count
+    return ((1.0 + 2.0 * m_bar + g_zz) / 4.0, (1.0 - 2.0 * m_bar + g_zz) / 4.0,
+            (1.0 - g_zz) / 4.0, g_xx / 2.0)

@@ -184,3 +184,9 @@ def test_sweep_log_scale_grid(capsys):
     assert code == 0
     t_column = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
     assert t_column == pytest.approx([0.1, 1.0, 10.0], rel=1e-9)
+
+
+def test_ground_diagonalizes_each_sector_once(capsys, eigh_calls):
+    code, out, _ = run_cli(capsys, "ground", "--n", "6", "--j", "1", "--b", "0.3")
+    assert code == 0 and "tangle" in out
+    assert len(eigh_calls) == 6 + 1

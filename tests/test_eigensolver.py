@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from xxring.eigensolver import eigh_symmetric, full_spectrum, ground_state_vector
+from xxring.eigensolver import (
+    RING_CACHE_SIZE,
+    eigh_symmetric,
+    full_spectrum,
+    ground_state_vector,
+    ring_model,
+)
 from xxring.hamiltonian import ModelParams, build_sector_hamiltonian, full_hamiltonian
 
 from oracles import reference_spectrum_n4
@@ -111,3 +117,30 @@ def test_ground_state_vector_rejects_degeneracy():
     spectrum = full_spectrum(ModelParams(n=4, j=1.0, b=2.0 * (np.sqrt(2.0) - 1.0)))
     with pytest.raises(ValueError):
         ground_state_vector(spectrum)
+
+
+def test_second_spectrum_of_a_ring_reuses_the_cache(eigh_calls):
+    first = full_spectrum(ModelParams(n=6, j=1.0, b=0.3))
+    assert len(eigh_calls) == 7  # one eigh per sector
+    second = full_spectrum(ModelParams(n=6, j=-0.4, b=-2.1))
+    assert len(eigh_calls) == 7
+    assert second.ring is first.ring
+
+
+def test_negative_exchange_keeps_sectors_ascending(rng):
+    for n in (2, 5, 8):
+        j, b = -float(rng.uniform(0.1, 2.0)), float(rng.uniform(-2.0, 2.0))
+        spectrum = full_spectrum(ModelParams(n=n, j=j, b=b))
+        for sec in spectrum.sectors:
+            assert np.all(np.diff(sec.eig.values) >= 0.0)
+            block = build_sector_hamiltonian(spectrum.params, sec.basis.r).entries
+            residual = block @ sec.eig.vectors - sec.eig.vectors * sec.eig.values
+            assert np.abs(residual).max() < 1e-10
+
+
+def test_ring_cache_holds_a_bounded_number_of_rings():
+    ring_model.cache_clear()
+    for n in range(1, RING_CACHE_SIZE + 4):
+        full_spectrum(ModelParams(n=n, j=1.0, b=0.0))
+        assert ring_model.cache_info().currsize <= RING_CACHE_SIZE
+    assert ring_model.cache_info().currsize == RING_CACHE_SIZE

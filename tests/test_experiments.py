@@ -19,6 +19,8 @@ from xxring.experiments import (
 from xxring.hamiltonian import ModelParams, full_hamiltonian
 from xxring.thermal import observables
 
+from oracles import gibbs_density, partial_trace_pair, wootters_concurrence
+
 B_CROSS_LOW = 2.0 * (math.sqrt(2.0) - 1.0)   # 0.82842712...
 GROUND_CONCURRENCE = math.sqrt(2.0) / 2.0 - 0.25
 
@@ -216,3 +218,17 @@ def test_odd_ring_control_breaks_exchange_sign_symmetry():
 def test_odd_ring_control_rejects_even_n():
     with pytest.raises(ValueError):
         proposition2_odd_control(4)
+
+
+def test_sweep_concurrence_uses_positive_sum_route():
+    # deep in the polarized regime the correlator formula cancels its
+    # radicand (it gives 1.779e-8 here); the sweep column must match the
+    # brute-force Gibbs state
+    n, j = 10, -1.3407092183981204
+    b, t = 3.466051805564966, 0.10154588104523678
+    row = sweep(ModelParams(n=n, j=j, b=0.0), [t], [b])[0]
+    rho = gibbs_density(full_hamiltonian(ModelParams(n=n, j=j, b=b)), t)
+    want = wootters_concurrence(partial_trace_pair(rho, n, (0, 1)))
+    assert want == pytest.approx(3.7055e-8, rel=1e-4)
+    assert row.concurrence == pytest.approx(want, abs=1e-12)
+    assert row.concurrence == thermal_concurrence(full_spectrum(ModelParams(n=n, j=j, b=b)), t)

@@ -1,0 +1,120 @@
+"""The cached ring spectrum and the batched thermal kernel against the
+per-sector reference route (each (j, b) diagonalized on its own, every
+expectation summed sector by sector)."""
+
+import math
+
+import numpy as np
+import pytest
+
+import xxring.thermal as thermal
+from xxring.eigensolver import full_spectrum, ring_model
+from xxring.hamiltonian import ModelParams, bonds, build_sector_hamiltonian
+from xxring.thermal import (
+    NonAdjacentPairError,
+    correlator_xx_direct,
+    ground_state_reduced,
+    observables,
+    pair_state_probabilities,
+    reduced_pair_density,
+    reweight,
+)
+
+from oracles import reference_ground_reduced, reference_thermal
+
+RTOL = 1e-12
+PROBABILITIES = ("p00", "p01", "p10", "p11")
+
+
+def _close(got, want):
+    # signed O(1) averages carry an absolute floor of RTOL; probabilities are
+    # positive sums and are held to RTOL relative however small they are
+    return abs(got - want) <= RTOL * max(1.0, abs(want))
+
+
+def _draws(rng, count):
+    """(n, j, b, t) covering n = 1..8, j < 0, j = 0, b < 0 and T in [0.05, 50]."""
+    cases = [(1, 0.7, -1.3, 0.4), (2, -1.1, 0.6, 0.05), (2, 0.0, -0.9, 2.0),
+             (4, 1.0, 2.0 * (math.sqrt(2.0) - 1.0), 0.05), (8, -0.4, -2.5, 50.0)]
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        j = float(rng.choice([-1.0, 0.0, 1.0])) * float(rng.uniform(0.05, 2.0))
+        b = float(rng.uniform(-3.0, 3.0))
+        t = float(math.exp(rng.uniform(math.log(0.05), math.log(50.0))))
+        cases.append((n, j, b, t))
+    return cases
+
+
+def test_views_match_reference_on_every_bond(rng):
+    for n, j, b, t in _draws(rng, 30):
+        spectrum = full_spectrum(ModelParams(n=n, j=j, b=b))
+        obs = observables(spectrum, t)
+        ref = reference_thermal(n, j, b, t)
+        assert _close(obs.u, ref["u"]) and _close(obs.m, ref["m"]), (n, j, b, t)
+        for bond in bonds(n):
+            ref = reference_thermal(n, j, b, t, bond)
+            probs = pair_state_probabilities(spectrum, t, bond)
+            for name, got in zip(PROBABILITIES, probs):
+                assert got == pytest.approx(ref[name], rel=RTOL, abs=0), (n, j, b, t, bond, name)
+            assert _close(correlator_xx_direct(spectrum, t, bond), ref["g_xx"])
+            rho = reduced_pair_density(spectrum, t, bond)
+            assert _close(1.0 - 4.0 * rho.w, ref["g_zz"]), (n, j, b, t, bond)
+            if bond == (0, 1):
+                assert _close(obs.g_xx, ref["g_xx"]) and _close(obs.g_zz, ref["g_zz"])
+
+
+def test_single_site_has_no_bond_averages():
+    obs = observables(full_spectrum(ModelParams(n=1, j=1.0, b=0.8)), 0.5)
+    assert obs.m == pytest.approx(-math.tanh(0.8 / 0.5), rel=RTOL)
+    assert obs.g_xx == 0.0 and obs.g_zz == 0.0
+    with pytest.raises(ValueError):
+        pair_state_probabilities(full_spectrum(ModelParams(n=1, j=1.0, b=0.8)), 0.5)
+
+
+def test_block_matches_pointwise_views(rng, monkeypatch):
+    # a grid of fields and temperatures in one call, and again forced through
+    # one field per kernel pass, equals the single-point views
+    n, j = 6, -1.3
+    b_grid = list(rng.uniform(-3.0, 3.0, size=5))
+    t_grid = list(np.geomspace(0.05, 50.0, 7))
+    whole = reweight(ring_model(n), j, b_grid, t_grid)
+    monkeypatch.setattr(thermal, "_BLOCK_WEIGHTS", 1)
+    split = reweight(ring_model(n), j, b_grid, t_grid)
+    for field in ("z_shifted", "u", "m", "g_xx", "g_zz", "probabilities"):
+        assert np.allclose(getattr(whole, field), getattr(split, field), rtol=RTOL, atol=0)
+    for k_b, b in enumerate(b_grid):
+        spectrum = full_spectrum(ModelParams(n=n, j=j, b=b))
+        for k_t, t in enumerate(t_grid):
+            obs = observables(spectrum, t)
+            assert _close(whole.u[k_b, k_t], obs.u) and _close(whole.g_zz[k_b, k_t], obs.g_zz)
+            assert _close(math.log(whole.z_shifted[k_b, k_t]), obs.log_z_shifted)
+
+
+def test_kernel_rejects_bad_input():
+    ring = ring_model(4)
+    with pytest.raises(ValueError):
+        reweight(ring, 1.0, [0.0], [0.0])
+    with pytest.raises(ValueError):
+        reweight(ring, 1.0, [], [1.0])
+    with pytest.raises(NonAdjacentPairError):
+        reweight(ring, 1.0, [0.0], [1.0], (0, 2))
+
+
+def test_cached_eigenvalues_match_direct_diagonalization(rng):
+    for n, j, b, _ in _draws(rng, 20):
+        params = ModelParams(n=n, j=j, b=b)
+        for sec in full_spectrum(params).sectors:
+            direct = np.linalg.eigvalsh(build_sector_hamiltonian(params, sec.basis.r).entries)
+            scale = max(1.0, float(np.abs(direct).max()))
+            assert np.abs(sec.eig.values - direct).max() <= 1e-12 * scale, (n, j, b)
+
+
+@pytest.mark.parametrize("j,b", [(1.0, 2.0 * (math.sqrt(2.0) - 1.0)), (-1.0, 2.0 * (math.sqrt(2.0) - 1.0)),
+                                 (1.0, 0.0), (0.0, 0.5)])
+def test_ground_state_reduced_matches_reference(j, b):
+    spectrum = full_spectrum(ModelParams(n=4, j=j, b=b))
+    for pair in bonds(4):
+        rho = ground_state_reduced(spectrum, pair)
+        want = reference_ground_reduced(4, j, b, pair)
+        got = (rho.u_plus, rho.u_minus, rho.w, rho.z)
+        assert all(_close(g, w) for g, w in zip(got, want)), (j, b, pair, got, want)
