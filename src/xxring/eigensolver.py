@@ -66,6 +66,11 @@ class RingModel:
         self.sz.setflags(write=False)
         self._bond_columns: dict[tuple[int, int] | None, np.ndarray] = {}
 
+    @property
+    def bond(self) -> tuple[int, int] | None:
+        """The bond ring-level averages are read on; a single site has none."""
+        return (0, 1) if self.n > 1 else None
+
     def energies(self, j: float, b) -> np.ndarray:
         """Level energies j * kappa + b * sz; one row per field if b is an array."""
         return j * self.kappa + np.asarray(b, dtype=float)[..., None] * self.sz
@@ -131,29 +136,53 @@ def ring_model(n: int) -> RingModel:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Per-sector eigendecompositions covering the whole 2^n space."""
+    """The ring's spectrum at (j, b): a view of its cached `RingModel`, with
+    level energies j * kappa + b * sz in the ring's flat level order. The
+    per-sector views (`sectors`) are built the first time they are read.
+    """
 
     params: ModelParams
-    sectors: tuple[SectorSpectrum, ...]
     ring: RingModel = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def sectors(self) -> tuple[SectorSpectrum, ...]:
+        """Per-sector eigendecompositions, ascending: for j < 0 the ring's columns run backwards."""
+        j, b = self.params.j, self.params.b
+        sectors = []
+        for sec in self.ring.sectors:
+            values = j * sec.eig.values + b * sec.sz
+            vectors = sec.eig.vectors
+            if j < 0:
+                values, vectors = values[::-1], vectors[:, ::-1]
+            values.setflags(write=False)
+            sectors.append(SectorSpectrum(sz=sec.sz, basis=sec.basis,
+                                          eig=EigenDecomposition(values=values, vectors=vectors)))
+        return tuple(sectors)
 
     @property
     def ground_energy(self) -> float:
-        return min(float(sec.eig.values[0]) for sec in self.sectors)
+        # + 0.0 reads the all-zero spectrum (j = b = 0) as 0, never -0
+        return float(self.ring.energies(self.params.j, self.params.b).min()) + 0.0
 
     def eigenvalues(self) -> np.ndarray:
         """All 2^n eigenvalues, sorted ascending."""
-        return np.sort(np.concatenate([sec.eig.values for sec in self.sectors]))
+        return np.sort(self.ring.energies(self.params.j, self.params.b))
 
-    def ground_states(self, tol: float | None = None) -> list[tuple[SectorSpectrum, int]]:
-        """(sector, column) pairs spanning the degenerate ground subspace."""
+    def ground_mask(self, tol: float | None = None) -> np.ndarray:
+        """Levels of the degenerate ground level, over the ring's flat level
+        order: those within tol (default GROUND_RTOL * max(1, |E0|)) of E0."""
         e0 = self.ground_energy
         if tol is None:
             tol = GROUND_RTOL * max(1.0, abs(e0))
+        return self.ring.energies(self.params.j, self.params.b) <= e0 + tol
+
+    def ground_states(self, tol: float | None = None) -> list[tuple[SectorSpectrum, int]]:
+        """(sector, column) pairs spanning the degenerate ground subspace."""
+        step = 1 if self.params.j >= 0 else -1  # columns ascend in energy, flat levels in kappa
+        bounds = np.cumsum([len(sec.basis) for sec in self.sectors])[:-1]
         hits = []
-        for sec in self.sectors:
-            for k in np.nonzero(sec.eig.values <= e0 + tol)[0]:
-                hits.append((sec, int(k)))
+        for sec, sector_mask in zip(self.sectors, np.split(self.ground_mask(tol), bounds)):
+            hits.extend((sec, int(k)) for k in np.nonzero(sector_mask[::step])[0])
         return hits
 
 
@@ -176,23 +205,10 @@ def eigh_symmetric(matrix: np.ndarray) -> EigenDecomposition:
 
 
 def full_spectrum(params: ModelParams) -> Spectrum:
-    """Spectrum of every magnetization sector of the ring at (j, b).
-
-    A view of the cached ring: no diagonalization happens once the ring
-    size has been seen. Eigenvalues are j * kappa + b * sz; for j < 0 the
-    columns are reversed so that every sector stays ascending.
-    """
-    ring = ring_model(params.n)
-    sectors = []
-    for sec in ring.sectors:
-        values = params.j * sec.eig.values + params.b * sec.sz
-        vectors = sec.eig.vectors
-        if params.j < 0:
-            values, vectors = values[::-1], vectors[:, ::-1]
-        values.setflags(write=False)
-        sectors.append(SectorSpectrum(sz=sec.sz, basis=sec.basis,
-                                      eig=EigenDecomposition(values=values, vectors=vectors)))
-    return Spectrum(params=params, sectors=tuple(sectors), ring=ring)
+    """Spectrum of the ring at (j, b), a view of the cached ring: no
+    diagonalization once the ring size has been seen, and no per-sector work
+    until `Spectrum.sectors` is read."""
+    return Spectrum(params=params, ring=ring_model(params.n))
 
 
 def ground_state_vector(spectrum: Spectrum, tol: float | None = None) -> np.ndarray:

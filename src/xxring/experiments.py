@@ -12,7 +12,7 @@ import numpy as np
 from .entanglement import concurrence_from_correlators, concurrence_xstate
 from .eigensolver import Spectrum, full_spectrum, ring_model
 from .hamiltonian import ModelParams
-from .thermal import GibbsBlock, PairDensity, ground_state_reduced, observables, reweight
+from .thermal import PairDensity, ground_state_reduced, observables, reduced_pair_density, reweight
 
 # Below this, the clamped concurrence is indistinguishable from roundoff.
 POSITIVE_CONCURRENCE = 1e-12
@@ -36,8 +36,9 @@ class DegenerateGroundError(RuntimeError):
 class SweepRow:
     """One grid point of the concurrence-vs-(T, B) sweep.
 
-    concurrence is the same production route as `thermal_concurrence`: the
-    X-state closed form on positive-sum corner populations.
+    concurrence is the same number `thermal_concurrence` gives at the point:
+    the X-state closed form of `PairDensity.from_bond` on the grid's
+    positive-sum pair probabilities.
     """
 
     t: float
@@ -60,28 +61,18 @@ class PropositionReport:
     passed: bool
 
 
-def _xstate_concurrence(probabilities, g_xx: float) -> float:
-    """X-state concurrence from the pair probabilities (p00, p01, p10, p11)
-    and the bond correlator g_xx."""
-    p00, p01, p10, p11 = probabilities
-    rho = PairDensity(u_plus=p00, u_minus=p11, w=(p01 + p10) / 2.0, z=g_xx / 2.0)
-    return concurrence_xstate(rho)
-
-
-def _point_concurrence(g: GibbsBlock) -> float:
-    return _xstate_concurrence(g.probabilities[0, 0].tolist(), float(g.g_xx[0, 0]))
-
-
 def thermal_concurrence(spectrum: Spectrum, t: float) -> float:
     """Nearest-neighbor concurrence of the Gibbs state at temperature t.
 
-    Evaluated through the X-state closed form on corner populations computed
-    as positive spectral sums; this agrees with the correlator formula but
-    stays relatively accurate deep in the polarized regime, where the
-    correlator route loses its radicand to cancellation.
+    The X-state closed form of `reduced_pair_density`, whose corner
+    populations are positive spectral sums; this agrees with the correlator
+    formula but stays relatively accurate deep in the polarized regime, where
+    the correlator route loses its radicand to cancellation. A single site
+    has no bond and reports 0.
     """
-    params = spectrum.params
-    return _point_concurrence(reweight(spectrum.ring, params.j, [params.b], [t]))
+    if spectrum.ring.bond is None:
+        return 0.0
+    return concurrence_xstate(reduced_pair_density(spectrum, t))
 
 
 def sweep(params: ModelParams, t_grid, b_grid, max_rows: int = MAX_SWEEP_ROWS) -> list[SweepRow]:
@@ -101,15 +92,16 @@ def sweep(params: ModelParams, t_grid, b_grid, max_rows: int = MAX_SWEEP_ROWS) -
         raise ValueError("temperature grid entries must be positive")
     if len(t_values) * len(b_values) > max_rows:
         raise ValueError(f"grid of {len(t_values) * len(b_values)} rows exceeds cap {max_rows}")
-    bond = (0, 1) if params.n > 1 else None
-    block = reweight(ring_model(params.n), params.j, b_values, t_values, bond)
+    ring = ring_model(params.n)
+    block = reweight(ring, params.j, b_values, t_values, ring.bond)
     columns = [a.tolist() for a in (block.z_shifted, block.u, block.m, block.g_xx, block.g_zz)]
     probabilities = block.probabilities.tolist()
     rows = []
     for k_b, b in enumerate(b_values):
         z, u, m, g_xx, g_zz = (column[k_b] for column in columns)
         for k_t, t in enumerate(t_values):
-            c = _xstate_concurrence(probabilities[k_b][k_t], g_xx[k_t]) if bond else 0.0
+            c = (concurrence_xstate(PairDensity.from_bond(*probabilities[k_b][k_t], g_xx[k_t]))
+                 if ring.bond else 0.0)
             rows.append(SweepRow(t=t, b=b, j=params.j, n=params.n, z_shifted=z[k_t],
                                  u=u[k_t], m=m[k_t], g_xx=g_xx[k_t], g_zz=g_zz[k_t],
                                  concurrence=c))
@@ -119,25 +111,26 @@ def sweep(params: ModelParams, t_grid, b_grid, max_rows: int = MAX_SWEEP_ROWS) -
 def threshold_temperature(params: ModelParams, tol: float = 1e-6) -> float | None:
     """Largest temperature with positive nearest-neighbor concurrence.
 
-    Coarse factor-2 upward scan over [0.05, 1e3] followed by bisection of the
-    last positive bracket; None when nothing in the scan is entangled.
+    Coarse factor-2 upward scan over [0.05, 1e3], read from one `sweep` of
+    the grid, followed by bisection of the last positive bracket; None when
+    nothing in the scan is entangled.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    spectrum = full_spectrum(params)
     grid = []
     t = _SCAN_T_MIN
     while t <= _SCAN_T_MAX:
         grid.append(t)
         t *= 2.0
     grid.append(t)
-    entangled = [thermal_concurrence(spectrum, t) > POSITIVE_CONCURRENCE for t in grid]
+    entangled = [row.concurrence > POSITIVE_CONCURRENCE for row in sweep(params, grid, [params.b])]
     if not any(entangled):
         return None
     last = max(i for i, flag in enumerate(entangled) if flag)
     if last == len(grid) - 1:
         raise RuntimeError(f"still entangled at the top of the scan range ({grid[-1]})")
     lo, hi = grid[last], grid[last + 1]
+    spectrum = full_spectrum(params)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if thermal_concurrence(spectrum, mid) > POSITIVE_CONCURRENCE:
@@ -213,12 +206,15 @@ def ground_state_concurrence(params: ModelParams) -> float:
     Uses the reduced-density route for any field; at b = 0 the zero-field
     energy formula C = max(0, -+ E0/(n j) - g_zz - 1) / 2 (sign by the sign
     of j) is evaluated as well and must agree to 1e-9. A degenerate ground
-    level sits exactly on a crossing and is refused.
+    level sits exactly on a crossing and is refused; a single site has no
+    bond and reports 0.
     """
     spectrum = full_spectrum(params)
-    if len(spectrum.ground_states()) > 1:
+    if spectrum.ground_mask().sum() > 1:
         raise DegenerateGroundError(
             f"ground level of {params} is degenerate; the field sits on a crossing")
+    if spectrum.ring.bond is None:
+        return 0.0
     rho = ground_state_reduced(spectrum)
     value = concurrence_xstate(rho)
     if params.b == 0.0 and params.j != 0.0:
@@ -243,8 +239,16 @@ def _draw_parameters(rng: np.random.Generator) -> tuple[float, float, float]:
     return j, b, t
 
 
-def _concurrence_at(n: int, j: float, b: float, t: float) -> float:
-    return _point_concurrence(reweight(ring_model(n), j, [b], [t]))
+def _worst_gap(n: int, draws, mirror) -> float:
+    """Largest |C(j, b, t) - C(mirror(j, b), t)| over the draws on the n-ring,
+    every point through `thermal_concurrence` on its own spectrum."""
+    worst = 0.0
+    for j, b, t in draws:
+        j2, b2 = mirror(j, b)
+        gap = (thermal_concurrence(full_spectrum(ModelParams(n=n, j=j, b=b)), t)
+               - thermal_concurrence(full_spectrum(ModelParams(n=n, j=j2, b=b2)), t))
+        worst = max(worst, abs(gap))
+    return worst
 
 
 def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED) -> list[PropositionReport]:
@@ -266,15 +270,9 @@ def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED) ->
     rng = np.random.default_rng(seed)
     draws = [_draw_parameters(rng) for _ in range(samples)]
 
-    worst1 = 0.0
-    for n in n_list:
-        for j, b, t in draws:
-            worst1 = max(worst1, abs(_concurrence_at(n, j, b, t) - _concurrence_at(n, j, -b, t)))
-
-    worst2 = 0.0
-    for n in (n for n in n_list if n % 2 == 0):
-        for j, b, t in draws:
-            worst2 = max(worst2, abs(_concurrence_at(n, j, b, t) - _concurrence_at(n, -j, b, t)))
+    worst1 = max((_worst_gap(n, draws, lambda j, b: (j, -b)) for n in n_list), default=0.0)
+    worst2 = max((_worst_gap(n, draws, lambda j, b: (-j, b)) for n in n_list if n % 2 == 0),
+                 default=0.0)
 
     worst3 = 0.0
     for n in n_list:
@@ -304,8 +302,6 @@ def proposition2_odd_control(n: int, samples: int = 200, seed: int = DEFAULT_SEE
     if n % 2 == 0:
         raise ValueError(f"control requires an odd ring, got n={n}")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        j, b, t = _draw_parameters(rng)
-        worst = max(worst, abs(_concurrence_at(n, j, b, t) - _concurrence_at(n, -j, b, t)))
+    draws = [_draw_parameters(rng) for _ in range(samples)]
+    worst = _worst_gap(n, draws, lambda j, b: (-j, b))
     return PropositionReport(2, samples, worst, worst < PROPOSITION_TOL)

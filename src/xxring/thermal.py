@@ -6,7 +6,9 @@ and temperatures, subtracts each field's ground energy, applies one exp and
 contracts the weights with the ring's per-level columns (sum(sigma_z), the
 flip-flop element and the four pair-pattern probabilities) in one matrix
 product. `observables`, `reduced_pair_density`, `pair_state_probabilities`
-and `correlator_xx_direct` are that kernel at a single point.
+and `correlator_xx_direct` are that kernel at a single point. A bond's X-form
+state is formed in one place, `PairDensity.from_bond`, with the pattern
+probabilities p00 and p11 as corners: positive sums, accurate however small.
 
 Shifting by the ground energy keeps temperatures down to 1e-3 safe. T = 0 is
 a separate code path (`ground_state_reduced`: the uniform mixture over the
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import GROUND_RTOL, RingModel, Spectrum
+from .eigensolver import RingModel, Spectrum
 
 # A kernel pass holds at most this many (field, temperature, level) weights;
 # larger grids are reweighted a few fields at a time.
@@ -60,6 +62,12 @@ class PairDensity:
     w: float
     z: float
 
+    @classmethod
+    def from_bond(cls, p00: float, p01: float, p10: float, p11: float, g_xx: float) -> PairDensity:
+        """The X form of a bond from its pattern probabilities (bit of the
+        first site first) and its flip-flop correlator <sigma_x sigma_x>."""
+        return cls(u_plus=p00, u_minus=p11, w=(p01 + p10) / 2.0, z=g_xx / 2.0)
+
     def matrix(self) -> np.ndarray:
         """Dense 4x4 matrix in the basis {|00>, |01>, |10>, |11>}."""
         return np.array([
@@ -77,11 +85,6 @@ def _require_adjacent(n: int, pair: tuple[int, int]) -> tuple[int, int]:
     if i == j or (j - i) % n not in (1, n - 1):
         raise NonAdjacentPairError(f"pair {pair} is not a ring bond for n={n}")
     return i, j
-
-
-def _gzz_from_probabilities(p: np.ndarray) -> np.ndarray:
-    """<sigma_z(i) sigma_z(j)> = p00 - p01 - p10 + p11 over the last axis."""
-    return p[..., 0] - p[..., 1] - p[..., 2] + p[..., 3]
 
 
 @dataclass(frozen=True)
@@ -136,9 +139,9 @@ def reweight(ring: RingModel, j: float, b_values, t_values,
         raise FloatingPointError("non-finite shifted partition sum")
     u /= z
     moments /= z[..., None]
-    probabilities = moments[..., 2:]
+    p = moments[..., 2:]
     out = GibbsBlock(z_shifted=z, u=u, m=moments[..., 0], g_xx=moments[..., 1],
-                     g_zz=_gzz_from_probabilities(probabilities), probabilities=probabilities)
+                     g_zz=p[..., 0] - p[..., 1] - p[..., 2] + p[..., 3], probabilities=p)
     if not all(np.all(np.isfinite(a)) for a in (out.u, out.m, out.g_xx, out.g_zz)):
         raise FloatingPointError("non-finite thermal observable")
     return out
@@ -160,8 +163,7 @@ def observables(spectrum: Spectrum, t: float) -> ThermalObservables:
     U and M are spectral sums (sum of E_n resp. sector sum(sigma_z) against
     Boltzmann weights), not symbolic derivatives of Z.
     """
-    # a single site has no bond: its correlators stay zero
-    g = _at(spectrum, t, (0, 1) if spectrum.params.n > 1 else None)
+    g = _at(spectrum, t, spectrum.ring.bond)
     return ThermalObservables(t=t, log_z_shifted=math.log(g.z_shifted[0, 0]),
                               u=float(g.u[0, 0]), m=float(g.m[0, 0]),
                               g_xx=float(g.g_xx[0, 0]), g_zz=float(g.g_zz[0, 0]))
@@ -176,21 +178,10 @@ def gxx_from_energy(obs: ThermalObservables, params) -> float:
     return (obs.u / params.n - params.b * obs.m / params.n) / (2.0 * params.j)
 
 
-def _pair_density(m_bar: float, g_zz: float, g_xx: float) -> PairDensity:
-    # w is fixed by unit trace together with the equal central diagonals.
-    return PairDensity(
-        u_plus=(1.0 + 2.0 * m_bar + g_zz) / 4.0,
-        u_minus=(1.0 - 2.0 * m_bar + g_zz) / 4.0,
-        w=(1.0 - g_zz) / 4.0,
-        z=g_xx / 2.0,
-    )
-
-
 def reduced_pair_density(spectrum: Spectrum, t: float, pair: tuple[int, int] = (0, 1)) -> PairDensity:
     """Thermal two-qubit reduced density matrix on a ring bond."""
     g = _at(spectrum, t, pair)
-    return _pair_density(float(g.m[0, 0]) / spectrum.params.n,
-                         float(g.g_zz[0, 0]), float(g.g_xx[0, 0]))
+    return PairDensity.from_bond(*g.probabilities[0, 0].tolist(), float(g.g_xx[0, 0]))
 
 
 def pair_state_probabilities(spectrum: Spectrum, t: float,
@@ -208,12 +199,7 @@ def pair_state_probabilities(spectrum: Spectrum, t: float,
 
 def ground_state_reduced(spectrum: Spectrum, pair: tuple[int, int] = (0, 1)) -> PairDensity:
     """Two-qubit reduced density of the T -> 0+ Gibbs limit: the uniform
-    mixture over the full degenerate ground subspace."""
+    mixture over the full degenerate ground subspace (`Spectrum.ground_mask`)."""
     pair = _require_adjacent(spectrum.params.n, pair)
-    params = spectrum.params
-    energies = spectrum.ring.energies(params.j, params.b)
-    e0 = float(energies.min())
-    ground = (energies <= e0 + GROUND_RTOL * max(1.0, abs(e0))).astype(float)
-    moments = (ground @ spectrum.ring.bond_columns(pair)) / ground.sum()
-    return _pair_density(float(moments[0]) / params.n, float(_gzz_from_probabilities(moments[2:])),
-                         float(moments[1]))
+    moments = spectrum.ring.bond_columns(pair)[spectrum.ground_mask()].mean(axis=0)
+    return PairDensity.from_bond(*moments[2:].tolist(), float(moments[1]))

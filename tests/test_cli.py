@@ -74,6 +74,19 @@ def test_ground_odd_ring_skips_tangle(capsys):
     assert "tangle" not in out
 
 
+@pytest.mark.parametrize("argv,want", [
+    (["thermal", "--n", "1", "--j", "1", "--b", "1", "--t", "1"], "concurrence = 0"),
+    (["ground", "--n", "1", "--j", "1", "--b", "1"], "concurrence   = 0"),
+    (["threshold", "--n", "1", "--j", "1", "--b", "1"], "none"),
+    (["verify", "--n-list", "1,2", "--samples", "3"], "proposition 1: pass"),
+], ids=["thermal", "ground", "threshold", "verify"])
+def test_single_site_has_no_bond_in_every_command(capsys, argv, want):
+    # a single site has no bond: its concurrence is 0 and every command succeeds
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert any(line == want or line.startswith(want + " ") for line in out.splitlines())
+
+
 def test_threshold_four_decimal_output(capsys):
     code, out, _ = run_cli(capsys, "threshold", "--n", "4", "--j", "1", "--b", "0")
     assert code == 0

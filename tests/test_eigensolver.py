@@ -98,19 +98,25 @@ def test_field_sign_flip_negates_spectrum(rng):
 
 
 def test_ground_states_span_degenerate_levels():
-    # the first crossing field: two branches meet there
-    b_cross = 2.0 * (np.sqrt(2.0) - 1.0)
-    spectrum = full_spectrum(ModelParams(n=4, j=1.0, b=b_cross))
-    assert len(spectrum.ground_states()) == 2
+    # both crossing fields, for both exchange signs: two branches meet there
+    # (for j < 0 the flat level order runs against the sector columns)
+    for j in (1.0, -1.0):
+        for b_cross in (2.0 * (np.sqrt(2.0) - 1.0), 2.0):
+            spectrum = full_spectrum(ModelParams(n=4, j=j, b=b_cross))
+            states = spectrum.ground_states()
+            assert len(states) == 2
+            for sec, k in states:
+                assert sec.eig.values[k] == pytest.approx(spectrum.ground_energy, abs=1e-12)
 
 
 def test_ground_state_vector_unique_case():
-    spectrum = full_spectrum(ModelParams(n=4, j=1.0, b=1.0))
-    vec = ground_state_vector(spectrum)
-    assert vec.shape == (16,)
-    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-    h = full_hamiltonian(ModelParams(n=4, j=1.0, b=1.0))
-    assert np.allclose(h @ vec, spectrum.ground_energy * vec, atol=1e-9)
+    for j in (1.0, -1.0):
+        spectrum = full_spectrum(ModelParams(n=4, j=j, b=1.0))
+        vec = ground_state_vector(spectrum)
+        assert vec.shape == (16,)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        h = full_hamiltonian(ModelParams(n=4, j=j, b=1.0))
+        assert np.allclose(h @ vec, spectrum.ground_energy * vec, atol=1e-9)
 
 
 def test_ground_state_vector_rejects_degeneracy():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xxring.eigensolver import full_spectrum
-from xxring.entanglement import concurrence_from_correlators
+from xxring.entanglement import concurrence_from_correlators, concurrence_xstate
 from xxring.experiments import (
     CrossingResolutionError,
     DegenerateGroundError,
@@ -17,7 +17,7 @@ from xxring.experiments import (
     verify_propositions,
 )
 from xxring.hamiltonian import ModelParams, full_hamiltonian
-from xxring.thermal import observables
+from xxring.thermal import observables, reduced_pair_density
 
 from oracles import gibbs_density, partial_trace_pair, wootters_concurrence
 
@@ -232,3 +232,9 @@ def test_sweep_concurrence_uses_positive_sum_route():
     assert want == pytest.approx(3.7055e-8, rel=1e-4)
     assert row.concurrence == pytest.approx(want, abs=1e-12)
     assert row.concurrence == thermal_concurrence(full_spectrum(ModelParams(n=n, j=j, b=b)), t)
+    # the library route of the README reads the same positive-sum corners
+    spectrum = full_spectrum(ModelParams(n=n, j=j, b=b))
+    rho = reduced_pair_density(spectrum, t)
+    assert concurrence_xstate(rho) == thermal_concurrence(spectrum, t)
+    assert concurrence_xstate(rho) == pytest.approx(want, abs=1e-12)
+    assert rho.u_plus > 0
