@@ -25,6 +25,7 @@ from .entanglement import (
 from .experiments import (
     PropositionReport,
     SweepRow,
+    gibbs_concurrence,
     ground_state_concurrence,
     level_crossings,
     proposition2_odd_control,

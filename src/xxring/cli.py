@@ -7,26 +7,25 @@ Exit codes: 0 success, 1 in-claim verification failure, 2 argument errors.
 from __future__ import annotations
 
 import argparse
-import math
+import functools
 import sys
 
 import numpy as np
 
-from .eigensolver import full_spectrum, ground_state_vector
+from .eigensolver import full_spectrum, ground_state_vector, ring_model
 from .entanglement import n_tangle
 from .experiments import (
     DEFAULT_SEED,
     DegenerateGroundError,
+    gibbs_concurrence,
     ground_state_concurrence,
     level_crossings,
     proposition2_odd_control,
     sweep,
     threshold_temperature,
-    thermal_concurrence,
     verify_propositions,
 )
 from .hamiltonian import ModelParams
-from .thermal import observables
 
 _SWEEP_RECIPE = (
     "concurrence-vs-(T, B) surface at desk scale: "
@@ -132,14 +131,12 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_thermal(args) -> int:
     params = ModelParams(n=args.n, j=args.j, b=args.b)
-    spectrum = full_spectrum(params)
-    obs = observables(spectrum, args.t)
-    c = thermal_concurrence(spectrum, args.t)
-    print(f"Z_shifted   = {_fmt(math.exp(obs.log_z_shifted))}")
-    print(f"U           = {_fmt(obs.u)}")
-    print(f"M           = {_fmt(obs.m)}")
-    print(f"Gxx         = {_fmt(obs.g_xx)}")
-    print(f"Gzz         = {_fmt(obs.g_zz)}")
+    g, c = gibbs_concurrence(ring_model(params.n), params.j, params.b, args.t)
+    print(f"Z_shifted   = {_fmt(float(g.z_shifted))}")
+    print(f"U           = {_fmt(float(g.u))}")
+    print(f"M           = {_fmt(float(g.m))}")
+    print(f"Gxx         = {_fmt(float(g.g_xx))}")
+    print(f"Gzz         = {_fmt(float(g.g_zz))}")
     print(f"concurrence = {_fmt(c)}")
     return 0
 
@@ -229,9 +226,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of `main` (not at import) and
+    reused: parse_args leaves it unchanged and fills a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, RuntimeError) as exc:

@@ -71,9 +71,10 @@ class RingModel:
         """The bond ring-level averages are read on; a single site has none."""
         return (0, 1) if self.n > 1 else None
 
-    def energies(self, j: float, b) -> np.ndarray:
-        """Level energies j * kappa + b * sz; one row per field if b is an array."""
-        return j * self.kappa + np.asarray(b, dtype=float)[..., None] * self.sz
+    def energies(self, j, b) -> np.ndarray:
+        """Level energies j * kappa + b * sz; one row per point if j or b is an array."""
+        return (np.asarray(j, dtype=float)[..., None] * self.kappa
+                + np.asarray(b, dtype=float)[..., None] * self.sz)
 
     def bond_columns(self, bond: tuple[int, int] | None) -> np.ndarray:
         """Per-level expectations on a bond (i, j), shape (levels, 6).

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import concurrence_from_correlators, concurrence_xstate
-from .eigensolver import Spectrum, full_spectrum, ring_model
+from .eigensolver import RingModel, Spectrum, full_spectrum, ring_model
 from .hamiltonian import ModelParams
-from .thermal import PairDensity, ground_state_reduced, observables, reduced_pair_density, reweight
+from .thermal import GibbsBlock, ground_state_reduced, reweight
 
 # Below this, the clamped concurrence is indistinguishable from roundoff.
 POSITIVE_CONCURRENCE = 1e-12
@@ -22,6 +22,11 @@ MAX_SWEEP_ROWS = 2_000_000
 
 _SCAN_T_MIN = 0.05
 _SCAN_T_MAX = 1.0e3
+# Bisection steps per kernel call: a batch evaluates 2**depth - 1 midpoints.
+# At n = 12 an extra point costs about a seventh of a call's fixed cost, and
+# depth 3 ran a threshold fastest (depth 1, one midpoint per call, took about
+# 1.4 times as long, depths 4 and 5 wasted more points than they saved calls).
+_BISECTION_DEPTH = 3
 
 
 class CrossingResolutionError(RuntimeError):
@@ -61,6 +66,21 @@ class PropositionReport:
     passed: bool
 
 
+def gibbs_concurrence(ring: RingModel, j, b, t) -> tuple[GibbsBlock, np.ndarray | float]:
+    """Gibbs averages and nearest-neighbor concurrence at the broadcast
+    points (j, b, t) of one ring, from one `reweight` call on its bond.
+
+    The concurrence is the X-state closed form of the block's positive-sum
+    pair probabilities (`GibbsBlock.pair_density`): a float at a single
+    point, else an array of the points' shape. A single site has no bond and
+    reports 0.
+    """
+    block = reweight(ring, j, b, t, ring.bond)
+    if ring.bond is None:
+        return block, np.zeros(block.g_xx.shape)[()]
+    return block, concurrence_xstate(block.pair_density())
+
+
 def thermal_concurrence(spectrum: Spectrum, t: float) -> float:
     """Nearest-neighbor concurrence of the Gibbs state at temperature t.
 
@@ -70,9 +90,8 @@ def thermal_concurrence(spectrum: Spectrum, t: float) -> float:
     the correlator route loses its radicand to cancellation. A single site
     has no bond and reports 0.
     """
-    if spectrum.ring.bond is None:
-        return 0.0
-    return concurrence_xstate(reduced_pair_density(spectrum, t))
+    params = spectrum.params
+    return float(gibbs_concurrence(spectrum.ring, params.j, params.b, t)[1])
 
 
 def sweep(params: ModelParams, t_grid, b_grid, max_rows: int = MAX_SWEEP_ROWS) -> list[SweepRow]:
@@ -92,28 +111,43 @@ def sweep(params: ModelParams, t_grid, b_grid, max_rows: int = MAX_SWEEP_ROWS) -
         raise ValueError("temperature grid entries must be positive")
     if len(t_values) * len(b_values) > max_rows:
         raise ValueError(f"grid of {len(t_values) * len(b_values)} rows exceeds cap {max_rows}")
-    ring = ring_model(params.n)
-    block = reweight(ring, params.j, b_values, t_values, ring.bond)
-    columns = [a.tolist() for a in (block.z_shifted, block.u, block.m, block.g_xx, block.g_zz)]
-    probabilities = block.probabilities.tolist()
+    block, concurrence = gibbs_concurrence(ring_model(params.n), params.j,
+                                           np.array(b_values)[:, None], t_values)
+    columns = [a.tolist() for a in (block.z_shifted, block.u, block.m, block.g_xx, block.g_zz,
+                                     concurrence)]
     rows = []
     for k_b, b in enumerate(b_values):
-        z, u, m, g_xx, g_zz = (column[k_b] for column in columns)
-        for k_t, t in enumerate(t_values):
-            c = (concurrence_xstate(PairDensity.from_bond(*probabilities[k_b][k_t], g_xx[k_t]))
-                 if ring.bond else 0.0)
-            rows.append(SweepRow(t=t, b=b, j=params.j, n=params.n, z_shifted=z[k_t],
-                                 u=u[k_t], m=m[k_t], g_xx=g_xx[k_t], g_zz=g_zz[k_t],
-                                 concurrence=c))
+        for t, z, u, m, g_xx, g_zz, c in zip(t_values, *(column[k_b] for column in columns)):
+            rows.append(SweepRow(t=t, b=b, j=params.j, n=params.n, z_shifted=z, u=u, m=m,
+                                 g_xx=g_xx, g_zz=g_zz, concurrence=c))
     return rows
+
+
+def _bisection_tree(lo: float, hi: float, depth: int) -> list[float]:
+    """Midpoints of every bracket bisection can reach from [lo, hi] in depth
+    steps, in heap order: the midpoints of the lower and upper halves of
+    entry k's bracket are entries 2k + 1 and 2k + 2."""
+    brackets = [(lo, hi)]
+    midpoints = []
+    for _ in range(depth):
+        children = []
+        for a, c in brackets:
+            mid = 0.5 * (a + c)
+            midpoints.append(mid)
+            children += [(a, mid), (mid, c)]
+        brackets = children
+    return midpoints
 
 
 def threshold_temperature(params: ModelParams, tol: float = 1e-6) -> float | None:
     """Largest temperature with positive nearest-neighbor concurrence.
 
-    Coarse factor-2 upward scan over [0.05, 1e3], read from one `sweep` of
-    the grid, followed by bisection of the last positive bracket; None when
-    nothing in the scan is entangled.
+    Coarse factor-2 upward scan over [0.05, 1e3] in one kernel call, then
+    bisection of the last positive bracket down to tol; None when nothing in
+    the scan is entangled. The bisection runs in batches: each batch
+    evaluates the whole tree of midpoints the next _BISECTION_DEPTH steps
+    can reach in one kernel call, then walks it. That takes exactly the
+    steps, and returns exactly the value, of one midpoint at a time.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -123,20 +157,25 @@ def threshold_temperature(params: ModelParams, tol: float = 1e-6) -> float | Non
         grid.append(t)
         t *= 2.0
     grid.append(t)
-    entangled = [row.concurrence > POSITIVE_CONCURRENCE for row in sweep(params, grid, [params.b])]
-    if not any(entangled):
+    ring = ring_model(params.n)
+    entangled = gibbs_concurrence(ring, params.j, params.b, grid)[1] > POSITIVE_CONCURRENCE
+    if not entangled.any():
         return None
-    last = max(i for i, flag in enumerate(entangled) if flag)
+    last = int(np.nonzero(entangled)[0][-1])
     if last == len(grid) - 1:
         raise RuntimeError(f"still entangled at the top of the scan range ({grid[-1]})")
     lo, hi = grid[last], grid[last + 1]
-    spectrum = full_spectrum(params)
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if thermal_concurrence(spectrum, mid) > POSITIVE_CONCURRENCE:
-            lo = mid
-        else:
-            hi = mid
+        # steps left if every halving were exact, so the last batch is no deeper than needed
+        depth = min(_BISECTION_DEPTH, max(1, math.ceil(math.log2((hi - lo) / tol))))
+        midpoints = _bisection_tree(lo, hi, depth)
+        positive = gibbs_concurrence(ring, params.j, params.b, midpoints)[1] > POSITIVE_CONCURRENCE
+        node = 0
+        while node < len(midpoints) and hi - lo > tol:
+            if positive[node]:
+                lo, node = midpoints[node], 2 * node + 2
+            else:
+                hi, node = midpoints[node], 2 * node + 1
     return 0.5 * (lo + hi)
 
 
@@ -239,16 +278,29 @@ def _draw_parameters(rng: np.random.Generator) -> tuple[float, float, float]:
     return j, b, t
 
 
-def _worst_gap(n: int, draws, mirror) -> float:
-    """Largest |C(j, b, t) - C(mirror(j, b), t)| over the draws on the n-ring,
-    every point through `thermal_concurrence` on its own spectrum."""
-    worst = 0.0
-    for j, b, t in draws:
-        j2, b2 = mirror(j, b)
-        gap = (thermal_concurrence(full_spectrum(ModelParams(n=n, j=j, b=b)), t)
-               - thermal_concurrence(full_spectrum(ModelParams(n=n, j=j2, b=b2)), t))
-        worst = max(worst, abs(gap))
-    return worst
+def _draws(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (j, b, t) draws of one seed as three arrays of length samples."""
+    rng = np.random.default_rng(seed)
+    return tuple(np.array(column) for column in zip(*(_draw_parameters(rng) for _ in range(samples))))
+
+
+def _mirror_gap(n: int, j, b, t) -> float:
+    """Largest |C(j[0], b[0], t) - C(j[1], b[1], t)| on the n-ring, with the
+    point and its mirror stacked on the leading axis of one kernel call."""
+    concurrence = gibbs_concurrence(ring_model(n), j, b, t)[1]
+    return float(np.max(np.abs(concurrence[0] - concurrence[1])))
+
+
+def _energy_formula_gap(n: int, j, t) -> float:
+    """Largest gap at zero field between the correlator formula and the
+    halved energy formula for the concurrence, over all points of one
+    kernel call; the sign branch follows the sign of j."""
+    ring = ring_model(n)
+    g = reweight(ring, j, 0.0, t, ring.bond)
+    c5 = concurrence_from_correlators(g.g_xx, g.g_zz, g.m / n)
+    sign = np.where(j > 0, -1.0, 1.0)
+    c10 = 0.5 * np.maximum(0.0, sign * g.u / (n * j) - g.g_zz - 1.0)
+    return float(np.max(np.abs(c5 - c10)))
 
 
 def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED) -> list[PropositionReport]:
@@ -261,29 +313,21 @@ def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED) ->
 
     Each proposition is checked on `samples` draws of (j, b, t) per
     applicable ring size; a report passes when the worst discrepancy stays
-    below 1e-9. Proposition 2 on odd rings is deliberately not covered here,
-    see proposition2_odd_control.
+    below 1e-9. Each (ring, proposition) is one kernel call over all draws:
+    (b, -b) stacked for 1, (j, -j) for 2, and both signs of j at b = 0 for
+    3. Proposition 2 on odd rings is deliberately not covered here, see
+    proposition2_odd_control.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n_list = list(n_list)
-    rng = np.random.default_rng(seed)
-    draws = [_draw_parameters(rng) for _ in range(samples)]
+    j, b, t = _draws(samples, seed)
 
-    worst1 = max((_worst_gap(n, draws, lambda j, b: (j, -b)) for n in n_list), default=0.0)
-    worst2 = max((_worst_gap(n, draws, lambda j, b: (-j, b)) for n in n_list if n % 2 == 0),
+    worst1 = max((_mirror_gap(n, j, np.stack([b, -b]), t) for n in n_list), default=0.0)
+    worst2 = max((_mirror_gap(n, np.stack([j, -j]), b, t) for n in n_list if n % 2 == 0),
                  default=0.0)
-
-    worst3 = 0.0
-    for n in n_list:
-        for j, _, t in draws:
-            for branch_j in (abs(j), -abs(j)):  # both exchange signs per draw
-                spectrum = full_spectrum(ModelParams(n=n, j=branch_j, b=0.0))
-                obs = observables(spectrum, t)
-                c5 = concurrence_from_correlators(obs.g_xx, obs.g_zz, obs.m / n)
-                sign = -1.0 if branch_j > 0 else 1.0
-                c10 = 0.5 * max(0.0, sign * obs.u / (n * branch_j) - obs.g_zz - 1.0)
-                worst3 = max(worst3, abs(c5 - c10))
+    both_signs = np.stack([np.abs(j), -np.abs(j)])
+    worst3 = max((_energy_formula_gap(n, both_signs, t) for n in n_list), default=0.0)
 
     return [
         PropositionReport(1, samples, worst1, worst1 < PROPOSITION_TOL),
@@ -301,7 +345,6 @@ def proposition2_odd_control(n: int, samples: int = 200, seed: int = DEFAULT_SEE
     """
     if n % 2 == 0:
         raise ValueError(f"control requires an odd ring, got n={n}")
-    rng = np.random.default_rng(seed)
-    draws = [_draw_parameters(rng) for _ in range(samples)]
-    worst = _worst_gap(n, draws, lambda j, b: (-j, b))
+    j, b, t = _draws(samples, seed)
+    worst = _mirror_gap(n, np.stack([j, -j]), b, t)
     return PropositionReport(2, samples, worst, worst < PROPOSITION_TOL)

@@ -1,8 +1,8 @@
 """Gibbs-state observables and the nearest-neighbor reduced density matrix.
 
 Everything thermal is a reweighting of one cached ring spectrum: `reweight`
-takes the level energies E = j * kappa + b * sz for a whole block of fields
-and temperatures, subtracts each field's ground energy, applies one exp and
+takes the level energies E = j * kappa + b * sz at any broadcast block of
+points (j, b, t), subtracts each point's ground energy, applies one exp and
 contracts the weights with the ring's per-level columns (sum(sigma_z), the
 flip-flop element and the four pair-pattern probabilities) in one matrix
 product. `observables`, `reduced_pair_density`, `pair_state_probabilities`
@@ -26,8 +26,8 @@ import numpy as np
 
 from .eigensolver import RingModel, Spectrum
 
-# A kernel pass holds at most this many (field, temperature, level) weights;
-# larger grids are reweighted a few fields at a time.
+# A kernel pass holds at most this many (point, level) weights; larger blocks
+# of points are reweighted a pass at a time.
 _BLOCK_WEIGHTS = 1 << 20
 
 
@@ -89,11 +89,12 @@ def _require_adjacent(n: int, pair: tuple[int, int]) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class GibbsBlock:
-    """Gibbs averages on a grid: one row per field, one column per temperature.
+    """Gibbs averages at a block of points (j, b, t) of one ring.
 
-    z_shifted is sum_n exp(-(E_n - E0(b))/t) with E0(b) the ground energy at
-    that field. Every array has shape (B, T), except probabilities, (B, T, 4),
-    which holds the bond's pair patterns 00, 01, 10, 11.
+    Every array has the broadcast shape of the points, except probabilities,
+    which adds a trailing axis of four: the bond's pair patterns 00, 01, 10,
+    11. z_shifted is sum_n exp(-(E_n - E0)/t) with E0 the ground energy at
+    the point's (j, b), so it is at least 1.
     """
 
     z_shifted: np.ndarray
@@ -103,58 +104,71 @@ class GibbsBlock:
     g_zz: np.ndarray
     probabilities: np.ndarray
 
+    def pair_density(self) -> PairDensity:
+        """The bond's X-form state at every point of the block."""
+        p = self.probabilities
+        return PairDensity.from_bond(p[..., 0], p[..., 1], p[..., 2], p[..., 3], self.g_xx)
 
-def reweight(ring: RingModel, j: float, b_values, t_values,
-             bond: tuple[int, int] | None = (0, 1)) -> GibbsBlock:
-    """Boltzmann averages of one ring over a (fields x temperatures) grid.
 
-    The (B, L) level energies j * kappa + b * sz are shifted by each field's
-    ground energy, one exp gives the (B, T, L) weights, and one matrix
-    product with the ring's (L, 6) bond columns gives M, g_xx and the pair
-    probabilities; g_zz = p00 - p01 - p10 + p11. bond=None (a single site)
-    leaves the bond averages at zero.
+def reweight(ring: RingModel, j, b, t, bond: tuple[int, int] | None = (0, 1)) -> GibbsBlock:
+    """Boltzmann averages of one ring at the broadcast points (j, b, t).
+
+    j, b and t are scalars or arrays that broadcast together, and every
+    output array has their broadcast shape; a (fields x temperatures) grid is
+    b[:, None] against t[None, :]. Level energies j * kappa + b * sz are
+    formed for each entry of the broadcast (j, b), not for each temperature,
+    and shifted by that entry's ground energy. The points are then
+    reweighted a pass at a time (at most _BLOCK_WEIGHTS weights per pass):
+    one exp, and one matrix product with the ring's bond columns gives M,
+    g_xx and the pair probabilities; g_zz = p00 - p01 - p10 + p11. bond=None
+    (a single site) leaves the bond averages at zero.
     """
     if bond is not None:
         bond = _require_adjacent(ring.n, bond)
-    b = np.asarray(b_values, dtype=float).ravel()
-    t = np.asarray(t_values, dtype=float).ravel()
-    if b.size == 0 or t.size == 0:
-        raise ValueError("field and temperature grids must be nonempty")
-    if not np.all(t > 0):
+    j, b = np.broadcast_arrays(np.asarray(j, dtype=float), np.asarray(b, dtype=float))
+    # each point's row of level energies (one row per (j, b) entry), and its temperature
+    field, t = np.broadcast_arrays(np.arange(j.size).reshape(j.shape), np.asarray(t, dtype=float))
+    if t.size == 0:
+        raise ValueError("no points to reweight")
+    if not (t > 0).all():
         raise ValueError("temperature must be positive; use ground_state_reduced at T = 0")
-    energies = ring.energies(j, b)
+    shape, field, temps = t.shape, field.ravel(), t.ravel()
+    energies = ring.energies(j.ravel(), b.ravel())
+    ground = energies.min(axis=1)
     columns = ring.bond_columns(bond)
-    shifted = energies - energies.min(axis=1, keepdims=True)
-    z = np.empty((b.size, t.size))
-    u = np.empty((b.size, t.size))
-    moments = np.empty((b.size, t.size, columns.shape[1]))
-    step = max(1, _BLOCK_WEIGHTS // (t.size * ring.kappa.size))
-    for lo in range(0, b.size, step):
+    z = np.empty(temps.size)
+    u = np.empty(temps.size)
+    moments = np.empty((temps.size, columns.shape[1]))
+    step = max(1, _BLOCK_WEIGHTS // ring.kappa.size)
+    for lo in range(0, temps.size, step):
         rows = slice(lo, lo + step)
-        weights = np.exp(-shifted[rows, None, :] / t[:, None])
-        z[rows] = weights.sum(axis=-1)
-        u[rows] = (weights @ energies[rows, :, None])[..., 0]
+        level_energies = energies[field[rows]]
+        weights = level_energies - ground[field[rows], None]
+        weights /= -temps[rows, None]
+        np.exp(weights, out=weights)
+        z[rows] = weights.sum(axis=1)
+        u[rows] = (weights[:, None, :] @ level_energies[:, :, None])[:, 0, 0]
         moments[rows] = weights @ columns
-    if not (np.all(np.isfinite(z)) and np.all(z >= 1.0)):
+    if not (np.isfinite(z).all() and (z >= 1.0).all()):
         raise FloatingPointError("non-finite shifted partition sum")
     u /= z
-    moments /= z[..., None]
-    p = moments[..., 2:]
-    out = GibbsBlock(z_shifted=z, u=u, m=moments[..., 0], g_xx=moments[..., 1],
-                     g_zz=p[..., 0] - p[..., 1] - p[..., 2] + p[..., 3], probabilities=p)
-    if not all(np.all(np.isfinite(a)) for a in (out.u, out.m, out.g_xx, out.g_zz)):
+    moments /= z[:, None]
+    if not (np.isfinite(u).all() and np.isfinite(moments).all()):
         raise FloatingPointError("non-finite thermal observable")
-    return out
+    p = moments[:, 2:].reshape(shape + (4,))
+    return GibbsBlock(z_shifted=z.reshape(shape), u=u.reshape(shape), m=moments[:, 0].reshape(shape),
+                      g_xx=moments[:, 1].reshape(shape),
+                      g_zz=p[..., 0] - p[..., 1] - p[..., 2] + p[..., 3], probabilities=p)
 
 
 def _at(spectrum: Spectrum, t: float, bond: tuple[int, int] | None) -> GibbsBlock:
     params = spectrum.params
-    return reweight(spectrum.ring, params.j, [params.b], [t], bond)
+    return reweight(spectrum.ring, params.j, params.b, t, bond)
 
 
 def correlator_xx_direct(spectrum: Spectrum, t: float, bond: tuple[int, int] = (0, 1)) -> float:
     """Thermal <sigma_x(i) sigma_x(j)> on a ring bond, from the sector spectra."""
-    return float(_at(spectrum, t, bond).g_xx[0, 0])
+    return float(_at(spectrum, t, bond).g_xx)
 
 
 def observables(spectrum: Spectrum, t: float) -> ThermalObservables:
@@ -164,9 +178,8 @@ def observables(spectrum: Spectrum, t: float) -> ThermalObservables:
     Boltzmann weights), not symbolic derivatives of Z.
     """
     g = _at(spectrum, t, spectrum.ring.bond)
-    return ThermalObservables(t=t, log_z_shifted=math.log(g.z_shifted[0, 0]),
-                              u=float(g.u[0, 0]), m=float(g.m[0, 0]),
-                              g_xx=float(g.g_xx[0, 0]), g_zz=float(g.g_zz[0, 0]))
+    return ThermalObservables(t=t, log_z_shifted=math.log(g.z_shifted), u=float(g.u),
+                              m=float(g.m), g_xx=float(g.g_xx), g_zz=float(g.g_zz))
 
 
 def gxx_from_energy(obs: ThermalObservables, params) -> float:
@@ -181,7 +194,7 @@ def gxx_from_energy(obs: ThermalObservables, params) -> float:
 def reduced_pair_density(spectrum: Spectrum, t: float, pair: tuple[int, int] = (0, 1)) -> PairDensity:
     """Thermal two-qubit reduced density matrix on a ring bond."""
     g = _at(spectrum, t, pair)
-    return PairDensity.from_bond(*g.probabilities[0, 0].tolist(), float(g.g_xx[0, 0]))
+    return PairDensity.from_bond(*g.probabilities.tolist(), float(g.g_xx))
 
 
 def pair_state_probabilities(spectrum: Spectrum, t: float,
@@ -193,7 +206,7 @@ def pair_state_probabilities(spectrum: Spectrum, t: float,
     X form are (p00, p11); recovering them from magnetization and g_zz
     instead cancels catastrophically in the nearly polarized regime.
     """
-    p00, p01, p10, p11 = _at(spectrum, t, pair).probabilities[0, 0]
+    p00, p01, p10, p11 = _at(spectrum, t, pair).probabilities
     return float(p00), float(p01), float(p10), float(p11)
 
 

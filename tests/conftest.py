@@ -23,3 +23,25 @@ def eigh_calls(monkeypatch):
     eigensolver.ring_model.cache_clear()
     monkeypatch.setattr(eigensolver, "eigh_symmetric", counting)
     return calls
+
+
+@pytest.fixture
+def reweight_calls(monkeypatch):
+    """Record the ring size and point shape of every thermal.reweight call,
+    under every name the package's modules hold it by."""
+    import sys
+
+    import xxring.thermal as thermal
+
+    calls = []
+    original = thermal.reweight
+
+    def counting(ring, j, b, t, bond=(0, 1)):
+        block = original(ring, j, b, t, bond)
+        calls.append((ring.n, block.u.shape))
+        return block
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "xxring" and getattr(module, "reweight", None) is original:
+            monkeypatch.setattr(module, "reweight", counting)
+    return calls

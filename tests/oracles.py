@@ -2,10 +2,14 @@
 
 Everything here works on the full 2^n space with dense (mostly complex)
 matrices and plain numpy factorizations, deliberately independent of the
-sector-blocked production code it is used to check. The one exception is the
-per-sector reference route at the end, which reuses the package's sector
-blocks to check the spectral cache and the batched thermal kernel.
+sector-blocked production code it is used to check. The exceptions are at
+the end: the per-sector reference route, which reuses the package's sector
+blocks to check the spectral cache and the batched thermal kernel, and the
+per-point drivers, which check the batched drivers through the package's
+single-point API.
 """
+
+import math
 
 import numpy as np
 
@@ -216,3 +220,86 @@ def reference_ground_reduced(n, j, b, pair=(0, 1), tol=1e-8):
     m_bar, g_zz, g_xx = m_bar / count, g_zz / count, g_xx / count
     return ((1.0 + 2.0 * m_bar + g_zz) / 4.0, (1.0 - 2.0 * m_bar + g_zz) / 4.0,
             (1.0 - g_zz) / 4.0, g_xx / 2.0)
+
+
+# Per-point drivers: the proposition suites and the threshold bisection as
+# they stood before each became a few batched kernel calls, every point
+# through the public single-point API. Kept to check the batched drivers.
+
+
+def _draw_parameters(rng):
+    j = 0.0
+    while abs(j) < 0.05:
+        j = float(rng.uniform(-2.0, 2.0))
+    b = float(rng.uniform(-3.0, 3.0))
+    t = math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
+    return j, b, t
+
+
+def _pointwise_worst_gap(n, draws, mirror):
+    from xxring.eigensolver import full_spectrum
+    from xxring.experiments import thermal_concurrence
+    from xxring.hamiltonian import ModelParams
+
+    worst = 0.0
+    for j, b, t in draws:
+        j2, b2 = mirror(j, b)
+        gap = (thermal_concurrence(full_spectrum(ModelParams(n=n, j=j, b=b)), t)
+               - thermal_concurrence(full_spectrum(ModelParams(n=n, j=j2, b=b2)), t))
+        worst = max(worst, abs(gap))
+    return worst
+
+
+def pointwise_propositions(n_list, samples, seed):
+    """Worst discrepancies (proposition 1, 2, 3) of the suites, one point at a time."""
+    from xxring.eigensolver import full_spectrum
+    from xxring.entanglement import concurrence_from_correlators
+    from xxring.hamiltonian import ModelParams
+    from xxring.thermal import observables
+
+    rng = np.random.default_rng(seed)
+    draws = [_draw_parameters(rng) for _ in range(samples)]
+    worst1 = max((_pointwise_worst_gap(n, draws, lambda j, b: (j, -b)) for n in n_list),
+                 default=0.0)
+    worst2 = max((_pointwise_worst_gap(n, draws, lambda j, b: (-j, b))
+                  for n in n_list if n % 2 == 0), default=0.0)
+    worst3 = 0.0
+    for n in n_list:
+        for j, _, t in draws:
+            for branch_j in (abs(j), -abs(j)):
+                obs = observables(full_spectrum(ModelParams(n=n, j=branch_j, b=0.0)), t)
+                c5 = concurrence_from_correlators(obs.g_xx, obs.g_zz, obs.m / n)
+                sign = -1.0 if branch_j > 0 else 1.0
+                c10 = 0.5 * max(0.0, sign * obs.u / (n * branch_j) - obs.g_zz - 1.0)
+                worst3 = max(worst3, abs(c5 - c10))
+    return worst1, worst2, worst3
+
+
+def pointwise_odd_control(n, samples, seed):
+    """Worst exchange-sign gap on an odd ring, one point at a time."""
+    rng = np.random.default_rng(seed)
+    draws = [_draw_parameters(rng) for _ in range(samples)]
+    return _pointwise_worst_gap(n, draws, lambda j, b: (-j, b))
+
+
+def sequential_threshold(params, tol=1e-6):
+    """Threshold temperature by a factor-2 scan and one midpoint per step."""
+    from xxring.eigensolver import full_spectrum
+    from xxring.experiments import POSITIVE_CONCURRENCE, thermal_concurrence
+
+    spectrum = full_spectrum(params)
+    grid = [0.05]
+    while grid[-1] <= 1.0e3:
+        grid.append(grid[-1] * 2.0)
+    entangled = [thermal_concurrence(spectrum, t) > POSITIVE_CONCURRENCE for t in grid]
+    if not any(entangled):
+        return None
+    last = max(i for i, flag in enumerate(entangled) if flag)
+    lo, hi = grid[last], grid[last + 1]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if thermal_concurrence(spectrum, mid) > POSITIVE_CONCURRENCE:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

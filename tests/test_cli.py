@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import xxring
+import xxring.cli as cli
 from xxring.cli import main
 from xxring.eigensolver import full_spectrum
 from xxring.experiments import thermal_concurrence
@@ -203,3 +209,58 @@ def test_ground_diagonalizes_each_sector_once(capsys, eigh_calls):
     code, out, _ = run_cli(capsys, "ground", "--n", "6", "--j", "1", "--b", "0.3")
     assert code == 0 and "tangle" in out
     assert len(eigh_calls) == 6 + 1
+
+
+def test_thermal_reads_everything_from_one_kernel_call(capsys, reweight_calls):
+    code, out, _ = run_cli(capsys, "thermal", "--n", "6", "--j", "1", "--b", "0.5", "--t", "0.7")
+    assert code == 0 and "concurrence" in out
+    assert reweight_calls == [(6, ())]
+
+
+_REUSE_COMMANDS = {
+    "sweep_o": ["sweep", "--n", "2", "--j", "1", "--t-min", "0.5", "--t-max", "1", "--t-steps", "2",
+                "--b-min", "0", "--b-max", "1", "--b-steps", "2", "-o", "{path}"],
+    "sweep": ["sweep", "--n", "2", "--j", "1", "--t-min", "0.5", "--t-max", "1", "--t-steps", "2",
+              "--b-min", "0", "--b-max", "1", "--b-steps", "2"],
+    "verify": ["verify", "--n-list", "2,3", "--samples", "3"],
+    "verify_no_control": ["verify", "--n-list", "2,3", "--samples", "3", "--odd-control", "0"],
+    "thermal_b": ["thermal", "--n", "3", "--j", "1", "--b", "0.4", "--t", "1"],
+    "ground": ["ground", "--n", "4", "--j", "1"],
+    "threshold": ["threshold", "--n", "4", "--j", "1"],
+    "threshold_tol": ["threshold", "--n", "4", "--j", "1", "--tol", "0.5"],
+    "spectrum": ["spectrum", "--n", "2", "--j", "1"],
+    "crossings": ["crossings", "--n", "4", "--j", "1", "--b-max", "3"],
+}
+
+
+def _run_named(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    argv = [arg.format(path=path) for arg in _REUSE_COMMANDS[name]]
+    code, out, err = run_cli(capsys, *argv)
+    return code, out, err.replace(str(path), "<path>"), path.read_text() if path.exists() else None
+
+
+@pytest.mark.parametrize("order", [
+    ["sweep_o", "sweep", "verify_no_control", "verify", "thermal_b", "ground",
+     "threshold_tol", "threshold", "spectrum", "crossings"],
+    ["crossings", "spectrum", "threshold", "threshold_tol", "ground", "thermal_b",
+     "verify", "verify_no_control", "sweep", "sweep_o"],
+], ids=["options-first", "defaults-first"])
+def test_reused_parser_matches_a_fresh_one(capsys, tmp_path, order):
+    # a command that follows one which set its options must see the defaults again
+    fresh = {}
+    for name in order:
+        cli._parser.cache_clear()
+        fresh[name] = _run_named(capsys, tmp_path, name)
+    cli._parser.cache_clear()
+    for name in order:
+        assert _run_named(capsys, tmp_path, name) == fresh[name], name
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_import_builds_no_parser():
+    code = "import sys, xxring.cli; sys.exit(xxring.cli._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(xxring.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

@@ -76,6 +76,47 @@ def test_xstate_validates_input():
         concurrence_xstate(PairDensity(0.5, 0.5, 0.25, 0.0))
 
 
+def _batch(rng, shape):
+    """Random X-form states stacked into array fields of the given shape."""
+    states = [_random_pair_density(rng) for _ in range(math.prod(shape))]
+    return {name: np.array([getattr(rho, name) for rho in states]).reshape(shape)
+            for name in ("u_plus", "u_minus", "w", "z")}
+
+
+def test_array_concurrence_equals_scalar_calls(rng):
+    fields = _batch(rng, (3, 4))
+    batch = concurrence_xstate(PairDensity(**fields))
+    assert isinstance(batch, np.ndarray) and batch.shape == (3, 4)
+    for k in np.ndindex(3, 4):
+        single = concurrence_xstate(PairDensity(*(float(fields[name][k]) for name in fields)))
+        assert type(single) is float and batch[k] == single
+    g_xx, g_zz, m_bar = (np.array([-0.5, 0.5, 0.0]), np.array([0.0, 0.0, 1.0]),
+                         np.array([0.5, -0.5, -1.0]))
+    batch = concurrence_from_correlators(g_xx, g_zz, m_bar)
+    assert batch.shape == (3,)
+    assert batch.tolist() == [concurrence_from_correlators(*map(float, point))
+                              for point in zip(g_xx, g_zz, m_bar)]
+
+
+@pytest.mark.parametrize("name,value,problem", [
+    ("u_plus", -0.1, "negative population"),
+    ("z", 0.9, "not positive semidefinite"),
+    ("w", 0.9, "trace differs"),
+])
+def test_array_concurrence_raises_on_one_bad_point(rng, name, value, problem):
+    fields = _batch(rng, (5, 7))
+    fields[name][3, 2] = value
+    with pytest.raises(ValueError, match=problem):
+        concurrence_xstate(PairDensity(**fields))
+
+
+def test_array_correlator_formula_raises_on_one_bad_point():
+    m_bar = np.zeros(9)
+    m_bar[6] = 1.0  # radicand (1 + g_zz)^2 - 4 m_bar^2 = -3 at this point only
+    with pytest.raises(ValueError, match="unphysical inputs"):
+        concurrence_from_correlators(np.full(9, 0.3), np.zeros(9), m_bar)
+
+
 def test_wootters_maximally_mixed():
     assert concurrence_wootters(np.eye(4) / 4.0) == 0.0
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from xxring.experiments import (
 from xxring.hamiltonian import ModelParams, full_hamiltonian
 from xxring.thermal import observables, reduced_pair_density
 
-from oracles import gibbs_density, partial_trace_pair, wootters_concurrence
+from oracles import (
+    gibbs_density,
+    partial_trace_pair,
+    pointwise_odd_control,
+    pointwise_propositions,
+    sequential_threshold,
+    wootters_concurrence,
+)
 
 B_CROSS_LOW = 2.0 * (math.sqrt(2.0) - 1.0)   # 0.82842712...
 GROUND_CONCURRENCE = math.sqrt(2.0) / 2.0 - 0.25
@@ -238,3 +246,44 @@ def test_sweep_concurrence_uses_positive_sum_route():
     assert concurrence_xstate(rho) == thermal_concurrence(spectrum, t)
     assert concurrence_xstate(rho) == pytest.approx(want, abs=1e-12)
     assert rho.u_plus > 0
+
+
+@pytest.mark.parametrize("n_list,samples,seed", [
+    ([2, 3, 4, 5, 6], 8, 3), ([1, 2], 5, 11), ([4, 7], 12, 20020901), ([6], 1, 5),
+])
+def test_verify_propositions_equal_pointwise_loop(n_list, samples, seed):
+    reports = verify_propositions(n_list, samples=samples, seed=seed)
+    want = pointwise_propositions(n_list, samples, seed)
+    for report, worst in zip(reports, want):
+        assert report.max_discrepancy == pytest.approx(worst, rel=0, abs=1e-14), report
+
+
+@pytest.mark.parametrize("n,seed", [(3, 1), (5, 20020901), (7, 9)])
+def test_odd_control_equals_pointwise_loop(n, seed):
+    report = proposition2_odd_control(n, samples=10, seed=seed)
+    assert report.max_discrepancy == pytest.approx(pointwise_odd_control(n, 10, seed),
+                                                   rel=0, abs=1e-14)
+
+
+def test_verify_makes_one_kernel_call_per_ring_and_proposition(reweight_calls):
+    verify_propositions([1, 2, 3, 4, 5, 6], samples=8, seed=3)
+    proposition2_odd_control(5, samples=8, seed=3)
+    # propositions 1 and 3 on every ring, 2 on even rings, and the odd control
+    want = {1: 2, 2: 3, 3: 2, 4: 3, 5: 2 + 1, 6: 3}
+    assert Counter(n for n, _ in reweight_calls) == want
+    assert {shape for _, shape in reweight_calls} == {(2, 8)}
+
+
+@pytest.mark.parametrize("n,j,b,tol", [
+    (2, 1.0, 0.0, 1e-6), (3, -0.8, 0.4, 1e-6), (4, 1.0, 0.0, 1e-6), (4, 1.0, 1.3, 1e-7),
+    (4, -1.0, 2.5, 1e-6), (5, 1.7, -0.9, 1e-5), (6, 1.0, 2.0, 1e-6), (8, -0.6, 0.3, 1e-9),
+    (4, 1.0, 0.0, 10.0), (4, 0.0, 1.0, 1e-6), (1, 1.0, 1.0, 1e-6),
+])
+def test_batched_bisection_equals_sequential_loop(n, j, b, tol):
+    params = ModelParams(n=n, j=j, b=b)
+    got, want = threshold_temperature(params, tol=tol), sequential_threshold(params, tol=tol)
+    if want is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+        assert f"{got:.4f}" == f"{want:.4f}"

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xxring.thermal as thermal
 from xxring.eigensolver import full_spectrum, ring_model
@@ -77,9 +79,9 @@ def test_block_matches_pointwise_views(rng, monkeypatch):
     n, j = 6, -1.3
     b_grid = list(rng.uniform(-3.0, 3.0, size=5))
     t_grid = list(np.geomspace(0.05, 50.0, 7))
-    whole = reweight(ring_model(n), j, b_grid, t_grid)
+    whole = reweight(ring_model(n), j, np.array(b_grid)[:, None], t_grid)
     monkeypatch.setattr(thermal, "_BLOCK_WEIGHTS", 1)
-    split = reweight(ring_model(n), j, b_grid, t_grid)
+    split = reweight(ring_model(n), j, np.array(b_grid)[:, None], t_grid)
     for field in ("z_shifted", "u", "m", "g_xx", "g_zz", "probabilities"):
         assert np.allclose(getattr(whole, field), getattr(split, field), rtol=RTOL, atol=0)
     for k_b, b in enumerate(b_grid):
@@ -118,3 +120,40 @@ def test_ground_state_reduced_matches_reference(j, b):
         want = reference_ground_reduced(4, j, b, pair)
         got = (rho.u_plus, rho.u_minus, rho.w, rho.z)
         assert all(_close(g, w) for g, w in zip(got, want)), (j, b, pair, got, want)
+
+
+@st.composite
+def _broadcast_points(draw):
+    """(n, j, b, t): three arrays (or scalars) of shapes that broadcast together."""
+    shape = draw(st.lists(st.integers(1, 3), max_size=3))
+    arrays = []
+    for low, high in ((-2.0, 2.0), (-3.0, 3.0), (math.log(0.05), math.log(50.0))):
+        dims = draw(st.integers(0, len(shape)))
+        own = [size if draw(st.booleans()) else 1 for size in shape[len(shape) - dims:]]
+        values = draw(st.lists(st.floats(low, high), min_size=math.prod(own),
+                               max_size=math.prod(own)))
+        arrays.append(np.array(values).reshape(own))
+    j, b, log_t = arrays
+    return draw(st.integers(1, 8)), j, b, np.exp(log_t)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(_broadcast_points())
+def test_broadcast_block_equals_stacked_single_points(points):
+    n, j, b, t = points
+    ring = ring_model(n)
+    shape = np.broadcast_shapes(j.shape, b.shape, t.shape)
+    j_all, b_all, t_all = np.broadcast_arrays(j, b, t)
+    for bond in bonds(n) or [None]:
+        block = reweight(ring, j, b, t, bond)
+        singles = [reweight(ring, j_all[k], b_all[k], t_all[k], bond) for k in np.ndindex(shape)]
+        for field in ("z_shifted", "u", "m", "g_xx", "g_zz", "probabilities"):
+            got = getattr(block, field)
+            want = np.array([getattr(single, field) for single in singles])
+            assert got.shape == shape + want.shape[1:], (field, got.shape, shape)
+            # a matrix product of one row and of many may round differently,
+            # so signed averages, whose exact value can be 0, are held to
+            # 1e-13 of max(1, |value|); positive sums to 1e-13 relative
+            scale = 0.0 if field in ("z_shifted", "probabilities") else 1.0
+            tol = 1e-13 * np.maximum(scale, np.abs(want))
+            assert np.all(np.abs(got.reshape(want.shape) - want) <= tol), (field, n, bond)
