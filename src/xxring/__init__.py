@@ -6,7 +6,7 @@ oracles and randomized symmetry verification.
 """
 
 from .analytic_n4 import ClosedFormN4, closed_forms
-from .basis import SectorBasis, enumerate_sector, lambda_x, lambda_z_sign, translate
+from .basis import SectorBasis, enumerate_sector
 from .eigensolver import (
     EigenDecomposition,
     RingModel,
@@ -16,12 +16,7 @@ from .eigensolver import (
     ground_state_vector,
     ring_model,
 )
-from .entanglement import (
-    concurrence_from_correlators,
-    concurrence_wootters,
-    concurrence_xstate,
-    n_tangle,
-)
+from .entanglement import concurrence_from_correlators, concurrence_xstate, n_tangle
 from .experiments import (
     PropositionReport,
     SweepRow,
@@ -34,14 +29,12 @@ from .experiments import (
     threshold_temperature,
     verify_propositions,
 )
-from .hamiltonian import ModelParams, SectorMatrix, build_sector_hamiltonian, full_hamiltonian
+from .hamiltonian import ModelParams, SectorMatrix, build_sector_hamiltonian
 from .thermal import (
     GibbsBlock,
     PairDensity,
     ThermalObservables,
-    correlator_xx_direct,
     ground_state_reduced,
-    gxx_from_energy,
     observables,
     reduced_pair_density,
     reweight,

@@ -1,4 +1,4 @@
-"""Bitstring basis, magnetization sectors, and ring symmetry operators.
+"""Bitstring basis and magnetization sectors.
 
 Site i of the ring maps to bit i of an integer label. Bit value 1 means the
 spin at that site points down (|1>), bit value 0 means up (|0>). A label with
@@ -19,18 +19,9 @@ import numpy as np
 N_MAX = 16
 
 
-def popcount(bits: int) -> int:
-    return bits.bit_count()
-
-
 def _check_ring_size(n: int) -> None:
     if not 1 <= n <= N_MAX:
         raise ValueError(f"ring size must be in [1, {N_MAX}], got {n}")
-
-
-def _check_label(label: int, n: int) -> None:
-    if not 0 <= label < (1 << n):
-        raise ValueError(f"label {label} out of range for {n} sites")
 
 
 @dataclass(frozen=True)
@@ -59,36 +50,6 @@ def enumerate_sector(n: int, r: int) -> SectorBasis:
     labels = tuple(sorted(sum(1 << i for i in sites) for sites in combinations(range(n), r)))
     index = {label: pos for pos, label in enumerate(labels)}
     return SectorBasis(n=n, r=r, labels=labels, index=index)
-
-
-def translate(label: int, n: int) -> int:
-    """Cyclic shift: the content of site i moves to site (i + 1) mod n."""
-    _check_ring_size(n)
-    _check_label(label, n)
-    mask = (1 << n) - 1
-    return ((label << 1) | (label >> (n - 1))) & mask
-
-
-def lambda_x(label: int, n: int) -> int:
-    """All-sites spin flip: bitwise complement within n bits."""
-    _check_ring_size(n)
-    _check_label(label, n)
-    return label ^ ((1 << n) - 1)
-
-
-# sigma_z applied on every other site (sites 0, 2, ..., n-2). The alternating
-# pattern only closes around the ring when n is even.
-_ALTERNATING_MASKS = {n: sum(1 << i for i in range(0, n, 2)) for n in range(2, N_MAX + 1, 2)}
-
-
-def lambda_z_sign(label: int, n: int) -> int:
-    """Sign (+1 or -1) picked up by a basis label under the alternating
-    sigma_z string; the label itself is unchanged (diagonal action)."""
-    _check_ring_size(n)
-    if n % 2:
-        raise ValueError("alternating sigma_z string requires an even ring")
-    _check_label(label, n)
-    return -1 if popcount(label & _ALTERNATING_MASKS[n]) % 2 else 1
 
 
 def embed_in_full_space(basis: SectorBasis, coeffs: np.ndarray) -> np.ndarray:

@@ -148,7 +148,7 @@ def _cmd_ground(args) -> int:
     try:
         c = ground_state_concurrence(params)
     except DegenerateGroundError:
-        print(f"ground level is {len(spectrum.ground_states())}-fold degenerate "
+        print(f"ground level is {int(spectrum.ground_mask().sum())}-fold degenerate "
               "(field sits on a level crossing)")
         return 0
     print(f"concurrence   = {_fmt(c)}")

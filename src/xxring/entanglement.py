@@ -1,30 +1,22 @@
-"""Entanglement measures: pairwise concurrence by three routes, and the
+"""Entanglement measures: pairwise concurrence by two routes, and the
 even-N multiqubit tangle of a pure state.
 
-The three concurrence routes (correlator formula, X-state closed form, full
-spin-flip construction) are algebraically equivalent on the states this
-package produces and are kept separate precisely so tests can cross-check
-them against each other.
+The ring conserves sum(sigma_z), so every bond state is X-form and its
+concurrence has a closed form (`concurrence_xstate`, the production route).
+The correlator formula (`concurrence_from_correlators`) is algebraically the
+same, written in M, g_xx and g_zz; Proposition 3 checks it against the energy
+formula.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .eigensolver import eigh_symmetric
 from .thermal import PairDensity
 
 # Outputs within this distance outside [0, 1] are roundoff and get clamped;
 # larger excursions are bugs and raise.
 _CLAMP_TOL = 1e-9
-
-# sigma_y x sigma_y is real in the computational basis.
-_YY = np.array([
-    [0.0, 0.0, 0.0, -1.0],
-    [0.0, 0.0, 1.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0],
-    [-1.0, 0.0, 0.0, 0.0],
-])
 
 
 def _first(bad: np.ndarray, *arrays) -> tuple[float, ...]:
@@ -88,39 +80,6 @@ def concurrence_xstate(rho: PairDensity):
     u_plus, u_minus, _, abs_z = _validated(rho)
     value = 2.0 * (abs_z - np.sqrt(np.maximum(u_plus * u_minus, 0.0)))
     return _clamp_unit(np.maximum(0.0, value), "concurrence")
-
-
-def concurrence_wootters(rho: np.ndarray) -> float:
-    """Concurrence of an arbitrary real 4x4 density matrix.
-
-    Square roots of the eigenvalues of rho * (YY rho YY) are taken from the
-    equivalent symmetric product sqrt(rho) * (YY rho YY) * sqrt(rho), which
-    keeps everything inside the real symmetric eigensolver; the spin-flip
-    conjugation is a no-op for real input.
-    """
-    a = np.asarray(rho)
-    if a.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {a.shape}")
-    if np.iscomplexobj(a):
-        if float(np.abs(a.imag).max()) > 1e-9:
-            raise ValueError("only real density matrices are supported")
-        a = a.real.copy()
-    if float(np.abs(a - a.T).max()) > 1e-9:
-        raise ValueError("density matrix is not symmetric")
-    if abs(float(np.trace(a)) - 1.0) > 1e-9:
-        raise ValueError("density matrix trace differs from one")
-    eig = eigh_symmetric(a)
-    if float(eig.values[0]) < -1e-9:
-        raise ValueError("density matrix is not positive semidefinite")
-    vals = np.where(eig.values < 1e-14, 0.0, eig.values)
-    sqrt_rho = (eig.vectors * np.sqrt(vals)) @ eig.vectors.T
-    # sqrt(rho) rho_tilde sqrt(rho) is the square of the symmetric matrix
-    # sqrt(rho) YY sqrt(rho), so its eigenvalue square roots are available
-    # as absolute eigenvalues directly, without halving the precision of
-    # the near-zero ones
-    core = sqrt_rho @ _YY @ sqrt_rho
-    lam = np.sort(np.abs(eigh_symmetric(core).values))[::-1]
-    return _clamp_unit(max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3])), "concurrence")
 
 
 def n_tangle(psi: np.ndarray) -> float:

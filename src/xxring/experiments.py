@@ -139,15 +139,22 @@ def _bisection_tree(lo: float, hi: float, depth: int) -> list[float]:
     return midpoints
 
 
+def _splits(lo: float, hi: float, tol: float) -> bool:
+    """Whether bisection still narrows [lo, hi]: wider than tol, with a midpoint
+    strictly inside (for adjacent doubles the midpoint is lo or hi)."""
+    return hi - lo > tol and lo < 0.5 * (lo + hi) < hi
+
+
 def threshold_temperature(params: ModelParams, tol: float = 1e-6) -> float | None:
     """Largest temperature with positive nearest-neighbor concurrence.
 
     Coarse factor-2 upward scan over [0.05, 1e3] in one kernel call, then
-    bisection of the last positive bracket down to tol; None when nothing in
-    the scan is entangled. The bisection runs in batches: each batch
-    evaluates the whole tree of midpoints the next _BISECTION_DEPTH steps
-    can reach in one kernel call, then walks it. That takes exactly the
-    steps, and returns exactly the value, of one midpoint at a time.
+    bisection of the last positive bracket down to tol (or to adjacent
+    doubles, if tol is finer); None when nothing in the scan is entangled.
+    The bisection runs in batches: each batch evaluates the whole tree of
+    midpoints the next _BISECTION_DEPTH steps can reach in one kernel call,
+    then walks it. That takes exactly the steps, and returns exactly the
+    value, of one midpoint at a time.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -165,13 +172,13 @@ def threshold_temperature(params: ModelParams, tol: float = 1e-6) -> float | Non
     if last == len(grid) - 1:
         raise RuntimeError(f"still entangled at the top of the scan range ({grid[-1]})")
     lo, hi = grid[last], grid[last + 1]
-    while hi - lo > tol:
+    while _splits(lo, hi, tol):
         # steps left if every halving were exact, so the last batch is no deeper than needed
         depth = min(_BISECTION_DEPTH, max(1, math.ceil(math.log2((hi - lo) / tol))))
         midpoints = _bisection_tree(lo, hi, depth)
         positive = gibbs_concurrence(ring, params.j, params.b, midpoints)[1] > POSITIVE_CONCURRENCE
         node = 0
-        while node < len(midpoints) and hi - lo > tol:
+        while node < len(midpoints) and _splits(lo, hi, tol):
             if positive[node]:
                 lo, node = midpoints[node], 2 * node + 2
             else:

@@ -6,6 +6,8 @@ H = J * sum_i (sigma_x(i) sigma_x(i+1) + sigma_y(i) sigma_y(i+1))
 The periodic sum is taken literally: for n = 2 the single physical bond is
 traversed twice, so the effective two-site coupling is 2J. For n = 1 there is
 no exchange bond at all (a self-bond would be a constant shift, not exchange).
+The package never forms the dense 2^n matrix: every spectrum is built from
+these sector blocks.
 """
 
 from __future__ import annotations
@@ -16,15 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import N_MAX, SectorBasis, enumerate_sector
-
-# Largest ring worth materializing as a dense 2^n matrix; the full matrix is
-# a brute-force oracle for tests, never the production path.
-FULL_ORACLE_N_MAX = 12
-
-_ID2 = np.eye(2)
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_ISY = np.array([[0.0, 1.0], [-1.0, 0.0]])  # i * sigma_y, kept real
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -77,30 +70,3 @@ def build_sector_hamiltonian(params: ModelParams, r: int) -> SectorMatrix:
     h.setflags(write=False)
     return SectorMatrix(basis=basis, entries=h)
 
-
-def _site_product(n: int, ops: dict[int, np.ndarray]) -> np.ndarray:
-    # Site n-1 is the most significant bit of a label, so it comes first
-    # in the tensor product chain.
-    out = np.array([[1.0]])
-    for site in reversed(range(n)):
-        out = np.kron(out, ops.get(site, _ID2))
-    return out
-
-
-def full_hamiltonian(params: ModelParams) -> np.ndarray:
-    """Dense 2^n Hamiltonian built from explicit tensor products.
-
-    Brute-force oracle that bypasses sector blocking entirely; only sensible
-    for small rings (n <= 12).
-    """
-    if params.n > FULL_ORACLE_N_MAX:
-        raise ValueError(f"full matrix limited to n <= {FULL_ORACLE_N_MAX}, got {params.n}")
-    n = params.n
-    h = np.zeros((1 << n, 1 << n))
-    for i, k in bonds(n):
-        # sigma_y x sigma_y = -(i sigma_y) x (i sigma_y), all-real arithmetic
-        h += params.j * (_site_product(n, {i: _SX, k: _SX})
-                         - _site_product(n, {i: _ISY, k: _ISY}))
-    for i in range(n):
-        h += params.b * _site_product(n, {i: _SZ})
-    return h

@@ -5,10 +5,10 @@ takes the level energies E = j * kappa + b * sz at any broadcast block of
 points (j, b, t), subtracts each point's ground energy, applies one exp and
 contracts the weights with the ring's per-level columns (sum(sigma_z), the
 flip-flop element and the four pair-pattern probabilities) in one matrix
-product. `observables`, `reduced_pair_density`, `pair_state_probabilities`
-and `correlator_xx_direct` are that kernel at a single point. A bond's X-form
-state is formed in one place, `PairDensity.from_bond`, with the pattern
-probabilities p00 and p11 as corners: positive sums, accurate however small.
+product. `observables` and `reduced_pair_density` are that kernel at a
+single point. A bond's X-form state is formed in one place,
+`PairDensity.from_bond`, with the pattern probabilities p00 and p11 as
+corners: positive sums, accurate however small.
 
 Shifting by the ground energy keeps temperatures down to 1e-3 safe. T = 0 is
 a separate code path (`ground_state_reduced`: the uniform mixture over the
@@ -166,11 +166,6 @@ def _at(spectrum: Spectrum, t: float, bond: tuple[int, int] | None) -> GibbsBloc
     return reweight(spectrum.ring, params.j, params.b, t, bond)
 
 
-def correlator_xx_direct(spectrum: Spectrum, t: float, bond: tuple[int, int] = (0, 1)) -> float:
-    """Thermal <sigma_x(i) sigma_x(j)> on a ring bond, from the sector spectra."""
-    return float(_at(spectrum, t, bond).g_xx)
-
-
 def observables(spectrum: Spectrum, t: float) -> ThermalObservables:
     """Partition data, internal energy, magnetization, and bond correlators.
 
@@ -182,32 +177,10 @@ def observables(spectrum: Spectrum, t: float) -> ThermalObservables:
                               m=float(g.m), g_xx=float(g.g_xx), g_zz=float(g.g_zz))
 
 
-def gxx_from_energy(obs: ThermalObservables, params) -> float:
-    """Transverse correlator from energy and magnetization alone:
-    (U/n - b * M/n) / (2 j). Equals the directly computed correlator; the
-    relation is undefined at j = 0, where callers must use the direct path."""
-    if params.j == 0:
-        raise ValueError("relation undefined for j = 0; use correlator_xx_direct")
-    return (obs.u / params.n - params.b * obs.m / params.n) / (2.0 * params.j)
-
-
 def reduced_pair_density(spectrum: Spectrum, t: float, pair: tuple[int, int] = (0, 1)) -> PairDensity:
     """Thermal two-qubit reduced density matrix on a ring bond."""
     g = _at(spectrum, t, pair)
     return PairDensity.from_bond(*g.probabilities.tolist(), float(g.g_xx))
-
-
-def pair_state_probabilities(spectrum: Spectrum, t: float,
-                             pair: tuple[int, int] = (0, 1)) -> tuple[float, float, float, float]:
-    """Thermal probabilities (p00, p01, p10, p11) of the pair patterns.
-
-    Each probability is a sum of positive terms, so it keeps relative
-    accuracy even when exponentially small. The corner populations of the
-    X form are (p00, p11); recovering them from magnetization and g_zz
-    instead cancels catastrophically in the nearly polarized regime.
-    """
-    p00, p01, p10, p11 = _at(spectrum, t, pair).probabilities
-    return float(p00), float(p01), float(p10), float(p11)
 
 
 def ground_state_reduced(spectrum: Spectrum, pair: tuple[int, int] = (0, 1)) -> PairDensity:

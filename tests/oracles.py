@@ -1,17 +1,31 @@
-"""Brute-force oracles built from explicit tensor products.
+"""Oracles and cross-checks that only the tests use.
 
-Everything here works on the full 2^n space with dense (mostly complex)
-matrices and plain numpy factorizations, deliberately independent of the
-sector-blocked production code it is used to check. The exceptions are at
-the end: the per-sector reference route, which reuses the package's sector
-blocks to check the spectral cache and the batched thermal kernel, and the
-per-point drivers, which check the batched drivers through the package's
-single-point API.
+- Brute force on the full 2^n space, independent of the sector-blocked
+  code it checks: the complex tensor-product route (Gibbs and ground
+  densities, partial traces, `wootters_concurrence`) and the real
+  `full_hamiltonian`.
+- The ring symmetry operators on basis labels.
+- `concurrence_wootters`, the general spin-flip construction through the
+  package's eigensolver, kept apart from `wootters_concurrence` so that the
+  two can be compared.
+- Single-point views of the package's thermal kernel, and `gxx_from_energy`.
+- The per-sector reference route, which reuses the package's sector blocks
+  to check the spectral cache and the batched thermal kernel, and the
+  per-point drivers, which check the batched drivers through the package's
+  single-point API.
 """
 
+import functools
 import math
 
 import numpy as np
+
+from xxring.basis import N_MAX, _check_ring_size
+from xxring.eigensolver import eigh_symmetric, full_spectrum
+from xxring.entanglement import _clamp_unit, concurrence_from_correlators
+from xxring.experiments import POSITIVE_CONCURRENCE, thermal_concurrence
+from xxring.hamiltonian import ModelParams, build_sector_hamiltonian
+from xxring.thermal import observables, reweight
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -129,6 +143,170 @@ def four_site_w_prime():
     ])
 
 
+# The real 2^n Hamiltonian from explicit tensor products. Its exchange and
+# field parts are built once per ring size (the last four sizes are kept),
+# so each call is one j * X + b * Z.
+
+# Largest ring worth materializing as a dense 2^n matrix.
+FULL_ORACLE_N_MAX = 12
+
+_ID2 = np.eye(2)
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_ISY = np.array([[0.0, 1.0], [-1.0, 0.0]])  # i * sigma_y, kept real
+_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+
+def _site_product(n: int, ops: dict[int, np.ndarray]) -> np.ndarray:
+    # Site n-1 is the most significant bit of a label, so it comes first
+    # in the tensor product chain.
+    out = np.array([[1.0]])
+    for site in reversed(range(n)):
+        out = np.kron(out, ops.get(site, _ID2))
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _full_parts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only exchange part (j = 1, b = 0) and field part (j = 0, b = 1)."""
+    exchange = np.zeros((1 << n, 1 << n))
+    field = np.zeros((1 << n, 1 << n))
+    for i, k in ([] if n == 1 else [(i, (i + 1) % n) for i in range(n)]):
+        # sigma_y x sigma_y = -(i sigma_y) x (i sigma_y), all-real arithmetic
+        exchange += _site_product(n, {i: _SX, k: _SX}) - _site_product(n, {i: _ISY, k: _ISY})
+    for i in range(n):
+        field += _site_product(n, {i: _SZ})
+    exchange.setflags(write=False)
+    field.setflags(write=False)
+    return exchange, field
+
+
+def full_hamiltonian(params: ModelParams) -> np.ndarray:
+    """Dense 2^n Hamiltonian built from explicit tensor products.
+
+    Brute-force oracle that bypasses sector blocking entirely; only sensible
+    for small rings (n <= 12).
+    """
+    if params.n > FULL_ORACLE_N_MAX:
+        raise ValueError(f"full matrix limited to n <= {FULL_ORACLE_N_MAX}, got {params.n}")
+    exchange, field = _full_parts(params.n)
+    return params.j * exchange + params.b * field
+
+
+# Ring symmetry operators on basis labels (bit i is site i, 1 = spin down).
+
+
+def popcount(bits: int) -> int:
+    return bits.bit_count()
+
+
+def _check_label(label: int, n: int) -> None:
+    if not 0 <= label < (1 << n):
+        raise ValueError(f"label {label} out of range for {n} sites")
+
+
+def translate(label: int, n: int) -> int:
+    """Cyclic shift: the content of site i moves to site (i + 1) mod n."""
+    _check_ring_size(n)
+    _check_label(label, n)
+    mask = (1 << n) - 1
+    return ((label << 1) | (label >> (n - 1))) & mask
+
+
+def lambda_x(label: int, n: int) -> int:
+    """All-sites spin flip: bitwise complement within n bits."""
+    _check_ring_size(n)
+    _check_label(label, n)
+    return label ^ ((1 << n) - 1)
+
+
+# sigma_z applied on every other site (sites 0, 2, ..., n-2). The alternating
+# pattern only closes around the ring when n is even.
+_ALTERNATING_MASKS = {n: sum(1 << i for i in range(0, n, 2)) for n in range(2, N_MAX + 1, 2)}
+
+
+def lambda_z_sign(label: int, n: int) -> int:
+    """Sign (+1 or -1) picked up by a basis label under the alternating
+    sigma_z string; the label itself is unchanged (diagonal action)."""
+    _check_ring_size(n)
+    if n % 2:
+        raise ValueError("alternating sigma_z string requires an even ring")
+    _check_label(label, n)
+    return -1 if popcount(label & _ALTERNATING_MASKS[n]) % 2 else 1
+
+
+# The general spin-flip concurrence (Wootters, PRL 80, 2245 (1998)) of a real
+# 4x4 density matrix, through the package's eigensolver and clamp. It is kept
+# apart from wootters_concurrence above so that tests can compare the two.
+
+# sigma_y x sigma_y is real in the computational basis.
+_YY = np.array([
+    [0.0, 0.0, 0.0, -1.0],
+    [0.0, 0.0, 1.0, 0.0],
+    [0.0, 1.0, 0.0, 0.0],
+    [-1.0, 0.0, 0.0, 0.0],
+])
+
+
+def concurrence_wootters(rho: np.ndarray) -> float:
+    """Concurrence of an arbitrary real 4x4 density matrix.
+
+    Square roots of the eigenvalues of rho * (YY rho YY) are taken from the
+    equivalent symmetric product sqrt(rho) * (YY rho YY) * sqrt(rho), which
+    keeps everything inside the real symmetric eigensolver; the spin-flip
+    conjugation is a no-op for real input.
+    """
+    a = np.asarray(rho)
+    if a.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {a.shape}")
+    if np.iscomplexobj(a):
+        if float(np.abs(a.imag).max()) > 1e-9:
+            raise ValueError("only real density matrices are supported")
+        a = a.real.copy()
+    if float(np.abs(a - a.T).max()) > 1e-9:
+        raise ValueError("density matrix is not symmetric")
+    if abs(float(np.trace(a)) - 1.0) > 1e-9:
+        raise ValueError("density matrix trace differs from one")
+    eig = eigh_symmetric(a)
+    if float(eig.values[0]) < -1e-9:
+        raise ValueError("density matrix is not positive semidefinite")
+    vals = np.where(eig.values < 1e-14, 0.0, eig.values)
+    sqrt_rho = (eig.vectors * np.sqrt(vals)) @ eig.vectors.T
+    # sqrt(rho) rho_tilde sqrt(rho) is the square of the symmetric matrix
+    # sqrt(rho) YY sqrt(rho), so its eigenvalue square roots are available
+    # as absolute eigenvalues directly, without halving the precision of
+    # the near-zero ones
+    core = sqrt_rho @ _YY @ sqrt_rho
+    lam = np.sort(np.abs(eigh_symmetric(core).values))[::-1]
+    return _clamp_unit(max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3])), "concurrence")
+
+
+# Single-point views of the package's thermal kernel (`reweight`), and the
+# relation that recovers g_xx from energy and magnetization alone.
+
+
+def correlator_xx_direct(spectrum, t: float, bond: tuple[int, int] = (0, 1)) -> float:
+    """Thermal <sigma_x(i) sigma_x(j)> on a ring bond, from the sector spectra."""
+    params = spectrum.params
+    return float(reweight(spectrum.ring, params.j, params.b, t, bond).g_xx)
+
+
+def pair_state_probabilities(spectrum, t: float,
+                             pair: tuple[int, int] = (0, 1)) -> tuple[float, float, float, float]:
+    """Thermal probabilities (p00, p01, p10, p11) of the pair patterns."""
+    params = spectrum.params
+    p00, p01, p10, p11 = reweight(spectrum.ring, params.j, params.b, t, pair).probabilities
+    return float(p00), float(p01), float(p10), float(p11)
+
+
+def gxx_from_energy(obs, params) -> float:
+    """Transverse correlator from energy and magnetization alone:
+    (U/n - b * M/n) / (2 j). Equals the directly computed correlator; the
+    relation is undefined at j = 0, where callers must use the direct path."""
+    if params.j == 0:
+        raise ValueError("relation undefined for j = 0; use correlator_xx_direct")
+    return (obs.u / params.n - params.b * obs.m / params.n) / (2.0 * params.j)
+
+
 # Per-sector reference route: each (j, b) block diagonalized on its own, and
 # every expectation summed sector by sector in Python loops. This is the
 # thermal pipeline as it stood before the spectral cache and the batched
@@ -137,8 +315,6 @@ def four_site_w_prime():
 
 def reference_sectors(n, j, b):
     """(sz, labels, eigenvalues, eigenvectors) of every sector of H(j, b)."""
-    from xxring.hamiltonian import ModelParams, build_sector_hamiltonian
-
     out = []
     for r in range(n + 1):
         block = build_sector_hamiltonian(ModelParams(n=n, j=j, b=b), r)
@@ -237,10 +413,6 @@ def _draw_parameters(rng):
 
 
 def _pointwise_worst_gap(n, draws, mirror):
-    from xxring.eigensolver import full_spectrum
-    from xxring.experiments import thermal_concurrence
-    from xxring.hamiltonian import ModelParams
-
     worst = 0.0
     for j, b, t in draws:
         j2, b2 = mirror(j, b)
@@ -252,11 +424,6 @@ def _pointwise_worst_gap(n, draws, mirror):
 
 def pointwise_propositions(n_list, samples, seed):
     """Worst discrepancies (proposition 1, 2, 3) of the suites, one point at a time."""
-    from xxring.eigensolver import full_spectrum
-    from xxring.entanglement import concurrence_from_correlators
-    from xxring.hamiltonian import ModelParams
-    from xxring.thermal import observables
-
     rng = np.random.default_rng(seed)
     draws = [_draw_parameters(rng) for _ in range(samples)]
     worst1 = max((_pointwise_worst_gap(n, draws, lambda j, b: (j, -b)) for n in n_list),
@@ -284,9 +451,6 @@ def pointwise_odd_control(n, samples, seed):
 
 def sequential_threshold(params, tol=1e-6):
     """Threshold temperature by a factor-2 scan and one midpoint per step."""
-    from xxring.eigensolver import full_spectrum
-    from xxring.experiments import POSITIVE_CONCURRENCE, thermal_concurrence
-
     spectrum = full_spectrum(params)
     grid = [0.05]
     while grid[-1] <= 1.0e3:

@@ -18,12 +18,7 @@ import numpy as np
 
 from xxring.analytic_n4 import closed_forms
 from xxring.eigensolver import full_spectrum
-from xxring.entanglement import (
-    concurrence_from_correlators,
-    concurrence_wootters,
-    concurrence_xstate,
-    n_tangle,
-)
+from xxring.entanglement import concurrence_from_correlators, concurrence_xstate, n_tangle
 from xxring.experiments import (
     ground_state_concurrence,
     level_crossings,
@@ -31,12 +26,14 @@ from xxring.experiments import (
     threshold_temperature,
     verify_propositions,
 )
-from xxring.hamiltonian import ModelParams, full_hamiltonian
+from xxring.hamiltonian import ModelParams
 from xxring.thermal import observables, reduced_pair_density
 
 from oracles import (
+    concurrence_wootters,
     four_site_singletlike_ground,
     four_site_w_prime,
+    full_hamiltonian,
     gibbs_density,
     partial_trace_pair,
     reference_spectrum_n4,

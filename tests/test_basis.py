@@ -3,17 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from xxring.basis import (
-    N_MAX,
-    embed_in_full_space,
-    enumerate_sector,
-    lambda_x,
-    lambda_z_sign,
-    popcount,
-    translate,
-)
+from xxring.basis import N_MAX, embed_in_full_space, enumerate_sector
 
-from oracles import SZ, site_operator
+from oracles import SZ, lambda_x, lambda_z_sign, popcount, site_operator, translate
 
 
 def test_sector_n4_r0_is_vacuum_only():

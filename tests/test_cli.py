@@ -99,6 +99,17 @@ def test_threshold_four_decimal_output(capsys):
     assert out.strip() == "2.2114"
 
 
+def test_threshold_returns_for_tol_below_double_spacing():
+    # near T_c = 2.21 adjacent doubles are 4.4e-16 apart, so the bracket can
+    # never shrink to 1e-17; bisection must stop there instead of looping
+    env = {**os.environ, "PYTHONPATH": str(Path(xxring.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "xxring", "threshold", "--n", "4", "--j", "1",
+                             "--b", "0", "--tol", "1e-17"],
+                            env=env, capture_output=True, text=True, timeout=30)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "2.2114"
+
+
 def test_threshold_none_for_zero_exchange(capsys):
     code, out, _ = run_cli(capsys, "threshold", "--n", "4", "--j", "0", "--b", "1")
     assert code == 0

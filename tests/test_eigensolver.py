@@ -8,9 +8,9 @@ from xxring.eigensolver import (
     ground_state_vector,
     ring_model,
 )
-from xxring.hamiltonian import ModelParams, build_sector_hamiltonian, full_hamiltonian
+from xxring.hamiltonian import ModelParams, build_sector_hamiltonian
 
-from oracles import reference_spectrum_n4
+from oracles import full_hamiltonian, reference_spectrum_n4
 
 
 def _random_symmetric(rng, dim):

@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 
 from xxring.eigensolver import full_spectrum, ground_state_vector
-from xxring.entanglement import (
-    concurrence_from_correlators,
-    concurrence_wootters,
-    concurrence_xstate,
-    n_tangle,
-)
-from xxring.hamiltonian import ModelParams, full_hamiltonian
+from xxring.entanglement import concurrence_from_correlators, concurrence_xstate, n_tangle
+from xxring.hamiltonian import ModelParams
 from xxring.thermal import PairDensity, ground_state_reduced, observables, reduced_pair_density
 
 from oracles import (
     SY,
+    concurrence_wootters,
     four_site_singletlike_ground,
     four_site_w_prime,
+    full_hamiltonian,
     gibbs_density,
     partial_trace_pair,
     site_operator,

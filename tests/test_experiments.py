@@ -17,10 +17,11 @@ from xxring.experiments import (
     threshold_temperature,
     verify_propositions,
 )
-from xxring.hamiltonian import ModelParams, full_hamiltonian
+from xxring.hamiltonian import ModelParams
 from xxring.thermal import observables, reduced_pair_density
 
 from oracles import (
+    full_hamiltonian,
     gibbs_density,
     partial_trace_pair,
     pointwise_odd_control,

@@ -14,15 +14,18 @@ from xxring.eigensolver import full_spectrum, ring_model
 from xxring.hamiltonian import ModelParams, bonds, build_sector_hamiltonian
 from xxring.thermal import (
     NonAdjacentPairError,
-    correlator_xx_direct,
     ground_state_reduced,
     observables,
-    pair_state_probabilities,
     reduced_pair_density,
     reweight,
 )
 
-from oracles import reference_ground_reduced, reference_thermal
+from oracles import (
+    correlator_xx_direct,
+    pair_state_probabilities,
+    reference_ground_reduced,
+    reference_thermal,
+)
 
 RTOL = 1e-12
 PROBABILITIES = ("p00", "p01", "p10", "p11")

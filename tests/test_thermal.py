@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from xxring.eigensolver import full_spectrum
-from xxring.hamiltonian import ModelParams, full_hamiltonian
+from xxring.hamiltonian import ModelParams
 from xxring.thermal import (
     NonAdjacentPairError,
-    correlator_xx_direct,
     ground_state_reduced,
-    gxx_from_energy,
     observables,
     reduced_pair_density,
 )
@@ -17,9 +15,12 @@ from xxring.thermal import (
 from oracles import (
     SX,
     SY,
+    correlator_xx_direct,
     four_site_singletlike_ground,
+    full_hamiltonian,
     gibbs_density,
     ground_mixture_density,
+    gxx_from_energy,
     log_partition,
     partial_trace_pair,
     site_operator,
