@@ -1,21 +1,13 @@
-"""Exact diagonalization of XX qubit rings in a magnetic field.
+"""Exact spectra of XX qubit rings in a magnetic field.
 
-Sector-blocked spectra, Gibbs-state observables, nearest-neighbor
+Spectra from Jordan-Wigner modes, Gibbs-state observables, nearest-neighbor
 concurrence, and the even-N multiqubit tangle, with closed-form four-site
 oracles and randomized symmetry verification.
 """
 
 from .analytic_n4 import ClosedFormN4, closed_forms
 from .basis import SectorBasis, enumerate_sector
-from .eigensolver import (
-    EigenDecomposition,
-    RingModel,
-    Spectrum,
-    eigh_symmetric,
-    full_spectrum,
-    ground_state_vector,
-    ring_model,
-)
+from .eigensolver import RingModel, Spectrum, full_spectrum, ground_state_vector, ring_model
 from .entanglement import concurrence_from_correlators, concurrence_xstate, n_tangle
 from .experiments import (
     PropositionReport,
@@ -29,7 +21,7 @@ from .experiments import (
     threshold_temperature,
     verify_propositions,
 )
-from .hamiltonian import ModelParams, SectorMatrix, build_sector_hamiltonian
+from .hamiltonian import ModelParams
 from .thermal import (
     GibbsBlock,
     PairDensity,

@@ -12,10 +12,10 @@ from itertools import combinations
 
 import numpy as np
 
-# Full space 65536 and a largest sector of 12870. Dense eigensolves are not
-# desk-scale at the top of this range: the n = 14 middle sector (3432) takes
-# about 4.5 s, and n = 16 extrapolates to about 10 min and more than 2.5 GB
-# for the middle sector's matrix and eigenvectors alone.
+# Full space 65536 and a largest sector of 12870. Nothing is diagonalized:
+# the n = 16 ring's levels and bond columns come from its Jordan-Wigner modes
+# in about 70 ms and 8 MB, so the cap bounds the 2^n levels each thermal
+# point reweights and the 2^n-amplitude ground vector, not an eigensolver.
 N_MAX = 16
 
 

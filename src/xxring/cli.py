@@ -58,7 +58,8 @@ def _add_grid_args(parser, axis):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xxring",
-        description="Exact diagonalization of XX qubit rings in a magnetic field.",
+        description="Exact spectra, thermal entanglement and ground states of XX qubit "
+                    "rings in a magnetic field.",
         epilog=_SWEEP_RECIPE,
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,23 +1,26 @@
-"""Dense symmetric eigendecompositions, and the per-ring spectral cache.
+"""The per-ring spectral cache, built from Jordan-Wigner modes.
 
-Within the magnetization sector with r down spins the Hamiltonian is
-j * K_r + b * sz_r * I, where K_r is the exchange block at j = 1, b = 0. So
-the eigenvectors depend only on the ring size: each ring's K_r blocks are
-diagonalized once (`ring_model`), and the spectrum at any (j, b) is a view
-of that entry with eigenvalues j * kappa + b * sz (`full_spectrum`).
+Within the magnetization sector with N down spins the Hamiltonian is
+j * K_N + b * sz_N, and the Jordan-Wigner map turns K_N into N free fermions
+on the ring: a down spin is an occupied mode k on the Lieb-Schultz-Mattis
+grid of its parity (Ann. Phys. 16, 407 (1961)), k = 2 pi (m + 1/2) / n for
+even N and k = 2 pi m / n for odd N. Every occupation set S of N modes is an
+exact eigenstate, with kappa(S) = 4 sum_{k in S} cos k, so each ring's levels
+and their bond expectations are sums over modes and nothing is diagonalized
+(`ring_model`). The spectrum at any (j, b) is a view of that entry with level
+energies j * kappa + b * sz (`full_spectrum`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import SectorBasis, embed_in_full_space
-from .hamiltonian import ModelParams, build_sector_hamiltonian
-
-_SYMMETRY_RTOL = 1e-12
+from .basis import _check_ring_size, embed_in_full_space, enumerate_sector
+from .hamiltonian import ModelParams
 
 # Levels within GROUND_RTOL * max(1, |E0|) of the ground energy E0 count as
 # the degenerate ground level.
@@ -28,43 +31,56 @@ GROUND_RTOL = 1e-8
 RING_CACHE_SIZE = 6
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues ascending; vectors[:, k] is the unit eigenvector of values[k]."""
-
-    values: np.ndarray
-    vectors: np.ndarray
+def _bits(values, n: int) -> np.ndarray:
+    """Bits 0..n-1 of each value, one row per value."""
+    return (np.asarray(values)[..., None] >> np.arange(n)) & 1
 
 
-@dataclass(frozen=True)
-class SectorSpectrum:
-    sz: int
-    basis: SectorBasis
-    eig: EigenDecomposition
+def _grid(n: int, particles: int) -> np.ndarray:
+    """The mode grid k_m = pi * p_m / n (m = 0..n-1) of a sector with this
+    many down spins, as the integers p_m = 2m (+1 for even N)."""
+    return 2 * np.arange(n) + (particles + 1) % 2
+
+
+def _mode_cosines(n: int, particles: int) -> np.ndarray:
+    """cos k_m on a sector's grid, folded onto [0, pi] and taken as a sine,
+    so that cos(pi/2) is exactly 0 and cos(pi - k) exactly -cos k."""
+    p = _grid(n, particles)
+    p = np.minimum(p, 2 * n - p)
+    return np.sin(np.pi * (n - 2 * p) / (2 * n))
 
 
 class RingModel:
-    """The exchange blocks K_r of the n-site ring, diagonalized once.
+    """The 2^n levels of the n-site ring, one Fock state per occupation set.
 
-    Levels are laid out sector by sector (r = 0..n) and ascending in kappa
-    within a sector; `kappa` and `sz` are the flat per-level arrays, so the
-    level energies at (j, b) are j * kappa + b * sz. Per-level bond
-    expectations are computed the first time a bond is asked for and kept.
+    Levels are laid out sector by sector (N = 0..n down spins, sector N
+    starting at level `sector_starts[N]`) and ascending in kappa within a
+    sector; `kappa` and `sz` are the flat per-level arrays, so the level
+    energies at (j, b) are j * kappa + b * sz, and `modes` holds each
+    level's occupation set as a bit mask over the mode index m. Fock states
+    are translation invariant, so every ring bond has the same per-level
+    expectations; they are computed the first time a bond is asked for.
     """
 
     def __init__(self, n: int):
-        sectors = []
-        for r in range(n + 1):
-            block = build_sector_hamiltonian(ModelParams(n=n, j=1.0, b=0.0), r)
-            sectors.append(SectorSpectrum(sz=block.basis.sz, basis=block.basis,
-                                          eig=eigh_symmetric(block.entries)))
+        _check_ring_size(n)
+        masks = np.arange(1 << n)
+        occupied = _bits(masks, n)
+        particles = occupied.sum(axis=1)
+        cos_sum = np.zeros(masks.size)
+        if n > 1:  # a single site has no bond
+            for parity in (0, 1):
+                rows = particles % 2 == parity
+                cos_sum[rows] = occupied[rows] @ _mode_cosines(n, parity)
+        kappa = 4.0 * cos_sum
+        order = np.lexsort((kappa, particles))
         self.n = n
-        self.sectors = tuple(sectors)
-        self.kappa = np.concatenate([sec.eig.values for sec in sectors])
-        self.sz = np.concatenate([np.full(len(sec.basis), float(sec.sz)) for sec in sectors])
-        self.kappa.setflags(write=False)
-        self.sz.setflags(write=False)
-        self._bond_columns: dict[tuple[int, int] | None, np.ndarray] = {}
+        self.kappa = kappa[order]
+        self.sz = (n - 2 * particles[order]).astype(float)
+        self.modes = masks[order]
+        self.sector_starts = np.searchsorted(particles[order], np.arange(n + 1))
+        for array in (self.kappa, self.sz, self.modes, self.sector_starts):
+            array.setflags(write=False)
 
     @property
     def bond(self) -> tuple[int, int] | None:
@@ -77,60 +93,52 @@ class RingModel:
                 + np.asarray(b, dtype=float)[..., None] * self.sz)
 
     def bond_columns(self, bond: tuple[int, int] | None) -> np.ndarray:
-        """Per-level expectations on a bond (i, j), shape (levels, 6).
+        """Per-level expectations on a ring bond, shape (levels, 6).
 
-        Columns: sum(sigma_z), the flip-flop element <sigma_x(i) sigma_x(j)>,
-        and the probabilities of the pair patterns 00, 01, 10, 11 (bit of i
-        first). bond=None (no bond, as on a single site) gives sum(sigma_z)
-        and zeros.
+        Columns: sum(sigma_z), the flip-flop element <sigma_x sigma_x>, and
+        the probabilities of the pair patterns 00, 01, 10, 11. Every bond
+        gets the same columns; bond=None (no bond, as on a single site)
+        gives sum(sigma_z) and zeros.
         """
-        columns = self._bond_columns.get(bond)
-        if columns is None:
-            columns = np.zeros((self.kappa.size, 6))
-            columns[:, 0] = self.sz
-            if bond is not None:
-                start = 0
-                for sec in self.sectors:
-                    stop = start + len(sec.basis)
-                    columns[start:stop, 1:] = _sector_bond_expectations(sec, *bond)
-                    start = stop
-            columns.setflags(write=False)
-            self._bond_columns[bond] = columns
+        return self._bond_columns if bond is not None else self._site_columns
+
+    @functools.cached_property
+    def _site_columns(self) -> np.ndarray:
+        columns = np.zeros((self.kappa.size, 6))
+        columns[:, 0] = self.sz
+        columns.setflags(write=False)
         return columns
 
-
-def _sector_bond_expectations(sec: SectorSpectrum, i: int, j: int) -> np.ndarray:
-    """Flip-flop element and pair-pattern probabilities of every eigenvector
-    of a sector, shape (dim, 5).
-
-    Only the magnetization-preserving part of sigma_x(i) sigma_x(j) (the
-    01 <-> 10 swap) has matrix elements inside a sector.
-    """
-    labels = np.array(sec.basis.labels, dtype=np.int64)
-    vectors = sec.eig.vectors
-    bit_i, bit_j = (labels >> i) & 1, (labels >> j) & 1
-    out = np.zeros((labels.size, 5))
-    rows = np.nonzero((bit_i == 1) & (bit_j == 0))[0]
-    if rows.size:
-        partners = np.searchsorted(labels, labels[rows] ^ ((1 << i) | (1 << j)))
-        out[:, 0] = 2.0 * np.einsum("lk,lk->k", vectors[rows, :], vectors[partners, :])
-    pattern = 2 * bit_i + bit_j
-    squares = vectors ** 2
-    for p in range(4):
-        hits = pattern == p
-        if hits.any():
-            out[:, 1 + p] = squares[hits, :].sum(axis=0)
-    return out
+    @functools.cached_property
+    def _bond_columns(self) -> np.ndarray:
+        """g_xx = (2/n) sum_{k in S} cos k, and the pattern probabilities as
+        sums of nonnegative terms (2/n^2) sin^2((k - q)/2): over k, q in S
+        for p11, over empty k, q for p00, over k in S, q not in S for p01 =
+        p10. Mode differences are multiples of 2 pi / n on either grid."""
+        n = self.n
+        filled = _bits(self.modes, n).astype(float)
+        empty = 1.0 - filled
+        gaps = np.arange(n)
+        weights = (2.0 / n ** 2) * np.sin(np.pi * (gaps[:, None] - gaps[None, :]) / n) ** 2
+        filled_weights = filled @ weights
+        columns = np.empty((self.kappa.size, 6))
+        columns[:, 0] = self.sz
+        columns[:, 1] = self.kappa / (2.0 * n)
+        columns[:, 2] = np.einsum("lk,lk->l", empty @ weights, empty)
+        columns[:, 3] = columns[:, 4] = np.einsum("lk,lk->l", filled_weights, empty)
+        columns[:, 5] = np.einsum("lk,lk->l", filled_weights, filled)
+        columns.setflags(write=False)
+        return columns
 
 
 @functools.lru_cache(maxsize=RING_CACHE_SIZE)
 def ring_model(n: int) -> RingModel:
     """The cached `RingModel` of the n-site ring, least recently used first out.
 
-    Eigenvectors take 8 * binomial(2n, n) bytes and the flat level arrays
-    and bond columns up to 8 * 2^n * (2 + 6n) more, so the worst case, rings
-    11..16 all resident with every bond asked for, retains about 6.6 GB
-    (4.9 GB of it the n = 16 entry). Rings 2..6 retain under 50 kB together.
+    A ring holds four per-level arrays of 8 * 2^n bytes and, once asked
+    for, 48 * 2^n bytes of columns for a bond and as many for no bond.
+    Measured with every array built: 7.9 MB for the n = 16 ring (39 MB peak
+    while it is built) and 15.5 MB for rings 11..16 all resident.
     """
     return RingModel(n)
 
@@ -138,27 +146,10 @@ def ring_model(n: int) -> RingModel:
 @dataclass(frozen=True)
 class Spectrum:
     """The ring's spectrum at (j, b): a view of its cached `RingModel`, with
-    level energies j * kappa + b * sz in the ring's flat level order. The
-    per-sector views (`sectors`) are built the first time they are read.
-    """
+    level energies j * kappa + b * sz in the ring's flat level order."""
 
     params: ModelParams
     ring: RingModel = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def sectors(self) -> tuple[SectorSpectrum, ...]:
-        """Per-sector eigendecompositions, ascending: for j < 0 the ring's columns run backwards."""
-        j, b = self.params.j, self.params.b
-        sectors = []
-        for sec in self.ring.sectors:
-            values = j * sec.eig.values + b * sec.sz
-            vectors = sec.eig.vectors
-            if j < 0:
-                values, vectors = values[::-1], vectors[:, ::-1]
-            values.setflags(write=False)
-            sectors.append(SectorSpectrum(sz=sec.sz, basis=sec.basis,
-                                          eig=EigenDecomposition(values=values, vectors=vectors)))
-        return tuple(sectors)
 
     @property
     def ground_energy(self) -> float:
@@ -177,49 +168,32 @@ class Spectrum:
             tol = GROUND_RTOL * max(1.0, abs(e0))
         return self.ring.energies(self.params.j, self.params.b) <= e0 + tol
 
-    def ground_states(self, tol: float | None = None) -> list[tuple[SectorSpectrum, int]]:
-        """(sector, column) pairs spanning the degenerate ground subspace."""
-        step = 1 if self.params.j >= 0 else -1  # columns ascend in energy, flat levels in kappa
-        bounds = np.cumsum([len(sec.basis) for sec in self.sectors])[:-1]
-        hits = []
-        for sec, sector_mask in zip(self.sectors, np.split(self.ground_mask(tol), bounds)):
-            hits.extend((sec, int(k)) for k in np.nonzero(sector_mask[::step])[0])
-        return hits
-
-
-def eigh_symmetric(matrix: np.ndarray) -> EigenDecomposition:
-    """Diagonalize a dense real symmetric matrix (LAPACK divide and conquer).
-
-    Input must be square and symmetric to 1e-12 relative; convergence failure
-    surfaces as numpy.linalg.LinAlgError, which signals numerical pathology.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > _SYMMETRY_RTOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    values, vectors = np.linalg.eigh(a)
-    values.setflags(write=False)
-    vectors.setflags(write=False)
-    return EigenDecomposition(values=values, vectors=vectors)
-
 
 def full_spectrum(params: ModelParams) -> Spectrum:
-    """Spectrum of the ring at (j, b), a view of the cached ring: no
-    diagonalization once the ring size has been seen, and no per-sector work
-    until `Spectrum.sectors` is read."""
+    """Spectrum of the ring at (j, b), a view of the cached ring: the ring's
+    levels are built once per ring size."""
     return Spectrum(params=params, ring=ring_model(params.n))
 
 
 def ground_state_vector(spectrum: Spectrum, tol: float | None = None) -> np.ndarray:
     """Full-space amplitudes of the unique ground state.
 
-    Raises ValueError when the ground level is degenerate; degenerate ground
+    The ground Fock state with down spins at sites x_1 < ... < x_N has the
+    Slater amplitude det[exp(i k_a x_b)] / n^(N/2) on the label of those
+    sites, with its global phase fixed so the vector is real. Raises
+    ValueError when the ground level is degenerate; degenerate ground
     spaces have no preferred state and must be handled as mixtures.
     """
-    states = spectrum.ground_states(tol)
-    if len(states) != 1:
-        raise ValueError(f"ground level is {len(states)}-fold degenerate")
-    sec, k = states[0]
-    return embed_in_full_space(sec.basis, sec.eig.vectors[:, k])
+    mask = spectrum.ground_mask(tol)
+    if mask.sum() != 1:
+        raise ValueError(f"ground level is {int(mask.sum())}-fold degenerate")
+    ring = spectrum.ring
+    level = int(np.argmax(mask))
+    n, particles = ring.n, (ring.n - int(ring.sz[level])) // 2
+    k = np.pi / n * _grid(n, particles)[_bits(ring.modes[level], n) == 1]
+    basis = enumerate_sector(n, particles)
+    sites = np.nonzero(_bits(basis.labels, n))[1].reshape(len(basis), particles)
+    amplitudes = np.linalg.det(np.exp(1j * k[None, :, None] * sites[:, None, :]))
+    amplitudes /= math.sqrt(n) ** particles
+    pivot = amplitudes[np.argmax(np.abs(amplitudes))]
+    return embed_in_full_space(basis, (amplitudes * (abs(pivot) / pivot)).real)

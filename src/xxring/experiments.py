@@ -190,11 +190,12 @@ def _sector_floor_lines(n: int, j: float) -> list[tuple[float, int]]:
     """Per-sector ground-energy lines E_r(b) = eps_r + sz_r * b.
 
     Within a sector the field term is a constant shift, so each sector's
-    minimum is exactly linear in b: intercept from the zero-field block,
-    slope equal to the sector magnetization.
+    minimum is exactly linear in b: intercept from the sector's lowest
+    zero-field level, slope equal to the sector magnetization.
     """
-    spectrum = full_spectrum(ModelParams(n=n, j=j, b=0.0))
-    return [(float(sec.eig.values[0]), sec.sz) for sec in spectrum.sectors]
+    ring = full_spectrum(ModelParams(n=n, j=j, b=0.0)).ring
+    floors = np.minimum.reduceat(ring.energies(j, 0.0), ring.sector_starts)
+    return [(float(eps), n - 2 * r) for r, eps in enumerate(floors)]
 
 
 def level_crossings(n: int, j: float, b_max: float, resolution: float = 0.01) -> list[float]:

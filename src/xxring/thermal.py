@@ -5,8 +5,8 @@ takes the level energies E = j * kappa + b * sz at any broadcast block of
 points (j, b, t), subtracts each point's ground energy, applies one exp and
 contracts the weights with the ring's per-level columns (sum(sigma_z), the
 flip-flop element and the four pair-pattern probabilities) in one matrix
-product. `observables` and `reduced_pair_density` are that kernel at a
-single point. A bond's X-form state is formed in one place,
+product, and with kappa for U. `observables` and `reduced_pair_density` are
+that kernel at a single point. A bond's X-form state is formed in one place,
 `PairDensity.from_bond`, with the pattern probabilities p00 and p11 as
 corners: positive sums, accurate however small.
 
@@ -120,8 +120,9 @@ def reweight(ring: RingModel, j, b, t, bond: tuple[int, int] | None = (0, 1)) ->
     and shifted by that entry's ground energy. The points are then
     reweighted a pass at a time (at most _BLOCK_WEIGHTS weights per pass):
     one exp, and one matrix product with the ring's bond columns gives M,
-    g_xx and the pair probabilities; g_zz = p00 - p01 - p10 + p11. bond=None
-    (a single site) leaves the bond averages at zero.
+    g_xx and the pair probabilities; g_zz = p00 - p01 - p10 + p11, and
+    U = j <kappa> + b M. bond=None (a single site) leaves the bond averages
+    at zero.
     """
     if bond is not None:
         bond = _require_adjacent(ring.n, bond)
@@ -137,21 +138,24 @@ def reweight(ring: RingModel, j, b, t, bond: tuple[int, int] | None = (0, 1)) ->
     ground = energies.min(axis=1)
     columns = ring.bond_columns(bond)
     z = np.empty(temps.size)
-    u = np.empty(temps.size)
+    kappa_sums = np.empty(temps.size)
     moments = np.empty((temps.size, columns.shape[1]))
     step = max(1, _BLOCK_WEIGHTS // ring.kappa.size)
     for lo in range(0, temps.size, step):
         rows = slice(lo, lo + step)
-        level_energies = energies[field[rows]]
-        weights = level_energies - ground[field[rows], None]
+        # the pass's one (points x levels) array: a second one per pass made
+        # the allocator hand the memory back and fault it in again each call
+        weights = energies[field[rows]]
+        weights -= ground[field[rows], None]
         weights /= -temps[rows, None]
         np.exp(weights, out=weights)
         z[rows] = weights.sum(axis=1)
-        u[rows] = (weights[:, None, :] @ level_energies[:, :, None])[:, 0, 0]
+        kappa_sums[rows] = weights @ ring.kappa
         moments[rows] = weights @ columns
     if not (np.isfinite(z).all() and (z >= 1.0).all()):
         raise FloatingPointError("non-finite shifted partition sum")
-    u /= z
+    # each level's energy is j * kappa + b * sz, so U = j <kappa> + b M
+    u = (j.ravel()[field] * kappa_sums + b.ravel()[field] * moments[:, 0]) / z
     moments /= z[:, None]
     if not (np.isfinite(u).all() and np.isfinite(moments).all()):
         raise FloatingPointError("non-finite thermal observable")

@@ -1,30 +1,35 @@
 """Oracles and cross-checks that only the tests use.
 
-- Brute force on the full 2^n space, independent of the sector-blocked
-  code it checks: the complex tensor-product route (Gibbs and ground
+- Brute force on the full 2^n space, independent of the Jordan-Wigner
+  levels it checks: the complex tensor-product route (Gibbs and ground
   densities, partial traces, `wootters_concurrence`) and the real
   `full_hamiltonian`.
+- The dense exact-diagonalization (ED) oracle: sector blocks
+  (`build_sector_hamiltonian`), `eigh_symmetric`, the dense ring cache
+  (`dense_ring`, which the thermal kernel reweights like the package's
+  ring) and its per-sector views (`dense_sectors`, `dense_ground_states`).
 - The ring symmetry operators on basis labels.
-- `concurrence_wootters`, the general spin-flip construction through the
-  package's eigensolver, kept apart from `wootters_concurrence` so that the
-  two can be compared.
+- `concurrence_wootters`, the general spin-flip construction through
+  `eigh_symmetric`, kept apart from `wootters_concurrence` so that the two
+  can be compared.
 - Single-point views of the package's thermal kernel, and `gxx_from_energy`.
-- The per-sector reference route, which reuses the package's sector blocks
-  to check the spectral cache and the batched thermal kernel, and the
-  per-point drivers, which check the batched drivers through the package's
-  single-point API.
+- The per-sector reference route, which diagonalizes each (j, b) block on
+  its own to check the spectral cache and the batched thermal kernel, and
+  the per-point drivers, which check the batched drivers through the
+  package's single-point API.
 """
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from xxring.basis import N_MAX, _check_ring_size
-from xxring.eigensolver import eigh_symmetric, full_spectrum
+from xxring.basis import N_MAX, SectorBasis, _check_ring_size, enumerate_sector
+from xxring.eigensolver import GROUND_RTOL, full_spectrum
 from xxring.entanglement import _clamp_unit, concurrence_from_correlators
-from xxring.experiments import POSITIVE_CONCURRENCE, thermal_concurrence
-from xxring.hamiltonian import ModelParams, build_sector_hamiltonian
+from xxring.experiments import POSITIVE_CONCURRENCE, _splits, thermal_concurrence
+from xxring.hamiltonian import ModelParams
 from xxring.thermal import observables, reweight
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -45,8 +50,7 @@ def ring_hamiltonian(n, j, b):
     """The ring Hamiltonian assembled from explicit Pauli tensor products."""
     dim = 1 << n
     h = np.zeros((dim, dim), dtype=complex)
-    pairs = [] if n == 1 else [(i, (i + 1) % n) for i in range(n)]
-    for i, k in pairs:
+    for i, k in bonds(n):
         h += j * (site_operator(n, {i: SX, k: SX}) + site_operator(n, {i: SY, k: SY}))
     for i in range(n):
         h += b * site_operator(n, {i: SZ})
@@ -170,7 +174,7 @@ def _full_parts(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only exchange part (j = 1, b = 0) and field part (j = 0, b = 1)."""
     exchange = np.zeros((1 << n, 1 << n))
     field = np.zeros((1 << n, 1 << n))
-    for i, k in ([] if n == 1 else [(i, (i + 1) % n) for i in range(n)]):
+    for i, k in bonds(n):
         # sigma_y x sigma_y = -(i sigma_y) x (i sigma_y), all-real arithmetic
         exchange += _site_product(n, {i: _SX, k: _SX}) - _site_product(n, {i: _ISY, k: _ISY})
     for i in range(n):
@@ -190,6 +194,193 @@ def full_hamiltonian(params: ModelParams) -> np.ndarray:
         raise ValueError(f"full matrix limited to n <= {FULL_ORACLE_N_MAX}, got {params.n}")
     exchange, field = _full_parts(params.n)
     return params.j * exchange + params.b * field
+
+
+# The dense ED oracle: each magnetization sector's block assembled from its
+# labels and diagonalized with LAPACK. This is the package's spectral cache
+# as it stood before the Jordan-Wigner levels replaced it. `DenseRing` has
+# the interface the thermal kernel reads, so `reweight(dense_ring(n), ...)`
+# is the ED kernel.
+
+_SYMMETRY_RTOL = 1e-12
+
+
+def bonds(n: int) -> list[tuple[int, int]]:
+    """Ring bonds (i, i+1 mod n) exactly as the periodic sum visits them."""
+    if n == 1:
+        return []
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+@dataclass(frozen=True)
+class SectorMatrix:
+    """Dense real symmetric Hamiltonian block on one magnetization sector."""
+
+    basis: SectorBasis
+    entries: np.ndarray
+
+
+def build_sector_hamiltonian(params: ModelParams, r: int) -> SectorMatrix:
+    """Assemble the Hamiltonian block acting on the sector with r down spins.
+
+    The diagonal is the uniform field term b * (n - 2r); the exchange is
+    purely off-diagonal, contributing 2j per bond traversal between labels
+    that differ by swapping an adjacent 10/01 pair.
+    """
+    basis = enumerate_sector(params.n, r)
+    dim = len(basis)
+    h = np.zeros((dim, dim))
+    np.fill_diagonal(h, params.b * basis.sz)
+    ring = bonds(params.n)
+    for pos, label in enumerate(basis.labels):
+        for i, k in ring:
+            if ((label >> i) & 1) != ((label >> k) & 1):
+                partner = label ^ ((1 << i) | (1 << k))
+                h[pos, basis.index[partner]] += 2.0 * params.j
+    h.setflags(write=False)
+    return SectorMatrix(basis=basis, entries=h)
+
+
+@dataclass(frozen=True)
+class EigenDecomposition:
+    """Eigenvalues ascending; vectors[:, k] is the unit eigenvector of values[k]."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+
+def eigh_symmetric(matrix: np.ndarray) -> EigenDecomposition:
+    """Diagonalize a dense real symmetric matrix (LAPACK divide and conquer).
+
+    Input must be square and symmetric to 1e-12 relative; convergence failure
+    surfaces as numpy.linalg.LinAlgError, which signals numerical pathology.
+    """
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    scale = max(1.0, float(np.abs(a).max()))
+    if float(np.abs(a - a.T).max()) > _SYMMETRY_RTOL * scale:
+        raise ValueError("matrix is not symmetric within tolerance")
+    values, vectors = np.linalg.eigh(a)
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return EigenDecomposition(values=values, vectors=vectors)
+
+
+@dataclass(frozen=True)
+class SectorSpectrum:
+    sz: int
+    basis: SectorBasis
+    eig: EigenDecomposition
+
+
+class DenseRing:
+    """The exchange blocks K_r of the n-site ring, diagonalized once.
+
+    Levels are laid out sector by sector (r = 0..n) and ascending in kappa
+    within a sector, as in the package's `RingModel`; per-level bond
+    expectations are computed per bond, from the eigenvectors, the first
+    time a bond is asked for.
+    """
+
+    def __init__(self, n: int):
+        sectors = []
+        for r in range(n + 1):
+            block = build_sector_hamiltonian(ModelParams(n=n, j=1.0, b=0.0), r)
+            sectors.append(SectorSpectrum(sz=block.basis.sz, basis=block.basis,
+                                          eig=eigh_symmetric(block.entries)))
+        self.n = n
+        self.sectors = tuple(sectors)
+        self.kappa = np.concatenate([sec.eig.values for sec in sectors])
+        self.sz = np.concatenate([np.full(len(sec.basis), float(sec.sz)) for sec in sectors])
+        self._bond_columns = {}
+
+    @property
+    def bond(self):
+        return (0, 1) if self.n > 1 else None
+
+    def energies(self, j, b):
+        return (np.asarray(j, dtype=float)[..., None] * self.kappa
+                + np.asarray(b, dtype=float)[..., None] * self.sz)
+
+    def bond_columns(self, bond):
+        """Per-level sum(sigma_z), flip-flop element and pattern probabilities
+        00, 01, 10, 11 on the bond (i, j), bit of i first."""
+        columns = self._bond_columns.get(bond)
+        if columns is None:
+            columns = np.zeros((self.kappa.size, 6))
+            columns[:, 0] = self.sz
+            if bond is not None:
+                start = 0
+                for sec in self.sectors:
+                    stop = start + len(sec.basis)
+                    columns[start:stop, 1:] = _sector_bond_expectations(sec, *bond)
+                    start = stop
+            columns.setflags(write=False)
+            self._bond_columns[bond] = columns
+        return columns
+
+
+def _sector_bond_expectations(sec: SectorSpectrum, i: int, j: int) -> np.ndarray:
+    """Flip-flop element and pair-pattern probabilities of every eigenvector
+    of a sector, shape (dim, 5).
+
+    Only the magnetization-preserving part of sigma_x(i) sigma_x(j) (the
+    01 <-> 10 swap) has matrix elements inside a sector.
+    """
+    labels = np.array(sec.basis.labels, dtype=np.int64)
+    vectors = sec.eig.vectors
+    bit_i, bit_j = (labels >> i) & 1, (labels >> j) & 1
+    out = np.zeros((labels.size, 5))
+    rows = np.nonzero((bit_i == 1) & (bit_j == 0))[0]
+    if rows.size:
+        partners = np.searchsorted(labels, labels[rows] ^ ((1 << i) | (1 << j)))
+        out[:, 0] = 2.0 * np.einsum("lk,lk->k", vectors[rows, :], vectors[partners, :])
+    pattern = 2 * bit_i + bit_j
+    squares = vectors ** 2
+    for p in range(4):
+        hits = pattern == p
+        if hits.any():
+            out[:, 1 + p] = squares[hits, :].sum(axis=0)
+    return out
+
+
+@functools.cache
+def dense_ring(n: int) -> DenseRing:
+    """The ED ring of size n, kept for the whole session (rings 2..12 hold
+    38 MB together, bond (0, 1) included)."""
+    return DenseRing(n)
+
+
+def dense_sectors(params: ModelParams) -> tuple[SectorSpectrum, ...]:
+    """Per-sector eigendecompositions at (j, b), ascending: for j < 0 the
+    ring's columns run backwards."""
+    j, b = params.j, params.b
+    sectors = []
+    for sec in dense_ring(params.n).sectors:
+        values = j * sec.eig.values + b * sec.sz
+        vectors = sec.eig.vectors
+        if j < 0:
+            values, vectors = values[::-1], vectors[:, ::-1]
+        sectors.append(SectorSpectrum(sz=sec.sz, basis=sec.basis,
+                                      eig=EigenDecomposition(values=values, vectors=vectors)))
+    return tuple(sectors)
+
+
+def dense_ground_states(params: ModelParams, tol=None) -> list[tuple[SectorSpectrum, int]]:
+    """(sector, column) pairs spanning the degenerate ground subspace, by the
+    package's ground rule (within GROUND_RTOL * max(1, |E0|) of E0)."""
+    energies = dense_ring(params.n).energies(params.j, params.b)
+    e0 = float(energies.min()) + 0.0
+    if tol is None:
+        tol = GROUND_RTOL * max(1.0, abs(e0))
+    step = 1 if params.j >= 0 else -1  # columns ascend in energy, flat levels in kappa
+    sectors = dense_sectors(params)
+    bounds = np.cumsum([len(sec.basis) for sec in sectors])[:-1]
+    hits = []
+    for sec, sector_mask in zip(sectors, np.split(energies <= e0 + tol, bounds)):
+        hits.extend((sec, int(k)) for k in np.nonzero(sector_mask[::step])[0])
+    return hits
 
 
 # Ring symmetry operators on basis labels (bit i is site i, 1 = spin down).
@@ -235,7 +426,8 @@ def lambda_z_sign(label: int, n: int) -> int:
 
 
 # The general spin-flip concurrence (Wootters, PRL 80, 2245 (1998)) of a real
-# 4x4 density matrix, through the package's eigensolver and clamp. It is kept
+# 4x4 density matrix, through the ED oracle's eigensolver and the package's
+# clamp. It is kept
 # apart from wootters_concurrence above so that tests can compare the two.
 
 # sigma_y x sigma_y is real in the computational basis.
@@ -285,7 +477,7 @@ def concurrence_wootters(rho: np.ndarray) -> float:
 
 
 def correlator_xx_direct(spectrum, t: float, bond: tuple[int, int] = (0, 1)) -> float:
-    """Thermal <sigma_x(i) sigma_x(j)> on a ring bond, from the sector spectra."""
+    """Thermal <sigma_x(i) sigma_x(j)> on a ring bond, from the ring's levels."""
     params = spectrum.params
     return float(reweight(spectrum.ring, params.j, params.b, t, bond).g_xx)
 
@@ -450,7 +642,8 @@ def pointwise_odd_control(n, samples, seed):
 
 
 def sequential_threshold(params, tol=1e-6):
-    """Threshold temperature by a factor-2 scan and one midpoint per step."""
+    """Threshold temperature by a factor-2 scan and one midpoint per step,
+    down to tol or to adjacent doubles, whichever comes first."""
     spectrum = full_spectrum(params)
     grid = [0.05]
     while grid[-1] <= 1.0e3:
@@ -460,7 +653,7 @@ def sequential_threshold(params, tol=1e-6):
         return None
     last = max(i for i, flag in enumerate(entangled) if flag)
     lo, hi = grid[last], grid[last + 1]
-    while hi - lo > tol:
+    while _splits(lo, hi, tol):
         mid = 0.5 * (lo + hi)
         if thermal_concurrence(spectrum, mid) > POSITIVE_CONCURRENCE:
             lo = mid

@@ -216,10 +216,33 @@ def test_sweep_log_scale_grid(capsys):
     assert t_column == pytest.approx([0.1, 1.0, 10.0], rel=1e-9)
 
 
-def test_ground_diagonalizes_each_sector_once(capsys, eigh_calls):
+def test_ground_diagonalizes_each_sector_once(capsys, ring_builds):
+    # the ring's levels come from its modes: one build and no eigensolver
     code, out, _ = run_cli(capsys, "ground", "--n", "6", "--j", "1", "--b", "0.3")
     assert code == 0 and "tangle" in out
-    assert len(eigh_calls) == 6 + 1
+    assert ring_builds.builds == [6]
+    assert ring_builds.eigh == []
+
+
+@pytest.mark.parametrize("command, j, b, extra", [
+    ("thermal", -1.3, 0.45, ["--t=0.6"]),
+    ("ground", 1.1, 0.0, []),
+    ("threshold", 0.8, 1.1, []),
+], ids=["thermal", "ground", "threshold"])
+def test_sixteen_sites_pass_the_benchmark_checks(capsys, command, j, b, extra):
+    # the benchmark's output checks: energy relation, T_c bracket, C and
+    # tangle in [0, 1]
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from checks import check_cold
+        from workloads import Op
+    finally:
+        sys.path.pop(0)
+    argv = [command, "--n", "16", f"--j={j!r}", f"--b={b!r}", *extra]
+    code, out, err = run_cli(capsys, *argv)
+    assert check_cold(Op("cold_cli", 0, tuple(argv), n=16, j=j, b=(b,)), code, out, err) is None, out
+    if command == "ground":
+        assert "tangle" in out and "tangle        = 0\n" not in out
 
 
 def test_thermal_reads_everything_from_one_kernel_call(capsys, reweight_calls):

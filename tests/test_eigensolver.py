@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from xxring.eigensolver import (
-    RING_CACHE_SIZE,
-    eigh_symmetric,
-    full_spectrum,
-    ground_state_vector,
-    ring_model,
-)
-from xxring.hamiltonian import ModelParams, build_sector_hamiltonian
+from xxring.eigensolver import RING_CACHE_SIZE, full_spectrum, ground_state_vector, ring_model
+from xxring.hamiltonian import ModelParams
 
-from oracles import full_hamiltonian, reference_spectrum_n4
+from oracles import (
+    build_sector_hamiltonian,
+    dense_ground_states,
+    dense_sectors,
+    eigh_symmetric,
+    full_hamiltonian,
+    reference_spectrum_n4,
+)
 
 
 def _random_symmetric(rng, dim):
@@ -84,7 +85,7 @@ def test_n6_ground_energy_against_brute_force():
 
 def test_eigenvalue_sums_match_traces(rng):
     params = ModelParams(n=6, j=float(rng.uniform(-2, 2)), b=float(rng.uniform(-2, 2)))
-    for sec in full_spectrum(params).sectors:
+    for sec in dense_sectors(params):
         block = build_sector_hamiltonian(params, sec.basis.r)
         assert abs(sec.eig.values.sum() - np.trace(block.entries)) < 1e-9
 
@@ -103,8 +104,9 @@ def test_ground_states_span_degenerate_levels():
     for j in (1.0, -1.0):
         for b_cross in (2.0 * (np.sqrt(2.0) - 1.0), 2.0):
             spectrum = full_spectrum(ModelParams(n=4, j=j, b=b_cross))
-            states = spectrum.ground_states()
+            states = dense_ground_states(spectrum.params)
             assert len(states) == 2
+            assert spectrum.ground_mask().sum() == 2
             for sec, k in states:
                 assert sec.eig.values[k] == pytest.approx(spectrum.ground_energy, abs=1e-12)
 
@@ -125,19 +127,20 @@ def test_ground_state_vector_rejects_degeneracy():
         ground_state_vector(spectrum)
 
 
-def test_second_spectrum_of_a_ring_reuses_the_cache(eigh_calls):
+def test_second_spectrum_of_a_ring_reuses_the_cache(ring_builds):
     first = full_spectrum(ModelParams(n=6, j=1.0, b=0.3))
-    assert len(eigh_calls) == 7  # one eigh per sector
+    assert ring_builds.builds == [6]
     second = full_spectrum(ModelParams(n=6, j=-0.4, b=-2.1))
-    assert len(eigh_calls) == 7
+    assert ring_builds.builds == [6]
     assert second.ring is first.ring
+    assert ring_builds.eigh == []
 
 
 def test_negative_exchange_keeps_sectors_ascending(rng):
     for n in (2, 5, 8):
         j, b = -float(rng.uniform(0.1, 2.0)), float(rng.uniform(-2.0, 2.0))
         spectrum = full_spectrum(ModelParams(n=n, j=j, b=b))
-        for sec in spectrum.sectors:
+        for sec in dense_sectors(spectrum.params):
             assert np.all(np.diff(sec.eig.values) >= 0.0)
             block = build_sector_hamiltonian(spectrum.params, sec.basis.r).entries
             residual = block @ sec.eig.vectors - sec.eig.vectors * sec.eig.values

@@ -288,3 +288,10 @@ def test_batched_bisection_equals_sequential_loop(n, j, b, tol):
     else:
         assert got == pytest.approx(want, rel=0, abs=1e-12)
         assert f"{got:.4f}" == f"{want:.4f}"
+
+
+def test_sequential_bisection_stops_at_adjacent_doubles():
+    # a tol below the spacing of doubles ends both loops at adjacent doubles
+    params = ModelParams(4, 1.0, 0.0)
+    want = threshold_temperature(params, tol=1e-17)
+    assert sequential_threshold(params, tol=1e-17) == want

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from xxring.hamiltonian import ModelParams, bonds, build_sector_hamiltonian
+from xxring.hamiltonian import ModelParams
 
-from oracles import FULL_ORACLE_N_MAX, full_hamiltonian, reference_spectrum_n4, ring_hamiltonian
+from oracles import (
+    FULL_ORACLE_N_MAX,
+    bonds,
+    build_sector_hamiltonian,
+    full_hamiltonian,
+    reference_spectrum_n4,
+    ring_hamiltonian,
+)
 
 
 def test_params_validation():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import xxring.thermal as thermal
 from xxring.eigensolver import full_spectrum, ring_model
-from xxring.hamiltonian import ModelParams, bonds, build_sector_hamiltonian
+from xxring.hamiltonian import ModelParams
 from xxring.thermal import (
     NonAdjacentPairError,
     ground_state_reduced,
@@ -21,7 +21,10 @@ from xxring.thermal import (
 )
 
 from oracles import (
+    bonds,
+    build_sector_hamiltonian,
     correlator_xx_direct,
+    dense_sectors,
     pair_state_probabilities,
     reference_ground_reduced,
     reference_thermal,
@@ -108,7 +111,7 @@ def test_kernel_rejects_bad_input():
 def test_cached_eigenvalues_match_direct_diagonalization(rng):
     for n, j, b, _ in _draws(rng, 20):
         params = ModelParams(n=n, j=j, b=b)
-        for sec in full_spectrum(params).sectors:
+        for sec in dense_sectors(params):
             direct = np.linalg.eigvalsh(build_sector_hamiltonian(params, sec.basis.r).entries)
             scale = max(1.0, float(np.abs(direct).max()))
             assert np.abs(sec.eig.values - direct).max() <= 1e-12 * scale, (n, j, b)
