@@ -13,9 +13,9 @@ from itertools import combinations
 import numpy as np
 
 # Full space 65536 and a largest sector of 12870. Nothing is diagonalized:
-# the n = 16 ring's levels and bond columns come from its Jordan-Wigner modes
-# in about 70 ms and 8 MB, so the cap bounds the 2^n levels each thermal
-# point reweights and the 2^n-amplitude ground vector, not an eigensolver.
+# the n = 16 ring's level table comes from its Jordan-Wigner modes in about
+# 0.1 s and 3 MB, so the cap bounds the 2^n levels each thermal point
+# reweights and the 2^n-amplitude ground vector, not an eigensolver.
 N_MAX = 16
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -86,8 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crossings", help="fields where the ground level changes branch")
     _add_model_args(p, with_b=False)
-    p.add_argument("--b-max", type=float, required=True)
-    p.add_argument("--resolution", type=float, default=0.01)
+    p.add_argument("--b-max", type=float, required=True, help="largest field (may be inf)")
 
     p = sub.add_parser("verify", help="run the symmetry proposition suites")
     p.add_argument("--n-list", default="2,3,4,5,6", help="comma-separated ring sizes")
@@ -105,6 +105,8 @@ def _grid(args, axis):
     scale = getattr(args, f"{axis}_scale")
     if steps < 1:
         raise ValueError(f"--{axis}-steps must be >= 1")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"--{axis}-min and --{axis}-max must be finite")
     if hi < lo:
         raise ValueError(f"--{axis}-max must be >= --{axis}-min")
     if steps == 1:
@@ -186,7 +188,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_crossings(args) -> int:
-    fields = level_crossings(args.n, args.j, args.b_max, args.resolution)
+    fields = level_crossings(args.n, args.j, args.b_max)
     if not fields:
         print("none")
     for b in fields:

@@ -7,8 +7,9 @@ grid of its parity (Ann. Phys. 16, 407 (1961)), k = 2 pi (m + 1/2) / n for
 even N and k = 2 pi m / n for odd N. Every occupation set S of N modes is an
 exact eigenstate, with kappa(S) = 4 sum_{k in S} cos k, so each ring's levels
 and their bond expectations are sums over modes and nothing is diagonalized
-(`ring_model`). The spectrum at any (j, b) is a view of that entry with level
-energies j * kappa + b * sz (`full_spectrum`).
+(`ring_model`). Fock states are translation invariant, so one per-level
+table serves every bond. The spectrum at any (j, b) is a view of that entry
+with level energies j * kappa + b * sz (`full_spectrum`).
 """
 
 from __future__ import annotations
@@ -55,11 +56,19 @@ class RingModel:
 
     Levels are laid out sector by sector (N = 0..n down spins, sector N
     starting at level `sector_starts[N]`) and ascending in kappa within a
-    sector; `kappa` and `sz` are the flat per-level arrays, so the level
-    energies at (j, b) are j * kappa + b * sz, and `modes` holds each
-    level's occupation set as a bit mask over the mode index m. Fock states
-    are translation invariant, so every ring bond has the same per-level
-    expectations; they are computed the first time a bond is asked for.
+    sector, and `modes` holds each level's occupation set as a bit mask over
+    the mode index m. `levels` is the one per-level table, shape (levels, 5):
+    kappa, sz, and the probabilities p00, p01 (= p10) and p11 of the pair
+    patterns on a bond; `kappa` and `sz` are its first two columns, so the
+    level energies at (j, b) are j * kappa + b * sz. Fock states are
+    translation invariant, so every bond has these probabilities, and
+    kappa / (2n) is the bond's flip-flop element <sigma_x sigma_x>. A single
+    site has no bond: its kappa and pair columns are 0.
+
+    The pair probabilities are sums of nonnegative terms (2/n^2)
+    sin^2((k - q)/2): over k, q in S for p11, over empty k, q for p00, and
+    over k in S, q not in S for p01. Mode differences are multiples of
+    2 pi / n on either grid.
     """
 
     def __init__(self, n: int):
@@ -67,78 +76,45 @@ class RingModel:
         masks = np.arange(1 << n)
         occupied = _bits(masks, n)
         particles = occupied.sum(axis=1)
-        cos_sum = np.zeros(masks.size)
+        kappa = np.zeros(masks.size)
         if n > 1:  # a single site has no bond
             for parity in (0, 1):
                 rows = particles % 2 == parity
-                cos_sum[rows] = occupied[rows] @ _mode_cosines(n, parity)
-        kappa = 4.0 * cos_sum
+                kappa[rows] = 4.0 * (occupied[rows] @ _mode_cosines(n, parity))
         order = np.lexsort((kappa, particles))
+        filled = occupied[order].astype(float)
+        del occupied  # the bits of all 2^n levels are the largest arrays of a build
+        empty = 1.0 - filled
+        gaps = np.arange(n)
+        weights = (2.0 / n ** 2) * np.sin(np.pi * (gaps[:, None] - gaps[None, :]) / n) ** 2
+        filled_weights = filled @ weights
+        levels = np.empty((masks.size, 5))
+        levels[:, 0] = kappa[order]
+        levels[:, 1] = n - 2 * particles[order]
+        levels[:, 2] = np.einsum("lk,lk->l", empty @ weights, empty)
+        levels[:, 3] = np.einsum("lk,lk->l", filled_weights, empty)
+        levels[:, 4] = np.einsum("lk,lk->l", filled_weights, filled)
         self.n = n
-        self.kappa = kappa[order]
-        self.sz = (n - 2 * particles[order]).astype(float)
+        self.levels = levels
+        self.kappa, self.sz = levels[:, 0], levels[:, 1]
         self.modes = masks[order]
         self.sector_starts = np.searchsorted(particles[order], np.arange(n + 1))
-        for array in (self.kappa, self.sz, self.modes, self.sector_starts):
+        for array in (levels, self.modes, self.sector_starts):
             array.setflags(write=False)
-
-    @property
-    def bond(self) -> tuple[int, int] | None:
-        """The bond ring-level averages are read on; a single site has none."""
-        return (0, 1) if self.n > 1 else None
 
     def energies(self, j, b) -> np.ndarray:
         """Level energies j * kappa + b * sz; one row per point if j or b is an array."""
         return (np.asarray(j, dtype=float)[..., None] * self.kappa
                 + np.asarray(b, dtype=float)[..., None] * self.sz)
 
-    def bond_columns(self, bond: tuple[int, int] | None) -> np.ndarray:
-        """Per-level expectations on a ring bond, shape (levels, 6).
-
-        Columns: sum(sigma_z), the flip-flop element <sigma_x sigma_x>, and
-        the probabilities of the pair patterns 00, 01, 10, 11. Every bond
-        gets the same columns; bond=None (no bond, as on a single site)
-        gives sum(sigma_z) and zeros.
-        """
-        return self._bond_columns if bond is not None else self._site_columns
-
-    @functools.cached_property
-    def _site_columns(self) -> np.ndarray:
-        columns = np.zeros((self.kappa.size, 6))
-        columns[:, 0] = self.sz
-        columns.setflags(write=False)
-        return columns
-
-    @functools.cached_property
-    def _bond_columns(self) -> np.ndarray:
-        """g_xx = (2/n) sum_{k in S} cos k, and the pattern probabilities as
-        sums of nonnegative terms (2/n^2) sin^2((k - q)/2): over k, q in S
-        for p11, over empty k, q for p00, over k in S, q not in S for p01 =
-        p10. Mode differences are multiples of 2 pi / n on either grid."""
-        n = self.n
-        filled = _bits(self.modes, n).astype(float)
-        empty = 1.0 - filled
-        gaps = np.arange(n)
-        weights = (2.0 / n ** 2) * np.sin(np.pi * (gaps[:, None] - gaps[None, :]) / n) ** 2
-        filled_weights = filled @ weights
-        columns = np.empty((self.kappa.size, 6))
-        columns[:, 0] = self.sz
-        columns[:, 1] = self.kappa / (2.0 * n)
-        columns[:, 2] = np.einsum("lk,lk->l", empty @ weights, empty)
-        columns[:, 3] = columns[:, 4] = np.einsum("lk,lk->l", filled_weights, empty)
-        columns[:, 5] = np.einsum("lk,lk->l", filled_weights, filled)
-        columns.setflags(write=False)
-        return columns
-
 
 @functools.lru_cache(maxsize=RING_CACHE_SIZE)
 def ring_model(n: int) -> RingModel:
     """The cached `RingModel` of the n-site ring, least recently used first out.
 
-    A ring holds four per-level arrays of 8 * 2^n bytes and, once asked
-    for, 48 * 2^n bytes of columns for a bond and as many for no bond.
-    Measured with every array built: 7.9 MB for the n = 16 ring (39 MB peak
-    while it is built) and 15.5 MB for rings 11..16 all resident.
+    A ring holds its level table (40 * 2^n bytes) and its mode masks
+    (8 * 2^n bytes). Measured: 3.1 MB for the n = 16 ring (39 MB peak while
+    it is built) and 6.2 MB for rings 11..16 all resident.
     """
     return RingModel(n)
 
@@ -160,12 +136,11 @@ class Spectrum:
         """All 2^n eigenvalues, sorted ascending."""
         return np.sort(self.ring.energies(self.params.j, self.params.b))
 
-    def ground_mask(self, tol: float | None = None) -> np.ndarray:
+    def ground_mask(self) -> np.ndarray:
         """Levels of the degenerate ground level, over the ring's flat level
-        order: those within tol (default GROUND_RTOL * max(1, |E0|)) of E0."""
+        order: those within GROUND_RTOL * max(1, |E0|) of E0."""
         e0 = self.ground_energy
-        if tol is None:
-            tol = GROUND_RTOL * max(1.0, abs(e0))
+        tol = GROUND_RTOL * max(1.0, abs(e0))
         return self.ring.energies(self.params.j, self.params.b) <= e0 + tol
 
 
@@ -175,7 +150,7 @@ def full_spectrum(params: ModelParams) -> Spectrum:
     return Spectrum(params=params, ring=ring_model(params.n))
 
 
-def ground_state_vector(spectrum: Spectrum, tol: float | None = None) -> np.ndarray:
+def ground_state_vector(spectrum: Spectrum) -> np.ndarray:
     """Full-space amplitudes of the unique ground state.
 
     The ground Fock state with down spins at sites x_1 < ... < x_N has the
@@ -184,7 +159,7 @@ def ground_state_vector(spectrum: Spectrum, tol: float | None = None) -> np.ndar
     ValueError when the ground level is degenerate; degenerate ground
     spaces have no preferred state and must be handled as mixtures.
     """
-    mask = spectrum.ground_mask(tol)
+    mask = spectrum.ground_mask()
     if mask.sum() != 1:
         raise ValueError(f"ground level is {int(mask.sum())}-fold degenerate")
     ring = spectrum.ring

@@ -1,6 +1,7 @@
 """Drivers: temperature/field sweeps, threshold-temperature bisection,
-ground-level crossing finder, ground-state concurrence, and randomized
-verification of the model's symmetry propositions."""
+ground-level crossings (exact, from the lower envelope of the sector-floor
+lines), ground-state concurrence, and randomized verification of the
+model's symmetry propositions."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import concurrence_from_correlators, concurrence_xstate
-from .eigensolver import RingModel, Spectrum, full_spectrum, ring_model
+from .eigensolver import GROUND_RTOL, RingModel, Spectrum, full_spectrum, ring_model
 from .hamiltonian import ModelParams
 from .thermal import GibbsBlock, ground_state_reduced, reweight
 
@@ -27,10 +28,6 @@ _SCAN_T_MAX = 1.0e3
 # depth 3 ran a threshold fastest (depth 1, one midpoint per call, took about
 # 1.4 times as long, depths 4 and 5 wasted more points than they saved calls).
 _BISECTION_DEPTH = 3
-
-
-class CrossingResolutionError(RuntimeError):
-    """Scan resolution too coarse to separate neighboring level crossings."""
 
 
 class DegenerateGroundError(RuntimeError):
@@ -75,8 +72,8 @@ def gibbs_concurrence(ring: RingModel, j, b, t) -> tuple[GibbsBlock, np.ndarray 
     point, else an array of the points' shape. A single site has no bond and
     reports 0.
     """
-    block = reweight(ring, j, b, t, ring.bond)
-    if ring.bond is None:
+    block = reweight(ring, j, b, t)
+    if ring.n == 1:
         return block, np.zeros(block.g_xx.shape)[()]
     return block, concurrence_xstate(block.pair_density())
 
@@ -107,6 +104,8 @@ def sweep(params: ModelParams, t_grid, b_grid, max_rows: int = MAX_SWEEP_ROWS) -
     b_values = [float(b) for b in b_grid]
     if not t_values or not b_values:
         raise ValueError("temperature and field grids must be nonempty")
+    if not all(map(math.isfinite, t_values + b_values)):
+        raise ValueError("temperature and field grid entries must be finite")
     if any(t <= 0 for t in t_values):
         raise ValueError("temperature grid entries must be positive")
     if len(t_values) * len(b_values) > max_rows:
@@ -186,64 +185,35 @@ def threshold_temperature(params: ModelParams, tol: float = 1e-6) -> float | Non
     return 0.5 * (lo + hi)
 
 
-def _sector_floor_lines(n: int, j: float) -> list[tuple[float, int]]:
-    """Per-sector ground-energy lines E_r(b) = eps_r + sz_r * b.
-
-    Within a sector the field term is a constant shift, so each sector's
-    minimum is exactly linear in b: intercept from the sector's lowest
-    zero-field level, slope equal to the sector magnetization.
-    """
-    ring = full_spectrum(ModelParams(n=n, j=j, b=0.0)).ring
-    floors = np.minimum.reduceat(ring.energies(j, 0.0), ring.sector_starts)
-    return [(float(eps), n - 2 * r) for r, eps in enumerate(floors)]
-
-
-def level_crossings(n: int, j: float, b_max: float, resolution: float = 0.01) -> list[float]:
+def level_crossings(n: int, j: float, b_max: float) -> list[float]:
     """Fields in (0, b_max) where the ground level changes branch.
 
-    Scans the per-sector ground-energy lines on a grid of the given
-    resolution and bisects each branch change to 1e-9. Raises
-    CrossingResolutionError if a third branch undercuts a located crossing,
-    which means two crossings hid inside one scan cell.
+    Within a sector the field only shifts every level by sz * b, so sector
+    r's ground energy is the line floor_r + (n - 2r) * b, with floor_r its
+    lowest zero-field level, and the ground level is the lower envelope of
+    these lines. The envelope is walked upward from b = 0, starting on the
+    lowest line there: each crossing is where the first line of smaller
+    slope meets the current one, and the walk moves on to that line. Lines
+    tied at a point (within GROUND_RTOL * |j|) go to the smallest slope, so
+    a tie at b = 0 is a zero-field degeneracy, not a crossing. Slopes fall
+    at every step, so there are at most n steps; b_max may be infinite.
     """
     if not b_max > 0:
         raise ValueError("b_max must be positive")
-    if not 0 < resolution <= b_max:
-        raise ValueError("resolution must be in (0, b_max]")
-    lines = _sector_floor_lines(n, j)
-
-    def energy(r, b):
-        eps, sz = lines[r]
-        return eps + sz * b
-
-    def argmin_sector(b):
-        return min(range(n + 1), key=lambda r: energy(r, b))
-
-    steps = int(math.ceil(b_max / resolution))
-    grid = np.linspace(0.0, b_max, steps + 1)
+    ring = full_spectrum(ModelParams(n=n, j=j, b=0.0)).ring
+    floors = np.minimum.reduceat(ring.energies(j, 0.0), ring.sector_starts)
+    slopes = n - 2.0 * np.arange(n + 1)
+    tie = GROUND_RTOL * abs(j)
+    # slopes descend with r, so the last of several tied lines is the smallest slope
+    branch = int(np.nonzero(floors <= floors.min() + tie)[0][-1])
     crossings = []
-    scale = max(1.0, abs(j), b_max)
-    for lo, hi in zip(grid[:-1], grid[1:]):
-        r_lo, r_hi = argmin_sector(lo), argmin_sector(hi)
-        if r_lo == r_hi:
-            continue
-        a, c = float(lo), float(hi)
-        # energy(r_lo) - energy(r_hi) changes sign on [a, c]; both are linear
-        while c - a > 1e-9:
-            mid = 0.5 * (a + c)
-            if energy(r_lo, mid) <= energy(r_hi, mid):
-                a = mid
-            else:
-                c = mid
-        b_star = 0.5 * (a + c)
-        if b_star <= 1e-9 * scale:
-            continue  # a tie at b = 0 is a scan boundary, not an interior crossing
-        floor = min(energy(r, b_star) for r in range(n + 1))
-        if min(energy(r_lo, b_star), energy(r_hi, b_star)) > floor + 1e-9 * scale:
-            raise CrossingResolutionError(
-                f"another branch undercuts the crossing near b={b_star}; "
-                f"decrease resolution={resolution}")
-        crossings.append(b_star)
+    while branch < n:
+        meets = (floors[branch + 1:] - floors[branch]) / (slopes[branch] - slopes[branch + 1:])
+        b = float(meets.min())
+        if not b < b_max:
+            break
+        crossings.append(b)
+        branch += 1 + int(np.nonzero(meets <= b + tie)[0][-1])
     return crossings
 
 
@@ -260,7 +230,7 @@ def ground_state_concurrence(params: ModelParams) -> float:
     if spectrum.ground_mask().sum() > 1:
         raise DegenerateGroundError(
             f"ground level of {params} is degenerate; the field sits on a crossing")
-    if spectrum.ring.bond is None:
+    if params.n == 1:
         return 0.0
     rho = ground_state_reduced(spectrum)
     value = concurrence_xstate(rho)
@@ -303,8 +273,7 @@ def _energy_formula_gap(n: int, j, t) -> float:
     """Largest gap at zero field between the correlator formula and the
     halved energy formula for the concurrence, over all points of one
     kernel call; the sign branch follows the sign of j."""
-    ring = ring_model(n)
-    g = reweight(ring, j, 0.0, t, ring.bond)
+    g = reweight(ring_model(n), j, 0.0, t)
     c5 = concurrence_from_correlators(g.g_xx, g.g_zz, g.m / n)
     sign = np.where(j > 0, -1.0, 1.0)
     c10 = 0.5 * np.maximum(0.0, sign * g.u / (n * j) - g.g_zz - 1.0)

@@ -3,10 +3,12 @@
 Everything thermal is a reweighting of one cached ring spectrum: `reweight`
 takes the level energies E = j * kappa + b * sz at any broadcast block of
 points (j, b, t), subtracts each point's ground energy, applies one exp and
-contracts the weights with the ring's per-level columns (sum(sigma_z), the
-flip-flop element and the four pair-pattern probabilities) in one matrix
-product, and with kappa for U. `observables` and `reduced_pair_density` are
-that kernel at a single point. A bond's X-form state is formed in one place,
+contracts the weights with the ring's level table (kappa, sum(sigma_z) and
+the pair-pattern probabilities) in one matrix product. Every level is
+translation invariant, so one table serves every bond: `reduced_pair_density`
+and `ground_state_reduced` check the pair they are given and read the same
+averages for any bond. `observables` and `reduced_pair_density` are the
+kernel at a single point. A bond's X-form state is formed in one place,
 `PairDensity.from_bond`, with the pattern probabilities p00 and p11 as
 corners: positive sums, accurate however small.
 
@@ -42,7 +44,7 @@ class ThermalObservables:
 
     log_z_shifted is ln sum_n exp(-(E_n - E0)/t); the true ln Z is recovered
     as log_z_shifted - E0/t. g_xx and g_zz are the nearest-neighbor
-    correlators on the canonical bond (0, 1).
+    correlators, the same on every bond.
     """
 
     t: float
@@ -78,13 +80,12 @@ class PairDensity:
         ])
 
 
-def _require_adjacent(n: int, pair: tuple[int, int]) -> tuple[int, int]:
+def _require_adjacent(n: int, pair: tuple[int, int]) -> None:
     i, j = pair
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"pair {pair} out of range for {n} sites")
     if i == j or (j - i) % n not in (1, n - 1):
         raise NonAdjacentPairError(f"pair {pair} is not a ring bond for n={n}")
-    return i, j
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ class GibbsBlock:
     """Gibbs averages at a block of points (j, b, t) of one ring.
 
     Every array has the broadcast shape of the points, except probabilities,
-    which adds a trailing axis of four: the bond's pair patterns 00, 01, 10,
+    which adds a trailing axis of four: a bond's pair patterns 00, 01, 10,
     11. z_shifted is sum_n exp(-(E_n - E0)/t) with E0 the ground energy at
     the point's (j, b), so it is at least 1.
     """
@@ -110,7 +111,7 @@ class GibbsBlock:
         return PairDensity.from_bond(p[..., 0], p[..., 1], p[..., 2], p[..., 3], self.g_xx)
 
 
-def reweight(ring: RingModel, j, b, t, bond: tuple[int, int] | None = (0, 1)) -> GibbsBlock:
+def reweight(ring: RingModel, j, b, t) -> GibbsBlock:
     """Boltzmann averages of one ring at the broadcast points (j, b, t).
 
     j, b and t are scalars or arrays that broadcast together, and every
@@ -119,13 +120,11 @@ def reweight(ring: RingModel, j, b, t, bond: tuple[int, int] | None = (0, 1)) ->
     formed for each entry of the broadcast (j, b), not for each temperature,
     and shifted by that entry's ground energy. The points are then
     reweighted a pass at a time (at most _BLOCK_WEIGHTS weights per pass):
-    one exp, and one matrix product with the ring's bond columns gives M,
-    g_xx and the pair probabilities; g_zz = p00 - p01 - p10 + p11, and
-    U = j <kappa> + b M. bond=None (a single site) leaves the bond averages
-    at zero.
+    one exp, and one matrix product with the ring's level table gives
+    <kappa>, M and the pair probabilities; U = j <kappa> + b M, g_xx =
+    <kappa> / (2n) and g_zz = p00 - p01 - p10 + p11. Every bond has the same
+    averages; on a single site the bond averages are 0.
     """
-    if bond is not None:
-        bond = _require_adjacent(ring.n, bond)
     j, b = np.broadcast_arrays(np.asarray(j, dtype=float), np.asarray(b, dtype=float))
     # each point's row of level energies (one row per (j, b) entry), and its temperature
     field, t = np.broadcast_arrays(np.arange(j.size).reshape(j.shape), np.asarray(t, dtype=float))
@@ -136,10 +135,8 @@ def reweight(ring: RingModel, j, b, t, bond: tuple[int, int] | None = (0, 1)) ->
     shape, field, temps = t.shape, field.ravel(), t.ravel()
     energies = ring.energies(j.ravel(), b.ravel())
     ground = energies.min(axis=1)
-    columns = ring.bond_columns(bond)
     z = np.empty(temps.size)
-    kappa_sums = np.empty(temps.size)
-    moments = np.empty((temps.size, columns.shape[1]))
+    moments = np.empty((temps.size, ring.levels.shape[1]))
     step = max(1, _BLOCK_WEIGHTS // ring.kappa.size)
     for lo in range(0, temps.size, step):
         rows = slice(lo, lo + step)
@@ -150,24 +147,17 @@ def reweight(ring: RingModel, j, b, t, bond: tuple[int, int] | None = (0, 1)) ->
         weights /= -temps[rows, None]
         np.exp(weights, out=weights)
         z[rows] = weights.sum(axis=1)
-        kappa_sums[rows] = weights @ ring.kappa
-        moments[rows] = weights @ columns
+        moments[rows] = weights @ ring.levels
     if not (np.isfinite(z).all() and (z >= 1.0).all()):
         raise FloatingPointError("non-finite shifted partition sum")
-    # each level's energy is j * kappa + b * sz, so U = j <kappa> + b M
-    u = (j.ravel()[field] * kappa_sums + b.ravel()[field] * moments[:, 0]) / z
+    u = (j.ravel()[field] * moments[:, 0] + b.ravel()[field] * moments[:, 1]) / z
     moments /= z[:, None]
     if not (np.isfinite(u).all() and np.isfinite(moments).all()):
         raise FloatingPointError("non-finite thermal observable")
-    p = moments[:, 2:].reshape(shape + (4,))
-    return GibbsBlock(z_shifted=z.reshape(shape), u=u.reshape(shape), m=moments[:, 0].reshape(shape),
-                      g_xx=moments[:, 1].reshape(shape),
+    p = moments[:, [2, 3, 3, 4]].reshape(shape + (4,))
+    return GibbsBlock(z_shifted=z.reshape(shape), u=u.reshape(shape), m=moments[:, 1].reshape(shape),
+                      g_xx=(moments[:, 0] / (2.0 * ring.n)).reshape(shape),
                       g_zz=p[..., 0] - p[..., 1] - p[..., 2] + p[..., 3], probabilities=p)
-
-
-def _at(spectrum: Spectrum, t: float, bond: tuple[int, int] | None) -> GibbsBlock:
-    params = spectrum.params
-    return reweight(spectrum.ring, params.j, params.b, t, bond)
 
 
 def observables(spectrum: Spectrum, t: float) -> ThermalObservables:
@@ -176,20 +166,24 @@ def observables(spectrum: Spectrum, t: float) -> ThermalObservables:
     U and M are spectral sums (sum of E_n resp. sector sum(sigma_z) against
     Boltzmann weights), not symbolic derivatives of Z.
     """
-    g = _at(spectrum, t, spectrum.ring.bond)
+    params = spectrum.params
+    g = reweight(spectrum.ring, params.j, params.b, t)
     return ThermalObservables(t=t, log_z_shifted=math.log(g.z_shifted), u=float(g.u),
                               m=float(g.m), g_xx=float(g.g_xx), g_zz=float(g.g_zz))
 
 
 def reduced_pair_density(spectrum: Spectrum, t: float, pair: tuple[int, int] = (0, 1)) -> PairDensity:
     """Thermal two-qubit reduced density matrix on a ring bond."""
-    g = _at(spectrum, t, pair)
+    params = spectrum.params
+    _require_adjacent(params.n, pair)
+    g = reweight(spectrum.ring, params.j, params.b, t)
     return PairDensity.from_bond(*g.probabilities.tolist(), float(g.g_xx))
 
 
 def ground_state_reduced(spectrum: Spectrum, pair: tuple[int, int] = (0, 1)) -> PairDensity:
     """Two-qubit reduced density of the T -> 0+ Gibbs limit: the uniform
     mixture over the full degenerate ground subspace (`Spectrum.ground_mask`)."""
-    pair = _require_adjacent(spectrum.params.n, pair)
-    moments = spectrum.ring.bond_columns(pair)[spectrum.ground_mask()].mean(axis=0)
-    return PairDensity.from_bond(*moments[2:].tolist(), float(moments[1]))
+    ring = spectrum.ring
+    _require_adjacent(ring.n, pair)
+    kappa, _, p00, p01, p11 = ring.levels[spectrum.ground_mask()].mean(axis=0).tolist()
+    return PairDensity.from_bond(p00, p01, p01, p11, kappa / (2.0 * ring.n))

@@ -61,8 +61,8 @@ def reweight_calls(monkeypatch):
     calls = []
     original = thermal.reweight
 
-    def counting(ring, j, b, t, bond=(0, 1)):
-        block = original(ring, j, b, t, bond)
+    def counting(ring, j, b, t):
+        block = original(ring, j, b, t)
         calls.append((ring.n, block.u.shape))
         return block
 

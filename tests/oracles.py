@@ -6,8 +6,10 @@
   `full_hamiltonian`.
 - The dense exact-diagonalization (ED) oracle: sector blocks
   (`build_sector_hamiltonian`), `eigh_symmetric`, the dense ring cache
-  (`dense_ring`, which the thermal kernel reweights like the package's
-  ring) and its per-sector views (`dense_sectors`, `dense_ground_states`).
+  (`dense_ring`, with per-bond columns from its own eigenvectors), its own
+  Boltzmann reweighting (`dense_reweight`), its per-sector views
+  (`dense_sectors`, `dense_ground_states`) and the crossings of its sector
+  floors (`dense_floor_crossings`).
 - The ring symmetry operators on basis labels.
 - `concurrence_wootters`, the general spin-flip construction through
   `eigh_symmetric`, kept apart from `wootters_concurrence` so that the two
@@ -30,7 +32,7 @@ from xxring.eigensolver import GROUND_RTOL, full_spectrum
 from xxring.entanglement import _clamp_unit, concurrence_from_correlators
 from xxring.experiments import POSITIVE_CONCURRENCE, _splits, thermal_concurrence
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import observables, reweight
+from xxring.thermal import observables, reduced_pair_density
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -198,9 +200,10 @@ def full_hamiltonian(params: ModelParams) -> np.ndarray:
 
 # The dense ED oracle: each magnetization sector's block assembled from its
 # labels and diagonalized with LAPACK. This is the package's spectral cache
-# as it stood before the Jordan-Wigner levels replaced it. `DenseRing` has
-# the interface the thermal kernel reads, so `reweight(dense_ring(n), ...)`
-# is the ED kernel.
+# as it stood before the Jordan-Wigner levels replaced it. Its per-level
+# columns are computed per bond from the eigenvectors, and `dense_reweight`
+# reweights them without the package's kernel, so nothing on the ED side
+# assumes that every bond carries the same state.
 
 _SYMMETRY_RTOL = 1e-12
 
@@ -295,10 +298,6 @@ class DenseRing:
         self.sz = np.concatenate([np.full(len(sec.basis), float(sec.sz)) for sec in sectors])
         self._bond_columns = {}
 
-    @property
-    def bond(self):
-        return (0, 1) if self.n > 1 else None
-
     def energies(self, j, b):
         return (np.asarray(j, dtype=float)[..., None] * self.kappa
                 + np.asarray(b, dtype=float)[..., None] * self.sz)
@@ -319,6 +318,21 @@ class DenseRing:
             columns.setflags(write=False)
             self._bond_columns[bond] = columns
         return columns
+
+
+def dense_reweight(n: int, j, b, t, bond) -> dict[str, np.ndarray]:
+    """Gibbs averages of the ED ring at the broadcast points (j, b, t) on one
+    bond (None: no bond), from its own per-bond columns: z_shifted, u, m,
+    g_xx and the probabilities of the patterns 00, 01, 10, 11 (trailing
+    axis of four)."""
+    ring = dense_ring(n)
+    j, b, t = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (j, b, t)))
+    energies = ring.energies(j, b)
+    weights = np.exp(-(energies - energies.min(axis=-1, keepdims=True)) / t[..., None])
+    z = weights.sum(axis=-1)
+    moments = weights @ ring.bond_columns(bond) / z[..., None]
+    return {"z_shifted": z, "u": (weights * energies).sum(axis=-1) / z, "m": moments[..., 0],
+            "g_xx": moments[..., 1], "probabilities": moments[..., 2:]}
 
 
 def _sector_bond_expectations(sec: SectorSpectrum, i: int, j: int) -> np.ndarray:
@@ -367,13 +381,38 @@ def dense_sectors(params: ModelParams) -> tuple[SectorSpectrum, ...]:
     return tuple(sectors)
 
 
-def dense_ground_states(params: ModelParams, tol=None) -> list[tuple[SectorSpectrum, int]]:
+def dense_floor_crossings(n: int, j: float) -> list[float]:
+    """Fields b > 0 where the ground sector of the ED ring changes, by brute
+    force: every pairwise intersection of the sector-floor lines
+    E_r(b) = floor_r + sz_r * b (floor_r the lowest eigenvalue of sector r
+    at b = 0) where the lowest line just below differs from the one just
+    above. Intersections closer than 1e-9 are one point."""
+    sectors = dense_sectors(ModelParams(n=n, j=j, b=0.0))
+    floors = np.array([sec.eig.values[0] for sec in sectors])
+    slopes = np.array([float(sec.sz) for sec in sectors])
+    points = sorted((floors[r] - floors[s]) / (slopes[s] - slopes[r])
+                    for r in range(n + 1) for s in range(r + 1, n + 1))
+    merged = []
+    for b in points:
+        if b > 1e-9 and not (merged and b - merged[-1] <= 1e-9):
+            merged.append(b)
+    crossings = []
+    for k, b in enumerate(merged):
+        gaps = [abs(b - other) for other in merged[max(0, k - 1):k + 2] if other != b]
+        h = min([1e-6] + [g / 3.0 for g in gaps])
+        below = np.argmin(floors + slopes * (b - h))
+        above = np.argmin(floors + slopes * (b + h))
+        if below != above:
+            crossings.append(float(b))
+    return crossings
+
+
+def dense_ground_states(params: ModelParams) -> list[tuple[SectorSpectrum, int]]:
     """(sector, column) pairs spanning the degenerate ground subspace, by the
     package's ground rule (within GROUND_RTOL * max(1, |E0|) of E0)."""
     energies = dense_ring(params.n).energies(params.j, params.b)
     e0 = float(energies.min()) + 0.0
-    if tol is None:
-        tol = GROUND_RTOL * max(1.0, abs(e0))
+    tol = GROUND_RTOL * max(1.0, abs(e0))
     step = 1 if params.j >= 0 else -1  # columns ascend in energy, flat levels in kappa
     sectors = dense_sectors(params)
     bounds = np.cumsum([len(sec.basis) for sec in sectors])[:-1]
@@ -478,16 +517,14 @@ def concurrence_wootters(rho: np.ndarray) -> float:
 
 def correlator_xx_direct(spectrum, t: float, bond: tuple[int, int] = (0, 1)) -> float:
     """Thermal <sigma_x(i) sigma_x(j)> on a ring bond, from the ring's levels."""
-    params = spectrum.params
-    return float(reweight(spectrum.ring, params.j, params.b, t, bond).g_xx)
+    return 2.0 * reduced_pair_density(spectrum, t, bond).z
 
 
 def pair_state_probabilities(spectrum, t: float,
                              pair: tuple[int, int] = (0, 1)) -> tuple[float, float, float, float]:
     """Thermal probabilities (p00, p01, p10, p11) of the pair patterns."""
-    params = spectrum.params
-    p00, p01, p10, p11 = reweight(spectrum.ring, params.j, params.b, t, pair).probabilities
-    return float(p00), float(p01), float(p10), float(p11)
+    rho = reduced_pair_density(spectrum, t, pair)
+    return rho.u_plus, rho.w, rho.w, rho.u_minus
 
 
 def gxx_from_energy(obs, params) -> float:

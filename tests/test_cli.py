@@ -123,6 +123,60 @@ def test_crossings_output(capsys):
     assert values == pytest.approx([2.0 * (math.sqrt(2.0) - 1.0), 2.0], abs=1e-6)
 
 
+def test_crossings_resolve_a_tight_cluster(capsys):
+    # the last two of six crossings are 0.0068 apart, well inside b-max = 1
+    code, out, err = run_cli(capsys, "crossings", "--n", "12", "--j", "0.05", "--b-max", "1")
+    assert code == 0, err
+    lines = out.splitlines()
+    assert len(lines) == 6 and lines[-1] == "0.100000000"
+
+
+def test_crossings_up_to_an_infinite_field(capsys):
+    code, everything, err = run_cli(capsys, "crossings", "--n", "4", "--j", "1", "--b-max", "inf")
+    assert code == 0, err
+    assert everything == run_cli(capsys, "crossings", "--n", "4", "--j", "1", "--b-max", "3")[1]
+    code, out, err = run_cli(capsys, "crossings", "--n", "16", "--j", "-1", "--b-max", "inf")
+    assert code == 0, err
+    assert len(out.splitlines()) == 8 and out.splitlines()[-1] == "2.000000000"
+
+
+@pytest.mark.parametrize("bounds", [
+    ["--t-min", "1", "--t-max", "2", "--b-min", "0", "--b-max", "inf"],
+    ["--t-min", "1", "--t-max", "inf", "--b-min", "0", "--b-max", "1"],
+    ["--t-min", "1", "--t-max", "2", "--b-min=-inf", "--b-max", "1"],
+    ["--t-min", "1", "--t-max", "2", "--b-min", "0", "--b-max", "nan"],
+], ids=["b-max", "t-max", "b-min", "nan"])
+def test_sweep_rejects_non_finite_bounds(capsys, bounds):
+    code, out, err = run_cli(capsys, "sweep", "--n", "4", "--j", "1", "--t-steps", "3",
+                             "--b-steps", "2", *bounds)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+
+
+def test_printed_digits_do_not_depend_on_the_blas_thread_count():
+    # the kernel's matrix products must not round differently when BLAS
+    # splits them across threads
+    commands = [
+        ["sweep", "--n", "10", "--j", "1", "--t-min", "0.05", "--t-max", "3", "--t-steps", "40",
+         "--b-min", "0", "--b-max", "4", "--b-steps", "20"],
+        ["sweep", "--n", "12", "--j", "-0.9", "--t-min", "0.05", "--t-max", "3", "--t-steps", "20",
+         "--t-scale", "log", "--b-min", "0", "--b-max", "4", "--b-steps", "10"],
+        ["thermal", "--n", "12", "--j", "1.3", "--b", "0.45", "--t", "0.6"],
+    ]
+    script = ("import sys\nfrom xxring.cli import main\n"
+              "for argv in sys.argv[1:]:\n    main(argv.split(','))\n")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(xxring.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        result = subprocess.run([sys.executable, "-c", script, *(",".join(c) for c in commands)],
+                                env=env, capture_output=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0].count(b"\n") == 1 + 800 + 1 + 200 + 6
+    assert outputs[0] == outputs[1]
+
+
 def test_sweep_csv_schema_and_determinism(capsys, tmp_path):
     argv = ["sweep", "--n", "4", "--j", "1",
             "--t-min", "0.5", "--t-max", "2.5", "--t-steps", "3",

@@ -3,11 +3,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from xxring.eigensolver import full_spectrum
 from xxring.entanglement import concurrence_from_correlators, concurrence_xstate
 from xxring.experiments import (
-    CrossingResolutionError,
     DegenerateGroundError,
     ground_state_concurrence,
     level_crossings,
@@ -21,6 +22,7 @@ from xxring.hamiltonian import ModelParams
 from xxring.thermal import observables, reduced_pair_density
 
 from oracles import (
+    dense_floor_crossings,
     full_hamiltonian,
     gibbs_density,
     partial_trace_pair,
@@ -99,6 +101,18 @@ def test_sweep_validation():
         sweep(params, [1.0] * 100, [0.0] * 100, max_rows=100)
 
 
+@pytest.mark.parametrize("t_grid, b_grid", [
+    ([1.0, math.inf], [0.0]),
+    ([1.0], [0.0, math.inf]),
+    ([1.0], [-math.inf, 0.0]),
+    ([math.nan], [0.0]),
+    ([1.0], [math.nan]),
+])
+def test_sweep_rejects_non_finite_grid_entries(t_grid, b_grid):
+    with pytest.raises(ValueError, match="finite"):
+        sweep(ModelParams(n=4, j=1.0, b=0.0), t_grid, b_grid)
+
+
 def test_threshold_regression_zero_field():
     tc = threshold_temperature(ModelParams(n=4, j=1.0, b=0.0), tol=1e-6)
     assert tc == pytest.approx(TC_N4_B0, abs=5e-6)
@@ -157,16 +171,44 @@ def test_level_crossings_match_brute_force_scan_n6():
     assert fields[2] == pytest.approx(2.0, abs=1e-6)
 
 
-def test_level_crossings_reports_too_coarse_resolution():
-    with pytest.raises(CrossingResolutionError):
-        level_crossings(6, 1.0, 3.0, resolution=3.0)
+@pytest.mark.parametrize("j", [1.0, -1.0, 0.7, -2.5])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_level_crossings_are_the_ed_floor_intersections(n, j):
+    got = level_crossings(n, j, math.inf)
+    want = dense_floor_crossings(n, j)
+    assert len(got) == len(want), (got, want)
+    for b, ref in zip(got, want):
+        assert abs(b - ref) <= 1e-12 * max(1.0, ref), (n, j, b, ref)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 16), st.sampled_from([-1.0, 1.0]), st.floats(0.1, 2.0),
+       st.one_of(st.floats(0.05, 50.0), st.just(math.inf)), st.floats(math.log(1e-3), math.log(1e3)))
+def test_level_crossings_scale_with_the_exchange(n, sign, size, b_max, log_s):
+    j, s = sign * size, math.exp(log_s)
+    fields = level_crossings(n, j, math.inf)
+    # a crossing at b_max itself may round to either side once scaled
+    assume(all(abs(b - b_max) > 1e-9 * b_max for b in fields))
+    want = [s * b for b in fields if b < b_max]
+    got = level_crossings(n, s * j, s * b_max)
+    assert len(got) == len(want)
+    assert all(abs(g - w) <= 1e-12 * w for g, w in zip(got, want)), (n, j, s, got, want)
+
+
+def test_level_crossings_skip_zero_field_ties():
+    # odd rings and j = 0 are degenerate at b = 0; that is not a crossing
+    assert level_crossings(3, 1.0, math.inf) == pytest.approx([1.0], rel=1e-12)
+    assert level_crossings(1, 1.0, math.inf) == []
+    assert level_crossings(4, 0.0, math.inf) == []
 
 
 def test_level_crossings_validation():
     with pytest.raises(ValueError):
         level_crossings(4, 1.0, -1.0)
     with pytest.raises(ValueError):
-        level_crossings(4, 1.0, 2.0, resolution=0.0)
+        level_crossings(4, 1.0, float("nan"))
+    with pytest.raises(ValueError):
+        level_crossings(4, float("inf"), 2.0)
 
 
 @pytest.mark.parametrize("b,expected", [

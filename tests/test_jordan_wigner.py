@@ -1,9 +1,10 @@
 """The Jordan-Wigner ring against the dense ED oracle, and its properties.
 
-The package builds every level of a ring from free-fermion modes; the
-oracle diagonalizes each magnetization sector densely. Both feed the same
-thermal kernel (`reweight`), so their Gibbs blocks must agree, and the
-Slater ground vector must be the ED ground vector up to a phase.
+The package builds every level of a ring from free-fermion modes, one level
+table for every bond; the oracle diagonalizes each magnetization sector
+densely and reweights each bond's own columns (`dense_reweight`). Their
+Gibbs blocks must agree on every bond, and the Slater ground vector must be
+the ED ground vector up to a phase.
 """
 
 import math
@@ -20,7 +21,7 @@ from xxring.experiments import gibbs_concurrence
 from xxring.hamiltonian import ModelParams
 from xxring.thermal import ground_state_reduced, reweight
 
-from oracles import bonds, dense_ground_states, dense_ring, dense_sectors
+from oracles import bonds, dense_ground_states, dense_reweight, dense_ring, dense_sectors
 
 RINGS = range(1, 13)
 CROSSINGS_N4 = (2.0 * (math.sqrt(2.0) - 1.0), 2.0)
@@ -52,17 +53,17 @@ def _close(got, want, atol, rtol=None):
 @pytest.mark.parametrize("n", RINGS)
 def test_gibbs_blocks_match_the_ed_kernel(n):
     j, b, t = _seeded_points(n)
+    got = reweight(ring_model(n), j, b, t)
     for bond in bonds(n) or [None]:
-        got = reweight(ring_model(n), j, b, t, bond)
-        want = reweight(dense_ring(n), j, b, t, bond)
+        want = dense_reweight(n, j, b, t, bond)
         for name in ("u", "m"):
-            scale = np.maximum(1.0, np.abs(getattr(want, name)))
-            assert _close(getattr(got, name) / scale, getattr(want, name) / scale, 1e-12), name
-        assert _close(got.g_xx, want.g_xx, 1e-12), bond
-        assert _close(got.probabilities, want.probabilities, 1e-12, 1e-10), bond
+            scale = np.maximum(1.0, np.abs(want[name]))
+            assert _close(getattr(got, name) / scale, want[name] / scale, 1e-12), name
+        assert _close(got.g_xx, want["g_xx"], 1e-12), bond
+        assert _close(got.probabilities, want["probabilities"], 1e-12, 1e-10), bond
         # the two routes' level energies differ by roundoff (~1e-14), which
         # moves a weight exp(-dE/T) by ~1e-12 relative at T = 0.01
-        assert _close(got.z_shifted, want.z_shifted, np.inf, 1e-10)
+        assert _close(got.z_shifted, want["z_shifted"], np.inf, 1e-10)
 
 
 @pytest.mark.parametrize("n", RINGS)
@@ -134,12 +135,11 @@ def _points(draw):
 @_PROPERTY_SETTINGS
 @given(st.integers(2, 12))
 def test_every_level_is_a_bond_state(n):
-    columns = ring_model(n).bond_columns((0, 1))
-    probabilities = columns[:, 2:]
-    assert np.all(probabilities >= 0.0)
-    assert np.all(np.abs(probabilities.sum(axis=1) - 1.0) <= 1e-12)
-    # |<sigma_x sigma_x>| = 2 |z| is bounded by p01 + p10 = 2 w
-    assert np.all(np.abs(columns[:, 1]) <= columns[:, 3] + columns[:, 4] + 1e-12)
+    kappa, _, p00, p01, p11 = ring_model(n).levels.T
+    assert np.all(ring_model(n).levels[:, 2:] >= 0.0)
+    assert np.all(np.abs(p00 + 2.0 * p01 + p11 - 1.0) <= 1e-12)
+    # |<sigma_x sigma_x>| = kappa / (2n) = 2 |z| is bounded by p01 + p10 = 2 w
+    assert np.all(np.abs(kappa / (2.0 * n)) <= 2.0 * p01 + 1e-12)
 
 
 @_PROPERTY_SETTINGS

@@ -105,7 +105,7 @@ def test_kernel_rejects_bad_input():
     with pytest.raises(ValueError):
         reweight(ring, 1.0, [], [1.0])
     with pytest.raises(NonAdjacentPairError):
-        reweight(ring, 1.0, [0.0], [1.0], (0, 2))
+        reduced_pair_density(full_spectrum(ModelParams(n=4, j=1.0, b=0.0)), 1.0, (0, 2))
 
 
 def test_cached_eigenvalues_match_direct_diagonalization(rng):
@@ -150,16 +150,15 @@ def test_broadcast_block_equals_stacked_single_points(points):
     ring = ring_model(n)
     shape = np.broadcast_shapes(j.shape, b.shape, t.shape)
     j_all, b_all, t_all = np.broadcast_arrays(j, b, t)
-    for bond in bonds(n) or [None]:
-        block = reweight(ring, j, b, t, bond)
-        singles = [reweight(ring, j_all[k], b_all[k], t_all[k], bond) for k in np.ndindex(shape)]
-        for field in ("z_shifted", "u", "m", "g_xx", "g_zz", "probabilities"):
-            got = getattr(block, field)
-            want = np.array([getattr(single, field) for single in singles])
-            assert got.shape == shape + want.shape[1:], (field, got.shape, shape)
-            # a matrix product of one row and of many may round differently,
-            # so signed averages, whose exact value can be 0, are held to
-            # 1e-13 of max(1, |value|); positive sums to 1e-13 relative
-            scale = 0.0 if field in ("z_shifted", "probabilities") else 1.0
-            tol = 1e-13 * np.maximum(scale, np.abs(want))
-            assert np.all(np.abs(got.reshape(want.shape) - want) <= tol), (field, n, bond)
+    block = reweight(ring, j, b, t)
+    singles = [reweight(ring, j_all[k], b_all[k], t_all[k]) for k in np.ndindex(shape)]
+    for field in ("z_shifted", "u", "m", "g_xx", "g_zz", "probabilities"):
+        got = getattr(block, field)
+        want = np.array([getattr(single, field) for single in singles])
+        assert got.shape == shape + want.shape[1:], (field, got.shape, shape)
+        # a matrix product of one row and of many may round differently,
+        # so signed averages, whose exact value can be 0, are held to
+        # 1e-13 of max(1, |value|); positive sums to 1e-13 relative
+        scale = 0.0 if field in ("z_shifted", "probabilities") else 1.0
+        tol = 1e-13 * np.maximum(scale, np.abs(want))
+        assert np.all(np.abs(got.reshape(want.shape) - want) <= tol), (field, n)
