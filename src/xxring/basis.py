@@ -14,8 +14,9 @@ import numpy as np
 
 # Full space 65536 and a largest sector of 12870. Nothing is diagonalized:
 # the n = 16 ring's level table comes from its Jordan-Wigner modes in about
-# 0.1 s and 3 MB, so the cap bounds the 2^n levels each thermal point
-# reweights and the 2^n-amplitude ground vector, not an eigensolver.
+# 0.1 s and 3.4 MB, and a thermal point weighs its 4,029 level classes, so
+# the cap bounds the 2^n-level table a ring builds and the 2^n-amplitude
+# ground vector, not an eigensolver.
 N_MAX = 16
 
 

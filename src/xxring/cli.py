@@ -42,6 +42,10 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
+# One sweep CSV row, formatted in one call: "%.12g" writes the bytes of _fmt.
+_CSV_ROW = ",".join(["%.12g"] * 3 + ["%d"] + ["%.12g"] * 5)
+
+
 def _add_model_args(parser, with_b=True):
     parser.add_argument("--n", type=int, required=True, help="ring size")
     parser.add_argument("--j", type=float, required=True, help="exchange constant")
@@ -165,12 +169,8 @@ def _cmd_sweep(args) -> int:
     params = ModelParams(n=args.n, j=args.j, b=0.0)
     rows = sweep(params, sorted(_grid(args, "t")), sorted(_grid(args, "b")))
     lines = ["T,B,J,N,U,M,Gxx,Gzz,concurrence"]
-    for row in rows:
-        lines.append(",".join([
-            _fmt(row.t), _fmt(row.b), _fmt(row.j), str(row.n),
-            _fmt(row.u), _fmt(row.m), _fmt(row.g_xx), _fmt(row.g_zz),
-            _fmt(row.concurrence),
-        ]))
+    lines += [_CSV_ROW % (row.t, row.b, row.j, row.n, row.u, row.m, row.g_xx, row.g_zz,
+                          row.concurrence) for row in rows]
     text = "\n".join(lines) + "\n"
     if args.output == "-":
         sys.stdout.write(text)

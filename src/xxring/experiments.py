@@ -5,7 +5,9 @@ model's symmetry propositions."""
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +110,8 @@ def sweep(params: ModelParams, t_grid, b_grid, max_rows: int = MAX_SWEEP_ROWS) -
         raise ValueError("temperature and field grid entries must be finite")
     if any(t <= 0 for t in t_values):
         raise ValueError("temperature grid entries must be positive")
+    # the grid's strongest field must pass the energy bound of a single point
+    ModelParams(n=params.n, j=params.j, b=max(map(abs, b_values)))
     if len(t_values) * len(b_values) > max_rows:
         raise ValueError(f"grid of {len(t_values) * len(b_values)} rows exceeds cap {max_rows}")
     block, concurrence = gibbs_concurrence(ring_model(params.n), params.j,
@@ -147,9 +151,14 @@ def _splits(lo: float, hi: float, tol: float) -> bool:
 def threshold_temperature(params: ModelParams, tol: float = 1e-6) -> float | None:
     """Largest temperature with positive nearest-neighbor concurrence.
 
-    Coarse factor-2 upward scan over [0.05, 1e3] in one kernel call, then
-    bisection of the last positive bracket down to tol (or to adjacent
-    doubles, if tol is finer); None when nothing in the scan is entangled.
+    Coarse factor-2 upward scan in one kernel call, then bisection of the
+    last positive bracket down to tol (or to adjacent doubles, if tol is
+    finer); None when nothing in the scan is entangled, and at j = 0, where
+    every Gibbs state is a product state. The threshold scales with the
+    couplings, so the scan covers [0.05 min(1, |j|), 1e3 max(1, |j|, |b|)]:
+    the top of the entangled window lay between 0.6 |j| and 4.6 |j| on rings
+    n = 2..12 with |b| <= 100 |j|, and no ring was entangled beyond
+    |b| = 56 |j|.
     The bisection runs in batches: each batch evaluates the whole tree of
     midpoints the next _BISECTION_DEPTH steps can reach in one kernel call,
     then walks it. That takes exactly the steps, and returns exactly the
@@ -157,9 +166,13 @@ def threshold_temperature(params: ModelParams, tol: float = 1e-6) -> float | Non
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if params.j == 0.0:
+        return None
     grid = []
-    t = _SCAN_T_MIN
-    while t <= _SCAN_T_MAX:
+    # a subnormal j would start the scan at 0
+    t = max(_SCAN_T_MIN * min(1.0, abs(params.j)), sys.float_info.min)
+    t_max = _SCAN_T_MAX * max(1.0, abs(params.j), abs(params.b))
+    while t <= t_max:
         grid.append(t)
         t *= 2.0
     grid.append(t)
@@ -256,10 +269,16 @@ def _draw_parameters(rng: np.random.Generator) -> tuple[float, float, float]:
     return j, b, t
 
 
+@functools.lru_cache(maxsize=1)
 def _draws(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (j, b, t) draws of one seed as three arrays of length samples."""
+    """The (j, b, t) draws of one seed as three read-only arrays of length
+    samples. The last draws are kept, so a `verify` that also runs the odd
+    control draws once."""
     rng = np.random.default_rng(seed)
-    return tuple(np.array(column) for column in zip(*(_draw_parameters(rng) for _ in range(samples))))
+    columns = tuple(np.array(column) for column in zip(*(_draw_parameters(rng) for _ in range(samples))))
+    for column in columns:
+        column.setflags(write=False)
+    return columns
 
 
 def _mirror_gap(n: int, j, b, t) -> float:

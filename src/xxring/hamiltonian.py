@@ -17,6 +17,11 @@ from dataclasses import dataclass
 
 from .basis import N_MAX
 
+# The largest accepted level-energy scale 4n|j| + n|b|. Energy gaps reach twice
+# it and a `spectrum` cluster sums up to 2^16 levels, so this leaves every sum
+# the program forms well inside the doubles.
+MAX_ENERGY = 1e300
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -31,3 +36,6 @@ class ModelParams:
             raise ValueError(f"ring size must be an integer in [1, {N_MAX}], got {self.n}")
         if not (math.isfinite(self.j) and math.isfinite(self.b)):
             raise ValueError(f"j and b must be finite, got j={self.j}, b={self.b}")
+        scale = 4 * self.n * abs(self.j) + self.n * abs(self.b)
+        if not scale <= MAX_ENERGY:
+            raise ValueError(f"level energies up to 4n|j| + n|b| = {scale:g} exceed {MAX_ENERGY:g}")

@@ -1,16 +1,19 @@
 """Gibbs-state observables and the nearest-neighbor reduced density matrix.
 
-Everything thermal is a reweighting of one cached ring spectrum: `reweight`
-takes the level energies E = j * kappa + b * sz at any broadcast block of
-points (j, b, t), subtracts each point's ground energy, applies one exp and
-contracts the weights with the ring's level table (kappa, sum(sigma_z) and
-the pair-pattern probabilities) in one matrix product. Every level is
-translation invariant, so one table serves every bond: `reduced_pair_density`
-and `ground_state_reduced` check the pair they are given and read the same
-averages for any bond. `observables` and `reduced_pair_density` are the
-kernel at a single point. A bond's X-form state is formed in one place,
-`PairDensity.from_bond`, with the pattern probabilities p00 and p11 as
-corners: positive sums, accurate however small.
+Everything thermal is a reweighting of one cached ring: `reweight` reads
+only the ring's class table (`RingModel.classes`), where levels of one
+energy at every (j, b) are one class. At any broadcast block of points
+(j, b, t) it forms the class energies E = j * kappa + b * sz, subtracts each
+(j, b)'s ground energy, scales by -1/t, applies one exp and contracts the
+weights with the class table (multiplicity, kappa, sum(sigma_z) and the
+pair-pattern probabilities, each summed over the class). Every level is
+translation invariant, so one table serves every bond:
+`reduced_pair_density` and `ground_state_reduced` check the pair they are
+given and read the same averages for any bond. `observables` and
+`reduced_pair_density` are the kernel at a single point. A bond's X-form
+state is formed in one place, `PairDensity.from_bond`, with the pattern
+probabilities p00 and p11 as corners: positive sums, accurate however
+small.
 
 Shifting by the ground energy keeps temperatures down to 1e-3 safe. T = 0 is
 a separate code path (`ground_state_reduced`: the uniform mixture over the
@@ -22,14 +25,17 @@ ill-conditioned anyway.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eigensolver import RingModel, Spectrum
 
-# A kernel pass holds at most this many (point, level) weights; larger blocks
-# of points are reweighted a pass at a time.
+# A kernel pass holds at most this many (point, class) weights; larger blocks
+# of points are reweighted a pass at a time. A point weighs each level class
+# of the ring once (203 classes at n = 10, 4,029 at n = 16), never each of
+# its 2^n levels, so a pass takes at least 260 points.
 _BLOCK_WEIGHTS = 1 << 20
 
 
@@ -116,47 +122,51 @@ def reweight(ring: RingModel, j, b, t) -> GibbsBlock:
 
     j, b and t are scalars or arrays that broadcast together, and every
     output array has their broadcast shape; a (fields x temperatures) grid is
-    b[:, None] against t[None, :]. Level energies j * kappa + b * sz are
-    formed for each entry of the broadcast (j, b), not for each temperature,
-    and shifted by that entry's ground energy. The points are then
-    reweighted a pass at a time (at most _BLOCK_WEIGHTS weights per pass):
-    one exp, and one matrix product with the ring's level table gives
-    <kappa>, M and the pair probabilities; U = j <kappa> + b M, g_xx =
-    <kappa> / (2n) and g_zz = p00 - p01 - p10 + p11. Every bond has the same
-    averages; on a single site the bond averages are 0.
+    b[:, None] against t[None, :]. The kernel reads only the ring's class
+    table (`RingModel.classes`): the members of a class share one energy, so
+    one weight per class, times the class's sums, is the class's share of
+    every Boltzmann sum. Class energies j * kappa + b * sz are formed and
+    shifted by the ground energy once for each entry of the broadcast (j, b),
+    not for each temperature. The points are then reweighted a pass at a
+    time (at most _BLOCK_WEIGHTS weights per pass): one multiply by -1/T,
+    one exp, and one contraction with the class table gives z, <kappa>, M
+    and the pair probabilities; U = j <kappa> + b M, g_xx = <kappa> / (2n)
+    and g_zz = p00 - p01 - p10 + p11. Every bond has the same averages; on a
+    single site the bond averages are 0.
     """
     j, b = np.broadcast_arrays(np.asarray(j, dtype=float), np.asarray(b, dtype=float))
-    # each point's row of level energies (one row per (j, b) entry), and its temperature
+    # each point's row of class energies (one row per (j, b) entry), and its temperature
     field, t = np.broadcast_arrays(np.arange(j.size).reshape(j.shape), np.asarray(t, dtype=float))
     if t.size == 0:
         raise ValueError("no points to reweight")
     if not (t > 0).all():
         raise ValueError("temperature must be positive; use ground_state_reduced at T = 0")
-    shape, field, temps = t.shape, field.ravel(), t.ravel()
-    energies = ring.energies(j.ravel(), b.ravel())
-    ground = energies.min(axis=1)
-    z = np.empty(temps.size)
-    moments = np.empty((temps.size, ring.levels.shape[1]))
-    step = max(1, _BLOCK_WEIGHTS // ring.kappa.size)
-    for lo in range(0, temps.size, step):
+    # -1/T, kept finite below T ~ 5.6e-309 so that a zero energy gap never gives 0 * inf = nan
+    shape, field, scales = t.shape, field.ravel(), np.maximum(-1.0 / t.ravel(), -sys.float_info.max)
+    j, b = j.ravel(), b.ravel()
+    energies = j[:, None] * ring.class_kappa + b[:, None] * ring.class_sz
+    energies -= energies.min(axis=1, keepdims=True)
+    moments = np.empty((scales.size, ring.classes.shape[0]))
+    step = max(1, _BLOCK_WEIGHTS // ring.class_kappa.size)
+    for lo in range(0, scales.size, step):
         rows = slice(lo, lo + step)
-        # the pass's one (points x levels) array: a second one per pass made
+        # the pass's one (points x classes) array: a second one per pass made
         # the allocator hand the memory back and fault it in again each call
         weights = energies[field[rows]]
-        weights -= ground[field[rows], None]
-        weights /= -temps[rows, None]
+        weights *= scales[rows, None]
         np.exp(weights, out=weights)
-        z[rows] = weights.sum(axis=1)
-        moments[rows] = weights @ ring.levels
+        # einsum, not a BLAS product, so the sums round alike at any BLAS thread count
+        moments[rows] = np.einsum("pc,rc->pr", weights, ring.classes)
+    z = moments[:, 0]
     if not (np.isfinite(z).all() and (z >= 1.0).all()):
         raise FloatingPointError("non-finite shifted partition sum")
-    u = (j.ravel()[field] * moments[:, 0] + b.ravel()[field] * moments[:, 1]) / z
-    moments /= z[:, None]
+    moments[:, 1:] /= z[:, None]
+    u = j[field] * moments[:, 1] + b[field] * moments[:, 2]
     if not (np.isfinite(u).all() and np.isfinite(moments).all()):
         raise FloatingPointError("non-finite thermal observable")
-    p = moments[:, [2, 3, 3, 4]].reshape(shape + (4,))
-    return GibbsBlock(z_shifted=z.reshape(shape), u=u.reshape(shape), m=moments[:, 1].reshape(shape),
-                      g_xx=(moments[:, 0] / (2.0 * ring.n)).reshape(shape),
+    p = moments[:, [3, 4, 4, 5]].reshape(shape + (4,))
+    return GibbsBlock(z_shifted=z.reshape(shape), u=u.reshape(shape), m=moments[:, 2].reshape(shape),
+                      g_xx=(moments[:, 1] / (2.0 * ring.n)).reshape(shape),
                       g_zz=p[..., 0] - p[..., 1] - p[..., 2] + p[..., 3], probabilities=p)
 
 

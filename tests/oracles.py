@@ -679,11 +679,14 @@ def pointwise_odd_control(n, samples, seed):
 
 
 def sequential_threshold(params, tol=1e-6):
-    """Threshold temperature by a factor-2 scan and one midpoint per step,
-    down to tol or to adjacent doubles, whichever comes first."""
+    """Threshold temperature by a factor-2 scan over
+    [0.05 min(1, |j|), 1e3 max(1, |j|, |b|)] and one midpoint per step, down
+    to tol or to adjacent doubles, whichever comes first; None at j = 0."""
+    if params.j == 0.0:
+        return None
     spectrum = full_spectrum(params)
-    grid = [0.05]
-    while grid[-1] <= 1.0e3:
+    grid = [0.05 * min(1.0, abs(params.j))]
+    while grid[-1] <= 1.0e3 * max(1.0, abs(params.j), abs(params.b)):
         grid.append(grid[-1] * 2.0)
     entangled = [thermal_concurrence(spectrum, t) > POSITIVE_CONCURRENCE for t in grid]
     if not any(entangled):

@@ -116,6 +116,27 @@ def test_threshold_none_for_zero_exchange(capsys):
     assert out.strip() == "none"
 
 
+@pytest.mark.parametrize("j, want", [("0.01", "0.0221"), ("1000", "2211.3515")])
+def test_threshold_scan_scales_with_the_exchange(capsys, j, want):
+    # T_c is 2.21135148 j at n = 4, b = 0; a scan fixed to [0.05, 1e3] saw
+    # nothing at j = 0.01 and was still entangled at its top at j = 1000
+    code, out, err = run_cli(capsys, "threshold", "--n", "4", "--j", j, "--b", "0")
+    assert code == 0, err
+    assert out.strip() == want
+
+
+@pytest.mark.parametrize("argv", [
+    "thermal --n 4 --j 1e308 --b 0 --t 1",
+    "ground --n 16 --j 1 --b 1e308",
+    "crossings --n 4 --j 1e308 --b-max inf",
+    "sweep --n 4 --j 1 --t-min 1 --t-max 2 --t-steps 2 --b-min 0 --b-max 1e308 --b-steps 2",
+], ids=["thermal", "ground", "crossings", "sweep"])
+def test_overflowing_level_energies_are_argument_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: level energies") and err.count("\n") == 1
+
+
 def test_crossings_output(capsys):
     code, out, _ = run_cli(capsys, "crossings", "--n", "4", "--j", "1", "--b-max", "3")
     assert code == 0
@@ -162,6 +183,13 @@ def test_printed_digits_do_not_depend_on_the_blas_thread_count():
         ["sweep", "--n", "12", "--j", "-0.9", "--t-min", "0.05", "--t-max", "3", "--t-steps", "20",
          "--t-scale", "log", "--b-min", "0", "--b-max", "4", "--b-steps", "10"],
         ["thermal", "--n", "12", "--j", "1.3", "--b", "0.45", "--t", "0.6"],
+        ["thermal", "--n", "16", "--j", "-0.7", "--b", "0.2", "--t", "0.9"],
+        # 486 level classes, none merged
+        ["sweep", "--n", "11", "--j", "1.2", "--t-min", "0.1", "--t-max", "4", "--t-steps", "20",
+         "--b-min", "0", "--b-max", "3", "--b-steps", "10"],
+        # 400 points x 4,029 classes: a BLAS product here rounds differently on two threads
+        ["sweep", "--n", "16", "--j", "0.8", "--t-min", "0.1", "--t-max", "4", "--t-steps", "20",
+         "--b-min", "0", "--b-max", "3", "--b-steps", "20"],
     ]
     script = ("import sys\nfrom xxring.cli import main\n"
               "for argv in sys.argv[1:]:\n    main(argv.split(','))\n")
@@ -173,7 +201,7 @@ def test_printed_digits_do_not_depend_on_the_blas_thread_count():
                                 env=env, capture_output=True, timeout=120)
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
-    assert outputs[0].count(b"\n") == 1 + 800 + 1 + 200 + 6
+    assert outputs[0].count(b"\n") == 1 + 800 + 1 + 200 + 6 + 6 + 1 + 200 + 1 + 400
     assert outputs[0] == outputs[1]
 
 
@@ -197,6 +225,17 @@ def test_sweep_csv_schema_and_determinism(capsys, tmp_path):
     assert code == 0
     assert path.read_text() == out
     assert "wrote 6 rows" in err
+
+
+def test_csv_row_format_writes_the_per_field_bytes():
+    edges = [-0.0, 5e-324, 1e16, 1.0 / 3.0, 0.0, -2.5e-300, 123456789012.5, math.inf, -math.inf,
+             math.nan]
+    for k in range(len(edges)):
+        values = [edges[(k + i) % len(edges)] for i in range(8)]
+        row = values[:3] + [16] + values[3:]
+        want = ",".join(format(v, ".12g") for v in values[:3]) + ",16," \
+            + ",".join(format(v, ".12g") for v in values[3:])
+        assert cli._CSV_ROW % tuple(row) == want
 
 
 def test_sweep_csv_uses_twelve_significant_digits(capsys):

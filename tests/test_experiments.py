@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from xxring.eigensolver import full_spectrum
+import xxring.experiments as experiments
+from xxring.cli import main
+from xxring.eigensolver import full_spectrum, ring_model
 from xxring.entanglement import concurrence_from_correlators, concurrence_xstate
 from xxring.experiments import (
     DegenerateGroundError,
@@ -18,7 +20,7 @@ from xxring.experiments import (
     threshold_temperature,
     verify_propositions,
 )
-from xxring.hamiltonian import ModelParams
+from xxring.hamiltonian import MAX_ENERGY, ModelParams
 from xxring.thermal import observables, reduced_pair_density
 
 from oracles import (
@@ -128,6 +130,21 @@ def test_threshold_brackets_the_positivity_boundary():
 
 def test_threshold_none_without_exchange():
     assert threshold_temperature(ModelParams(n=4, j=0.0, b=1.0)) is None
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(st.integers(2, 8), st.floats(0.5, 2.0), st.sampled_from([1.0, -1.0]), st.floats(-3.0, 3.0),
+       st.floats(1e-3, 1e3))
+def test_threshold_scales_with_the_couplings(n, j, sign, b, s):
+    # H(s j, s b) = s H(j, b), so T_c(s j, s b) = s T_c(j, b); each value is
+    # within half its tol of the true threshold
+    tol = 1e-7
+    base = threshold_temperature(ModelParams(n=n, j=sign * j, b=b), tol=tol)
+    scaled = threshold_temperature(ModelParams(n=n, j=s * sign * j, b=s * b), tol=s * tol)
+    if base is None:
+        assert scaled is None
+    else:
+        assert abs(scaled - s * base) <= s * tol
 
 
 def test_threshold_field_sign_invariance():
@@ -255,6 +272,17 @@ def test_verify_propositions_seed_changes_draws():
     assert a[0].max_discrepancy != b[0].max_discrepancy
 
 
+def test_verify_draws_its_samples_once(capsys, monkeypatch):
+    # the propositions and the odd control read the same (j, b, t) draws
+    calls = []
+    draw = experiments._draw_parameters
+    monkeypatch.setattr(experiments, "_draw_parameters", lambda rng: calls.append(1) or draw(rng))
+    experiments._draws.cache_clear()
+    assert main(["verify", "--n-list", "2,3", "--samples", "7", "--seed", "11"]) == 0
+    assert len(calls) == 7
+    assert "breaks as expected" in capsys.readouterr().out
+
+
 def test_verify_propositions_validation():
     with pytest.raises(ValueError):
         verify_propositions([4], samples=0)
@@ -337,3 +365,17 @@ def test_sequential_bisection_stops_at_adjacent_doubles():
     params = ModelParams(4, 1.0, 0.0)
     want = threshold_temperature(params, tol=1e-17)
     assert sequential_threshold(params, tol=1e-17) == want
+
+
+def test_largest_accepted_energies_stay_finite():
+    # at the bound every command's sums stay finite: 4n|j| + n|b| = MAX_ENERGY
+    n = 16
+    for j, b in [(MAX_ENERGY / (4 * n), 0.0), (0.0, MAX_ENERGY / n),
+                 (MAX_ENERGY / (8 * n), -MAX_ENERGY / (2 * n))]:
+        params = ModelParams(n=n, j=j, b=b)
+        spectrum = full_spectrum(params)
+        assert np.isfinite(spectrum.eigenvalues().sum())
+        block, concurrence = experiments.gibbs_concurrence(ring_model(n), j, b, [1.0, abs(j) + abs(b)])
+        assert all(np.all(np.isfinite(a)) for a in (block.u, block.m, block.z_shifted, concurrence))
+        assert all(map(math.isfinite, level_crossings(n, j, math.inf)))
+        threshold_temperature(params)

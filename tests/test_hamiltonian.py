@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xxring.hamiltonian import ModelParams
+from xxring.hamiltonian import MAX_ENERGY, ModelParams
 
 from oracles import (
     FULL_ORACLE_N_MAX,
@@ -21,6 +21,14 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(n=4, j=float("inf"), b=0.0)
     ModelParams(n=4, j=0.0, b=0.0)  # zero couplings are legal
+
+
+def test_params_bound_the_level_energies():
+    # the largest level energy is 4n|j| + n|b|
+    ModelParams(n=16, j=MAX_ENERGY / 128, b=-MAX_ENERGY / 32)
+    for j, b in [(1e308, 0.0), (MAX_ENERGY / 63, 0.0), (0.0, MAX_ENERGY / 15), (-1.0, 1e308)]:
+        with pytest.raises(ValueError, match=r"4n\|j\| \+ n\|b\|"):
+            ModelParams(n=16, j=j, b=b)
 
 
 def test_bond_list_visits_each_ring_edge():

@@ -27,6 +27,8 @@ RINGS = range(1, 13)
 CROSSINGS_N4 = (2.0 * (math.sqrt(2.0) - 1.0), 2.0)
 # fully polarized: every spin down, so p00 is a tiny positive sum
 POLARIZED_N10 = (1.0, 3.0, 0.25)
+# the number of level classes (distinct (sz, kappa)) of some rings
+CLASS_COUNTS = {10: 203, 11: 486, 12: 528, 16: 4029}
 
 
 def _seeded_points(n: int):
@@ -114,6 +116,57 @@ def test_slater_ground_vector_is_the_ed_ground_vector(n):
             assert abs(n_tangle(got) - n_tangle(want)) <= 1e-12, (n, j, b)
         checked += 1
     assert checked  # odd rings are often degenerate, but never at every seeded point
+
+
+def _count_vectors(ring):
+    """Each level's occupation count per +-k mode class, read from its mode
+    mask: mode m sits at k = pi p / n with p = 2m (+1 for an even number of
+    down spins), and k and 2 pi - k share the class min(p, 2n - p)."""
+    n = ring.n
+    particles = (n - ring.sz.astype(int)) // 2
+    p = 2 * np.arange(n) + (particles[:, None] + 1) % 2
+    folded = np.minimum(p, 2 * n - p)
+    counts = np.zeros((ring.sz.size, n + 1), dtype=int)
+    rows = np.repeat(np.arange(ring.sz.size), n)
+    np.add.at(counts, (rows, folded.ravel()), ((ring.modes[:, None] >> np.arange(n)) & 1).ravel())
+    return counts
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_level_classes_fold_the_levels_exactly(n):
+    ring = ring_model(n)
+    # levels with one count vector carry bit-identical kappa (and sz)
+    _, first, group = np.unique(_count_vectors(ring), axis=0, return_index=True,
+                                return_inverse=True)
+    assert np.array_equal(ring.kappa, ring.kappa[first][group])
+    assert np.array_equal(ring.sz, ring.sz[first][group])
+    # a class is every level with one (sz, kappa), bit for bit
+    pairs, members, sizes = np.unique(np.stack([ring.sz, ring.kappa], axis=1), axis=0,
+                                      return_inverse=True, return_counts=True)
+    assert np.array_equal(pairs, np.stack([ring.class_sz, ring.class_kappa], axis=1))
+    table = ring.classes
+    assert table.shape == (6, len(pairs))
+    assert np.array_equal(table[0], sizes) and table[0].sum() == 2 ** n
+    scale = np.abs(ring.levels).sum(axis=0)
+    assert np.all(np.abs(table[1:].sum(axis=1) - ring.levels.sum(axis=0)) <= 1e-12 * scale)
+    for column, sums in zip(ring.levels.T, table[1:]):
+        want = np.bincount(members, column)
+        assert np.all(np.abs(sums - want) <= 1e-12 * np.bincount(members, np.abs(column)))
+    if n in CLASS_COUNTS:
+        assert len(pairs) == CLASS_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_kappa_is_exactly_particle_hole_odd(n):
+    # the cosines of a whole grid sum to 0: the empty and full levels have
+    # kappa 0, and on even rings the holes of a sector-N set are a
+    # sector-(n - N) set with kappa exactly -kappa
+    kappa, starts = ring_model(n).kappa, ring_model(n).sector_starts
+    assert kappa[0] == 0.0 and kappa[-1] == 0.0
+    if n % 2 == 0:
+        sectors = np.split(kappa, starts[1:])
+        for particles in range(n // 2):
+            assert np.array_equal(sectors[particles], -sectors[n - particles][::-1])
 
 
 # Properties of the Jordan-Wigner ring alone, on hypothesis draws.
