@@ -199,6 +199,9 @@ def _cmd_crossings(args) -> int:
 def _cmd_verify(args) -> int:
     n_list = [int(part) for part in args.n_list.split(",") if part.strip()]
     reports = verify_propositions(n_list, samples=args.samples, seed=args.seed)
+    # checked before any report is printed, so a refused control leaves no partial output
+    control = (proposition2_odd_control(args.odd_control, samples=args.samples, seed=args.seed)
+               if args.odd_control else None)
     scopes = {
         1: f"n in {n_list}",
         2: f"n in {[n for n in n_list if n % 2 == 0]}",
@@ -210,8 +213,7 @@ def _cmd_verify(args) -> int:
         failed = failed or not rep.passed
         print(f"proposition {rep.proposition}: {status}  "
               f"(max discrepancy {rep.max_discrepancy:.3e}, {rep.samples} samples, {scopes[rep.proposition]})")
-    if args.odd_control:
-        control = proposition2_odd_control(args.odd_control, samples=args.samples, seed=args.seed)
+    if control is not None:
         print(f"proposition 2 on n={args.odd_control} (odd, out of claim, negative control): "
               f"symmetry {'UNEXPECTEDLY held' if control.passed else 'breaks as expected'} "
               f"(max discrepancy {control.max_discrepancy:.3e})")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import N_MAX
 from .entanglement import concurrence_from_correlators, concurrence_xstate
 from .eigensolver import GROUND_RTOL, RingModel, Spectrum, full_spectrum, ring_model
 from .hamiltonian import ModelParams
@@ -281,22 +282,29 @@ def _draws(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return columns
 
 
-def _mirror_gap(n: int, j, b, t) -> float:
-    """Largest |C(j[0], b[0], t) - C(j[1], b[1], t)| on the n-ring, with the
-    point and its mirror stacked on the leading axis of one kernel call."""
-    concurrence = gibbs_concurrence(ring_model(n), j, b, t)[1]
-    return float(np.max(np.abs(concurrence[0] - concurrence[1])))
-
-
-def _energy_formula_gap(n: int, j, t) -> float:
-    """Largest gap at zero field between the correlator formula and the
-    halved energy formula for the concurrence, over all points of one
-    kernel call; the sign branch follows the sign of j."""
-    g = reweight(ring_model(n), j, 0.0, t)
-    c5 = concurrence_from_correlators(g.g_xx, g.g_zz, g.m / n)
-    sign = np.where(j > 0, -1.0, 1.0)
-    c10 = 0.5 * np.maximum(0.0, sign * g.u / (n * j) - g.g_zz - 1.0)
-    return float(np.max(np.abs(c5 - c10)))
+# every ring a run can name stays cached, so an odd control on a ring of the
+# list reuses its gaps
+@functools.lru_cache(maxsize=N_MAX)
+def _ring_gaps(n: int, samples: int, seed: int) -> tuple[float, float, float]:
+    """Worst gaps of the three propositions on the n-ring over the seed's
+    draws, from one kernel call on the stacked rows (j, b), (j, -b),
+    (-j, b), (|j|, 0) and (-|j|, 0): the field mirror (rows 0 and 1), the
+    exchange mirror (rows 0 and 2), and at zero field the gap between the
+    correlator formula and the halved energy formula for the concurrence
+    (rows 3 and 4, whose sign branch follows the sign of j). The exchange
+    mirror is computed on every ring, so an odd control reads it too."""
+    j, b, t = _draws(samples, seed)
+    rows_j = np.stack([j, j, -j, np.abs(j), -np.abs(j)])
+    rows_b = np.stack([b, -b, b, np.zeros_like(b), np.zeros_like(b)])
+    g, concurrence = gibbs_concurrence(ring_model(n), rows_j, rows_b, t)
+    mirror_b = float(np.max(np.abs(concurrence[0] - concurrence[1])))
+    mirror_j = float(np.max(np.abs(concurrence[0] - concurrence[2])))
+    zero_field = slice(3, 5)
+    both_signs = rows_j[zero_field]
+    c5 = concurrence_from_correlators(g.g_xx[zero_field], g.g_zz[zero_field], g.m[zero_field] / n)
+    sign = np.where(both_signs > 0, -1.0, 1.0)
+    c10 = 0.5 * np.maximum(0.0, sign * g.u[zero_field] / (n * both_signs) - g.g_zz[zero_field] - 1.0)
+    return mirror_b, mirror_j, float(np.max(np.abs(c5 - c10)))
 
 
 def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED) -> list[PropositionReport]:
@@ -309,21 +317,21 @@ def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED) ->
 
     Each proposition is checked on `samples` draws of (j, b, t) per
     applicable ring size; a report passes when the worst discrepancy stays
-    below 1e-9. Each (ring, proposition) is one kernel call over all draws:
-    (b, -b) stacked for 1, (j, -j) for 2, and both signs of j at b = 0 for
-    3. Proposition 2 on odd rings is deliberately not covered here, see
-    proposition2_odd_control.
+    below 1e-9. Each distinct ring is one kernel call over all draws, which
+    serves all three propositions and is shared with the odd control on
+    the same ring (see `_ring_gaps`). Proposition 2 on odd rings is
+    deliberately not covered here, see proposition2_odd_control. An empty
+    ring list is refused: it would pass every proposition vacuously.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n_list = list(n_list)
-    j, b, t = _draws(samples, seed)
-
-    worst1 = max((_mirror_gap(n, j, np.stack([b, -b]), t) for n in n_list), default=0.0)
-    worst2 = max((_mirror_gap(n, np.stack([j, -j]), b, t) for n in n_list if n % 2 == 0),
-                 default=0.0)
-    both_signs = np.stack([np.abs(j), -np.abs(j)])
-    worst3 = max((_energy_formula_gap(n, both_signs, t) for n in n_list), default=0.0)
+    if not n_list:
+        raise ValueError("ring list must be nonempty")
+    gaps = {n: _ring_gaps(n, samples, seed) for n in n_list}
+    worst1 = max(gap[0] for gap in gaps.values())
+    worst2 = max((gap[1] for n, gap in gaps.items() if n % 2 == 0), default=0.0)
+    worst3 = max(gap[2] for gap in gaps.values())
 
     return [
         PropositionReport(1, samples, worst1, worst1 < PROPOSITION_TOL),
@@ -333,14 +341,16 @@ def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED) ->
 
 
 def proposition2_odd_control(n: int, samples: int = 200, seed: int = DEFAULT_SEED) -> PropositionReport:
-    """Negative control: exchange-sign symmetry on an odd ring.
+    """Negative control: exchange-sign symmetry on an odd ring n >= 3.
 
     Odd rings are outside the proposition's claim; this report documents that
     the symmetry genuinely breaks there (expect a failing flag) and must
-    never be used as a pass criterion.
+    never be used as a pass criterion. A single site has no bond, so it
+    cannot serve as a control. The gap comes from the ring's cached
+    `_ring_gaps`, so a control on a ring that `verify_propositions` just
+    checked with the same samples and seed makes no kernel call.
     """
-    if n % 2 == 0:
-        raise ValueError(f"control requires an odd ring, got n={n}")
-    j, b, t = _draws(samples, seed)
-    worst = _mirror_gap(n, np.stack([j, -j]), b, t)
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"control requires an odd ring n >= 3, got n={n}")
+    worst = _ring_gaps(n, samples, seed)[1]
     return PropositionReport(2, samples, worst, worst < PROPOSITION_TOL)

@@ -15,7 +15,10 @@ state is formed in one place, `PairDensity.from_bond`, with the pattern
 probabilities p00 and p11 as corners: positive sums, accurate however
 small.
 
-Shifting by the ground energy keeps temperatures down to 1e-3 safe. T = 0 is
+Shifting by the ground energy keeps every weight at most 1, and -1/T is
+clamped to a finite value, so every positive temperature is safe, down to the
+subnormals: there a positive gap weighs exactly 0 (its overflow to -inf is
+expected and not reported), and the ground level weighs 1. T = 0 is
 a separate code path (`ground_state_reduced`: the uniform mixture over the
 degenerate ground subspace), never a large-beta limit: at level crossings
 the limit state is the degenerate mixture, and beta ~ 1e6 exponentials are
@@ -142,7 +145,8 @@ def reweight(ring: RingModel, j, b, t) -> GibbsBlock:
     if not (t > 0).all():
         raise ValueError("temperature must be positive; use ground_state_reduced at T = 0")
     # -1/T, kept finite below T ~ 5.6e-309 so that a zero energy gap never gives 0 * inf = nan
-    shape, field, scales = t.shape, field.ravel(), np.maximum(-1.0 / t.ravel(), -sys.float_info.max)
+    with np.errstate(over="ignore"):
+        shape, field, scales = t.shape, field.ravel(), np.maximum(-1.0 / t.ravel(), -sys.float_info.max)
     j, b = j.ravel(), b.ravel()
     energies = j[:, None] * ring.class_kappa + b[:, None] * ring.class_sz
     energies -= energies.min(axis=1, keepdims=True)
@@ -153,7 +157,10 @@ def reweight(ring: RingModel, j, b, t) -> GibbsBlock:
         # the pass's one (points x classes) array: a second one per pass made
         # the allocator hand the memory back and fault it in again each call
         weights = energies[field[rows]]
-        weights *= scales[rows, None]
+        # below T ~ 5.6e-309 a positive gap times the clamped -1/T overflows to
+        # -inf, which exp turns into the exact weight 0
+        with np.errstate(over="ignore"):
+            weights *= scales[rows, None]
         np.exp(weights, out=weights)
         # einsum, not a BLAS product, so the sums round alike at any BLAS thread count
         moments[rows] = np.einsum("pc,rc->pr", weights, ring.classes)

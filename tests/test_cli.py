@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,46 @@ def test_verify_without_odd_control(capsys):
                            "--odd-control", "0")
     assert code == 0
     assert "out of claim" not in out
+
+
+@pytest.mark.parametrize("n_list", ["", ","])
+def test_verify_refuses_an_empty_ring_list(capsys, n_list):
+    # no ring would pass every proposition vacuously
+    code, out, err = run_cli(capsys, "verify", "--n-list", n_list, "--samples", "3")
+    assert code == 2 and out == ""
+    assert err == "error: ring list must be nonempty\n"
+
+
+@pytest.mark.parametrize("n", ["1", "4", "-3"])
+def test_verify_refuses_a_control_without_a_claim_to_break(capsys, n):
+    # a single site has no bond, and even rings are inside the claim
+    code, out, err = run_cli(capsys, "verify", "--n-list", "2", "--samples", "3",
+                             "--odd-control", n)
+    assert code == 2 and out == ""
+    assert err == f"error: control requires an odd ring n >= 3, got n={n}\n"
+
+
+@pytest.mark.parametrize("argv, want", [
+    ("thermal --n 4 --j 1 --b 0 --t 1e-310",
+     "Z_shifted   = 1\nU           = -5.65685424949\nM           = 0\n"
+     "Gxx         = -0.707106781187\nGzz         = -0.5\nconcurrence = 0.457106781187\n"),
+    ("sweep --n 4 --j 1 --t-min=1e-310 --t-max 1 --t-steps 3 --b-min 0 --b-max 1 --b-steps 2",
+     "T,B,J,N,U,M,Gxx,Gzz,concurrence\n"
+     "1e-310,0,1,4,-5.65685424949,0,-0.707106781187,-0.5,0.457106781187\n"
+     "0.5,0,1,4,-5.54384435649,-6.06217750371e-18,-0.692980544562,-0.466022204493,0.425991646809\n"
+     "1,0,1,4,-5.07018587419,-1.22843743438e-17,-0.633773234274,-0.35050806701,0.309027267779\n"
+     "1e-310,1,1,4,-6,-2,-0.5,0,0.5\n"
+     "0.5,1,1,4,-5.85975698505,-1.36193298633,-0.56222799984,-0.153278415889,0.310622119451\n"
+     "1,1,1,4,-5.58022686797,-1.34870708615,-0.528939972727,-0.116113647198,0.243238037307\n"),
+], ids=["thermal", "sweep"])
+def test_subnormal_temperatures_print_no_warnings(capsys, argv, want):
+    # -1/T and the scaled gaps overflow to -inf on purpose below T ~ 5.6e-309
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert [str(w.message) for w in caught] == [] and err == ""
+    assert out == want
 
 
 def test_verify_exits_one_when_a_claim_fails(capsys, monkeypatch):

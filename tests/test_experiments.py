@@ -278,6 +278,7 @@ def test_verify_draws_its_samples_once(capsys, monkeypatch):
     draw = experiments._draw_parameters
     monkeypatch.setattr(experiments, "_draw_parameters", lambda rng: calls.append(1) or draw(rng))
     experiments._draws.cache_clear()
+    experiments._ring_gaps.cache_clear()
     assert main(["verify", "--n-list", "2,3", "--samples", "7", "--seed", "11"]) == 0
     assert len(calls) == 7
     assert "breaks as expected" in capsys.readouterr().out
@@ -286,6 +287,9 @@ def test_verify_draws_its_samples_once(capsys, monkeypatch):
 def test_verify_propositions_validation():
     with pytest.raises(ValueError):
         verify_propositions([4], samples=0)
+    # an empty list would pass every proposition vacuously
+    with pytest.raises(ValueError, match="nonempty"):
+        verify_propositions([], samples=3)
 
 
 def test_odd_ring_control_breaks_exchange_sign_symmetry():
@@ -297,6 +301,13 @@ def test_odd_ring_control_breaks_exchange_sign_symmetry():
 def test_odd_ring_control_rejects_even_n():
     with pytest.raises(ValueError):
         proposition2_odd_control(4)
+
+
+@pytest.mark.parametrize("n", [1, -1])
+def test_odd_ring_control_rejects_a_ring_without_a_bond(n):
+    # a single site has no bond, so the symmetry would hold vacuously
+    with pytest.raises(ValueError, match="odd ring n >= 3"):
+        proposition2_odd_control(n)
 
 
 def test_sweep_concurrence_uses_positive_sum_route():
@@ -319,30 +330,52 @@ def test_sweep_concurrence_uses_positive_sum_route():
     assert rho.u_plus > 0
 
 
+def _verify_with_other_draws(n_list, samples, seed):
+    """Check the rings with one sample and with another seed first, so a
+    result kept from either run would show as a gap at the requested run."""
+    experiments._ring_gaps.cache_clear()
+    verify_propositions(n_list, 1, seed)
+    verify_propositions(n_list, samples, seed + 1)
+
+
 @pytest.mark.parametrize("n_list,samples,seed", [
     ([2, 3, 4, 5, 6], 8, 3), ([1, 2], 5, 11), ([4, 7], 12, 20020901), ([6], 1, 5),
+    # a repeated ring, and the odd control ring inside the list
+    ([5, 3, 5], 6, 4),
 ])
 def test_verify_propositions_equal_pointwise_loop(n_list, samples, seed):
+    _verify_with_other_draws(n_list, samples, seed)
     reports = verify_propositions(n_list, samples=samples, seed=seed)
     want = pointwise_propositions(n_list, samples, seed)
     for report, worst in zip(reports, want):
         assert report.max_discrepancy == pytest.approx(worst, rel=0, abs=1e-14), report
+    # a control on an odd ring of the list reads the gaps the run just made
+    for n in {n for n in n_list if n % 2 and n >= 3}:
+        control = proposition2_odd_control(n, samples=samples, seed=seed)
+        assert control.max_discrepancy == pytest.approx(pointwise_odd_control(n, samples, seed),
+                                                        rel=0, abs=1e-14)
 
 
 @pytest.mark.parametrize("n,seed", [(3, 1), (5, 20020901), (7, 9)])
 def test_odd_control_equals_pointwise_loop(n, seed):
+    _verify_with_other_draws([n], 10, seed)
     report = proposition2_odd_control(n, samples=10, seed=seed)
     assert report.max_discrepancy == pytest.approx(pointwise_odd_control(n, 10, seed),
                                                    rel=0, abs=1e-14)
 
 
-def test_verify_makes_one_kernel_call_per_ring_and_proposition(reweight_calls):
+def test_verify_makes_one_kernel_call_per_ring(reweight_calls):
+    experiments._ring_gaps.cache_clear()
     verify_propositions([1, 2, 3, 4, 5, 6], samples=8, seed=3)
     proposition2_odd_control(5, samples=8, seed=3)
-    # propositions 1 and 3 on every ring, 2 on even rings, and the odd control
-    want = {1: 2, 2: 3, 3: 2, 4: 3, 5: 2 + 1, 6: 3}
-    assert Counter(n for n, _ in reweight_calls) == want
-    assert {shape for _, shape in reweight_calls} == {(2, 8)}
+    # all three propositions on each ring from one call of five stacked
+    # rows, and the control on ring 5 reads that ring's call
+    assert Counter(n for n, _ in reweight_calls) == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
+    assert {shape for _, shape in reweight_calls} == {(5, 8)}
+    # a control on a ring outside the list makes exactly one more call
+    proposition2_odd_control(7, samples=8, seed=3)
+    assert Counter(n for n, _ in reweight_calls) == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1}
+    assert reweight_calls[-1] == (7, (5, 8))
 
 
 @pytest.mark.parametrize("n,j,b,tol", [
