@@ -6,12 +6,10 @@ oracles and randomized symmetry verification.
 """
 
 from .analytic_n4 import ClosedFormN4, closed_forms
-from .basis import SectorBasis, enumerate_sector
-from .eigensolver import RingModel, Spectrum, full_spectrum, ground_state_vector, ring_model
-from .entanglement import concurrence_from_correlators, concurrence_xstate, n_tangle
+from .eigensolver import RingModel, Spectrum, full_spectrum, ring_model
+from .entanglement import concurrence_from_correlators, concurrence_xstate
 from .experiments import (
     PropositionReport,
-    SweepRow,
     gibbs_concurrence,
     ground_state_concurrence,
     level_crossings,

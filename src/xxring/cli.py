@@ -13,8 +13,7 @@ import sys
 
 import numpy as np
 
-from .eigensolver import full_spectrum, ground_state_vector, ring_model
-from .entanglement import n_tangle
+from .eigensolver import full_spectrum, ring_model
 from .experiments import (
     DEFAULT_SEED,
     DegenerateGroundError,
@@ -34,7 +33,8 @@ _SWEEP_RECIPE = (
     "--b-min 0 --b-max 4 --b-steps 80"
 )
 
-# degeneracy clustering for display, matching the eigensolver residual scale
+# class energies this close above a cluster's lowest print as one degenerate
+# level: far above the roundoff of j * kappa + b * sz at unit couplings
 _CLUSTER_TOL = 1e-9
 
 
@@ -124,15 +124,18 @@ def _grid(args, axis):
 
 def _cmd_spectrum(args) -> int:
     spectrum = full_spectrum(ModelParams(n=args.n, j=args.j, b=args.b))
-    values = spectrum.eigenvalues()
+    energies = spectrum.class_energies()
+    order = np.argsort(energies, kind="stable")
+    # [lowest energy, sum of multiplicity * energy, levels] of each cluster
     clusters: list[list[float]] = []
-    for v in values:
-        if clusters and v - clusters[-1][0] <= _CLUSTER_TOL:
-            clusters[-1].append(float(v))
+    for e, count in zip(energies[order].tolist(), spectrum.ring.classes[0, order].tolist()):
+        if clusters and e - clusters[-1][0] <= _CLUSTER_TOL:
+            clusters[-1][1] += count * e
+            clusters[-1][2] += count
         else:
-            clusters.append([float(v)])
-    for group in clusters:
-        print(f"{_fmt(sum(group) / len(group)):>22}  x{len(group)}")
+            clusters.append([e, count * e, count])
+    for _, total, count in clusters:
+        print(f"{_fmt(total / count):>22}  x{int(count)}")
     return 0
 
 
@@ -155,29 +158,37 @@ def _cmd_ground(args) -> int:
     try:
         c = ground_state_concurrence(params)
     except DegenerateGroundError:
-        print(f"ground level is {int(spectrum.ground_mask().sum())}-fold degenerate "
+        print(f"ground level is {spectrum.degeneracy}-fold degenerate "
               "(field sits on a level crossing)")
         return 0
     print(f"concurrence   = {_fmt(c)}")
     if args.n % 2 == 0:
-        tangle = n_tangle(ground_state_vector(spectrum))
-        print(f"tangle        = {_fmt(tangle)}")
+        # the tangle |<psi| sigma_y^n |psi*>|^2 (Wong and Christensen, PRA 63, 044301
+        # (2001)) of the Fock ground state: sigma_y^n maps N down spins to n - N, so it
+        # vanishes off half filling; at half filling the nondegenerate ground set holds one
+        # mode of each {k, k + pi} pair (cos(k + pi) = -cos k), which makes it exactly 1
+        ground_sz = spectrum.ring.class_sz[spectrum.ground_classes()][0]
+        print(f"tangle        = {_fmt(1.0 if ground_sz == 0 else 0.0)}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     params = ModelParams(n=args.n, j=args.j, b=0.0)
-    rows = sweep(params, sorted(_grid(args, "t")), sorted(_grid(args, "b")))
+    t_values, b_values = sorted(_grid(args, "t")), sorted(_grid(args, "b"))
+    block, concurrence = sweep(params, t_values, b_values)
+    columns = [a.tolist() for a in (block.u, block.m, block.g_xx, block.g_zz, concurrence)]
     lines = ["T,B,J,N,U,M,Gxx,Gzz,concurrence"]
-    lines += [_CSV_ROW % (row.t, row.b, row.j, row.n, row.u, row.m, row.g_xx, row.g_zz,
-                          row.concurrence) for row in rows]
+    # b outer, t inner: one row per grid point, formatted straight from the columns
+    for b, *row_columns in zip(b_values, *columns):
+        lines += [_CSV_ROW % (t, b, params.j, params.n, u, m, g_xx, g_zz, c)
+                  for t, u, m, g_xx, g_zz, c in zip(t_values, *row_columns)]
     text = "\n".join(lines) + "\n"
     if args.output == "-":
         sys.stdout.write(text)
     else:
         with open(args.output, "w", newline="") as handle:
             handle.write(text)
-        print(f"wrote {len(rows)} rows to {args.output}", file=sys.stderr)
+        print(f"wrote {len(lines) - 1} rows to {args.output}", file=sys.stderr)
     return 0
 
 

@@ -1,5 +1,4 @@
-"""Entanglement measures: pairwise concurrence by two routes, and the
-even-N multiqubit tangle of a pure state.
+"""Entanglement measures: pairwise concurrence by two routes.
 
 The ring conserves sum(sigma_z), so every bond state is X-form and its
 concurrence has a closed form (`concurrence_xstate`, the production route).
@@ -80,28 +79,3 @@ def concurrence_xstate(rho: PairDensity):
     u_plus, u_minus, _, abs_z = _validated(rho)
     value = 2.0 * (abs_z - np.sqrt(np.maximum(u_plus * u_minus, 0.0)))
     return _clamp_unit(np.maximum(0.0, value), "concurrence")
-
-
-def n_tangle(psi: np.ndarray) -> float:
-    """Multiqubit tangle |<psi| sigma_y^(x n) |psi*>|^2 of a normalized pure
-    state over an even number of qubits.
-
-    sigma_y^(x n) |x> = i^n (-1)^popcount(x) |~x>, and for even n the phase
-    collapses to the real sign (-1)^(n/2 + popcount(x)).
-    """
-    amp = np.asarray(psi, dtype=complex).ravel()
-    dim = amp.size
-    n = dim.bit_length() - 1
-    if dim < 2 or (1 << n) != dim:
-        raise ValueError(f"amplitude count must be a power of two >= 2, got {dim}")
-    if n % 2:
-        raise ValueError(f"tangle is defined for an even number of qubits, got n={n}")
-    norm = float(np.linalg.norm(amp))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state is not normalized: |psi| = {norm}")
-    counts = np.array([x.bit_count() for x in range(dim)])
-    signs = np.where((n // 2 + counts) % 2, -1.0, 1.0)
-    # reversal maps index x to its bit complement
-    flipped_conj = signs * np.conj(amp)[::-1]
-    overlap = np.vdot(amp, flipped_conj)
-    return _clamp_unit(float(abs(overlap)) ** 2, "tangle")

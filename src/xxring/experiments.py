@@ -38,27 +38,6 @@ class DegenerateGroundError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One grid point of the concurrence-vs-(T, B) sweep.
-
-    concurrence is the same number `thermal_concurrence` gives at the point:
-    the X-state closed form of `PairDensity.from_bond` on the grid's
-    positive-sum pair probabilities.
-    """
-
-    t: float
-    b: float
-    j: float
-    n: int
-    z_shifted: float
-    u: float
-    m: float
-    g_xx: float
-    g_zz: float
-    concurrence: float
-
-
-@dataclass(frozen=True)
 class PropositionReport:
     proposition: int
     samples: int
@@ -94,13 +73,15 @@ def thermal_concurrence(spectrum: Spectrum, t: float) -> float:
     return float(gibbs_concurrence(spectrum.ring, params.j, params.b, t)[1])
 
 
-def sweep(params: ModelParams, t_grid, b_grid, max_rows: int = MAX_SWEEP_ROWS) -> list[SweepRow]:
-    """Evaluate observables and concurrence on the (t, b) grid.
+def sweep(params: ModelParams, t_grid, b_grid,
+          max_rows: int = MAX_SWEEP_ROWS) -> tuple[GibbsBlock, np.ndarray]:
+    """Observables and concurrence on the (t, b) grid, in one reweighting of
+    the cached ring.
 
-    The whole grid is one reweighting of the cached ring spectrum. Rows come
-    out in grid order: b outer, t inner. The concurrence column comes from
-    the same positive-sum probabilities as `thermal_concurrence`, so a row
-    agrees with `observables` and `thermal_concurrence` at its point; a
+    Returns the Gibbs block and its concurrence, both of shape
+    (fields, temperatures): entry [k_b, k_t] is the point (b_grid[k_b],
+    t_grid[k_t]). The concurrence is the same number `thermal_concurrence`
+    gives at the point, and the block agrees with `observables` there; a
     single site has no bond and reports 0.
     """
     t_values = [float(t) for t in t_grid]
@@ -115,16 +96,7 @@ def sweep(params: ModelParams, t_grid, b_grid, max_rows: int = MAX_SWEEP_ROWS) -
     ModelParams(n=params.n, j=params.j, b=max(map(abs, b_values)))
     if len(t_values) * len(b_values) > max_rows:
         raise ValueError(f"grid of {len(t_values) * len(b_values)} rows exceeds cap {max_rows}")
-    block, concurrence = gibbs_concurrence(ring_model(params.n), params.j,
-                                           np.array(b_values)[:, None], t_values)
-    columns = [a.tolist() for a in (block.z_shifted, block.u, block.m, block.g_xx, block.g_zz,
-                                     concurrence)]
-    rows = []
-    for k_b, b in enumerate(b_values):
-        for t, z, u, m, g_xx, g_zz, c in zip(t_values, *(column[k_b] for column in columns)):
-            rows.append(SweepRow(t=t, b=b, j=params.j, n=params.n, z_shifted=z, u=u, m=m,
-                                 g_xx=g_xx, g_zz=g_zz, concurrence=c))
-    return rows
+    return gibbs_concurrence(ring_model(params.n), params.j, np.array(b_values)[:, None], t_values)
 
 
 def _bisection_tree(lo: float, hi: float, depth: int) -> list[float]:
@@ -214,9 +186,11 @@ def level_crossings(n: int, j: float, b_max: float) -> list[float]:
     """
     if not b_max > 0:
         raise ValueError("b_max must be positive")
-    ring = full_spectrum(ModelParams(n=n, j=j, b=0.0)).ring
-    floors = np.minimum.reduceat(ring.energies(j, 0.0), ring.sector_starts)
+    spectrum = full_spectrum(ModelParams(n=n, j=j, b=0.0))
     slopes = n - 2.0 * np.arange(n + 1)
+    # classes run by sz ascending: the floors by ascending sz, reversed, are the floors by r
+    starts = np.searchsorted(spectrum.ring.class_sz, slopes[::-1])
+    floors = np.minimum.reduceat(spectrum.class_energies(), starts)[::-1]
     tie = GROUND_RTOL * abs(j)
     # slopes descend with r, so the last of several tied lines is the smallest slope
     branch = int(np.nonzero(floors <= floors.min() + tie)[0][-1])
@@ -241,7 +215,7 @@ def ground_state_concurrence(params: ModelParams) -> float:
     bond and reports 0.
     """
     spectrum = full_spectrum(params)
-    if spectrum.ground_mask().sum() > 1:
+    if spectrum.degeneracy > 1:
         raise DegenerateGroundError(
             f"ground level of {params} is degenerate; the field sits on a crossing")
     if params.n == 1:
@@ -288,17 +262,24 @@ def _draws(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _ring_gaps(n: int, samples: int, seed: int) -> tuple[float, float, float]:
     """Worst gaps of the three propositions on the n-ring over the seed's
     draws, from one kernel call on the stacked rows (j, b), (j, -b),
-    (-j, b), (|j|, 0) and (-|j|, 0): the field mirror (rows 0 and 1), the
-    exchange mirror (rows 0 and 2), and at zero field the gap between the
-    correlator formula and the halved energy formula for the concurrence
-    (rows 3 and 4, whose sign branch follows the sign of j). The exchange
-    mirror is computed on every ring, so an odd control reads it too."""
+    (-j, b), (|j|, 0) and (-|j|, 0): the field mirror of the concurrence
+    (rows 0 and 1), the exchange mirror (rows 0 and 2), and at zero field
+    the gap between the correlator formula and the halved energy formula for
+    the concurrence (rows 3 and 4, whose sign branch follows the sign of j).
+    The exchange mirror compares the unclamped X-state value
+    2 (|z| - sqrt(u+ u-)), which is the concurrence wherever that is
+    positive: its evenness implies the concurrence's, and on odd rings it
+    breaks even where both signs are unentangled. It is computed on every
+    ring, so an odd control reads it too."""
     j, b, t = _draws(samples, seed)
     rows_j = np.stack([j, j, -j, np.abs(j), -np.abs(j)])
     rows_b = np.stack([b, -b, b, np.zeros_like(b), np.zeros_like(b)])
     g, concurrence = gibbs_concurrence(ring_model(n), rows_j, rows_b, t)
     mirror_b = float(np.max(np.abs(concurrence[0] - concurrence[1])))
-    mirror_j = float(np.max(np.abs(concurrence[0] - concurrence[2])))
+    # 2 (|z| - sqrt(u+ u-)) of rows 0 and 2, with z = g_xx / 2 and corners p00 and p11
+    p = g.probabilities[0:3:2]
+    unclamped = np.abs(g.g_xx[0:3:2]) - 2.0 * np.sqrt(p[..., 0] * p[..., 3])
+    mirror_j = float(np.max(np.abs(unclamped[0] - unclamped[1])))
     zero_field = slice(3, 5)
     both_signs = rows_j[zero_field]
     c5 = concurrence_from_correlators(g.g_xx[zero_field], g.g_zz[zero_field], g.m[zero_field] / n)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .basis import N_MAX
 
 # The largest accepted level-energy scale 4n|j| + n|b|. Energy gaps reach twice
-# it and a `spectrum` cluster sums up to 2^16 levels, so this leaves every sum
-# the program forms well inside the doubles.
+# it and a `spectrum` cluster sums multiplicity times energy over at most 2^16
+# levels, so this leaves every sum the program forms well inside the doubles.
 MAX_ENERGY = 1e300
 
 

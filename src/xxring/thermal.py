@@ -79,15 +79,6 @@ class PairDensity:
         first site first) and its flip-flop correlator <sigma_x sigma_x>."""
         return cls(u_plus=p00, u_minus=p11, w=(p01 + p10) / 2.0, z=g_xx / 2.0)
 
-    def matrix(self) -> np.ndarray:
-        """Dense 4x4 matrix in the basis {|00>, |01>, |10>, |11>}."""
-        return np.array([
-            [self.u_plus, 0.0, 0.0, 0.0],
-            [0.0, self.w, self.z, 0.0],
-            [0.0, self.z, self.w, 0.0],
-            [0.0, 0.0, 0.0, self.u_minus],
-        ])
-
 
 def _require_adjacent(n: int, pair: tuple[int, int]) -> None:
     i, j = pair
@@ -199,8 +190,10 @@ def reduced_pair_density(spectrum: Spectrum, t: float, pair: tuple[int, int] = (
 
 def ground_state_reduced(spectrum: Spectrum, pair: tuple[int, int] = (0, 1)) -> PairDensity:
     """Two-qubit reduced density of the T -> 0+ Gibbs limit: the uniform
-    mixture over the full degenerate ground subspace (`Spectrum.ground_mask`)."""
+    mixture over the full degenerate ground subspace, the sums of its classes
+    (`Spectrum.ground_classes`) over its degeneracy."""
     ring = spectrum.ring
     _require_adjacent(ring.n, pair)
-    kappa, _, p00, p01, p11 = ring.levels[spectrum.ground_mask()].mean(axis=0).tolist()
+    sums = ring.classes[:, spectrum.ground_classes()].sum(axis=1)
+    kappa, _, p00, p01, p11 = (sums[1:] / sums[0]).tolist()
     return PairDensity.from_bond(p00, p01, p01, p11, kappa / (2.0 * ring.n))

@@ -10,6 +10,12 @@
   Boltzmann reweighting (`dense_reweight`), its per-sector views
   (`dense_sectors`, `dense_ground_states`) and the crossings of its sector
   floors (`dense_floor_crossings`).
+- The 2^n views of the package's ring: the bitstring basis
+  (`enumerate_sector`, `embed_in_full_space`), the per-level build the
+  class table is checked against (`level_table`), every eigenvalue
+  (`eigenvalues`), the Slater ground vector (`ground_state_vector`) and
+  the 2^n-amplitude tangle (`n_tangle`), and a bond state as a dense 4x4
+  matrix (`pair_matrix`).
 - The ring symmetry operators on basis labels.
 - `concurrence_wootters`, the general spin-flip construction through
   `eigh_symmetric`, kept apart from `wootters_concurrence` so that the two
@@ -23,11 +29,12 @@
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from xxring.basis import N_MAX, SectorBasis, _check_ring_size, enumerate_sector
+from xxring.basis import N_MAX, _check_ring_size
 from xxring.eigensolver import GROUND_RTOL, full_spectrum
 from xxring.entanglement import _clamp_unit, concurrence_from_correlators
 from xxring.experiments import POSITIVE_CONCURRENCE, _splits, thermal_concurrence
@@ -146,6 +153,216 @@ def four_site_w_prime():
     """Three-down-spin W-type state: the mid-field four-site ground state."""
     return state_from_terms(4, [
         (-0.5, 0b1110), (0.5, 0b1101), (-0.5, 0b1011), (0.5, 0b0111),
+    ])
+
+
+# The bitstring basis. Site i of the ring maps to bit i of an integer label;
+# bit value 1 means the spin at that site points down. A label with r set
+# bits lives in the magnetization sector with sum(sigma_z) = n - 2r.
+
+
+@dataclass(frozen=True)
+class SectorBasis:
+    """All n-bit labels with exactly r down spins, ascending as integers."""
+
+    n: int
+    r: int
+    labels: tuple[int, ...]
+    index: dict[int, int] = field(repr=False)
+
+    @property
+    def sz(self) -> int:
+        """Eigenvalue of sum(sigma_z) shared by every member label."""
+        return self.n - 2 * self.r
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def enumerate_sector(n: int, r: int) -> SectorBasis:
+    """Enumerate the sector with r down spins, in canonical ascending order."""
+    _check_ring_size(n)
+    if not 0 <= r <= n:
+        raise ValueError(f"need 0 <= r <= n, got r={r} for n={n}")
+    labels = tuple(sorted(sum(1 << i for i in sites) for sites in combinations(range(n), r)))
+    index = {label: pos for pos, label in enumerate(labels)}
+    return SectorBasis(n=n, r=r, labels=labels, index=index)
+
+
+def embed_in_full_space(basis: SectorBasis, coeffs: np.ndarray) -> np.ndarray:
+    """Lift sector coefficients (in canonical label order) to a 2^n vector."""
+    coeffs = np.asarray(coeffs)
+    if coeffs.shape != (len(basis),):
+        raise ValueError(f"expected {len(basis)} coefficients, got shape {coeffs.shape}")
+    full = np.zeros(1 << basis.n, dtype=coeffs.dtype)
+    full[list(basis.labels)] = coeffs
+    return full
+
+
+# The per-level build: every one of the 2^n Fock levels of a ring, with its
+# occupied modes, kappa, sz and pair sums, folded into level classes. This
+# is the package's ring as it stood before the class table was built from
+# count keys, kept to check that table level by level.
+
+
+def _bits(values, n: int) -> np.ndarray:
+    """Bits 0..n-1 of each value, one row per value."""
+    return (np.asarray(values)[..., None] >> np.arange(n)) & 1
+
+
+def _grid(n: int, particles: int) -> np.ndarray:
+    """The mode grid k_m = pi * p_m / n (m = 0..n-1) of a sector with this
+    many down spins, as the integers p_m = 2m (+1 for even N)."""
+    return 2 * np.arange(n) + (particles + 1) % 2
+
+
+def _folded(n: int, particles: int) -> np.ndarray:
+    """Each mode's +-k class on a sector's grid: q_m = min(p_m, 2n - p_m)."""
+    p = _grid(n, particles)
+    return np.minimum(p, 2 * n - p)
+
+
+def _level_classes(n, occupied, particles):
+    """Each level's class, and each class's (sz, kappa), from the levels'
+    occupied modes."""
+    # a level's count key: a base-3 digit per +-k class counting its occupied modes, then its grid parity
+    parity = particles % 2
+    digits = np.where(parity == 1, occupied @ 3 ** _folded(n, 1), occupied @ 3 ** _folded(n, 0))
+    keys, members = np.unique(2 * digits + parity, return_inverse=True)
+    counts = keys[:, None] // 2 // 3 ** np.arange(n + 1) % 3
+    counted = counts.sum(axis=1)
+    if n > 1:
+        q = np.arange(n + 1)
+        cosines = np.sin(np.pi * (n - 2 * q) / (2 * n))
+        grid = ((q - counted[:, None]) % 2 == 1) * (2 - (q == 0) - (q == n))  # modes per class
+        holes = 2 * counted > n
+        summed = np.where(holes[:, None], grid - counts, counts)
+        kappa = np.where(holes, -4.0, 4.0) * (summed * cosines).sum(axis=1) + 0.0
+    else:  # a single site has no bond
+        kappa = np.zeros(keys.size)
+    pairs, merged = np.unique(np.stack([n - 2.0 * counted, kappa], axis=1), axis=0,
+                              return_inverse=True)
+    return merged[members], pairs
+
+
+class LevelTable:
+    """The 2^n levels of the n-site ring, sector by sector (N = 0..n down
+    spins, sector N starting at level `sector_starts[N]`) and ascending in
+    kappa within a sector. `modes` holds each level's occupation set as a
+    bit mask over the mode index m, and `levels` is the per-level table,
+    shape (levels, 5): kappa, sz, p00, p01 (= p10) and p11, the pair sums
+    (2/n^2) sin^2((k - q)/2) over filled, filled-empty and empty mode pairs.
+    `members` is each level's class, the levels of one bit-identical
+    (sz, kappa), and `class_sz` and `class_kappa` are each class's own sz and
+    kappa, ordered by sz, then kappa."""
+
+    def __init__(self, n: int):
+        _check_ring_size(n)
+        masks = np.arange(1 << n)
+        occupied = _bits(masks, n)
+        particles = occupied.sum(axis=1)
+        members, pairs = _level_classes(n, occupied, particles)
+        kappa = pairs[members, 1]
+        order = np.lexsort((kappa, particles))
+        filled = occupied[order].astype(float)
+        empty = 1.0 - filled
+        gaps = np.arange(n)
+        weights = (2.0 / n ** 2) * np.sin(np.pi * (gaps[:, None] - gaps[None, :]) / n) ** 2
+        filled_weights = filled @ weights
+        levels = np.empty((masks.size, 5))
+        levels[:, 0] = kappa[order]
+        levels[:, 1] = n - 2 * particles[order]
+        levels[:, 2] = np.einsum("lk,lk->l", empty @ weights, empty)
+        levels[:, 3] = np.einsum("lk,lk->l", filled_weights, empty)
+        levels[:, 4] = np.einsum("lk,lk->l", filled_weights, filled)
+        self.n = n
+        self.levels = levels
+        self.kappa, self.sz = levels[:, 0], levels[:, 1]
+        self.modes = masks[order]
+        self.sector_starts = np.searchsorted(particles[order], np.arange(n + 1))
+        self.members = members[order]
+        self.class_sz, self.class_kappa = pairs.T.copy()
+
+    def energies(self, j, b) -> np.ndarray:
+        """Level energies j * kappa + b * sz; one row per point if j or b is an array."""
+        return (np.asarray(j, dtype=float)[..., None] * self.kappa
+                + np.asarray(b, dtype=float)[..., None] * self.sz)
+
+    def ground_mask(self, params: ModelParams) -> np.ndarray:
+        """The levels within GROUND_RTOL * max(1, |E0|) of the ground energy E0."""
+        energies = self.energies(params.j, params.b)
+        e0 = float(energies.min()) + 0.0
+        return energies <= e0 + GROUND_RTOL * max(1.0, abs(e0))
+
+
+@functools.lru_cache(maxsize=4)
+def level_table(n: int) -> LevelTable:
+    return LevelTable(n)
+
+
+def eigenvalues(spectrum) -> np.ndarray:
+    """All 2^n eigenvalues of a package spectrum, sorted ascending: each
+    class energy repeated by its multiplicity."""
+    multiplicity = spectrum.ring.classes[0].astype(int)
+    return np.sort(np.repeat(spectrum.class_energies(), multiplicity))
+
+
+def ground_state_vector(spectrum) -> np.ndarray:
+    """Full-space amplitudes of the unique ground state.
+
+    The ground Fock state with down spins at sites x_1 < ... < x_N has the
+    Slater amplitude det[exp(i k_a x_b)] / n^(N/2) on the label of those
+    sites, with its global phase fixed so the vector is real. Raises
+    ValueError when the ground level is degenerate.
+    """
+    table = level_table(spectrum.params.n)
+    mask = table.ground_mask(spectrum.params)
+    if mask.sum() != 1:
+        raise ValueError(f"ground level is {int(mask.sum())}-fold degenerate")
+    level = int(np.argmax(mask))
+    n, particles = table.n, (table.n - int(table.sz[level])) // 2
+    k = np.pi / n * _grid(n, particles)[_bits(table.modes[level], n) == 1]
+    basis = enumerate_sector(n, particles)
+    sites = np.nonzero(_bits(basis.labels, n))[1].reshape(len(basis), particles)
+    amplitudes = np.linalg.det(np.exp(1j * k[None, :, None] * sites[:, None, :]))
+    amplitudes /= math.sqrt(n) ** particles
+    pivot = amplitudes[np.argmax(np.abs(amplitudes))]
+    return embed_in_full_space(basis, (amplitudes * (abs(pivot) / pivot)).real)
+
+
+def n_tangle(psi: np.ndarray) -> float:
+    """Multiqubit tangle |<psi| sigma_y^(x n) |psi*>|^2 of a normalized pure
+    state over an even number of qubits.
+
+    sigma_y^(x n) |x> = i^n (-1)^popcount(x) |~x>, and for even n the phase
+    collapses to the real sign (-1)^(n/2 + popcount(x)).
+    """
+    amp = np.asarray(psi, dtype=complex).ravel()
+    dim = amp.size
+    n = dim.bit_length() - 1
+    if dim < 2 or (1 << n) != dim:
+        raise ValueError(f"amplitude count must be a power of two >= 2, got {dim}")
+    if n % 2:
+        raise ValueError(f"tangle is defined for an even number of qubits, got n={n}")
+    norm = float(np.linalg.norm(amp))
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"state is not normalized: |psi| = {norm}")
+    counts = np.array([x.bit_count() for x in range(dim)])
+    signs = np.where((n // 2 + counts) % 2, -1.0, 1.0)
+    # reversal maps index x to its bit complement
+    flipped_conj = signs * np.conj(amp)[::-1]
+    overlap = np.vdot(amp, flipped_conj)
+    return _clamp_unit(float(abs(overlap)) ** 2, "tangle")
+
+
+def pair_matrix(rho) -> np.ndarray:
+    """A bond's X-form state (`PairDensity`) as a dense 4x4 matrix in the
+    basis {|00>, |01>, |10>, |11>}."""
+    return np.array([
+        [rho.u_plus, 0.0, 0.0, 0.0],
+        [0.0, rho.w, rho.z, 0.0],
+        [0.0, rho.z, rho.w, 0.0],
+        [0.0, 0.0, 0.0, rho.u_minus],
     ])
 
 
@@ -630,6 +847,7 @@ def reference_ground_reduced(n, j, b, pair=(0, 1), tol=1e-8):
 # Per-point drivers: the proposition suites and the threshold bisection as
 # they stood before each became a few batched kernel calls, every point
 # through the public single-point API. Kept to check the batched drivers.
+# The exchange mirror compares the unclamped X-state value, as the suites do.
 
 
 def _draw_parameters(rng):
@@ -641,12 +859,18 @@ def _draw_parameters(rng):
     return j, b, t
 
 
-def _pointwise_worst_gap(n, draws, mirror):
+def _unclamped_xstate(spectrum, t):
+    """2 (|z| - sqrt(u+ u-)) of the bond state: the concurrence where positive."""
+    rho = reduced_pair_density(spectrum, t) if spectrum.params.n > 1 else None
+    return 0.0 if rho is None else 2.0 * (abs(rho.z) - math.sqrt(rho.u_plus * rho.u_minus))
+
+
+def _pointwise_worst_gap(n, draws, mirror, value=thermal_concurrence):
     worst = 0.0
     for j, b, t in draws:
         j2, b2 = mirror(j, b)
-        gap = (thermal_concurrence(full_spectrum(ModelParams(n=n, j=j, b=b)), t)
-               - thermal_concurrence(full_spectrum(ModelParams(n=n, j=j2, b=b2)), t))
+        gap = (value(full_spectrum(ModelParams(n=n, j=j, b=b)), t)
+               - value(full_spectrum(ModelParams(n=n, j=j2, b=b2)), t))
         worst = max(worst, abs(gap))
     return worst
 
@@ -657,7 +881,7 @@ def pointwise_propositions(n_list, samples, seed):
     draws = [_draw_parameters(rng) for _ in range(samples)]
     worst1 = max((_pointwise_worst_gap(n, draws, lambda j, b: (j, -b)) for n in n_list),
                  default=0.0)
-    worst2 = max((_pointwise_worst_gap(n, draws, lambda j, b: (-j, b))
+    worst2 = max((_pointwise_worst_gap(n, draws, lambda j, b: (-j, b), _unclamped_xstate)
                   for n in n_list if n % 2 == 0), default=0.0)
     worst3 = 0.0
     for n in n_list:
@@ -672,10 +896,11 @@ def pointwise_propositions(n_list, samples, seed):
 
 
 def pointwise_odd_control(n, samples, seed):
-    """Worst exchange-sign gap on an odd ring, one point at a time."""
+    """Worst exchange-sign gap of the unclamped X-state value on an odd ring,
+    one point at a time."""
     rng = np.random.default_rng(seed)
     draws = [_draw_parameters(rng) for _ in range(samples)]
-    return _pointwise_worst_gap(n, draws, lambda j, b: (-j, b))
+    return _pointwise_worst_gap(n, draws, lambda j, b: (-j, b), _unclamped_xstate)
 
 
 def sequential_threshold(params, tol=1e-6):

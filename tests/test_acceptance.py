@@ -18,7 +18,7 @@ import numpy as np
 
 from xxring.analytic_n4 import closed_forms
 from xxring.eigensolver import full_spectrum
-from xxring.entanglement import concurrence_from_correlators, concurrence_xstate, n_tangle
+from xxring.entanglement import concurrence_from_correlators, concurrence_xstate
 from xxring.experiments import (
     ground_state_concurrence,
     level_crossings,
@@ -31,10 +31,13 @@ from xxring.thermal import observables, reduced_pair_density
 
 from oracles import (
     concurrence_wootters,
+    eigenvalues,
     four_site_singletlike_ground,
     four_site_w_prime,
     full_hamiltonian,
     gibbs_density,
+    n_tangle,
+    pair_matrix,
     partial_trace_pair,
     reference_spectrum_n4,
     wootters_concurrence,
@@ -58,7 +61,7 @@ def test_criterion_01_four_site_spectrum_multiset():
     worst = 0.0
     for _ in range(20):
         j, b = rng.uniform(-2, 2, size=2)
-        values = full_spectrum(ModelParams(n=4, j=j, b=b)).eigenvalues()
+        values = eigenvalues(full_spectrum(ModelParams(n=4, j=j, b=b)))
         worst = max(worst, float(np.abs(values - reference_spectrum_n4(j, b)).max()))
     ok = worst <= 1e-9
     assert _report(1, ok, f"max multiset deviation {worst:.2e}")
@@ -151,16 +154,16 @@ def test_criterion_08_oracle_equivalences():
             spectrum = full_spectrum(params)
             h_full = full_hamiltonian(params)
             worst_spec = max(worst_spec, float(np.abs(
-                spectrum.eigenvalues() - np.sort(np.linalg.eigvalsh(h_full))).max()))
+                eigenvalues(spectrum) - np.sort(np.linalg.eigvalsh(h_full))).max()))
             rho_full = gibbs_density(h_full.astype(complex), t)
             traced = partial_trace_pair(rho_full, n, (0, 1))
             rho_pair = reduced_pair_density(spectrum, t)
-            worst_rho = max(worst_rho, float(np.abs(rho_pair.matrix() - traced).max()))
+            worst_rho = max(worst_rho, float(np.abs(pair_matrix(rho_pair) - traced).max()))
             obs = observables(spectrum, t)
             routes = [
                 concurrence_from_correlators(obs.g_xx, obs.g_zz, obs.m / n),
                 concurrence_xstate(rho_pair),
-                concurrence_wootters(rho_pair.matrix()),
+                concurrence_wootters(pair_matrix(rho_pair)),
                 wootters_concurrence(traced),
             ]
             worst_conc = max(worst_conc, max(routes) - min(routes))
@@ -187,11 +190,11 @@ def test_criterion_09_thermodynamic_identities():
             shifted = -beta_ * (values - values[0])
             return math.log(np.exp(shifted).sum()) - beta_ * values[0]
 
-        values = spectrum.eigenvalues()
+        values = eigenvalues(spectrum)
         u_fd = -(log_z(values, beta + h_step) - log_z(values, beta - h_step)) / (2 * h_step)
         worst_fd = max(worst_fd, abs(obs.u - u_fd) / max(1.0, abs(obs.u)))
-        up = full_spectrum(ModelParams(n=n, j=j, b=b + h_step)).eigenvalues()
-        down = full_spectrum(ModelParams(n=n, j=j, b=b - h_step)).eigenvalues()
+        up = eigenvalues(full_spectrum(ModelParams(n=n, j=j, b=b + h_step)))
+        down = eigenvalues(full_spectrum(ModelParams(n=n, j=j, b=b - h_step)))
         m_fd = -(log_z(up, beta) - log_z(down, beta)) / (2 * h_step * beta)
         worst_fd = max(worst_fd, abs(obs.m - m_fd) / max(1.0, abs(obs.m)))
 

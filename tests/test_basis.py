@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from xxring.basis import N_MAX, embed_in_full_space, enumerate_sector
+from xxring.basis import N_MAX
 
-from oracles import SZ, lambda_x, lambda_z_sign, popcount, site_operator, translate
+from oracles import (
+    SZ,
+    embed_in_full_space,
+    enumerate_sector,
+    lambda_x,
+    lambda_z_sign,
+    popcount,
+    site_operator,
+    translate,
+)
 
 
 def test_sector_n4_r0_is_vacuum_only():

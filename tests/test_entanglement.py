@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from xxring.eigensolver import full_spectrum, ground_state_vector
-from xxring.entanglement import concurrence_from_correlators, concurrence_xstate, n_tangle
+from xxring.eigensolver import full_spectrum
+from xxring.entanglement import concurrence_from_correlators, concurrence_xstate
 from xxring.hamiltonian import ModelParams
 from xxring.thermal import PairDensity, ground_state_reduced, observables, reduced_pair_density
 
@@ -15,6 +15,9 @@ from oracles import (
     four_site_w_prime,
     full_hamiltonian,
     gibbs_density,
+    ground_state_vector,
+    n_tangle,
+    pair_matrix,
     partial_trace_pair,
     site_operator,
     wootters_concurrence,
@@ -121,7 +124,7 @@ def test_wootters_maximally_mixed():
 def test_wootters_matches_xstate_on_random_densities(rng):
     for _ in range(50):
         rho = _random_pair_density(rng)
-        assert concurrence_wootters(rho.matrix()) == pytest.approx(
+        assert concurrence_wootters(pair_matrix(rho)) == pytest.approx(
             concurrence_xstate(rho), abs=1e-9)
 
 
@@ -159,7 +162,7 @@ def test_three_routes_agree_on_thermal_states(rng):
         rho = reduced_pair_density(spectrum, t)
         c_formula = concurrence_from_correlators(obs.g_xx, obs.g_zz, obs.m / n)
         c_xstate = concurrence_xstate(rho)
-        c_wootters = concurrence_wootters(rho.matrix())
+        c_wootters = concurrence_wootters(pair_matrix(rho))
         assert c_formula == pytest.approx(c_xstate, abs=1e-9)
         assert c_formula == pytest.approx(c_wootters, abs=1e-9)
 
@@ -171,7 +174,7 @@ def test_thermal_pipeline_crosschecks_at_reference_point():
     obs = observables(spectrum, 1.0)
     oracle = partial_trace_pair(gibbs_density(full_hamiltonian(params).astype(complex), 1.0), 4, (0, 1))
     c_oracle = wootters_concurrence(oracle)
-    assert concurrence_wootters(rho.matrix()) == pytest.approx(c_oracle, abs=1e-9)
+    assert concurrence_wootters(pair_matrix(rho)) == pytest.approx(c_oracle, abs=1e-9)
     assert concurrence_from_correlators(obs.g_xx, obs.g_zz, obs.m / 4) == pytest.approx(
         c_oracle, abs=1e-9)
 

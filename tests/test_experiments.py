@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -25,6 +26,7 @@ from xxring.thermal import observables, reduced_pair_density
 
 from oracles import (
     dense_floor_crossings,
+    eigenvalues,
     full_hamiltonian,
     gibbs_density,
     partial_trace_pair,
@@ -51,29 +53,31 @@ def test_thermal_concurrence_matches_correlator_formula():
 
 
 def test_sweep_grid_order_and_contents():
-    rows = sweep(ModelParams(n=4, j=1.0, b=0.0), [0.5, 1.0, 2.0], [0.0, 1.0])
-    assert len(rows) == 6
-    assert [(r.b, r.t) for r in rows] == [(0.0, 0.5), (0.0, 1.0), (0.0, 2.0),
-                                          (1.0, 0.5), (1.0, 1.0), (1.0, 2.0)]
-    for row in rows:
-        assert row.j == 1.0 and row.n == 4
-        assert 0.0 <= row.concurrence <= 1.0
-        assert row.z_shifted >= 1.0
-        for field in (row.u, row.m, row.g_xx, row.g_zz):
-            assert math.isfinite(field)
+    t_grid, b_grid = [0.5, 1.0, 2.0], [0.0, 1.0]
+    block, concurrence = sweep(ModelParams(n=4, j=1.0, b=0.0), t_grid, b_grid)
+    # fields down, temperatures across: entry [k_b, k_t] is the point (b_grid[k_b], t_grid[k_t])
+    assert concurrence.shape == block.u.shape == (2, 3)
+    assert np.all((0.0 <= concurrence) & (concurrence <= 1.0))
+    assert np.all(block.z_shifted >= 1.0)
+    for field in (block.u, block.m, block.g_xx, block.g_zz):
+        assert np.all(np.isfinite(field))
+    for k_b, b in enumerate(b_grid):
+        for k_t, t in enumerate(t_grid):
+            spectrum = full_spectrum(ModelParams(n=4, j=1.0, b=b))
+            assert concurrence[k_b, k_t] == thermal_concurrence(spectrum, t)
+            assert block.u[k_b, k_t] == observables(spectrum, t).u
 
 
 def test_sweep_concurrence_changes_sign_at_threshold():
-    rows = sweep(ModelParams(n=4, j=1.0, b=0.0), [2.0, 2.3], [0.0])
-    below, above = rows
-    assert below.concurrence > 1e-3
-    assert above.concurrence == 0.0
+    _, concurrence = sweep(ModelParams(n=4, j=1.0, b=0.0), [2.0, 2.3], [0.0])
+    below, above = concurrence[0]
+    assert below > 1e-3
+    assert above == 0.0
 
 
 def test_sweep_shows_dip_near_first_crossing():
     b_grid = [0.70, B_CROSS_LOW, 0.95]
-    rows = sweep(ModelParams(n=4, j=1.0, b=0.0), [0.01], b_grid)
-    c = [row.concurrence for row in rows]
+    c = sweep(ModelParams(n=4, j=1.0, b=0.0), [0.01], b_grid)[1][:, 0]
     assert c[0] == pytest.approx(GROUND_CONCURRENCE, abs=1e-3)
     assert c[2] == pytest.approx(0.5, abs=1e-3)
     assert c[1] < min(c[0], c[2]) - 0.05  # the crossing point dips visibly
@@ -81,8 +85,8 @@ def test_sweep_shows_dip_near_first_crossing():
 
 def test_sweep_reentrant_entanglement_above_second_crossing():
     params = ModelParams(n=4, j=1.0, b=0.0)
-    cold = sweep(params, [0.01], [2.5])[0].concurrence
-    warm = max(row.concurrence for row in sweep(params, list(np.linspace(0.1, 2.0, 39)), [2.5]))
+    cold = sweep(params, [0.01], [2.5])[1][0, 0]
+    warm = sweep(params, list(np.linspace(0.1, 2.0, 39)), [2.5])[1].max()
     assert cold < 1e-12
     assert warm > 0.01
 
@@ -90,7 +94,11 @@ def test_sweep_reentrant_entanglement_above_second_crossing():
 def test_sweep_is_deterministic():
     params = ModelParams(n=5, j=-1.2, b=0.0)
     grid_t, grid_b = [0.3, 0.9, 2.7], [0.0, 0.8]
-    assert sweep(params, grid_t, grid_b) == sweep(params, grid_t, grid_b)
+    first, second = sweep(params, grid_t, grid_b), sweep(params, grid_t, grid_b)
+    assert np.array_equal(first[1], second[1])
+    assert np.array_equal(first[0].probabilities, second[0].probabilities)
+    assert all(np.array_equal(getattr(first[0], name), getattr(second[0], name))
+               for name in ("z_shifted", "u", "m", "g_xx", "g_zz"))
 
 
 def test_sweep_validation():
@@ -298,6 +306,48 @@ def test_odd_ring_control_breaks_exchange_sign_symmetry():
     assert report.max_discrepancy > 1e-3  # a genuine, macroscopic violation
 
 
+@pytest.mark.parametrize("seed", [20020901, 7, 12345])
+def test_odd_ring_control_breaks_even_at_one_sample(seed):
+    # the unclamped X-state value is exchange-even on even rings only, so the
+    # control reads a gap even where both signs are unentangled (it shrinks
+    # with the ring: one draw of seed 7 reads 4e-11 on ring 9)
+    for n in (3, 5, 7):
+        for samples in (1, 2, 5):
+            report = proposition2_odd_control(n, samples=samples, seed=seed)
+            assert not report.passed and report.max_discrepancy >= 1e-8, (n, samples)
+    for n in (2, 4, 6, 8):
+        assert verify_propositions([n], samples=5, seed=seed)[1].max_discrepancy <= 1e-15
+
+
+@pytest.mark.parametrize("branch", [1.0, -1.0])
+def test_proposition3_reweights_both_exchange_signs_of_every_draw(monkeypatch, branch):
+    # at zero field the suite reweights each draw at +|j| and at -|j|, and
+    # its gap reads both: lowering one branch's energies by 400 |j| moves the
+    # energy formula (n = 4) by 100 there, and the correlator formula not at all
+    points = []
+    original = experiments.gibbs_concurrence
+
+    def shifted(ring, j, b, t):
+        block, concurrence = original(ring, j, b, t)
+        j, b, t = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (j, b, t)))
+        points.append((j, b, t))
+        hit = (b == 0.0) & (np.sign(j) == branch)
+        return dataclasses.replace(block, u=np.where(hit, block.u - 400.0 * np.abs(j), block.u)), concurrence
+
+    monkeypatch.setattr(experiments, "gibbs_concurrence", shifted)
+    experiments._ring_gaps.cache_clear()
+    reports = verify_propositions([4], samples=6, seed=5)
+    experiments._ring_gaps.cache_clear()
+    assert len(points) == 1
+    zero_field = {(float(jj), float(tt)) for jj, bb, tt in zip(*(a.ravel() for a in points[0]))
+                  if bb == 0.0}
+    j, _, t = experiments._draws(6, 5)
+    for jj, tt in zip(j, t):
+        assert (abs(jj), tt) in zero_field and (-abs(jj), tt) in zero_field
+    assert reports[2].max_discrepancy > 10.0 and not reports[2].passed
+    assert reports[0].passed and reports[1].passed
+
+
 def test_odd_ring_control_rejects_even_n():
     with pytest.raises(ValueError):
         proposition2_odd_control(4)
@@ -316,12 +366,12 @@ def test_sweep_concurrence_uses_positive_sum_route():
     # brute-force Gibbs state
     n, j = 10, -1.3407092183981204
     b, t = 3.466051805564966, 0.10154588104523678
-    row = sweep(ModelParams(n=n, j=j, b=0.0), [t], [b])[0]
+    concurrence = float(sweep(ModelParams(n=n, j=j, b=0.0), [t], [b])[1][0, 0])
     rho = gibbs_density(full_hamiltonian(ModelParams(n=n, j=j, b=b)), t)
     want = wootters_concurrence(partial_trace_pair(rho, n, (0, 1)))
     assert want == pytest.approx(3.7055e-8, rel=1e-4)
-    assert row.concurrence == pytest.approx(want, abs=1e-12)
-    assert row.concurrence == thermal_concurrence(full_spectrum(ModelParams(n=n, j=j, b=b)), t)
+    assert concurrence == pytest.approx(want, abs=1e-12)
+    assert concurrence == thermal_concurrence(full_spectrum(ModelParams(n=n, j=j, b=b)), t)
     # the library route of the README reads the same positive-sum corners
     spectrum = full_spectrum(ModelParams(n=n, j=j, b=b))
     rho = reduced_pair_density(spectrum, t)
@@ -407,7 +457,7 @@ def test_largest_accepted_energies_stay_finite():
                  (MAX_ENERGY / (8 * n), -MAX_ENERGY / (2 * n))]:
         params = ModelParams(n=n, j=j, b=b)
         spectrum = full_spectrum(params)
-        assert np.isfinite(spectrum.eigenvalues().sum())
+        assert np.isfinite(eigenvalues(spectrum).sum())
         block, concurrence = experiments.gibbs_concurrence(ring_model(n), j, b, [1.0, abs(j) + abs(b)])
         assert all(np.all(np.isfinite(a)) for a in (block.u, block.m, block.z_shifted, concurrence))
         assert all(map(math.isfinite, level_crossings(n, j, math.inf)))

@@ -16,12 +16,14 @@ from oracles import (
     SX,
     SY,
     correlator_xx_direct,
+    eigenvalues,
     four_site_singletlike_ground,
     full_hamiltonian,
     gibbs_density,
     ground_mixture_density,
     gxx_from_energy,
     log_partition,
+    pair_matrix,
     partial_trace_pair,
     site_operator,
 )
@@ -164,7 +166,7 @@ def test_reduced_density_matches_partial_trace(n, rng):
         x_mask[1, 2] = x_mask[2, 1] = True
         assert np.abs(direct[~x_mask]).max() < 1e-10  # off-X entries vanish
         rho = reduced_pair_density(spectrum, t, pair)
-        assert np.abs(rho.matrix() - direct).max() < 1e-10
+        assert np.abs(pair_matrix(rho) - direct).max() < 1e-10
 
 
 def test_reduced_density_identical_on_every_bond():
@@ -188,7 +190,7 @@ def test_pair_operator_expectations_agree_with_full_space(rng):
         j, b = rng.uniform(-2, 2, size=2)
         t = float(rng.uniform(0.2, 5.0))
         params = ModelParams(n=n, j=j, b=b)
-        rho_pair = reduced_pair_density(full_spectrum(params), t, (0, 1)).matrix()
+        rho_pair = pair_matrix(reduced_pair_density(full_spectrum(params), t, (0, 1)))
         rho_full = gibbs_density(full_hamiltonian(params).astype(complex), t)
         for _ in range(3):
             a = rng.normal(size=(4, 4))
@@ -215,7 +217,7 @@ def test_ground_state_reduced_zero_field_matches_projector():
     rho = ground_state_reduced(full_spectrum(params))
     psi = four_site_singletlike_ground()
     oracle = partial_trace_pair(np.outer(psi, psi.conj()), 4, (0, 1)).real
-    assert np.abs(rho.matrix() - oracle).max() < 1e-12
+    assert np.abs(pair_matrix(rho) - oracle).max() < 1e-12
     assert rho.z == pytest.approx(-math.sqrt(2.0) / 4.0, abs=1e-12)
 
 
@@ -241,7 +243,7 @@ def test_ground_state_reduced_degenerate_mixture_matches_oracle():
     rho = ground_state_reduced(full_spectrum(params))
     oracle = partial_trace_pair(
         ground_mixture_density(full_hamiltonian(params).astype(complex)), 4, (0, 1)).real
-    assert np.abs(rho.matrix() - oracle).max() < 1e-9
+    assert np.abs(pair_matrix(rho) - oracle).max() < 1e-9
 
 
 def test_internal_energy_negative_and_increasing(rng):
@@ -271,7 +273,7 @@ def test_energy_and_magnetization_match_log_partition_derivatives(rng):
         params = ModelParams(n=n, j=j, b=b)
         spectrum = full_spectrum(params)
         obs = observables(spectrum, t)
-        values = spectrum.eigenvalues()
+        values = eigenvalues(spectrum)
 
         def log_z(beta):
             shifted = -beta * (values - values[0])
@@ -281,8 +283,8 @@ def test_energy_and_magnetization_match_log_partition_derivatives(rng):
         u_fd = -(log_z(beta + h_step) - log_z(beta - h_step)) / (2.0 * h_step)
         assert abs(obs.u - u_fd) < 1e-5 * max(1.0, abs(obs.u))
 
-        z_plus = full_spectrum(ModelParams(n=n, j=j, b=b + h_step)).eigenvalues()
-        z_minus = full_spectrum(ModelParams(n=n, j=j, b=b - h_step)).eigenvalues()
+        z_plus = eigenvalues(full_spectrum(ModelParams(n=n, j=j, b=b + h_step)))
+        z_minus = eigenvalues(full_spectrum(ModelParams(n=n, j=j, b=b - h_step)))
 
         def log_z_of(values_):
             shifted = -beta * (values_ - values_[0])
