@@ -20,14 +20,6 @@ from .experiments import (
     verify_propositions,
 )
 from .hamiltonian import ModelParams
-from .thermal import (
-    GibbsBlock,
-    PairDensity,
-    ThermalObservables,
-    ground_state_reduced,
-    observables,
-    reduced_pair_density,
-    reweight,
-)
+from .thermal import GibbsBlock, PairDensity, ground_state_reduced, reweight
 
 __version__ = "0.1.0"

@@ -63,8 +63,9 @@ def gibbs_concurrence(ring: RingModel, j, b, t) -> tuple[GibbsBlock, np.ndarray 
 def thermal_concurrence(spectrum: Spectrum, t: float) -> float:
     """Nearest-neighbor concurrence of the Gibbs state at temperature t.
 
-    The X-state closed form of `reduced_pair_density`, whose corner
-    populations are positive spectral sums; this agrees with the correlator
+    The X-state closed form of the bond state of `reweight` at the point
+    (`GibbsBlock.pair_density`), whose corner populations are positive
+    spectral sums; this agrees with the correlator
     formula but stays relatively accurate deep in the polarized regime, where
     the correlator route loses its radicand to cancellation. A single site
     has no bond and reports 0.
@@ -73,16 +74,15 @@ def thermal_concurrence(spectrum: Spectrum, t: float) -> float:
     return float(gibbs_concurrence(spectrum.ring, params.j, params.b, t)[1])
 
 
-def sweep(params: ModelParams, t_grid, b_grid,
-          max_rows: int = MAX_SWEEP_ROWS) -> tuple[GibbsBlock, np.ndarray]:
+def sweep(params: ModelParams, t_grid, b_grid) -> tuple[GibbsBlock, np.ndarray]:
     """Observables and concurrence on the (t, b) grid, in one reweighting of
     the cached ring.
 
     Returns the Gibbs block and its concurrence, both of shape
     (fields, temperatures): entry [k_b, k_t] is the point (b_grid[k_b],
     t_grid[k_t]). The concurrence is the same number `thermal_concurrence`
-    gives at the point, and the block agrees with `observables` there; a
-    single site has no bond and reports 0.
+    gives at the point; a single site has no bond and reports 0. A grid of
+    more than MAX_SWEEP_ROWS points is refused before any reweighting.
     """
     t_values = [float(t) for t in t_grid]
     b_values = [float(b) for b in b_grid]
@@ -94,8 +94,8 @@ def sweep(params: ModelParams, t_grid, b_grid,
         raise ValueError("temperature grid entries must be positive")
     # the grid's strongest field must pass the energy bound of a single point
     ModelParams(n=params.n, j=params.j, b=max(map(abs, b_values)))
-    if len(t_values) * len(b_values) > max_rows:
-        raise ValueError(f"grid of {len(t_values) * len(b_values)} rows exceeds cap {max_rows}")
+    if len(t_values) * len(b_values) > MAX_SWEEP_ROWS:
+        raise ValueError(f"grid of {len(t_values) * len(b_values)} rows exceeds cap {MAX_SWEEP_ROWS}")
     return gibbs_concurrence(ring_model(params.n), params.j, np.array(b_values)[:, None], t_values)
 
 
@@ -205,6 +205,14 @@ def level_crossings(n: int, j: float, b_max: float) -> list[float]:
     return crossings
 
 
+def _energy_formula(energy, n: int, j, g_zz):
+    """The zero-field energy formula for the concurrence,
+    max(0, -+ energy/(n j) - g_zz - 1) / 2, its sign branch by the sign of j;
+    arrays broadcast."""
+    sign = np.where(j > 0, -1.0, 1.0)
+    return 0.5 * np.maximum(0.0, sign * energy / (n * j) - g_zz - 1.0)
+
+
 def ground_state_concurrence(params: ModelParams) -> float:
     """Nearest-neighbor concurrence of the ground state.
 
@@ -223,10 +231,7 @@ def ground_state_concurrence(params: ModelParams) -> float:
     rho = ground_state_reduced(spectrum)
     value = concurrence_xstate(rho)
     if params.b == 0.0 and params.j != 0.0:
-        g_zz0 = 1.0 - 4.0 * rho.w
-        branch = -1.0 if params.j > 0 else 1.0
-        formula = 0.5 * max(0.0, branch * spectrum.ground_energy / (params.n * params.j)
-                            - g_zz0 - 1.0)
+        formula = _energy_formula(spectrum.ground_energy, params.n, params.j, 1.0 - 4.0 * rho.w)
         if abs(formula - value) > 1e-9:
             raise RuntimeError(
                 f"zero-field energy formula ({formula}) disagrees with the "
@@ -281,10 +286,8 @@ def _ring_gaps(n: int, samples: int, seed: int) -> tuple[float, float, float]:
     unclamped = np.abs(g.g_xx[0:3:2]) - 2.0 * np.sqrt(p[..., 0] * p[..., 3])
     mirror_j = float(np.max(np.abs(unclamped[0] - unclamped[1])))
     zero_field = slice(3, 5)
-    both_signs = rows_j[zero_field]
     c5 = concurrence_from_correlators(g.g_xx[zero_field], g.g_zz[zero_field], g.m[zero_field] / n)
-    sign = np.where(both_signs > 0, -1.0, 1.0)
-    c10 = 0.5 * np.maximum(0.0, sign * g.u[zero_field] / (n * both_signs) - g.g_zz[zero_field] - 1.0)
+    c10 = _energy_formula(g.u[zero_field], n, rows_j[zero_field], g.g_zz[zero_field])
     return mirror_b, mirror_j, float(np.max(np.abs(c5 - c10)))
 
 

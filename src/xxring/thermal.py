@@ -7,11 +7,9 @@ energy at every (j, b) are one class. At any broadcast block of points
 (j, b)'s ground energy, scales by -1/t, applies one exp and contracts the
 weights with the class table (multiplicity, kappa, sum(sigma_z) and the
 pair-pattern probabilities, each summed over the class). Every level is
-translation invariant, so one table serves every bond:
-`reduced_pair_density` and `ground_state_reduced` check the pair they are
-given and read the same averages for any bond. `observables` and
-`reduced_pair_density` are the kernel at a single point. A bond's X-form
-state is formed in one place, `PairDensity.from_bond`, with the pattern
+translation invariant, so one table serves every bond and every bond
+carries the same state; no function takes a bond. A bond's X-form state is
+formed in one place, `PairDensity.from_bond`, with the pattern
 probabilities p00 and p11 as corners: positive sums, accurate however
 small.
 
@@ -27,7 +25,6 @@ ill-conditioned anyway.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -40,28 +37,6 @@ from .eigensolver import RingModel, Spectrum
 # of the ring once (203 classes at n = 10, 4,029 at n = 16), never each of
 # its 2^n levels, so a pass takes at least 260 points.
 _BLOCK_WEIGHTS = 1 << 20
-
-
-class NonAdjacentPairError(ValueError):
-    """Reduced densities are only offered for ring bonds; anything else is
-    available solely through the brute-force partial-trace oracle in tests."""
-
-
-@dataclass(frozen=True)
-class ThermalObservables:
-    """Observables of the Gibbs state at temperature t (k_B = 1).
-
-    log_z_shifted is ln sum_n exp(-(E_n - E0)/t); the true ln Z is recovered
-    as log_z_shifted - E0/t. g_xx and g_zz are the nearest-neighbor
-    correlators, the same on every bond.
-    """
-
-    t: float
-    log_z_shifted: float
-    u: float
-    m: float
-    g_xx: float
-    g_zz: float
 
 
 @dataclass(frozen=True)
@@ -78,14 +53,6 @@ class PairDensity:
         """The X form of a bond from its pattern probabilities (bit of the
         first site first) and its flip-flop correlator <sigma_x sigma_x>."""
         return cls(u_plus=p00, u_minus=p11, w=(p01 + p10) / 2.0, z=g_xx / 2.0)
-
-
-def _require_adjacent(n: int, pair: tuple[int, int]) -> None:
-    i, j = pair
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"pair {pair} out of range for {n} sites")
-    if i == j or (j - i) % n not in (1, n - 1):
-        raise NonAdjacentPairError(f"pair {pair} is not a ring bond for n={n}")
 
 
 @dataclass(frozen=True)
@@ -168,32 +135,11 @@ def reweight(ring: RingModel, j, b, t) -> GibbsBlock:
                       g_zz=p[..., 0] - p[..., 1] - p[..., 2] + p[..., 3], probabilities=p)
 
 
-def observables(spectrum: Spectrum, t: float) -> ThermalObservables:
-    """Partition data, internal energy, magnetization, and bond correlators.
-
-    U and M are spectral sums (sum of E_n resp. sector sum(sigma_z) against
-    Boltzmann weights), not symbolic derivatives of Z.
-    """
-    params = spectrum.params
-    g = reweight(spectrum.ring, params.j, params.b, t)
-    return ThermalObservables(t=t, log_z_shifted=math.log(g.z_shifted), u=float(g.u),
-                              m=float(g.m), g_xx=float(g.g_xx), g_zz=float(g.g_zz))
-
-
-def reduced_pair_density(spectrum: Spectrum, t: float, pair: tuple[int, int] = (0, 1)) -> PairDensity:
-    """Thermal two-qubit reduced density matrix on a ring bond."""
-    params = spectrum.params
-    _require_adjacent(params.n, pair)
-    g = reweight(spectrum.ring, params.j, params.b, t)
-    return PairDensity.from_bond(*g.probabilities.tolist(), float(g.g_xx))
-
-
-def ground_state_reduced(spectrum: Spectrum, pair: tuple[int, int] = (0, 1)) -> PairDensity:
+def ground_state_reduced(spectrum: Spectrum) -> PairDensity:
     """Two-qubit reduced density of the T -> 0+ Gibbs limit: the uniform
     mixture over the full degenerate ground subspace, the sums of its classes
     (`Spectrum.ground_classes`) over its degeneracy."""
     ring = spectrum.ring
-    _require_adjacent(ring.n, pair)
     sums = ring.classes[:, spectrum.ground_classes()].sum(axis=1)
     kappa, _, p00, p01, p11 = (sums[1:] / sums[0]).tolist()
     return PairDensity.from_bond(p00, p01, p01, p11, kappa / (2.0 * ring.n))

@@ -20,11 +20,11 @@
 - `concurrence_wootters`, the general spin-flip construction through
   `eigh_symmetric`, kept apart from `wootters_concurrence` so that the two
   can be compared.
-- Single-point views of the package's thermal kernel, and `gxx_from_energy`.
+- `gxx_from_energy`, which recovers g_xx from energy and magnetization.
 - The per-sector reference route, which diagonalizes each (j, b) block on
   its own to check the spectral cache and the batched thermal kernel, and
-  the per-point drivers, which check the batched drivers through the
-  package's single-point API.
+  the per-point drivers, which check the batched drivers one kernel call
+  per point.
 """
 
 import functools
@@ -35,11 +35,11 @@ from itertools import combinations
 import numpy as np
 
 from xxring.basis import N_MAX, _check_ring_size
-from xxring.eigensolver import GROUND_RTOL, full_spectrum
+from xxring.eigensolver import GROUND_RTOL, full_spectrum, ring_model
 from xxring.entanglement import _clamp_unit, concurrence_from_correlators
 from xxring.experiments import POSITIVE_CONCURRENCE, _splits, thermal_concurrence
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import observables, reduced_pair_density
+from xxring.thermal import reweight
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -728,28 +728,13 @@ def concurrence_wootters(rho: np.ndarray) -> float:
     return _clamp_unit(max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3])), "concurrence")
 
 
-# Single-point views of the package's thermal kernel (`reweight`), and the
-# relation that recovers g_xx from energy and magnetization alone.
-
-
-def correlator_xx_direct(spectrum, t: float, bond: tuple[int, int] = (0, 1)) -> float:
-    """Thermal <sigma_x(i) sigma_x(j)> on a ring bond, from the ring's levels."""
-    return 2.0 * reduced_pair_density(spectrum, t, bond).z
-
-
-def pair_state_probabilities(spectrum, t: float,
-                             pair: tuple[int, int] = (0, 1)) -> tuple[float, float, float, float]:
-    """Thermal probabilities (p00, p01, p10, p11) of the pair patterns."""
-    rho = reduced_pair_density(spectrum, t, pair)
-    return rho.u_plus, rho.w, rho.w, rho.u_minus
-
-
 def gxx_from_energy(obs, params) -> float:
     """Transverse correlator from energy and magnetization alone:
-    (U/n - b * M/n) / (2 j). Equals the directly computed correlator; the
-    relation is undefined at j = 0, where callers must use the direct path."""
+    (U/n - b * M/n) / (2 j), with obs anything that has u and m, such as a
+    `GibbsBlock`. Equals the directly computed correlator; the relation is
+    undefined at j = 0, where callers must read g_xx itself."""
     if params.j == 0:
-        raise ValueError("relation undefined for j = 0; use correlator_xx_direct")
+        raise ValueError("relation undefined for j = 0; read g_xx directly")
     return (obs.u / params.n - params.b * obs.m / params.n) / (2.0 * params.j)
 
 
@@ -845,8 +830,8 @@ def reference_ground_reduced(n, j, b, pair=(0, 1), tol=1e-8):
 
 
 # Per-point drivers: the proposition suites and the threshold bisection as
-# they stood before each became a few batched kernel calls, every point
-# through the public single-point API. Kept to check the batched drivers.
+# they stood before each became a few batched kernel calls, one kernel call
+# per point. Kept to check the batched drivers.
 # The exchange mirror compares the unclamped X-state value, as the suites do.
 
 
@@ -861,8 +846,11 @@ def _draw_parameters(rng):
 
 def _unclamped_xstate(spectrum, t):
     """2 (|z| - sqrt(u+ u-)) of the bond state: the concurrence where positive."""
-    rho = reduced_pair_density(spectrum, t) if spectrum.params.n > 1 else None
-    return 0.0 if rho is None else 2.0 * (abs(rho.z) - math.sqrt(rho.u_plus * rho.u_minus))
+    params = spectrum.params
+    if params.n == 1:
+        return 0.0
+    rho = reweight(spectrum.ring, params.j, params.b, t).pair_density()
+    return 2.0 * float(abs(rho.z) - math.sqrt(rho.u_plus * rho.u_minus))
 
 
 def _pointwise_worst_gap(n, draws, mirror, value=thermal_concurrence):
@@ -887,11 +875,11 @@ def pointwise_propositions(n_list, samples, seed):
     for n in n_list:
         for j, _, t in draws:
             for branch_j in (abs(j), -abs(j)):
-                obs = observables(full_spectrum(ModelParams(n=n, j=branch_j, b=0.0)), t)
+                obs = reweight(ring_model(n), branch_j, 0.0, t)
                 c5 = concurrence_from_correlators(obs.g_xx, obs.g_zz, obs.m / n)
                 sign = -1.0 if branch_j > 0 else 1.0
                 c10 = 0.5 * max(0.0, sign * obs.u / (n * branch_j) - obs.g_zz - 1.0)
-                worst3 = max(worst3, abs(c5 - c10))
+                worst3 = max(worst3, float(abs(c5 - c10)))
     return worst1, worst2, worst3
 
 

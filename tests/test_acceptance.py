@@ -27,7 +27,7 @@ from xxring.experiments import (
     verify_propositions,
 )
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import observables, reduced_pair_density
+from xxring.thermal import reweight
 
 from oracles import (
     concurrence_wootters,
@@ -75,9 +75,9 @@ def test_criterion_02_closed_form_oracle_agreement():
         b = float(rng.uniform(-3.0, 3.0))
         t = float(math.exp(rng.uniform(math.log(0.05), math.log(50.0))))
         spectrum = full_spectrum(ModelParams(n=4, j=j, b=b))
-        obs = observables(spectrum, t)
+        obs = reweight(spectrum.ring, j, b, t)
         cf = closed_forms(j, b, 1.0 / t)
-        z_spectral = math.exp(obs.log_z_shifted - spectrum.ground_energy / t)
+        z_spectral = math.exp(math.log(obs.z_shifted) - spectrum.ground_energy / t)
         for got, want in [(z_spectral, cf.z), (obs.u, 4 * cf.u_bar), (obs.m, 4 * cf.m_bar),
                           (obs.g_zz, cf.g_zz), (obs.g_xx, cf.g_xx)]:
             worst = max(worst, abs(got - want) / max(1.0, abs(got), abs(want)))
@@ -157,9 +157,9 @@ def test_criterion_08_oracle_equivalences():
                 eigenvalues(spectrum) - np.sort(np.linalg.eigvalsh(h_full))).max()))
             rho_full = gibbs_density(h_full.astype(complex), t)
             traced = partial_trace_pair(rho_full, n, (0, 1))
-            rho_pair = reduced_pair_density(spectrum, t)
+            obs = reweight(spectrum.ring, j, b, t)
+            rho_pair = obs.pair_density()
             worst_rho = max(worst_rho, float(np.abs(pair_matrix(rho_pair) - traced).max()))
-            obs = observables(spectrum, t)
             routes = [
                 concurrence_from_correlators(obs.g_xx, obs.g_zz, obs.m / n),
                 concurrence_xstate(rho_pair),
@@ -183,7 +183,7 @@ def test_criterion_09_thermodynamic_identities():
         t = float(rng.uniform(0.3, 10.0))
         params = ModelParams(n=n, j=j, b=b)
         spectrum = full_spectrum(params)
-        obs = observables(spectrum, t)
+        obs = reweight(spectrum.ring, j, b, t)
         beta = 1.0 / t
 
         def log_z(values, beta_):
@@ -199,7 +199,7 @@ def test_criterion_09_thermodynamic_identities():
         worst_fd = max(worst_fd, abs(obs.m - m_fd) / max(1.0, abs(obs.m)))
 
         grid = np.geomspace(1e-2, 1e2, 40)
-        us = np.array([observables(spectrum, tt).u for tt in grid])
+        us = np.array([reweight(spectrum.ring, j, b, tt).u for tt in grid])
         diffs = np.diff(us)
         e0 = spectrum.ground_energy
         resolvable = (us[1:] - e0) > 1e-12 * max(1.0, abs(e0))

@@ -13,7 +13,7 @@ from xxring.cli import main
 from xxring.eigensolver import full_spectrum
 from xxring.experiments import thermal_concurrence
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import observables
+from xxring.thermal import reweight
 
 
 def run_cli(capsys, *argv):
@@ -46,7 +46,7 @@ def test_thermal_prints_library_values(capsys):
     code, out, _ = run_cli(capsys, "thermal", "--n", "4", "--j", "1", "--b", "1", "--t", "1")
     assert code == 0
     spectrum = full_spectrum(ModelParams(n=4, j=1.0, b=1.0))
-    obs = observables(spectrum, 1.0)
+    obs = reweight(spectrum.ring, 1.0, 1.0, 1.0)
     printed = {}
     for line in out.strip().splitlines():
         key, _, value = line.partition("=")
@@ -55,7 +55,7 @@ def test_thermal_prints_library_values(capsys):
     assert printed["M"] == pytest.approx(obs.m, rel=1e-11)
     assert printed["Gxx"] == pytest.approx(obs.g_xx, rel=1e-11)
     assert printed["Gzz"] == pytest.approx(obs.g_zz, rel=1e-11)
-    assert printed["Z_shifted"] == pytest.approx(math.exp(obs.log_z_shifted), rel=1e-11)
+    assert printed["Z_shifted"] == pytest.approx(obs.z_shifted, rel=1e-11)
     assert printed["concurrence"] == pytest.approx(thermal_concurrence(spectrum, 1.0), rel=1e-11)
 
 
@@ -246,8 +246,7 @@ def test_sweep_csv_uses_twelve_significant_digits(capsys):
     assert code == 0
     row = out.strip().splitlines()[1].split(",")
     spectrum = full_spectrum(ModelParams(n=4, j=1.0, b=1.0))
-    obs = observables(spectrum, 1.0)
-    assert row[4] == format(obs.u, ".12g")
+    assert row[4] == format(float(reweight(spectrum.ring, 1.0, 1.0, 1.0).u), ".12g")
     assert row[8] == format(thermal_concurrence(spectrum, 1.0), ".12g")
 
 

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from xxring.eigensolver import full_spectrum
+from xxring.eigensolver import full_spectrum, ring_model
 from xxring.entanglement import concurrence_from_correlators, concurrence_xstate
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import PairDensity, ground_state_reduced, observables, reduced_pair_density
+from xxring.thermal import PairDensity, ground_state_reduced, reweight
 
 from oracles import (
     SY,
@@ -157,9 +157,8 @@ def test_three_routes_agree_on_thermal_states(rng):
         j = float(rng.uniform(0.05, 2.0)) * float(rng.choice([-1.0, 1.0]))
         b = float(rng.uniform(-3, 3))
         t = float(math.exp(rng.uniform(math.log(0.05), math.log(50.0))))
-        spectrum = full_spectrum(ModelParams(n=n, j=j, b=b))
-        obs = observables(spectrum, t)
-        rho = reduced_pair_density(spectrum, t)
+        obs = reweight(ring_model(n), j, b, t)
+        rho = obs.pair_density()
         c_formula = concurrence_from_correlators(obs.g_xx, obs.g_zz, obs.m / n)
         c_xstate = concurrence_xstate(rho)
         c_wootters = concurrence_wootters(pair_matrix(rho))
@@ -169,9 +168,8 @@ def test_three_routes_agree_on_thermal_states(rng):
 
 def test_thermal_pipeline_crosschecks_at_reference_point():
     params = ModelParams(n=4, j=1.0, b=1.0)
-    spectrum = full_spectrum(params)
-    rho = reduced_pair_density(spectrum, 1.0)
-    obs = observables(spectrum, 1.0)
+    obs = reweight(ring_model(4), 1.0, 1.0, 1.0)
+    rho = obs.pair_density()
     oracle = partial_trace_pair(gibbs_density(full_hamiltonian(params).astype(complex), 1.0), 4, (0, 1))
     c_oracle = wootters_concurrence(oracle)
     assert concurrence_wootters(pair_matrix(rho)) == pytest.approx(c_oracle, abs=1e-9)

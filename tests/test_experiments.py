@@ -22,7 +22,7 @@ from xxring.experiments import (
     verify_propositions,
 )
 from xxring.hamiltonian import MAX_ENERGY, ModelParams
-from xxring.thermal import observables, reduced_pair_density
+from xxring.thermal import reweight
 
 from oracles import (
     dense_floor_crossings,
@@ -47,7 +47,7 @@ TC_N4_B0 = 2.2113514789894899
 
 def test_thermal_concurrence_matches_correlator_formula():
     spectrum = full_spectrum(ModelParams(n=4, j=1.0, b=0.7))
-    obs = observables(spectrum, 0.9)
+    obs = reweight(spectrum.ring, 1.0, 0.7, 0.9)
     direct = concurrence_from_correlators(obs.g_xx, obs.g_zz, obs.m / 4)
     assert thermal_concurrence(spectrum, 0.9) == pytest.approx(direct, abs=1e-12)
 
@@ -65,7 +65,7 @@ def test_sweep_grid_order_and_contents():
         for k_t, t in enumerate(t_grid):
             spectrum = full_spectrum(ModelParams(n=4, j=1.0, b=b))
             assert concurrence[k_b, k_t] == thermal_concurrence(spectrum, t)
-            assert block.u[k_b, k_t] == observables(spectrum, t).u
+            assert block.u[k_b, k_t] == reweight(ring_model(4), 1.0, b, t).u
 
 
 def test_sweep_concurrence_changes_sign_at_threshold():
@@ -101,14 +101,17 @@ def test_sweep_is_deterministic():
                for name in ("z_shifted", "u", "m", "g_xx", "g_zz"))
 
 
-def test_sweep_validation():
+def test_sweep_validation(reweight_calls):
     params = ModelParams(n=4, j=1.0, b=0.0)
     with pytest.raises(ValueError):
         sweep(params, [], [0.0])
     with pytest.raises(ValueError):
         sweep(params, [0.0, 1.0], [0.0])
-    with pytest.raises(ValueError):
-        sweep(params, [1.0] * 100, [0.0] * 100, max_rows=100)
+    # a grid just past the cap is refused before any reweighting
+    assert 2001 * 1000 > experiments.MAX_SWEEP_ROWS >= 2000 * 1000
+    with pytest.raises(ValueError, match="grid of 2001000 rows exceeds cap 2000000"):
+        sweep(params, [1.0] * 2001, [0.0] * 1000)
+    assert reweight_calls == []
 
 
 @pytest.mark.parametrize("t_grid, b_grid", [
@@ -372,10 +375,9 @@ def test_sweep_concurrence_uses_positive_sum_route():
     assert want == pytest.approx(3.7055e-8, rel=1e-4)
     assert concurrence == pytest.approx(want, abs=1e-12)
     assert concurrence == thermal_concurrence(full_spectrum(ModelParams(n=n, j=j, b=b)), t)
-    # the library route of the README reads the same positive-sum corners
-    spectrum = full_spectrum(ModelParams(n=n, j=j, b=b))
-    rho = reduced_pair_density(spectrum, t)
-    assert concurrence_xstate(rho) == thermal_concurrence(spectrum, t)
+    # the kernel's own bond state reads the same positive-sum corners
+    rho = reweight(ring_model(n), j, b, t).pair_density()
+    assert concurrence_xstate(rho) == concurrence
     assert concurrence_xstate(rho) == pytest.approx(want, abs=1e-12)
     assert rho.u_plus > 0
 

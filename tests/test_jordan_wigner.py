@@ -106,9 +106,9 @@ def test_ground_mixture_at_both_n4_crossings_matches_ed(j, b):
     energies = dense_ring(4).energies(j, b)
     e0 = energies.min()
     dense_mask = energies <= e0 + GROUND_RTOL * max(1.0, abs(e0))
+    rho = ground_state_reduced(spectrum)
     for bond in bonds(4):
         moments = dense_ring(4).bond_columns(bond)[dense_mask].mean(axis=0)
-        rho = ground_state_reduced(spectrum, bond)
         assert _close([rho.u_plus, rho.w, rho.w, rho.u_minus], moments[2:], 1e-12, 1e-10)
         assert _close(2.0 * rho.z, moments[1], 1e-12)
 
@@ -126,7 +126,7 @@ def test_ground_mixture_is_the_mean_of_the_ground_levels(n):
         if n == 1:  # no bond
             continue
         kappa, _, p00, p01, p11 = level_table(n).levels[mask].mean(axis=0)
-        rho = ground_state_reduced(spectrum, (0, 1))
+        rho = ground_state_reduced(spectrum)
         assert _close([rho.u_plus, rho.w, rho.u_minus, rho.z], [p00, p01, p11, kappa / (4 * n)], 1e-12)
 
 

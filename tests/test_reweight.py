@@ -12,20 +12,12 @@ from hypothesis import strategies as st
 import xxring.thermal as thermal
 from xxring.eigensolver import full_spectrum, ring_model
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import (
-    NonAdjacentPairError,
-    ground_state_reduced,
-    observables,
-    reduced_pair_density,
-    reweight,
-)
+from xxring.thermal import ground_state_reduced, reweight
 
 from oracles import (
     bonds,
     build_sector_hamiltonian,
-    correlator_xx_direct,
     dense_sectors,
-    pair_state_probabilities,
     reference_ground_reduced,
     reference_thermal,
 )
@@ -54,34 +46,30 @@ def _draws(rng, count):
 
 
 def test_views_match_reference_on_every_bond(rng):
+    # the one bond state of the kernel against each bond's own reference
     for n, j, b, t in _draws(rng, 30):
-        spectrum = full_spectrum(ModelParams(n=n, j=j, b=b))
-        obs = observables(spectrum, t)
+        g = reweight(ring_model(n), j, b, t)
+        rho = g.pair_density()
         ref = reference_thermal(n, j, b, t)
-        assert _close(obs.u, ref["u"]) and _close(obs.m, ref["m"]), (n, j, b, t)
+        assert _close(g.u, ref["u"]) and _close(g.m, ref["m"]), (n, j, b, t)
         for bond in bonds(n):
             ref = reference_thermal(n, j, b, t, bond)
-            probs = pair_state_probabilities(spectrum, t, bond)
-            for name, got in zip(PROBABILITIES, probs):
+            for name, got in zip(PROBABILITIES, g.probabilities):
                 assert got == pytest.approx(ref[name], rel=RTOL, abs=0), (n, j, b, t, bond, name)
-            assert _close(correlator_xx_direct(spectrum, t, bond), ref["g_xx"])
-            rho = reduced_pair_density(spectrum, t, bond)
+            assert _close(g.g_xx, ref["g_xx"]) and _close(g.g_zz, ref["g_zz"]), (n, j, b, t, bond)
             assert _close(1.0 - 4.0 * rho.w, ref["g_zz"]), (n, j, b, t, bond)
-            if bond == (0, 1):
-                assert _close(obs.g_xx, ref["g_xx"]) and _close(obs.g_zz, ref["g_zz"])
 
 
 def test_single_site_has_no_bond_averages():
-    obs = observables(full_spectrum(ModelParams(n=1, j=1.0, b=0.8)), 0.5)
+    obs = reweight(ring_model(1), 1.0, 0.8, 0.5)
     assert obs.m == pytest.approx(-math.tanh(0.8 / 0.5), rel=RTOL)
     assert obs.g_xx == 0.0 and obs.g_zz == 0.0
-    with pytest.raises(ValueError):
-        pair_state_probabilities(full_spectrum(ModelParams(n=1, j=1.0, b=0.8)), 0.5)
+    assert np.all(obs.probabilities == 0.0)
 
 
 def test_block_matches_pointwise_views(rng, monkeypatch):
     # a grid of fields and temperatures in one call, and again forced through
-    # one field per kernel pass, equals the single-point views
+    # one field per kernel pass, equals the kernel at each single point
     n, j = 6, -1.3
     b_grid = list(rng.uniform(-3.0, 3.0, size=5))
     t_grid = list(np.geomspace(0.05, 50.0, 7))
@@ -91,11 +79,10 @@ def test_block_matches_pointwise_views(rng, monkeypatch):
     for field in ("z_shifted", "u", "m", "g_xx", "g_zz", "probabilities"):
         assert np.allclose(getattr(whole, field), getattr(split, field), rtol=RTOL, atol=0)
     for k_b, b in enumerate(b_grid):
-        spectrum = full_spectrum(ModelParams(n=n, j=j, b=b))
         for k_t, t in enumerate(t_grid):
-            obs = observables(spectrum, t)
+            obs = reweight(ring_model(n), j, b, t)
             assert _close(whole.u[k_b, k_t], obs.u) and _close(whole.g_zz[k_b, k_t], obs.g_zz)
-            assert _close(math.log(whole.z_shifted[k_b, k_t]), obs.log_z_shifted)
+            assert _close(math.log(whole.z_shifted[k_b, k_t]), math.log(obs.z_shifted))
 
 
 def test_kernel_rejects_bad_input():
@@ -104,8 +91,6 @@ def test_kernel_rejects_bad_input():
         reweight(ring, 1.0, [0.0], [0.0])
     with pytest.raises(ValueError):
         reweight(ring, 1.0, [], [1.0])
-    with pytest.raises(NonAdjacentPairError):
-        reduced_pair_density(full_spectrum(ModelParams(n=4, j=1.0, b=0.0)), 1.0, (0, 2))
 
 
 def test_cached_eigenvalues_match_direct_diagonalization(rng):
@@ -120,11 +105,10 @@ def test_cached_eigenvalues_match_direct_diagonalization(rng):
 @pytest.mark.parametrize("j,b", [(1.0, 2.0 * (math.sqrt(2.0) - 1.0)), (-1.0, 2.0 * (math.sqrt(2.0) - 1.0)),
                                  (1.0, 0.0), (0.0, 0.5)])
 def test_ground_state_reduced_matches_reference(j, b):
-    spectrum = full_spectrum(ModelParams(n=4, j=j, b=b))
+    rho = ground_state_reduced(full_spectrum(ModelParams(n=4, j=j, b=b)))
+    got = (rho.u_plus, rho.u_minus, rho.w, rho.z)
     for pair in bonds(4):
-        rho = ground_state_reduced(spectrum, pair)
         want = reference_ground_reduced(4, j, b, pair)
-        got = (rho.u_plus, rho.u_minus, rho.w, rho.z)
         assert all(_close(g, w) for g, w in zip(got, want)), (j, b, pair, got, want)
 
 

@@ -3,19 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from xxring.eigensolver import full_spectrum
+from xxring.eigensolver import full_spectrum, ring_model
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import (
-    NonAdjacentPairError,
-    ground_state_reduced,
-    observables,
-    reduced_pair_density,
-)
+from xxring.thermal import ground_state_reduced, reweight
 
 from oracles import (
     SX,
     SY,
-    correlator_xx_direct,
+    bonds,
     eigenvalues,
     four_site_singletlike_ground,
     full_hamiltonian,
@@ -25,6 +20,7 @@ from oracles import (
     log_partition,
     pair_matrix,
     partial_trace_pair,
+    reference_thermal,
     site_operator,
 )
 
@@ -41,18 +37,18 @@ def _spectrum(n, j, b):
 
 
 def test_high_temperature_limit_vanishes():
-    obs = observables(_spectrum(4, 1.0, 0.0), 1.0e6)
+    obs = reweight(ring_model(4), 1.0, 0.0, 1.0e6)
     for value in (obs.u, obs.m, obs.g_xx, obs.g_zz):
         assert abs(value) < 1e-4
 
 
 def test_low_temperature_energy_is_ground_energy():
-    obs = observables(_spectrum(4, 1.0, 0.0), 1.0e-3)
+    obs = reweight(ring_model(4), 1.0, 0.0, 1.0e-3)
     assert obs.u == pytest.approx(-4.0 * math.sqrt(2.0), abs=1e-10)
 
 
 def test_observables_match_frozen_closed_forms():
-    obs = observables(_spectrum(4, 1.0, 1.0), 1.0)
+    obs = reweight(ring_model(4), 1.0, 1.0, 1.0)
     assert obs.u == pytest.approx(U_N4_J1_B1_T1, rel=1e-12)
     assert obs.m == pytest.approx(M_N4_J1_B1_T1, rel=1e-12)
     assert obs.g_zz == pytest.approx(GZZ_N4_J1_B1_T1, rel=1e-12)
@@ -65,38 +61,32 @@ def test_log_partition_matches_oracle(rng):
         t = float(rng.uniform(0.2, 5.0))
         params = ModelParams(n=n, j=j, b=b)
         spectrum = full_spectrum(params)
-        obs = observables(spectrum, t)
-        log_z = obs.log_z_shifted - spectrum.ground_energy / t
+        obs = reweight(spectrum.ring, j, b, t)
+        log_z = math.log(obs.z_shifted) - spectrum.ground_energy / t
         assert log_z == pytest.approx(log_partition(full_hamiltonian(params), t), abs=1e-10)
 
 
 def test_observables_rejects_nonpositive_temperature():
-    spectrum = _spectrum(4, 1.0, 0.0)
     with pytest.raises(ValueError):
-        observables(spectrum, 0.0)
+        reweight(ring_model(4), 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        observables(spectrum, -1.0)
+        reweight(ring_model(4), 1.0, 0.0, -1.0)
 
 
 def test_correlator_zero_exchange_vanishes():
     for b, t in [(0.0, 1.0), (2.0, 0.3), (-1.5, 10.0)]:
-        assert correlator_xx_direct(_spectrum(4, 0.0, b), t) == pytest.approx(0.0, abs=1e-14)
+        assert reweight(ring_model(4), 0.0, b, t).g_xx == pytest.approx(0.0, abs=1e-14)
 
 
 def test_correlator_matches_frozen_zero_field_value():
-    assert correlator_xx_direct(_spectrum(4, 1.0, 0.0), 1.0) == pytest.approx(
-        GXX_N4_J1_B0_T1, rel=1e-12)
+    assert reweight(ring_model(4), 1.0, 0.0, 1.0).g_xx == pytest.approx(GXX_N4_J1_B0_T1, rel=1e-12)
 
 
 def test_correlator_is_bond_independent():
-    spectrum = _spectrum(4, 1.0, 0.7)
-    values = [correlator_xx_direct(spectrum, 0.9, bond) for bond in [(0, 1), (1, 2), (2, 3), (3, 0)]]
-    assert max(values) - min(values) < 1e-10
-
-
-def test_correlator_rejects_non_bond():
-    with pytest.raises(NonAdjacentPairError):
-        correlator_xx_direct(_spectrum(4, 1.0, 0.0), 1.0, (0, 2))
+    # the package's one bond correlator against each bond's own reference
+    g_xx = reweight(ring_model(4), 1.0, 0.7, 0.9).g_xx
+    for bond in bonds(4):
+        assert g_xx == pytest.approx(reference_thermal(4, 1.0, 0.7, 0.9, bond)["g_xx"], abs=1e-10)
 
 
 def test_gxx_from_energy_matches_direct(rng):
@@ -105,16 +95,14 @@ def test_gxx_from_energy_matches_direct(rng):
             j = float(rng.uniform(0.1, 2.0)) * float(rng.choice([-1.0, 1.0]))
             b = float(rng.uniform(-3, 3))
             t = float(rng.uniform(0.1, 20.0))
-            params = ModelParams(n=n, j=j, b=b)
-            spectrum = full_spectrum(params)
-            obs = observables(spectrum, t)
-            assert gxx_from_energy(obs, params) == pytest.approx(
-                correlator_xx_direct(spectrum, t), abs=1e-9)
+            obs = reweight(ring_model(n), j, b, t)
+            assert gxx_from_energy(obs, ModelParams(n=n, j=j, b=b)) == pytest.approx(
+                obs.g_xx, abs=1e-9)
 
 
 def test_gxx_from_energy_rejects_zero_exchange():
     params = ModelParams(n=4, j=0.0, b=1.0)
-    obs = observables(full_spectrum(params), 1.0)
+    obs = reweight(ring_model(4), 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         gxx_from_energy(obs, params)
 
@@ -131,11 +119,11 @@ def test_gxx_geq_gyy_both_from_full_space_oracle(rng):
         yy = np.trace(site_operator(n, {0: SY, 1: SY}) @ rho)
         assert abs(xx.imag) < 1e-12 and abs(yy.imag) < 1e-12
         assert xx.real == pytest.approx(yy.real, abs=1e-10)
-        assert correlator_xx_direct(full_spectrum(params), t) == pytest.approx(xx.real, abs=1e-10)
+        assert reweight(ring_model(n), j, b, t).g_xx == pytest.approx(xx.real, abs=1e-10)
 
 
 def test_reduced_density_high_temperature_is_maximally_mixed():
-    rho = reduced_pair_density(_spectrum(4, 1.0, 0.0), 1.0e8)
+    rho = reweight(ring_model(4), 1.0, 0.0, 1.0e8).pair_density()
     assert rho.u_plus == pytest.approx(0.25, abs=1e-7)
     assert rho.u_minus == pytest.approx(0.25, abs=1e-7)
     assert rho.w == pytest.approx(0.25, abs=1e-7)
@@ -143,7 +131,7 @@ def test_reduced_density_high_temperature_is_maximally_mixed():
 
 
 def test_reduced_density_low_temperature_matches_ground_values():
-    rho = reduced_pair_density(_spectrum(4, 1.0, 0.0), 1.0e-3)
+    rho = reweight(ring_model(4), 1.0, 0.0, 1.0e-3).pair_density()
     assert rho.z == pytest.approx(-math.sqrt(2.0) / 4.0, abs=1e-10)
     assert 1.0 - 4.0 * rho.w == pytest.approx(-0.5, abs=1e-10)  # g_zz
     assert rho.u_plus == pytest.approx(rho.u_minus, abs=1e-12)
@@ -155,7 +143,7 @@ def test_reduced_density_matches_partial_trace(n, rng):
     b = float(rng.uniform(-2, 2))
     t = float(rng.uniform(0.2, 5.0))
     params = ModelParams(n=n, j=j, b=b)
-    spectrum = full_spectrum(params)
+    rho = reweight(ring_model(n), j, b, t).pair_density()
     rho_full = gibbs_density(full_hamiltonian(params).astype(complex), t)
     for pair in [(0, 1), (n - 1, 0)]:
         direct = partial_trace_pair(rho_full, n, pair)
@@ -165,23 +153,15 @@ def test_reduced_density_matches_partial_trace(n, rng):
         x_mask[np.diag_indices(4)] = True
         x_mask[1, 2] = x_mask[2, 1] = True
         assert np.abs(direct[~x_mask]).max() < 1e-10  # off-X entries vanish
-        rho = reduced_pair_density(spectrum, t, pair)
         assert np.abs(pair_matrix(rho) - direct).max() < 1e-10
 
 
 def test_reduced_density_identical_on_every_bond():
-    spectrum = _spectrum(6, 1.4, -0.8)
-    densities = [reduced_pair_density(spectrum, 0.7, (i, (i + 1) % 6)) for i in range(6)]
-    for rho in densities[1:]:
-        for field in ("u_plus", "u_minus", "w", "z"):
-            assert getattr(rho, field) == pytest.approx(getattr(densities[0], field), abs=1e-10)
-
-
-def test_reduced_density_rejects_non_bond():
-    with pytest.raises(NonAdjacentPairError):
-        reduced_pair_density(_spectrum(5, 1.0, 0.0), 1.0, (0, 2))
-    with pytest.raises(ValueError):
-        reduced_pair_density(_spectrum(5, 1.0, 0.0), 1.0, (0, 7))
+    # the package's one bond state against the partial trace on each bond
+    rho = pair_matrix(reweight(ring_model(6), 1.4, -0.8, 0.7).pair_density())
+    rho_full = gibbs_density(full_hamiltonian(ModelParams(n=6, j=1.4, b=-0.8)).astype(complex), 0.7)
+    for bond in bonds(6):
+        assert np.abs(rho - partial_trace_pair(rho_full, 6, bond).real).max() < 1e-10, bond
 
 
 def test_pair_operator_expectations_agree_with_full_space(rng):
@@ -190,7 +170,7 @@ def test_pair_operator_expectations_agree_with_full_space(rng):
         j, b = rng.uniform(-2, 2, size=2)
         t = float(rng.uniform(0.2, 5.0))
         params = ModelParams(n=n, j=j, b=b)
-        rho_pair = pair_matrix(reduced_pair_density(full_spectrum(params), t, (0, 1)))
+        rho_pair = pair_matrix(reweight(ring_model(n), j, b, t).pair_density())
         rho_full = gibbs_density(full_hamiltonian(params).astype(complex), t)
         for _ in range(3):
             a = rng.normal(size=(4, 4))
@@ -254,7 +234,7 @@ def test_internal_energy_negative_and_increasing(rng):
         b = float(rng.uniform(-2, 2))
         spectrum = full_spectrum(ModelParams(n=n, j=j, b=b))
         grid = np.geomspace(1e-2, 1e2, 40)
-        us = np.array([observables(spectrum, t).u for t in grid])
+        us = np.array([reweight(spectrum.ring, j, b, t).u for t in grid])
         assert np.all(us < 0.0)
         diffs = np.diff(us)
         assert np.all(diffs >= 0.0)
@@ -272,7 +252,7 @@ def test_energy_and_magnetization_match_log_partition_derivatives(rng):
         t = float(rng.uniform(0.3, 10.0))
         params = ModelParams(n=n, j=j, b=b)
         spectrum = full_spectrum(params)
-        obs = observables(spectrum, t)
+        obs = reweight(spectrum.ring, j, b, t)
         values = eigenvalues(spectrum)
 
         def log_z(beta):
