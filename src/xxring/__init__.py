@@ -20,6 +20,6 @@ from .experiments import (
     verify_propositions,
 )
 from .hamiltonian import ModelParams
-from .thermal import GibbsBlock, PairDensity, ground_state_reduced, reweight
+from .thermal import GibbsBlock, PairDensity, reweight
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Command-line front end: spectra, thermal observables, ground-state data,
 sweeps, threshold/crossing finders, and the proposition verifier.
 
-Exit codes: 0 success, 1 in-claim verification failure, 2 argument errors.
+Exit codes: 0 success, 1 in-claim verification failure, 2 argument and file errors.
 """
 
 from __future__ import annotations
@@ -157,9 +157,8 @@ def _cmd_ground(args) -> int:
     print(f"ground energy = {_fmt(spectrum.ground_energy)}")
     try:
         c = ground_state_concurrence(params)
-    except DegenerateGroundError:
-        print(f"ground level is {spectrum.degeneracy}-fold degenerate "
-              "(field sits on a level crossing)")
+    except DegenerateGroundError as exc:
+        print(exc)
         return 0
     print(f"concurrence   = {_fmt(c)}")
     if args.n % 2 == 0:
@@ -167,7 +166,7 @@ def _cmd_ground(args) -> int:
         # (2001)) of the Fock ground state: sigma_y^n maps N down spins to n - N, so it
         # vanishes off half filling; at half filling the nondegenerate ground set holds one
         # mode of each {k, k + pi} pair (cos(k + pi) = -cos k), which makes it exactly 1
-        ground_sz = spectrum.ring.class_sz[spectrum.ground_classes()][0]
+        ground_sz = spectrum.ring.class_sz[np.argmin(spectrum.class_energies())]
         print(f"tangle        = {_fmt(1.0 if ground_sz == 0 else 0.0)}")
     return 0
 
@@ -253,7 +252,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

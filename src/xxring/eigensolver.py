@@ -25,7 +25,7 @@ from .basis import _check_ring_size
 from .hamiltonian import ModelParams
 
 # Levels within GROUND_RTOL * max(1, |E0|) of the ground energy E0 count as
-# the degenerate ground level.
+# the degenerate ground level (`thermal.reweight` at T = 0).
 GROUND_RTOL = 1e-8
 
 # Rings kept resident. Six covers the proposition suites (rings 2..6 and an
@@ -156,17 +156,6 @@ class Spectrum:
     def ground_energy(self) -> float:
         # + 0.0 reads the all-zero spectrum (j = b = 0) as 0, never -0
         return float(self.class_energies().min()) + 0.0
-
-    def ground_classes(self) -> np.ndarray:
-        """The classes of the degenerate ground level: those within
-        GROUND_RTOL * max(1, |E0|) of the ground energy E0."""
-        e0 = self.ground_energy
-        return self.class_energies() <= e0 + GROUND_RTOL * max(1.0, abs(e0))
-
-    @property
-    def degeneracy(self) -> int:
-        """The number of levels in the degenerate ground level."""
-        return int(self.ring.classes[0, self.ground_classes()].sum())
 
 
 def full_spectrum(params: ModelParams) -> Spectrum:

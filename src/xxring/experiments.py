@@ -16,7 +16,7 @@ from .basis import N_MAX
 from .entanglement import concurrence_from_correlators, concurrence_xstate
 from .eigensolver import GROUND_RTOL, RingModel, Spectrum, full_spectrum, ring_model
 from .hamiltonian import ModelParams
-from .thermal import GibbsBlock, ground_state_reduced, reweight
+from .thermal import GibbsBlock, reweight
 
 # Below this, the clamped concurrence is indistinguishable from roundoff.
 POSITIVE_CONCURRENCE = 1e-12
@@ -90,8 +90,6 @@ def sweep(params: ModelParams, t_grid, b_grid) -> tuple[GibbsBlock, np.ndarray]:
         raise ValueError("temperature and field grids must be nonempty")
     if not all(map(math.isfinite, t_values + b_values)):
         raise ValueError("temperature and field grid entries must be finite")
-    if any(t <= 0 for t in t_values):
-        raise ValueError("temperature grid entries must be positive")
     # the grid's strongest field must pass the energy bound of a single point
     ModelParams(n=params.n, j=params.j, b=max(map(abs, b_values)))
     if len(t_values) * len(b_values) > MAX_SWEEP_ROWS:
@@ -214,29 +212,25 @@ def _energy_formula(energy, n: int, j, g_zz):
 
 
 def ground_state_concurrence(params: ModelParams) -> float:
-    """Nearest-neighbor concurrence of the ground state.
+    """Nearest-neighbor concurrence of the ground state: the Gibbs state at
+    T = 0, from one `reweight` call.
 
-    Uses the reduced-density route for any field; at b = 0 the zero-field
-    energy formula C = max(0, -+ E0/(n j) - g_zz - 1) / 2 (sign by the sign
-    of j) is evaluated as well and must agree to 1e-9. A degenerate ground
-    level sits exactly on a crossing and is refused; a single site has no
-    bond and reports 0.
+    A degenerate ground level sits exactly on a crossing and is refused, its
+    degeneracy in the message; at b = 0 the zero-field energy formula
+    C = max(0, -+ U/(n j) - g_zz - 1) / 2 (sign by the sign of j) must agree
+    to 1e-9. A single site has no bond and reports 0.
     """
-    spectrum = full_spectrum(params)
-    if spectrum.degeneracy > 1:
+    g, value = gibbs_concurrence(ring_model(params.n), params.j, params.b, 0.0)
+    if g.z_shifted > 1:
         raise DegenerateGroundError(
-            f"ground level of {params} is degenerate; the field sits on a crossing")
-    if params.n == 1:
-        return 0.0
-    rho = ground_state_reduced(spectrum)
-    value = concurrence_xstate(rho)
+            f"ground level is {int(g.z_shifted)}-fold degenerate (field sits on a level crossing)")
     if params.b == 0.0 and params.j != 0.0:
-        formula = _energy_formula(spectrum.ground_energy, params.n, params.j, 1.0 - 4.0 * rho.w)
+        formula = _energy_formula(g.u, params.n, params.j, g.g_zz)
         if abs(formula - value) > 1e-9:
             raise RuntimeError(
                 f"zero-field energy formula ({formula}) disagrees with the "
                 f"reduced-density route ({value})")
-    return value
+    return float(value)
 
 
 def _draw_parameters(rng: np.random.Generator) -> tuple[float, float, float]:

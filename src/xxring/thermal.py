@@ -8,19 +8,18 @@ energy at every (j, b) are one class. At any broadcast block of points
 weights with the class table (multiplicity, kappa, sum(sigma_z) and the
 pair-pattern probabilities, each summed over the class). Every level is
 translation invariant, so one table serves every bond and every bond
-carries the same state; no function takes a bond. A bond's X-form state is
-formed in one place, `PairDensity.from_bond`, with the pattern
-probabilities p00 and p11 as corners: positive sums, accurate however
-small.
+carries the same state; no function takes a bond. A bond's X-form state
+(`GibbsBlock.pair_density`) has the pattern probabilities p00 and p11 as
+corners: positive sums, accurate however small.
 
 Shifting by the ground energy keeps every weight at most 1, and -1/T is
 clamped to a finite value, so every positive temperature is safe, down to the
 subnormals: there a positive gap weighs exactly 0 (its overflow to -inf is
-expected and not reported), and the ground level weighs 1. T = 0 is
-a separate code path (`ground_state_reduced`: the uniform mixture over the
-degenerate ground subspace), never a large-beta limit: at level crossings
-the limit state is the degenerate mixture, and beta ~ 1e6 exponentials are
-ill-conditioned anyway.
+expected and not reported), and the ground level weighs 1. At T = 0 the
+weights are exact, never a large-beta limit: each class of the degenerate
+ground level (within GROUND_RTOL * max(1, |E0|) of the ground energy E0)
+weighs 1 and every other class 0, so the state is the uniform mixture over
+the ground level and z_shifted is its degeneracy.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import RingModel, Spectrum
+from .eigensolver import GROUND_RTOL, RingModel
 
 # A kernel pass holds at most this many (point, class) weights; larger blocks
 # of points are reweighted a pass at a time. A point weighs each level class
@@ -47,12 +46,6 @@ class PairDensity:
     u_minus: float
     w: float
     z: float
-
-    @classmethod
-    def from_bond(cls, p00: float, p01: float, p10: float, p11: float, g_xx: float) -> PairDensity:
-        """The X form of a bond from its pattern probabilities (bit of the
-        first site first) and its flip-flop correlator <sigma_x sigma_x>."""
-        return cls(u_plus=p00, u_minus=p11, w=(p01 + p10) / 2.0, z=g_xx / 2.0)
 
 
 @dataclass(frozen=True)
@@ -73,9 +66,11 @@ class GibbsBlock:
     probabilities: np.ndarray
 
     def pair_density(self) -> PairDensity:
-        """The bond's X-form state at every point of the block."""
+        """The bond's X-form state at every point of the block: the pattern
+        probabilities p00 and p11 as corners, p01 (= p10) as the center and
+        half the flip-flop correlator <sigma_x sigma_x> as the coherence."""
         p = self.probabilities
-        return PairDensity.from_bond(p[..., 0], p[..., 1], p[..., 2], p[..., 3], self.g_xx)
+        return PairDensity(u_plus=p[..., 0], u_minus=p[..., 3], w=p[..., 1], z=self.g_xx / 2.0)
 
 
 def reweight(ring: RingModel, j, b, t) -> GibbsBlock:
@@ -92,22 +87,30 @@ def reweight(ring: RingModel, j, b, t) -> GibbsBlock:
     time (at most _BLOCK_WEIGHTS weights per pass): one multiply by -1/T,
     one exp, and one contraction with the class table gives z, <kappa>, M
     and the pair probabilities; U = j <kappa> + b M, g_xx = <kappa> / (2n)
-    and g_zz = p00 - p01 - p10 + p11. Every bond has the same averages; on a
-    single site the bond averages are 0.
+    and g_zz = p00 - p01 - p10 + p11. t may be 0 (or -0): there each class of
+    the point's ground level weighs exactly 1 and every other class 0, so
+    z_shifted is the ground degeneracy. Every bond has the same averages; on
+    a single site the bond averages are 0.
     """
     j, b = np.broadcast_arrays(np.asarray(j, dtype=float), np.asarray(b, dtype=float))
     # each point's row of class energies (one row per (j, b) entry), and its temperature
     field, t = np.broadcast_arrays(np.arange(j.size).reshape(j.shape), np.asarray(t, dtype=float))
     if t.size == 0:
         raise ValueError("no points to reweight")
-    if not (t > 0).all():
-        raise ValueError("temperature must be positive; use ground_state_reduced at T = 0")
-    # -1/T, kept finite below T ~ 5.6e-309 so that a zero energy gap never gives 0 * inf = nan
-    with np.errstate(over="ignore"):
-        shape, field, scales = t.shape, field.ravel(), np.maximum(-1.0 / t.ravel(), -sys.float_info.max)
+    if not (t >= 0).all():
+        raise ValueError("temperature must be nonnegative")
+    shape, field, t = t.shape, field.ravel(), t.ravel()
+    # -1/T, kept finite below T ~ 5.6e-309 so that a zero energy gap never gives 0 * inf = nan;
+    # at T = 0 (+ 0.0 turns -0 into 0) it is clamped alike, and the ground mask sets the weights
+    with np.errstate(over="ignore", divide="ignore"):
+        scales = np.maximum(-1.0 / (t + 0.0), -sys.float_info.max)
+    zero = t == 0
     j, b = j.ravel(), b.ravel()
     energies = j[:, None] * ring.class_kappa + b[:, None] * ring.class_sz
-    energies -= energies.min(axis=1, keepdims=True)
+    e0 = energies.min(axis=1, keepdims=True)
+    # each (j, b)'s ground level, by unshifted class energies, built only for a point at T = 0
+    ground = energies <= e0 + GROUND_RTOL * np.maximum(1.0, np.abs(e0)) if zero.any() else None
+    energies -= e0
     moments = np.empty((scales.size, ring.classes.shape[0]))
     step = max(1, _BLOCK_WEIGHTS // ring.class_kappa.size)
     for lo in range(0, scales.size, step):
@@ -120,6 +123,10 @@ def reweight(ring: RingModel, j, b, t) -> GibbsBlock:
         with np.errstate(over="ignore"):
             weights *= scales[rows, None]
         np.exp(weights, out=weights)
+        if ground is not None:
+            # at T = 0 each class of the ground level weighs exactly 1, every other class 0
+            at_zero = zero[rows]
+            weights[at_zero] = ground[field[rows][at_zero]]
         # einsum, not a BLAS product, so the sums round alike at any BLAS thread count
         moments[rows] = np.einsum("pc,rc->pr", weights, ring.classes)
     z = moments[:, 0]
@@ -133,13 +140,3 @@ def reweight(ring: RingModel, j, b, t) -> GibbsBlock:
     return GibbsBlock(z_shifted=z.reshape(shape), u=u.reshape(shape), m=moments[:, 2].reshape(shape),
                       g_xx=(moments[:, 1] / (2.0 * ring.n)).reshape(shape),
                       g_zz=p[..., 0] - p[..., 1] - p[..., 2] + p[..., 3], probabilities=p)
-
-
-def ground_state_reduced(spectrum: Spectrum) -> PairDensity:
-    """Two-qubit reduced density of the T -> 0+ Gibbs limit: the uniform
-    mixture over the full degenerate ground subspace, the sums of its classes
-    (`Spectrum.ground_classes`) over its degeneracy."""
-    ring = spectrum.ring
-    sums = ring.classes[:, spectrum.ground_classes()].sum(axis=1)
-    kappa, _, p00, p01, p11 = (sums[1:] / sums[0]).tolist()
-    return PairDensity.from_bond(p00, p01, p01, p11, kappa / (2.0 * ring.n))

@@ -75,6 +75,21 @@ def test_ground_reports_degeneracy_at_crossing(capsys):
     assert "degenerate" in out
 
 
+@pytest.mark.parametrize("b", ["0", "0.3", repr(2.0 * (math.sqrt(2.0) - 1.0))])
+def test_thermal_at_minus_zero_prints_the_zero_temperature_state(capsys, b):
+    outputs = [run_cli(capsys, "thermal", "--n", "4", "--j", "1", "--b", b, "--t", t) for t in ("0", "-0")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
+def test_sweep_output_file_errors_exit_two(capsys, tmp_path):
+    grid = ["--t-min", "1", "--t-max", "1", "--t-steps", "1", "--b-min", "0", "--b-max", "0", "--b-steps", "1"]
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run_cli(capsys, "sweep", "--n", "4", "--j", "1", *grid, "--output", str(path))
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and str(path) in err
+
+
 def test_ground_odd_ring_skips_tangle(capsys):
     code, out, _ = run_cli(capsys, "ground", "--n", "5", "--j", "1", "--b", "1")
     assert code == 0

@@ -48,6 +48,8 @@ CORPUS = [
     "thermal --n 7 --j 0.6 --b 1.1 --t 0.05",
     "thermal --n 8 --j 1 --b 0.3 --t 0.05",
     "thermal --n 8 --j 0 --b 0.5 --t 1",
+    "thermal --n 4 --j 1 --t 0",
+    f"thermal --n 4 --j 1 --b {_CROSSING} --t 0",
     # ground
     "ground --n 1 --j 1 --b 0.3",
     "ground --n 2 --j 1",
@@ -160,6 +162,24 @@ def test_output_matches_recording(recorded, command):
     assert got["rc"] == want["rc"]
     assert differences(got["stdout"], want["stdout"]) == []
     assert differences(got["stderr"], want["stderr"]) == []
+
+
+def _concurrence(stdout: str) -> str:
+    return next(line for line in stdout.splitlines() if line.startswith("concurrence")).split("= ")[1]
+
+
+def test_zero_temperature_concurrence_is_the_ground_concurrence():
+    # a nondegenerate ground prints the concurrence bytes of the Gibbs state at T = 0
+    compared = 0
+    for command in CORPUS:
+        ground = run(command)
+        if not (command.startswith("ground") and "concurrence" in ground["stdout"]):
+            continue
+        thermal = run(command.replace("ground", "thermal", 1) + " --t 0")
+        assert thermal["rc"] == 0, command
+        assert _concurrence(thermal["stdout"]) == _concurrence(ground["stdout"]), command
+        compared += 1
+    assert compared >= 8
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import pytest
 from xxring.eigensolver import full_spectrum, ring_model
 from xxring.entanglement import concurrence_from_correlators, concurrence_xstate
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import PairDensity, ground_state_reduced, reweight
+from xxring.thermal import PairDensity, reweight
 
 from oracles import (
     SY,
@@ -63,7 +63,7 @@ def test_xstate_bell_pair():
 
 
 def test_xstate_zero_field_ground():
-    rho = ground_state_reduced(full_spectrum(ModelParams(n=4, j=1.0, b=0.0)))
+    rho = reweight(ring_model(4), 1.0, 0.0, 0.0).pair_density()
     assert concurrence_xstate(rho) == pytest.approx(GROUND_CONCURRENCE, abs=1e-12)
 
 

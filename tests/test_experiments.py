@@ -105,13 +105,29 @@ def test_sweep_validation(reweight_calls):
     params = ModelParams(n=4, j=1.0, b=0.0)
     with pytest.raises(ValueError):
         sweep(params, [], [0.0])
-    with pytest.raises(ValueError):
-        sweep(params, [0.0, 1.0], [0.0])
     # a grid just past the cap is refused before any reweighting
     assert 2001 * 1000 > experiments.MAX_SWEEP_ROWS >= 2000 * 1000
     with pytest.raises(ValueError, match="grid of 2001000 rows exceeds cap 2000000"):
         sweep(params, [1.0] * 2001, [0.0] * 1000)
     assert reweight_calls == []
+    # a negative temperature is refused by the kernel's own rule
+    with pytest.raises(ValueError, match="temperature must be nonnegative"):
+        sweep(params, [-1.0, 1.0], [0.0])
+
+
+def test_sweep_zero_temperature_column_is_the_ground_state():
+    params = ModelParams(n=4, j=1.0, b=0.0)
+    fields = [-3.0, -1.0, 0.0, 0.5, B_CROSS_LOW, 1.0, 2.0, 3.0]
+    _, concurrence = sweep(params, [0.0, 1.0], fields)
+    checked = 0
+    for b, c in zip(fields, concurrence[:, 0]):
+        try:
+            want = ground_state_concurrence(dataclasses.replace(params, b=b))
+        except DegenerateGroundError:  # the crossings B_CROSS_LOW and 2
+            continue
+        assert c == want, b
+        checked += 1
+    assert checked == 6
 
 
 @pytest.mark.parametrize("t_grid, b_grid", [

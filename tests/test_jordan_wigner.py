@@ -25,7 +25,7 @@ from xxring.cli import main
 from xxring.eigensolver import GROUND_RTOL, RingModel, full_spectrum, ring_model
 from xxring.experiments import gibbs_concurrence
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import ground_state_reduced, reweight
+from xxring.thermal import reweight
 
 from oracles import (
     bonds,
@@ -101,12 +101,12 @@ def test_sector_levels_match_the_ed_sectors(n):
 @pytest.mark.parametrize("j", [1.0, -1.0])
 @pytest.mark.parametrize("b", CROSSINGS_N4)
 def test_ground_mixture_at_both_n4_crossings_matches_ed(j, b):
-    spectrum = full_spectrum(ModelParams(n=4, j=j, b=b))
-    assert spectrum.degeneracy == len(dense_ground_states(spectrum.params)) == 2
+    g = reweight(ring_model(4), j, b, 0.0)
+    assert g.z_shifted == len(dense_ground_states(ModelParams(n=4, j=j, b=b))) == 2
     energies = dense_ring(4).energies(j, b)
     e0 = energies.min()
     dense_mask = energies <= e0 + GROUND_RTOL * max(1.0, abs(e0))
-    rho = ground_state_reduced(spectrum)
+    rho = g.pair_density()
     for bond in bonds(4):
         moments = dense_ring(4).bond_columns(bond)[dense_mask].mean(axis=0)
         assert _close([rho.u_plus, rho.w, rho.w, rho.u_minus], moments[2:], 1e-12, 1e-10)
@@ -120,13 +120,13 @@ def test_ground_mixture_is_the_mean_of_the_ground_levels(n):
     j, b, _ = _seeded_points(n)
     for params in [ModelParams(n=n, j=float(jj), b=float(bb)) for jj, bb in zip(j, b)] + [
             ModelParams(n=n, j=1.0, b=0.0), ModelParams(n=n, j=-1.0, b=0.0)]:
-        spectrum = full_spectrum(params)
+        g = reweight(ring_model(n), params.j, params.b, 0.0)
         mask = level_table(n).ground_mask(params)
-        assert spectrum.degeneracy == mask.sum()
+        assert g.z_shifted == mask.sum()
         if n == 1:  # no bond
             continue
         kappa, _, p00, p01, p11 = level_table(n).levels[mask].mean(axis=0)
-        rho = ground_state_reduced(spectrum)
+        rho = g.pair_density()
         assert _close([rho.u_plus, rho.w, rho.u_minus, rho.z], [p00, p01, p11, kappa / (4 * n)], 1e-12)
 
 
@@ -138,7 +138,7 @@ def test_slater_ground_vector_is_the_ed_ground_vector(n):
         states = dense_ground_states(params)
         spectrum = full_spectrum(params)
         if len(states) != 1:
-            assert spectrum.degeneracy == len(states)
+            assert reweight(spectrum.ring, params.j, params.b, 0.0).z_shifted == len(states)
             with pytest.raises(ValueError):
                 ground_state_vector(spectrum)
             continue
@@ -173,7 +173,7 @@ def test_closed_form_tangle_is_the_slater_vector_tangle(n):
     printed = []
     for j, b in points:
         params = ModelParams(n=n, j=j, b=b)
-        if full_spectrum(params).degeneracy > 1:
+        if reweight(ring_model(n), j, b, 0.0).z_shifted > 1:
             assert _printed_tangle(params) is None
             continue
         printed.append(_printed_tangle(params))

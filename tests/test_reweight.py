@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xxring.thermal as thermal
-from xxring.eigensolver import full_spectrum, ring_model
+from xxring.eigensolver import ring_model
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import ground_state_reduced, reweight
+from xxring.thermal import reweight
 
 from oracles import (
     bonds,
@@ -88,9 +88,22 @@ def test_block_matches_pointwise_views(rng, monkeypatch):
 def test_kernel_rejects_bad_input():
     ring = ring_model(4)
     with pytest.raises(ValueError):
-        reweight(ring, 1.0, [0.0], [0.0])
+        reweight(ring, 1.0, [0.0], [-1.0])
     with pytest.raises(ValueError):
         reweight(ring, 1.0, [], [1.0])
+
+
+def test_zero_temperature_rows_are_those_of_separate_calls():
+    # T = 0 (and -0) mixed into a block leaves every row's bits as separate
+    # calls at the positive and at the zero temperatures give them
+    ring = ring_model(6)
+    j, b = np.array([[1.0], [-0.7], [1.3]]), np.array([[0.4], [0.0], [-2.5]])
+    t = np.array([0.0, 0.3, -0.0, 2.0, 1e-320])
+    mixed = reweight(ring, j, b, t)
+    for part in (t > 0, t == 0):
+        alone = reweight(ring, j, b, t[part])
+        for field in ("z_shifted", "u", "m", "g_xx", "g_zz", "probabilities"):
+            assert np.array_equal(getattr(mixed, field)[:, part], getattr(alone, field)), field
 
 
 def test_cached_eigenvalues_match_direct_diagonalization(rng):
@@ -105,7 +118,7 @@ def test_cached_eigenvalues_match_direct_diagonalization(rng):
 @pytest.mark.parametrize("j,b", [(1.0, 2.0 * (math.sqrt(2.0) - 1.0)), (-1.0, 2.0 * (math.sqrt(2.0) - 1.0)),
                                  (1.0, 0.0), (0.0, 0.5)])
 def test_ground_state_reduced_matches_reference(j, b):
-    rho = ground_state_reduced(full_spectrum(ModelParams(n=4, j=j, b=b)))
+    rho = reweight(ring_model(4), j, b, 0.0).pair_density()
     got = (rho.u_plus, rho.u_minus, rho.w, rho.z)
     for pair in bonds(4):
         want = reference_ground_reduced(4, j, b, pair)

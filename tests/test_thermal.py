@@ -1,11 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from xxring.eigensolver import full_spectrum, ring_model
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import ground_state_reduced, reweight
+from xxring.thermal import reweight
 
 from oracles import (
     SX,
@@ -30,10 +31,6 @@ M_N4_J1_B1_T1 = -1.348707086151831826582
 GZZ_N4_J1_B1_T1 = -0.1161136471982001949732
 GXX_N4_J1_B1_T1 = -0.5289399727271086143953
 GXX_N4_J1_B0_T1 = -0.6337732342742042308598
-
-
-def _spectrum(n, j, b):
-    return full_spectrum(ModelParams(n=n, j=j, b=b))
 
 
 def test_high_temperature_limit_vanishes():
@@ -67,10 +64,11 @@ def test_log_partition_matches_oracle(rng):
 
 
 def test_observables_rejects_nonpositive_temperature():
-    with pytest.raises(ValueError):
-        reweight(ring_model(4), 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        reweight(ring_model(4), 1.0, 0.0, -1.0)
+    # of the nonpositive temperatures only T = 0 (and -0) is a state: the ground-level mixture
+    for t in (-1.0, -sys.float_info.min, math.nan, [1.0, -1.0]):
+        with pytest.raises(ValueError, match="temperature must be nonnegative"):
+            reweight(ring_model(4), 1.0, 0.0, t)
+    assert reweight(ring_model(4), 1.0, 0.0, [0.0, -0.0]).z_shifted.tolist() == [1.0, 1.0]
 
 
 def test_correlator_zero_exchange_vanishes():
@@ -194,7 +192,7 @@ def _reorder_pair_operator(a):
 
 def test_ground_state_reduced_zero_field_matches_projector():
     params = ModelParams(n=4, j=1.0, b=0.0)
-    rho = ground_state_reduced(full_spectrum(params))
+    rho = reweight(ring_model(4), params.j, params.b, 0.0).pair_density()
     psi = four_site_singletlike_ground()
     oracle = partial_trace_pair(np.outer(psi, psi.conj()), 4, (0, 1)).real
     assert np.abs(pair_matrix(rho) - oracle).max() < 1e-12
@@ -202,7 +200,7 @@ def test_ground_state_reduced_zero_field_matches_projector():
 
 
 def test_ground_state_reduced_w_band():
-    rho = ground_state_reduced(_spectrum(4, 1.0, 1.0))
+    rho = reweight(ring_model(4), 1.0, 1.0, 0.0).pair_density()
     assert rho.u_plus == pytest.approx(0.0, abs=1e-12)
     assert rho.u_minus == pytest.approx(0.5, abs=1e-12)
     assert rho.w == pytest.approx(0.25, abs=1e-12)
@@ -210,7 +208,7 @@ def test_ground_state_reduced_w_band():
 
 
 def test_ground_state_reduced_polarized():
-    rho = ground_state_reduced(_spectrum(4, 1.0, 3.0))
+    rho = reweight(ring_model(4), 1.0, 3.0, 0.0).pair_density()
     assert rho.u_minus == pytest.approx(1.0, abs=1e-12)
     assert rho.u_plus == pytest.approx(0.0, abs=1e-12)
     assert rho.w == pytest.approx(0.0, abs=1e-12)
@@ -218,12 +216,14 @@ def test_ground_state_reduced_polarized():
 
 
 def test_ground_state_reduced_degenerate_mixture_matches_oracle():
-    b_cross = 2.0 * (math.sqrt(2.0) - 1.0)
-    params = ModelParams(n=4, j=1.0, b=b_cross)
-    rho = ground_state_reduced(full_spectrum(params))
-    oracle = partial_trace_pair(
-        ground_mixture_density(full_hamiltonian(params).astype(complex)), 4, (0, 1)).real
-    assert np.abs(pair_matrix(rho) - oracle).max() < 1e-9
+    # both four-site crossings: T = 0 is the two-level mixture
+    for b_cross in (2.0 * (math.sqrt(2.0) - 1.0), 2.0):
+        params = ModelParams(n=4, j=1.0, b=b_cross)
+        g = reweight(ring_model(4), params.j, params.b, 0.0)
+        assert g.z_shifted == 2
+        oracle = partial_trace_pair(
+            ground_mixture_density(full_hamiltonian(params).astype(complex)), 4, (0, 1)).real
+        assert np.abs(pair_matrix(g.pair_density()) - oracle).max() < 1e-9
 
 
 def test_internal_energy_negative_and_increasing(rng):
