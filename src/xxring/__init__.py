@@ -13,7 +13,6 @@ from .experiments import (
     gibbs_concurrence,
     ground_state_concurrence,
     level_crossings,
-    proposition2_odd_control,
     sweep,
     thermal_concurrence,
     threshold_temperature,

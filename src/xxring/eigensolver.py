@@ -28,10 +28,6 @@ from .hamiltonian import ModelParams
 # the degenerate ground level (`thermal.reweight` at T = 0).
 GROUND_RTOL = 1e-8
 
-# Rings kept resident. Six covers the proposition suites (rings 2..6 and an
-# odd control) with one to spare.
-RING_CACHE_SIZE = 6
-
 
 def _count_keys(n: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     """The count keys of one grid parity (odd for an odd number of down
@@ -128,14 +124,15 @@ class RingModel:
             array.setflags(write=False)
 
 
-@functools.lru_cache(maxsize=RING_CACHE_SIZE)
+@functools.cache
 def ring_model(n: int) -> RingModel:
-    """The cached `RingModel` of the n-site ring, least recently used first out.
+    """The cached `RingModel` of the n-site ring, kept for the process.
 
     A ring holds its class table with each class's kappa and sz (64 bytes
-    per class): 0.26 MB for the n = 16 ring. Measured on a 2-CPU machine
-    (median of 15 builds, peak by tracemalloc), the n = 16 ring builds in
-    17-25 ms with a 6.1 MB peak, and the n = 12 ring in 1.9-2.7 ms.
+    per class): 0.26 MB for the n = 16 ring, 0.82 MB for all N_MAX = 16
+    rings at once. Measured on a 2-CPU machine (median of 15 builds, peak
+    by tracemalloc), the n = 16 ring builds in 17-25 ms with a 6.1 MB peak,
+    and the n = 12 ring in 1.9-2.7 ms.
     """
     return RingModel(n)
 

@@ -5,14 +5,12 @@ model's symmetry propositions."""
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import N_MAX
 from .entanglement import concurrence_from_correlators, concurrence_xstate
 from .eigensolver import GROUND_RTOL, RingModel, Spectrum, full_spectrum, ring_model
 from .hamiltonian import ModelParams
@@ -22,7 +20,7 @@ from .thermal import GibbsBlock, reweight
 POSITIVE_CONCURRENCE = 1e-12
 PROPOSITION_TOL = 1e-9
 DEFAULT_SEED = 20020901
-MAX_SWEEP_ROWS = 2_000_000
+MAX_POINTS = 2_000_000
 
 _SCAN_T_MIN = 0.05
 _SCAN_T_MAX = 1.0e3
@@ -82,7 +80,7 @@ def sweep(params: ModelParams, t_grid, b_grid) -> tuple[GibbsBlock, np.ndarray]:
     (fields, temperatures): entry [k_b, k_t] is the point (b_grid[k_b],
     t_grid[k_t]). The concurrence is the same number `thermal_concurrence`
     gives at the point; a single site has no bond and reports 0. A grid of
-    more than MAX_SWEEP_ROWS points is refused before any reweighting.
+    more than MAX_POINTS points is refused before any reweighting.
     """
     t_values = [float(t) for t in t_grid]
     b_values = [float(b) for b in b_grid]
@@ -92,8 +90,8 @@ def sweep(params: ModelParams, t_grid, b_grid) -> tuple[GibbsBlock, np.ndarray]:
         raise ValueError("temperature and field grid entries must be finite")
     # the grid's strongest field must pass the energy bound of a single point
     ModelParams(n=params.n, j=params.j, b=max(map(abs, b_values)))
-    if len(t_values) * len(b_values) > MAX_SWEEP_ROWS:
-        raise ValueError(f"grid of {len(t_values) * len(b_values)} rows exceeds cap {MAX_SWEEP_ROWS}")
+    if len(t_values) * len(b_values) > MAX_POINTS:
+        raise ValueError(f"grid of {len(t_values) * len(b_values)} rows exceeds cap {MAX_POINTS}")
     return gibbs_concurrence(ring_model(params.n), params.j, np.array(b_values)[:, None], t_values)
 
 
@@ -243,24 +241,9 @@ def _draw_parameters(rng: np.random.Generator) -> tuple[float, float, float]:
     return j, b, t
 
 
-@functools.lru_cache(maxsize=1)
-def _draws(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (j, b, t) draws of one seed as three read-only arrays of length
-    samples. The last draws are kept, so a `verify` that also runs the odd
-    control draws once."""
-    rng = np.random.default_rng(seed)
-    columns = tuple(np.array(column) for column in zip(*(_draw_parameters(rng) for _ in range(samples))))
-    for column in columns:
-        column.setflags(write=False)
-    return columns
-
-
-# every ring a run can name stays cached, so an odd control on a ring of the
-# list reuses its gaps
-@functools.lru_cache(maxsize=N_MAX)
-def _ring_gaps(n: int, samples: int, seed: int) -> tuple[float, float, float]:
-    """Worst gaps of the three propositions on the n-ring over the seed's
-    draws, from one kernel call on the stacked rows (j, b), (j, -b),
+def _ring_gaps(ring: RingModel, j: np.ndarray, b: np.ndarray, t: np.ndarray) -> tuple[float, float, float]:
+    """Worst gaps of the three propositions on the ring over the draws
+    (j, b, t), from one kernel call on the stacked rows (j, b), (j, -b),
     (-j, b), (|j|, 0) and (-|j|, 0): the field mirror of the concurrence
     (rows 0 and 1), the exchange mirror (rows 0 and 2), and at zero field
     the gap between the correlator formula and the halved energy formula for
@@ -269,23 +252,23 @@ def _ring_gaps(n: int, samples: int, seed: int) -> tuple[float, float, float]:
     2 (|z| - sqrt(u+ u-)), which is the concurrence wherever that is
     positive: its evenness implies the concurrence's, and on odd rings it
     breaks even where both signs are unentangled. It is computed on every
-    ring, so an odd control reads it too."""
-    j, b, t = _draws(samples, seed)
+    ring, so the odd control reads it too."""
     rows_j = np.stack([j, j, -j, np.abs(j), -np.abs(j)])
     rows_b = np.stack([b, -b, b, np.zeros_like(b), np.zeros_like(b)])
-    g, concurrence = gibbs_concurrence(ring_model(n), rows_j, rows_b, t)
+    g, concurrence = gibbs_concurrence(ring, rows_j, rows_b, t)
     mirror_b = float(np.max(np.abs(concurrence[0] - concurrence[1])))
     # 2 (|z| - sqrt(u+ u-)) of rows 0 and 2, with z = g_xx / 2 and corners p00 and p11
     p = g.probabilities[0:3:2]
     unclamped = np.abs(g.g_xx[0:3:2]) - 2.0 * np.sqrt(p[..., 0] * p[..., 3])
     mirror_j = float(np.max(np.abs(unclamped[0] - unclamped[1])))
     zero_field = slice(3, 5)
-    c5 = concurrence_from_correlators(g.g_xx[zero_field], g.g_zz[zero_field], g.m[zero_field] / n)
-    c10 = _energy_formula(g.u[zero_field], n, rows_j[zero_field], g.g_zz[zero_field])
+    c5 = concurrence_from_correlators(g.g_xx[zero_field], g.g_zz[zero_field], g.m[zero_field] / ring.n)
+    c10 = _energy_formula(g.u[zero_field], ring.n, rows_j[zero_field], g.g_zz[zero_field])
     return mirror_b, mirror_j, float(np.max(np.abs(c5 - c10)))
 
 
-def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED) -> list[PropositionReport]:
+def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED,
+                        odd_control: int = 0) -> list[PropositionReport]:
     """Randomized checks of the three symmetry propositions.
 
     1: concurrence is even in the field for every ring size.
@@ -295,40 +278,33 @@ def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED) ->
 
     Each proposition is checked on `samples` draws of (j, b, t) per
     applicable ring size; a report passes when the worst discrepancy stays
-    below 1e-9. Each distinct ring is one kernel call over all draws, which
-    serves all three propositions and is shared with the odd control on
-    the same ring (see `_ring_gaps`). Proposition 2 on odd rings is
-    deliberately not covered here, see proposition2_odd_control. An empty
-    ring list is refused: it would pass every proposition vacuously.
+    below 1e-9. The draws are made once; each distinct ring is one kernel
+    call of 5 * samples points (at most MAX_POINTS) serving all three. An
+    empty ring list is refused: it would pass every proposition vacuously.
+
+    A nonzero odd_control adds a fourth report, proposition 2 on that odd
+    ring n >= 3, outside the claim: the symmetry breaks there (expect a
+    failing flag), so it is never a pass criterion. Every argument is
+    checked, the list's rings before the control, before any draw.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if 5 * samples > MAX_POINTS:
+        raise ValueError(f"{samples} samples make {5 * samples} points per ring, over cap {MAX_POINTS}")
     n_list = list(n_list)
     if not n_list:
         raise ValueError("ring list must be nonempty")
-    gaps = {n: _ring_gaps(n, samples, seed) for n in n_list}
-    worst1 = max(gap[0] for gap in gaps.values())
-    worst2 = max((gap[1] for n, gap in gaps.items() if n % 2 == 0), default=0.0)
-    worst3 = max(gap[2] for gap in gaps.values())
-
-    return [
-        PropositionReport(1, samples, worst1, worst1 < PROPOSITION_TOL),
-        PropositionReport(2, samples, worst2, worst2 < PROPOSITION_TOL),
-        PropositionReport(3, samples, worst3, worst3 < PROPOSITION_TOL),
-    ]
-
-
-def proposition2_odd_control(n: int, samples: int = 200, seed: int = DEFAULT_SEED) -> PropositionReport:
-    """Negative control: exchange-sign symmetry on an odd ring n >= 3.
-
-    Odd rings are outside the proposition's claim; this report documents that
-    the symmetry genuinely breaks there (expect a failing flag) and must
-    never be used as a pass criterion. A single site has no bond, so it
-    cannot serve as a control. The gap comes from the ring's cached
-    `_ring_gaps`, so a control on a ring that `verify_propositions` just
-    checked with the same samples and seed makes no kernel call.
-    """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"control requires an odd ring n >= 3, got n={n}")
-    worst = _ring_gaps(n, samples, seed)[1]
-    return PropositionReport(2, samples, worst, worst < PROPOSITION_TOL)
+    rings = {n: ring_model(n) for n in n_list}
+    if odd_control:
+        if odd_control < 3 or odd_control % 2 == 0:
+            raise ValueError(f"control requires an odd ring n >= 3, got n={odd_control}")
+        rings[odd_control] = ring_model(odd_control)
+    rng = np.random.default_rng(seed)
+    j, b, t = (np.array(column) for column in zip(*(_draw_parameters(rng) for _ in range(samples))))
+    gaps = {n: _ring_gaps(ring, j, b, t) for n, ring in rings.items()}
+    worst = [(1, max(gaps[n][0] for n in n_list)),
+             (2, max((gaps[n][1] for n in n_list if n % 2 == 0), default=0.0)),
+             (3, max(gaps[n][2] for n in n_list))]
+    if odd_control:
+        worst.append((2, gaps[odd_control][1]))
+    return [PropositionReport(k, samples, gap, gap < PROPOSITION_TOL) for k, gap in worst]

@@ -299,6 +299,39 @@ def test_verify_refuses_a_control_without_a_claim_to_break(capsys, n):
     assert err == f"error: control requires an odd ring n >= 3, got n={n}\n"
 
 
+def test_verify_checks_the_ring_list_before_the_control(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n-list", "17", "--samples", "3",
+                             "--odd-control", "4")
+    assert code == 2 and out == ""
+    assert err == "error: ring size must be in [1, 16], got 17\n"
+
+
+def test_verify_refuses_more_samples_than_the_cap_before_drawing(capsys, monkeypatch):
+    # a billion samples would draw for hours; five kernel points per sample are capped
+    import xxring.experiments as experiments
+
+    def no_draw(rng):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(experiments, "_draw_parameters", no_draw)
+    code, out, err = run_cli(capsys, "verify", "--samples", "1000000000")
+    assert code == 2 and out == ""
+    assert err == "error: 1000000000 samples make 5000000000 points per ring, over cap 2000000\n"
+
+
+@pytest.mark.parametrize("t_steps, b_steps", [("2001", "1000"), ("1000000000000000", "1")])
+def test_sweep_refuses_a_grid_over_the_cap_before_building_it(capsys, monkeypatch, t_steps, b_steps):
+    # a huge grid must exit 2 with the cap, not exhaust memory building the axes first
+    def no_grid(args, axis):
+        raise AssertionError("built a grid before refusing it")
+
+    monkeypatch.setattr(cli, "_grid", no_grid)
+    code, out, err = run_cli(capsys, "sweep", "--n", "4", "--j", "1", "--t-min", "1", "--t-max", "2",
+                             "--t-steps", t_steps, "--b-min", "0", "--b-max", "1", "--b-steps", b_steps)
+    assert code == 2 and out == ""
+    assert err == f"error: grid of {int(t_steps) * int(b_steps)} rows exceeds cap 2000000\n"
+
+
 @pytest.mark.parametrize("argv, want", [
     ("thermal --n 4 --j 1 --b 0 --t 1e-310",
      "Z_shifted   = 1\nU           = -5.65685424949\nM           = 0\n"
@@ -326,7 +359,7 @@ def test_verify_exits_one_when_a_claim_fails(capsys, monkeypatch):
     import xxring.cli as cli
     from xxring.experiments import PropositionReport
 
-    def broken(n_list, samples, seed):
+    def broken(n_list, samples, seed, odd_control):
         return [PropositionReport(1, samples, 0.5, False),
                 PropositionReport(2, samples, 0.0, True),
                 PropositionReport(3, samples, 0.0, True)]
@@ -446,3 +479,15 @@ def test_import_builds_no_parser():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_import_loads_only_the_standard_library_and_numpy():
+    # start-up cost: a fresh `python -m xxring` imports nothing else
+    code = ("import sys; before = set(sys.modules); import xxring.cli; "
+            "new = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+            "print(sorted(new - set(sys.stdlib_module_names)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(xxring.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['numpy', 'xxring']\n"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xxring.eigensolver import RING_CACHE_SIZE, full_spectrum, ring_model
+from xxring.eigensolver import full_spectrum
 from xxring.hamiltonian import ModelParams
 from xxring.thermal import reweight
 
@@ -149,10 +149,3 @@ def test_negative_exchange_keeps_sectors_ascending(rng):
             residual = block @ sec.eig.vectors - sec.eig.vectors * sec.eig.values
             assert np.abs(residual).max() < 1e-10
 
-
-def test_ring_cache_holds_a_bounded_number_of_rings():
-    ring_model.cache_clear()
-    for n in range(1, RING_CACHE_SIZE + 4):
-        full_spectrum(ModelParams(n=n, j=1.0, b=0.0))
-        assert ring_model.cache_info().currsize <= RING_CACHE_SIZE
-    assert ring_model.cache_info().currsize == RING_CACHE_SIZE

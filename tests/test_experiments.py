@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from xxring.experiments import (
     DegenerateGroundError,
     ground_state_concurrence,
     level_crossings,
-    proposition2_odd_control,
     sweep,
     thermal_concurrence,
     threshold_temperature,
@@ -106,7 +104,7 @@ def test_sweep_validation(reweight_calls):
     with pytest.raises(ValueError):
         sweep(params, [], [0.0])
     # a grid just past the cap is refused before any reweighting
-    assert 2001 * 1000 > experiments.MAX_SWEEP_ROWS >= 2000 * 1000
+    assert 2001 * 1000 > experiments.MAX_POINTS >= 2000 * 1000
     with pytest.raises(ValueError, match="grid of 2001000 rows exceeds cap 2000000"):
         sweep(params, [1.0] * 2001, [0.0] * 1000)
     assert reweight_calls == []
@@ -304,24 +302,38 @@ def test_verify_draws_its_samples_once(capsys, monkeypatch):
     calls = []
     draw = experiments._draw_parameters
     monkeypatch.setattr(experiments, "_draw_parameters", lambda rng: calls.append(1) or draw(rng))
-    experiments._draws.cache_clear()
-    experiments._ring_gaps.cache_clear()
     assert main(["verify", "--n-list", "2,3", "--samples", "7", "--seed", "11"]) == 0
     assert len(calls) == 7
     assert "breaks as expected" in capsys.readouterr().out
 
 
-def test_verify_propositions_validation():
+def test_verify_propositions_validation(monkeypatch):
+    def no_draw(rng):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(experiments, "_draw_parameters", no_draw)
     with pytest.raises(ValueError):
         verify_propositions([4], samples=0)
     # an empty list would pass every proposition vacuously
     with pytest.raises(ValueError, match="nonempty"):
         verify_propositions([], samples=3)
+    # five kernel points per sample on each ring: one sample past the cap is refused
+    cap = experiments.MAX_POINTS // 5
+    with pytest.raises(ValueError, match=f"{cap + 1} samples make {5 * cap + 5} points per ring, "
+                                         f"over cap {experiments.MAX_POINTS}"):
+        verify_propositions([4], samples=cap + 1)
+    # the list's ring sizes are checked before the control, the control before any draw
+    with pytest.raises(ValueError, match=r"ring size must be in \[1, 16\], got 17"):
+        verify_propositions([2, 17], samples=3, odd_control=4)
+    with pytest.raises(ValueError, match="control requires an odd ring n >= 3, got n=4"):
+        verify_propositions([2], samples=3, odd_control=4)
+    with pytest.raises(ValueError, match=r"ring size must be in \[1, 16\], got 17"):
+        verify_propositions([2], samples=3, odd_control=17)
 
 
 def test_odd_ring_control_breaks_exchange_sign_symmetry():
-    report = proposition2_odd_control(5, samples=20)
-    assert not report.passed
+    report = verify_propositions([2], samples=20, odd_control=5)[3]
+    assert report.proposition == 2 and not report.passed
     assert report.max_discrepancy > 1e-3  # a genuine, macroscopic violation
 
 
@@ -332,7 +344,7 @@ def test_odd_ring_control_breaks_even_at_one_sample(seed):
     # with the ring: one draw of seed 7 reads 4e-11 on ring 9)
     for n in (3, 5, 7):
         for samples in (1, 2, 5):
-            report = proposition2_odd_control(n, samples=samples, seed=seed)
+            report = verify_propositions([2], samples=samples, seed=seed, odd_control=n)[3]
             assert not report.passed and report.max_discrepancy >= 1e-8, (n, samples)
     for n in (2, 4, 6, 8):
         assert verify_propositions([n], samples=5, seed=seed)[1].max_discrepancy <= 1e-15
@@ -354,14 +366,12 @@ def test_proposition3_reweights_both_exchange_signs_of_every_draw(monkeypatch, b
         return dataclasses.replace(block, u=np.where(hit, block.u - 400.0 * np.abs(j), block.u)), concurrence
 
     monkeypatch.setattr(experiments, "gibbs_concurrence", shifted)
-    experiments._ring_gaps.cache_clear()
     reports = verify_propositions([4], samples=6, seed=5)
-    experiments._ring_gaps.cache_clear()
     assert len(points) == 1
     zero_field = {(float(jj), float(tt)) for jj, bb, tt in zip(*(a.ravel() for a in points[0]))
                   if bb == 0.0}
-    j, _, t = experiments._draws(6, 5)
-    for jj, tt in zip(j, t):
+    rng = np.random.default_rng(5)
+    for jj, _, tt in (experiments._draw_parameters(rng) for _ in range(6)):
         assert (abs(jj), tt) in zero_field and (-abs(jj), tt) in zero_field
     assert reports[2].max_discrepancy > 10.0 and not reports[2].passed
     assert reports[0].passed and reports[1].passed
@@ -369,14 +379,14 @@ def test_proposition3_reweights_both_exchange_signs_of_every_draw(monkeypatch, b
 
 def test_odd_ring_control_rejects_even_n():
     with pytest.raises(ValueError):
-        proposition2_odd_control(4)
+        verify_propositions([2], samples=3, odd_control=4)
 
 
 @pytest.mark.parametrize("n", [1, -1])
 def test_odd_ring_control_rejects_a_ring_without_a_bond(n):
     # a single site has no bond, so the symmetry would hold vacuously
     with pytest.raises(ValueError, match="odd ring n >= 3"):
-        proposition2_odd_control(n)
+        verify_propositions([2], samples=3, odd_control=n)
 
 
 def test_sweep_concurrence_uses_positive_sum_route():
@@ -398,52 +408,45 @@ def test_sweep_concurrence_uses_positive_sum_route():
     assert rho.u_plus > 0
 
 
-def _verify_with_other_draws(n_list, samples, seed):
-    """Check the rings with one sample and with another seed first, so a
-    result kept from either run would show as a gap at the requested run."""
-    experiments._ring_gaps.cache_clear()
-    verify_propositions(n_list, 1, seed)
-    verify_propositions(n_list, samples, seed + 1)
-
-
 @pytest.mark.parametrize("n_list,samples,seed", [
     ([2, 3, 4, 5, 6], 8, 3), ([1, 2], 5, 11), ([4, 7], 12, 20020901), ([6], 1, 5),
     # a repeated ring, and the odd control ring inside the list
     ([5, 3, 5], 6, 4),
 ])
 def test_verify_propositions_equal_pointwise_loop(n_list, samples, seed):
-    _verify_with_other_draws(n_list, samples, seed)
-    reports = verify_propositions(n_list, samples=samples, seed=seed)
     want = pointwise_propositions(n_list, samples, seed)
-    for report, worst in zip(reports, want):
-        assert report.max_discrepancy == pytest.approx(worst, rel=0, abs=1e-14), report
-    # a control on an odd ring of the list reads the gaps the run just made
-    for n in {n for n in n_list if n % 2 and n >= 3}:
-        control = proposition2_odd_control(n, samples=samples, seed=seed)
-        assert control.max_discrepancy == pytest.approx(pointwise_odd_control(n, samples, seed),
-                                                        rel=0, abs=1e-14)
+    for control in (0, *sorted({n for n in n_list if n % 2 and n >= 3}), 9):
+        reports = verify_propositions(n_list, samples=samples, seed=seed, odd_control=control)
+        assert len(reports) == (4 if control else 3)
+        for report, worst in zip(reports, want):
+            assert report.max_discrepancy == pytest.approx(worst, rel=0, abs=1e-14), report
+        # a control on an odd ring of the list, or outside it
+        if control:
+            assert reports[3].max_discrepancy == pytest.approx(
+                pointwise_odd_control(control, samples, seed), rel=0, abs=1e-14)
 
 
 @pytest.mark.parametrize("n,seed", [(3, 1), (5, 20020901), (7, 9)])
 def test_odd_control_equals_pointwise_loop(n, seed):
-    _verify_with_other_draws([n], 10, seed)
-    report = proposition2_odd_control(n, samples=10, seed=seed)
+    report = verify_propositions([n], samples=10, seed=seed, odd_control=n)[3]
     assert report.max_discrepancy == pytest.approx(pointwise_odd_control(n, 10, seed),
                                                    rel=0, abs=1e-14)
 
 
 def test_verify_makes_one_kernel_call_per_ring(reweight_calls):
-    experiments._ring_gaps.cache_clear()
-    verify_propositions([1, 2, 3, 4, 5, 6], samples=8, seed=3)
-    proposition2_odd_control(5, samples=8, seed=3)
-    # all three propositions on each ring from one call of five stacked
-    # rows, and the control on ring 5 reads that ring's call
-    assert Counter(n for n, _ in reweight_calls) == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
-    assert {shape for _, shape in reweight_calls} == {(5, 8)}
-    # a control on a ring outside the list makes exactly one more call
-    proposition2_odd_control(7, samples=8, seed=3)
-    assert Counter(n for n, _ in reweight_calls) == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1}
-    assert reweight_calls[-1] == (7, (5, 8))
+    # all three propositions on each ring from one call of five stacked rows;
+    # a repeated ring and a control on a ring of the list make no extra call,
+    # and a control outside the list makes exactly one
+    for n_list, control, rings in [
+        ([1, 2, 3, 4, 5, 6], 0, [1, 2, 3, 4, 5, 6]),
+        ([5, 3, 5], 5, [5, 3]),
+        ([1, 2, 3, 4, 5, 6], 5, [1, 2, 3, 4, 5, 6]),
+        ([2, 4], 7, [2, 4, 7]),
+    ]:
+        reweight_calls.clear()
+        verify_propositions(n_list, samples=8, seed=3, odd_control=control)
+        assert [n for n, _ in reweight_calls] == rings
+        assert {shape for _, shape in reweight_calls} == {(5, 8)}
 
 
 @pytest.mark.parametrize("n,j,b,tol", [
