@@ -109,6 +109,9 @@ def _grid_steps(args, axis) -> int:
         raise ValueError(f"--{axis}-steps must be >= 1")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"--{axis}-min and --{axis}-max must be finite")
+    # a span wider than the doubles would overflow inside the grid's spacing
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"--{axis}-max - --{axis}-min must be finite")
     if hi < lo:
         raise ValueError(f"--{axis}-max must be >= --{axis}-min")
     if steps > 1 and scale == "log" and lo <= 0:
@@ -213,7 +216,10 @@ def _cmd_crossings(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    n_list = [int(part) for part in args.n_list.split(",") if part.strip()]
+    try:
+        n_list = [int(part) for part in args.n_list.split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(f"--n-list must be comma-separated integers, got {args.n_list!r}") from None
     reports = verify_propositions(n_list, samples=args.samples, seed=args.seed, odd_control=args.odd_control)
     scopes = {
         1: f"n in {n_list}",

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from .entanglement import concurrence_from_correlators, concurrence_xstate
 from .eigensolver import GROUND_RTOL, RingModel, Spectrum, full_spectrum, ring_model
 from .hamiltonian import ModelParams
-from .thermal import GibbsBlock, reweight
+from .thermal import GibbsBlock, PairDensity, reweight
 
 # Below this, the clamped concurrence is indistinguishable from roundoff.
 POSITIVE_CONCURRENCE = 1e-12
@@ -29,6 +30,15 @@ _SCAN_T_MAX = 1.0e3
 # depth 3 ran a threshold fastest (depth 1, one midpoint per call, took about
 # 1.4 times as long, depths 4 and 5 wasted more points than they saved calls).
 _BISECTION_DEPTH = 3
+# A verify stack (`_stacks`) holds fewer (ring, point, class) weights than
+# this, padding included: about one kernel call's fixed cost. On a 2-CPU
+# machine a `_ring_gaps` call on the 2-site ring at one sample took 180 us and
+# each further weight 10-16 ns, a fixed cost of 11k-19k weights. Bounding the
+# whole stack also bounds the padding a ring adds: a bound on the padding
+# alone stacked the n = 15 and 16 rings at 8 samples into 2.6 MB arrays that
+# faulted in 1,224 fresh pages per call, 5.0 ms against 3.0 ms for two calls.
+# Bounds of 16k, 32k and 64k ran verify on rings 2..6, 2..12 and 2..16 alike.
+_STACK_WEIGHTS = 1 << 14
 
 
 class DegenerateGroundError(RuntimeError):
@@ -43,19 +53,25 @@ class PropositionReport:
     passed: bool
 
 
-def gibbs_concurrence(ring: RingModel, j, b, t) -> tuple[GibbsBlock, np.ndarray | float]:
+def gibbs_concurrence(ring: RingModel | Sequence[RingModel], j, b, t) -> tuple[GibbsBlock, np.ndarray | float]:
     """Gibbs averages and nearest-neighbor concurrence at the broadcast
-    points (j, b, t) of one ring, from one `reweight` call on its bond.
+    points (j, b, t) of one ring, or of a stack of rings, from one
+    `reweight` call on its bond.
 
     The concurrence is the X-state closed form of the block's positive-sum
     pair probabilities (`GibbsBlock.pair_density`): a float at a single
-    point, else an array of the points' shape. A single site has no bond and
-    reports 0.
+    point of one ring, else an array of the block's shape. A single site has
+    no bond and reports 0, never reaching the state checks.
     """
     block = reweight(ring, j, b, t)
-    if ring.n == 1:
-        return block, np.zeros(block.g_xx.shape)[()]
-    return block, concurrence_xstate(block.pair_density())
+    rho = block.pair_density()
+    bonded = np.array(ring.n > 1 if isinstance(ring, RingModel) else [r.n > 1 for r in ring])
+    if bonded.all():
+        return block, concurrence_xstate(rho)
+    concurrence = np.zeros(block.g_xx.shape)
+    concurrence[bonded] = concurrence_xstate(PairDensity(*(x[bonded] for x in (
+        rho.u_plus, rho.u_minus, rho.w, rho.z))))
+    return block, concurrence[()]
 
 
 def thermal_concurrence(spectrum: Spectrum, t: float) -> float:
@@ -241,30 +257,47 @@ def _draw_parameters(rng: np.random.Generator) -> tuple[float, float, float]:
     return j, b, t
 
 
-def _ring_gaps(ring: RingModel, j: np.ndarray, b: np.ndarray, t: np.ndarray) -> tuple[float, float, float]:
-    """Worst gaps of the three propositions on the ring over the draws
-    (j, b, t), from one kernel call on the stacked rows (j, b), (j, -b),
-    (-j, b), (|j|, 0) and (-|j|, 0): the field mirror of the concurrence
-    (rows 0 and 1), the exchange mirror (rows 0 and 2), and at zero field
-    the gap between the correlator formula and the halved energy formula for
-    the concurrence (rows 3 and 4, whose sign branch follows the sign of j).
-    The exchange mirror compares the unclamped X-state value
-    2 (|z| - sqrt(u+ u-)), which is the concurrence wherever that is
-    positive: its evenness implies the concurrence's, and on odd rings it
-    breaks even where both signs are unentangled. It is computed on every
-    ring, so the odd control reads it too."""
+def _stacks(rings: list[RingModel], points: int) -> list[list[RingModel]]:
+    """The rings in kernel stacks, by ascending class count: a ring joins the
+    current stack while the stack's (ring, point, class) weights, padding
+    included, stay under _STACK_WEIGHTS; a ring that cannot join starts the
+    next stack."""
+    stacks: list[list[RingModel]] = []
+    for ring in sorted(rings, key=lambda r: r.class_kappa.size):
+        if stacks and points * (len(stacks[-1]) + 1) * ring.class_kappa.size < _STACK_WEIGHTS:
+            stacks[-1].append(ring)
+        else:
+            stacks.append([ring])
+    return stacks
+
+
+def _ring_gaps(rings: list[RingModel], j: np.ndarray, b: np.ndarray,
+               t: np.ndarray) -> dict[int, tuple[float, float, float]]:
+    """Worst gaps of the three propositions on each ring of a stack over the
+    draws (j, b, t), by ring size, from one kernel call on the stacked
+    rows (j, b), (j, -b), (-j, b), (|j|, 0) and (-|j|, 0): the field mirror
+    of the concurrence (rows 0 and 1), the exchange mirror (rows 0 and 2),
+    and at zero field the gap between the correlator formula and the halved
+    energy formula for the concurrence (rows 3 and 4, whose sign branch
+    follows the sign of j). The exchange mirror compares the unclamped
+    X-state value 2 (|z| - sqrt(u+ u-)), which is the concurrence wherever
+    that is positive: its evenness implies the concurrence's, and on odd
+    rings it breaks even where both signs are unentangled. It is computed on
+    every ring, so the odd control reads it too."""
     rows_j = np.stack([j, j, -j, np.abs(j), -np.abs(j)])
     rows_b = np.stack([b, -b, b, np.zeros_like(b), np.zeros_like(b)])
-    g, concurrence = gibbs_concurrence(ring, rows_j, rows_b, t)
-    mirror_b = float(np.max(np.abs(concurrence[0] - concurrence[1])))
+    g, concurrence = gibbs_concurrence(rings, rows_j, rows_b, t)
+    n = np.array([float(ring.n) for ring in rings])[:, None, None]
+    mirror_b = np.max(np.abs(concurrence[:, 0] - concurrence[:, 1]), axis=1)
     # 2 (|z| - sqrt(u+ u-)) of rows 0 and 2, with z = g_xx / 2 and corners p00 and p11
-    p = g.probabilities[0:3:2]
-    unclamped = np.abs(g.g_xx[0:3:2]) - 2.0 * np.sqrt(p[..., 0] * p[..., 3])
-    mirror_j = float(np.max(np.abs(unclamped[0] - unclamped[1])))
+    p = g.probabilities[:, 0:3:2]
+    unclamped = np.abs(g.g_xx[:, 0:3:2]) - 2.0 * np.sqrt(p[..., 0] * p[..., 3])
+    mirror_j = np.max(np.abs(unclamped[:, 0] - unclamped[:, 1]), axis=1)
     zero_field = slice(3, 5)
-    c5 = concurrence_from_correlators(g.g_xx[zero_field], g.g_zz[zero_field], g.m[zero_field] / ring.n)
-    c10 = _energy_formula(g.u[zero_field], ring.n, rows_j[zero_field], g.g_zz[zero_field])
-    return mirror_b, mirror_j, float(np.max(np.abs(c5 - c10)))
+    c5 = concurrence_from_correlators(g.g_xx[:, zero_field], g.g_zz[:, zero_field], g.m[:, zero_field] / n)
+    c10 = _energy_formula(g.u[:, zero_field], n, rows_j[zero_field], g.g_zz[:, zero_field])
+    c5_c10 = np.max(np.abs(c5 - c10), axis=(1, 2))
+    return {ring.n: gaps for ring, gaps in zip(rings, zip(mirror_b.tolist(), mirror_j.tolist(), c5_c10.tolist()))}
 
 
 def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED,
@@ -278,9 +311,11 @@ def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED,
 
     Each proposition is checked on `samples` draws of (j, b, t) per
     applicable ring size; a report passes when the worst discrepancy stays
-    below 1e-9. The draws are made once; each distinct ring is one kernel
-    call of 5 * samples points (at most MAX_POINTS) serving all three. An
-    empty ring list is refused: it would pass every proposition vacuously.
+    below 1e-9. The draws are made once, and the distinct rings are
+    reweighted at the same 5 * samples points (at most MAX_POINTS) serving
+    all three: one kernel call per stack of rings (`_stacks`), a single call
+    for a few small rings at few samples. An empty ring list is refused: it
+    would pass every proposition vacuously.
 
     A nonzero odd_control adds a fourth report, proposition 2 on that odd
     ring n >= 3, outside the claim: the symmetry breaks there (expect a
@@ -301,7 +336,9 @@ def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED,
         rings[odd_control] = ring_model(odd_control)
     rng = np.random.default_rng(seed)
     j, b, t = (np.array(column) for column in zip(*(_draw_parameters(rng) for _ in range(samples))))
-    gaps = {n: _ring_gaps(ring, j, b, t) for n, ring in rings.items()}
+    gaps = {}
+    for stack in _stacks(list(rings.values()), 5 * samples):
+        gaps.update(_ring_gaps(stack, j, b, t))
     worst = [(1, max(gaps[n][0] for n in n_list)),
              (2, max((gaps[n][1] for n in n_list if n % 2 == 0), default=0.0)),
              (3, max(gaps[n][2] for n in n_list))]

@@ -52,8 +52,9 @@ def ring_builds(monkeypatch):
 
 @pytest.fixture
 def reweight_calls(monkeypatch):
-    """Record the ring size and point shape of every thermal.reweight call,
-    under every name the package's modules hold it by."""
+    """Record the ring size (a tuple of sizes for a stack) and the output
+    shape of every thermal.reweight call, under every name the package's
+    modules hold it by."""
     import sys
 
     import xxring.thermal as thermal
@@ -63,7 +64,8 @@ def reweight_calls(monkeypatch):
 
     def counting(ring, j, b, t):
         block = original(ring, j, b, t)
-        calls.append((ring.n, block.u.shape))
+        calls.append((ring.n if isinstance(ring, thermal.RingModel) else tuple(r.n for r in ring),
+                      block.u.shape))
         return block
 
     for name, module in list(sys.modules.items()):

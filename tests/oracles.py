@@ -37,7 +37,7 @@ import numpy as np
 from xxring.basis import N_MAX, _check_ring_size
 from xxring.eigensolver import GROUND_RTOL, full_spectrum, ring_model
 from xxring.entanglement import _clamp_unit, concurrence_from_correlators
-from xxring.experiments import POSITIVE_CONCURRENCE, _splits, thermal_concurrence
+from xxring.experiments import POSITIVE_CONCURRENCE, _splits, gibbs_concurrence, thermal_concurrence
 from xxring.hamiltonian import ModelParams
 from xxring.thermal import reweight
 
@@ -889,6 +889,26 @@ def pointwise_odd_control(n, samples, seed):
     rng = np.random.default_rng(seed)
     draws = [_draw_parameters(rng) for _ in range(samples)]
     return _pointwise_worst_gap(n, draws, lambda j, b: (-j, b), _unclamped_xstate)
+
+
+def per_ring_gaps(ring, j, b, t):
+    """Worst gaps (field mirror, unclamped exchange mirror, zero-field
+    correlator vs energy formula) of one ring over the draws (j, b, t), from
+    one kernel call on the ring alone: the suites' gaps as they stood before
+    the rings of a run were stacked into shared kernel calls."""
+    rows_j = np.stack([j, j, -j, np.abs(j), -np.abs(j)])
+    rows_b = np.stack([b, -b, b, np.zeros_like(b), np.zeros_like(b)])
+    g, concurrence = gibbs_concurrence(ring, rows_j, rows_b, t)
+    mirror_b = float(np.max(np.abs(concurrence[0] - concurrence[1])))
+    p = g.probabilities[0:3:2]
+    unclamped = np.abs(g.g_xx[0:3:2]) - 2.0 * np.sqrt(p[..., 0] * p[..., 3])
+    mirror_j = float(np.max(np.abs(unclamped[0] - unclamped[1])))
+    zero_field = slice(3, 5)
+    c5 = concurrence_from_correlators(g.g_xx[zero_field], g.g_zz[zero_field], g.m[zero_field] / ring.n)
+    sign = np.where(rows_j[zero_field] > 0, -1.0, 1.0)
+    c10 = 0.5 * np.maximum(0.0, sign * g.u[zero_field] / (ring.n * rows_j[zero_field])
+                           - g.g_zz[zero_field] - 1.0)
+    return mirror_b, mirror_j, float(np.max(np.abs(c5 - c10)))
 
 
 def sequential_threshold(params, tol=1e-6):

@@ -190,6 +190,17 @@ def test_sweep_rejects_non_finite_bounds(capsys, bounds):
     assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("axis", ["t", "b"])
+def test_sweep_refuses_a_span_wider_than_the_doubles_before_building_it(capsys, axis):
+    # both bounds are finite, but max - min overflows: refused with the options'
+    # names, before a grid spacing overflows (a numpy warning is an error here)
+    options = {"t": ["--t-min=1", "--t-max=1", "--t-steps=1"], "b": ["--b-min=1", "--b-max=1", "--b-steps=1"]}
+    options[axis] = [f"--{axis}-min=-1e308", f"--{axis}-max=1e308", f"--{axis}-steps=2"]
+    code, out, err = run_cli(capsys, "sweep", "--n", "3", "--j", "1", *options["t"], *options["b"])
+    assert code == 2 and out == ""
+    assert err == f"error: --{axis}-max - --{axis}-min must be finite\n"
+
+
 def test_printed_digits_do_not_depend_on_the_blas_thread_count():
     # the kernel's matrix products must not round differently when BLAS
     # splits them across threads
@@ -288,6 +299,13 @@ def test_verify_refuses_an_empty_ring_list(capsys, n_list):
     code, out, err = run_cli(capsys, "verify", "--n-list", n_list, "--samples", "3")
     assert code == 2 and out == ""
     assert err == "error: ring list must be nonempty\n"
+
+
+@pytest.mark.parametrize("n_list", ["a", "2,x", "2.5", "2;3"])
+def test_verify_names_the_ring_list_when_it_is_not_integers(capsys, n_list):
+    code, out, err = run_cli(capsys, "verify", "--n-list", n_list, "--samples", "3")
+    assert code == 2 and out == ""
+    assert err == f"error: --n-list must be comma-separated integers, got {n_list!r}\n"
 
 
 @pytest.mark.parametrize("n", ["1", "4", "-3"])

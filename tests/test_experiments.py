@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from oracles import (
     full_hamiltonian,
     gibbs_density,
     partial_trace_pair,
+    per_ring_gaps,
     pointwise_odd_control,
     pointwise_propositions,
     sequential_threshold,
@@ -433,20 +436,116 @@ def test_odd_control_equals_pointwise_loop(n, seed):
                                                    rel=0, abs=1e-14)
 
 
-def test_verify_makes_one_kernel_call_per_ring(reweight_calls):
-    # all three propositions on each ring from one call of five stacked rows;
-    # a repeated ring and a control on a ring of the list make no extra call,
-    # and a control outside the list makes exactly one
-    for n_list, control, rings in [
-        ([1, 2, 3, 4, 5, 6], 0, [1, 2, 3, 4, 5, 6]),
-        ([5, 3, 5], 5, [5, 3]),
-        ([1, 2, 3, 4, 5, 6], 5, [1, 2, 3, 4, 5, 6]),
-        ([2, 4], 7, [2, 4, 7]),
+def _propositions_argv(seed, index):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import make_op
+    finally:
+        sys.path.pop(0)
+    return list(make_op("propositions", seed, index).argv)
+
+
+def _stack_weights(rings, points):
+    return points * len(rings) * max(ring_model(n).class_kappa.size for n in rings)
+
+
+def test_verify_stacks_its_rings_into_few_kernel_calls(capsys, reweight_calls):
+    # the benchmark's verify op (rings 2..6, 8 samples, control 5) is one call
+    for seed, index in [(1, -1), (1, 0), (3, 17)]:
+        reweight_calls.clear()
+        assert main(_propositions_argv(seed, index)) == 0
+        assert reweight_calls == [((2, 3, 4, 5, 6), (5, 5, 8))]
+    capsys.readouterr()
+    for n_list, control, samples in [
+        ([1, 2, 3, 4, 5, 6], 0, 8), ([5, 3, 5], 5, 8), ([2, 4], 7, 8), ([1], 0, 3),
+        (list(range(2, 17)), 5, 8), (list(range(2, 17)), 0, 60), (list(range(1, 13)), 9, 40),
     ]:
         reweight_calls.clear()
-        verify_propositions(n_list, samples=8, seed=3, odd_control=control)
-        assert [n for n, _ in reweight_calls] == rings
-        assert {shape for _, shape in reweight_calls} == {(5, 8)}
+        verify_propositions(n_list, samples=samples, seed=3, odd_control=control)
+        rings = set(n_list) | ({control} if control else set())
+        stacks = [n for n, _ in reweight_calls]
+        # every ring exactly once, never more calls than distinct rings
+        assert sorted(n for stack in stacks for n in stack) == sorted(rings)
+        assert len(reweight_calls) <= len(rings)
+        for stack, shape in zip(stacks, (shape for _, shape in reweight_calls)):
+            assert shape[-2:] == (5, samples)
+            # a stack of several rings stays under the bound, padding included
+            if len(stack) > 1:
+                assert _stack_weights(stack, 5 * samples) < experiments._STACK_WEIGHTS, stack
+    # the two widest rings would pass the bound together, so each goes alone,
+    # in order of class count (4,029 at n = 16, 4,038 at n = 15)
+    reweight_calls.clear()
+    verify_propositions([15, 16], samples=8, seed=3)
+    assert [n for n, _ in reweight_calls] == [(16,), (15,)]
+
+
+def _draws(samples, seed):
+    rng = np.random.default_rng(seed)
+    return (np.array(column) for column in zip(*(experiments._draw_parameters(rng) for _ in range(samples))))
+
+
+def _random_lists():
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        n_list = rng.integers(1, 17, size=rng.integers(1, 7)).tolist()
+        control = int(rng.choice([0, 3, 5, 7, 9, 11, 13, 15]))
+        yield n_list, control, int(rng.integers(1, 30)), int(rng.integers(1, 10**6))
+
+
+_GAP_CASES = [
+    ([2, 3, 4, 5, 6], 5, 8, 3), ([1, 2], 3, 3, 11), ([1], 0, 4, 2), ([6, 6, 2, 6], 9, 5, 7),
+    (list(range(2, 17)), 5, 8, 1), (list(range(2, 17)), 0, 60, 4), (list(range(1, 13)), 13, 40, 5),
+    *_random_lists(),
+]
+
+
+# "one stack" pads every ring into a single call; it stays at 40 samples or
+# fewer, where that call holds at most a few million weights
+@pytest.mark.parametrize("n_list,control,samples,seed,stacking",
+                         [(*case, "rule") for case in _GAP_CASES]
+                         + [(*case, "one stack") for case in _GAP_CASES if case[2] <= 40])
+def test_stacked_gaps_equal_the_per_ring_reference(monkeypatch, n_list, control, samples, seed, stacking):
+    if stacking == "one stack":
+        # every ring padded into a single stack: n = 1, the widest ring and everything between
+        monkeypatch.setattr(experiments, "_STACK_WEIGHTS", math.inf)
+    rings = [ring_model(n) for n in dict.fromkeys(n_list + ([control] if control else []))]
+    j, b, t = _draws(samples, seed)
+    stacks = experiments._stacks(rings, 5 * samples)
+    if stacking == "one stack":
+        assert len(stacks) == 1
+    got = {}
+    for stack in stacks:
+        got.update(experiments._ring_gaps(stack, j, b, t))
+    want = {ring.n: per_ring_gaps(ring, j, b, t) for ring in rings}
+    assert got.keys() == want.keys()
+    for n in want:
+        for proposition, (a, w) in enumerate(zip(got[n], want[n]), start=1):
+            assert abs(a - w) <= 1e-15, (n, proposition, a, w)
+    # the reports read the same worst gaps, and no pass flag moves
+    reports = verify_propositions(n_list, samples=samples, seed=seed, odd_control=control)
+    worst = [max(want[n][0] for n in n_list), max((want[n][1] for n in n_list if n % 2 == 0), default=0.0),
+             max(want[n][2] for n in n_list)] + ([want[control][1]] if control else [])
+    assert len(reports) == len(worst)
+    for report, gap in zip(reports, worst):
+        assert abs(report.max_discrepancy - gap) <= 1e-15
+        assert report.passed == (gap < experiments.PROPOSITION_TOL)
+
+
+def test_a_stack_reweights_each_ring_as_alone():
+    # pads change nothing a ring reads: every array of a stacked call is the
+    # ring's own call to roundoff, at T = 0 and at a degenerate ground too
+    rng = np.random.default_rng(8)
+    sizes = [1, 2, 5, 8, 16, 3]
+    j = np.append(rng.uniform(-2.0, 2.0, 7), [0.0, 1.0, 0.0])
+    b = np.append(rng.uniform(-3.0, 3.0, 7), [0.0, 0.0, 0.7])
+    for t in (rng.uniform(0.05, 5.0, 10), np.zeros(10), np.full(10, 1e-310)):
+        stacked = reweight([ring_model(n) for n in sizes], j, b, t)
+        assert stacked.u.shape == (len(sizes), 10)
+        for k, n in enumerate(sizes):
+            alone = reweight(ring_model(n), j, b, t)
+            for name in ("z_shifted", "u", "m", "g_xx", "g_zz", "probabilities"):
+                np.testing.assert_allclose(getattr(stacked, name)[k], getattr(alone, name), rtol=1e-14, atol=1e-15,
+                                           err_msg=f"n={n} {name}")
 
 
 @pytest.mark.parametrize("n,j,b,tol", [
