@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .eigensolver import full_spectrum, ring_model
+from .eigensolver import full_spectrum, ring_model, same_level
 from .experiments import (
     DEFAULT_SEED,
     MAX_POINTS,
@@ -32,11 +32,6 @@ _SWEEP_RECIPE = (
     "xxring sweep --n 4 --j 1 --t-min 0.05 --t-max 3 --t-steps 60 "
     "--b-min 0 --b-max 4 --b-steps 80"
 )
-
-# class energies this close above a cluster's lowest print as one degenerate
-# level: far above the roundoff of j * kappa + b * sz at unit couplings
-_CLUSTER_TOL = 1e-9
-
 
 def _fmt(value: float) -> str:
     return format(value, ".12g")
@@ -131,10 +126,10 @@ def _cmd_spectrum(args) -> int:
     spectrum = full_spectrum(ModelParams(n=args.n, j=args.j, b=args.b))
     energies = spectrum.class_energies()
     order = np.argsort(energies, kind="stable")
-    # [lowest energy, sum of multiplicity * energy, levels] of each cluster
+    # [lowest energy, sum of multiplicity * energy, levels] of each printed level; the first's lowest is E0
     clusters: list[list[float]] = []
     for e, count in zip(energies[order].tolist(), spectrum.ring.classes[0, order].tolist()):
-        if clusters and e - clusters[-1][0] <= _CLUSTER_TOL:
+        if clusters and same_level(e, clusters[-1][0], clusters[0][0]):
             clusters[-1][1] += count * e
             clusters[-1][2] += count
         else:
@@ -147,12 +142,9 @@ def _cmd_spectrum(args) -> int:
 def _cmd_thermal(args) -> int:
     params = ModelParams(n=args.n, j=args.j, b=args.b)
     g, c = gibbs_concurrence(ring_model(params.n), params.j, params.b, args.t)
-    print(f"Z_shifted   = {_fmt(float(g.z_shifted))}")
-    print(f"U           = {_fmt(float(g.u))}")
-    print(f"M           = {_fmt(float(g.m))}")
-    print(f"Gxx         = {_fmt(float(g.g_xx))}")
-    print(f"Gzz         = {_fmt(float(g.g_zz))}")
-    print(f"concurrence = {_fmt(c)}")
+    for name, value in (("Z_shifted", g.z_shifted), ("U", g.u), ("M", g.m), ("Gxx", g.g_xx), ("Gzz", g.g_zz),
+                        ("concurrence", c)):
+        print(f"{name:<11} = {_fmt(float(value))}")
     return 0
 
 
@@ -207,11 +199,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_crossings(args) -> int:
-    fields = level_crossings(args.n, args.j, args.b_max)
-    if not fields:
-        print("none")
-    for b in fields:
-        print(f"{b:.9f}")
+    print("\n".join(f"{b:.9f}" for b in level_crossings(args.n, args.j, args.b_max)) or "none")
     return 0
 
 

@@ -24,9 +24,15 @@ import numpy as np
 from .basis import _check_ring_size
 from .hamiltonian import ModelParams
 
-# Levels within GROUND_RTOL * max(1, |E0|) of the ground energy E0 count as
-# the degenerate ground level (`thermal.reweight` at T = 0).
+# The width of one level relative to the ground energy (`same_level`).
 GROUND_RTOL = 1e-8
+
+
+def same_level(energies, lowest, e0):
+    """Whether each energy lies in the level whose lowest energy is `lowest`: within
+    GROUND_RTOL * |e0| above it, e0 the ring's ground energy at the same (j, b). It
+    scales with the couplings and needs no floor: the levels sum to 0, so e0 = 0 only if all are."""
+    return energies <= lowest + GROUND_RTOL * abs(e0)
 
 
 def _count_keys(n: int, parity: int) -> tuple[np.ndarray, np.ndarray]:

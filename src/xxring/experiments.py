@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import concurrence_from_correlators, concurrence_xstate
-from .eigensolver import GROUND_RTOL, RingModel, Spectrum, full_spectrum, ring_model
+from .eigensolver import GROUND_RTOL, RingModel, Spectrum, full_spectrum, ring_model, same_level
 from .hamiltonian import ModelParams
 from .thermal import GibbsBlock, PairDensity, reweight
 
@@ -170,8 +170,9 @@ def threshold_temperature(params: ModelParams, tol: float = 1e-6) -> float | Non
         raise RuntimeError(f"still entangled at the top of the scan range ({grid[-1]})")
     lo, hi = grid[last], grid[last + 1]
     while _splits(lo, hi, tol):
-        # steps left if every halving were exact, so the last batch is no deeper than needed
-        depth = min(_BISECTION_DEPTH, max(1, math.ceil(math.log2((hi - lo) / tol))))
+        # steps left if every halving were exact, so the last batch is no deeper than needed;
+        # the ratio is capped, as below tol ~ 1e-308 it overflows, and the depth only sizes a batch
+        depth = max(1, math.ceil(math.log2(min((hi - lo) / tol, 2 ** _BISECTION_DEPTH))))
         midpoints = _bisection_tree(lo, hi, depth)
         positive = gibbs_concurrence(ring, params.j, params.b, midpoints)[1] > POSITIVE_CONCURRENCE
         node = 0
@@ -191,10 +192,10 @@ def level_crossings(n: int, j: float, b_max: float) -> list[float]:
     lowest zero-field level, and the ground level is the lower envelope of
     these lines. The envelope is walked upward from b = 0, starting on the
     lowest line there: each crossing is where the first line of smaller
-    slope meets the current one, and the walk moves on to that line. Lines
-    tied at a point (within GROUND_RTOL * |j|) go to the smallest slope, so
-    a tie at b = 0 is a zero-field degeneracy, not a crossing. Slopes fall
-    at every step, so there are at most n steps; b_max may be infinite.
+    slope meets the current one, and the walk moves on to that line. Tied lines go
+    to the smallest slope: zero-field floors of one level (`same_level`), a zero-field
+    degeneracy and no crossing, and meeting fields within GROUND_RTOL * |j|. Slopes
+    fall at every step, so there are at most n steps; b_max may be infinite.
     """
     if not b_max > 0:
         raise ValueError("b_max must be positive")
@@ -203,9 +204,10 @@ def level_crossings(n: int, j: float, b_max: float) -> list[float]:
     # classes run by sz ascending: the floors by ascending sz, reversed, are the floors by r
     starts = np.searchsorted(spectrum.ring.class_sz, slopes[::-1])
     floors = np.minimum.reduceat(spectrum.class_energies(), starts)[::-1]
-    tie = GROUND_RTOL * abs(j)
     # slopes descend with r, so the last of several tied lines is the smallest slope
-    branch = int(np.nonzero(floors <= floors.min() + tie)[0][-1])
+    branch = int(np.nonzero(same_level(floors, floors.min(), floors.min()))[0][-1])
+    # meeting fields are fields, not energies, in units of j: they tie within GROUND_RTOL * |j|
+    tie = GROUND_RTOL * abs(j)
     crossings = []
     while branch < n:
         meets = (floors[branch + 1:] - floors[branch]) / (slopes[branch] - slopes[branch + 1:])

@@ -17,9 +17,10 @@ clamped to a finite value, so every positive temperature is safe, down to the
 subnormals: there a positive gap weighs exactly 0 (its overflow to -inf is
 expected and not reported), and the ground level weighs 1. At T = 0 the
 weights are exact, never a large-beta limit: each class of the degenerate
-ground level (within GROUND_RTOL * max(1, |E0|) of the ground energy E0)
-weighs 1 and every other class 0, so the state is the uniform mixture over
-the ground level and z_shifted is its degeneracy.
+ground level (`same_level`: within GROUND_RTOL * |E0| of the ground energy
+E0, so scaling j and b together moves no weight) weighs 1 and every other
+class 0, so the state is the uniform mixture over the ground level and
+z_shifted is its degeneracy.
 
 Several rings reweight at the same points in one pass as a stack: their
 class tables, padded with empty classes to the widest, gain a leading ring
@@ -38,13 +39,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import GROUND_RTOL, RingModel
+from .eigensolver import RingModel, same_level
 
 # A kernel pass holds at most this many (ring, point, class) weights; larger
 # blocks of points are reweighted a pass at a time. A point weighs each level
 # class of each ring of the stack once (203 classes at n = 10, 4,029 at
 # n = 16), never each of its 2^n levels, so a pass of one ring takes at least
-# 260 points.
+# 260 points. Only passes are bounded: the (rings x (j, b) entries x classes) energy
+# table and a product temporary of its size come first, whole (tracemalloc peaks at
+# n = 16: `verify` 16.2 MiB at 50 samples, 61.5 MiB at 200; a 1,000-field `sweep` 61.6 MiB).
 _BLOCK_WEIGHTS = 1 << 20
 
 
@@ -115,7 +118,8 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
     every Boltzmann sum. Class energies j * kappa + b * sz are formed and
     shifted by the ground energy once for each ring and each entry of the
     broadcast (j, b), not for each temperature. The points are then
-    reweighted a pass at a time (at most _BLOCK_WEIGHTS weights per pass):
+    reweighted a pass at a time (at most _BLOCK_WEIGHTS weights per pass; the
+    energies of all (j, b) entries are held at once, ~64 KB per entry at n = 16):
     one multiply by -1/T, one exp, and one contraction with the class tables
     gives z, <kappa>, M and the pair probabilities; U = j <kappa> + b M,
     g_xx = <kappa> / (2n) with each ring's own n, and g_zz = p00 - p01 - p10
@@ -145,7 +149,7 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
     energies = j[:, None] * kappa[:, None, :] + b[:, None] * sz[:, None, :]
     e0 = energies.min(axis=2, keepdims=True)
     # each (j, b)'s ground level, by unshifted class energies, built only for a point at T = 0
-    ground = energies <= e0 + GROUND_RTOL * np.maximum(1.0, np.abs(e0)) if zero.any() else None
+    ground = same_level(energies, e0, e0) if zero.any() else None
     energies -= e0
     moments = np.empty((len(rings), scales.size, classes.shape[1]))
     step = max(1, _BLOCK_WEIGHTS // kappa.size)

@@ -35,7 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from xxring.basis import N_MAX, _check_ring_size
-from xxring.eigensolver import GROUND_RTOL, full_spectrum, ring_model
+from xxring.eigensolver import full_spectrum, ring_model, same_level
 from xxring.entanglement import _clamp_unit, concurrence_from_correlators
 from xxring.experiments import POSITIVE_CONCURRENCE, _splits, gibbs_concurrence, thermal_concurrence
 from xxring.hamiltonian import ModelParams
@@ -79,10 +79,11 @@ def log_partition(h, t):
     return float(np.log(np.exp(shifted).sum()) - values[0] / t)
 
 
-def ground_mixture_density(h, tol=1e-8):
-    """Uniform mixture over the degenerate ground subspace."""
+def ground_mixture_density(h):
+    """Uniform mixture over the degenerate ground subspace, by the package's
+    rule for one level (`same_level`)."""
     values, vectors = np.linalg.eigh(h)
-    keep = values <= values[0] + tol * max(1.0, abs(values[0]))
+    keep = same_level(values, values[0], values[0])
     cols = vectors[:, keep]
     return (cols @ cols.conj().T) / int(keep.sum())
 
@@ -289,10 +290,10 @@ class LevelTable:
                 + np.asarray(b, dtype=float)[..., None] * self.sz)
 
     def ground_mask(self, params: ModelParams) -> np.ndarray:
-        """The levels within GROUND_RTOL * max(1, |E0|) of the ground energy E0."""
+        """The levels of the ground level (`same_level` at the ground energy E0)."""
         energies = self.energies(params.j, params.b)
         e0 = float(energies.min()) + 0.0
-        return energies <= e0 + GROUND_RTOL * max(1.0, abs(e0))
+        return same_level(energies, e0, e0)
 
 
 @functools.lru_cache(maxsize=4)
@@ -626,15 +627,14 @@ def dense_floor_crossings(n: int, j: float) -> list[float]:
 
 def dense_ground_states(params: ModelParams) -> list[tuple[SectorSpectrum, int]]:
     """(sector, column) pairs spanning the degenerate ground subspace, by the
-    package's ground rule (within GROUND_RTOL * max(1, |E0|) of E0)."""
+    package's rule for one level (`same_level`)."""
     energies = dense_ring(params.n).energies(params.j, params.b)
     e0 = float(energies.min()) + 0.0
-    tol = GROUND_RTOL * max(1.0, abs(e0))
     step = 1 if params.j >= 0 else -1  # columns ascend in energy, flat levels in kappa
     sectors = dense_sectors(params)
     bounds = np.cumsum([len(sec.basis) for sec in sectors])[:-1]
     hits = []
-    for sec, sector_mask in zip(sectors, np.split(energies <= e0 + tol, bounds)):
+    for sec, sector_mask in zip(sectors, np.split(same_level(energies, e0, e0), bounds)):
         hits.extend((sec, int(k)) for k in np.nonzero(sector_mask[::step])[0])
     return hits
 
@@ -810,16 +810,16 @@ def reference_thermal(n, j, b, t, bond=(0, 1)):
     return out
 
 
-def reference_ground_reduced(n, j, b, pair=(0, 1), tol=1e-8):
+def reference_ground_reduced(n, j, b, pair=(0, 1)):
     """(u_plus, u_minus, w, z) of the uniform mixture over the degenerate
-    ground subspace, from per-eigenvector sector expectations."""
+    ground subspace (`same_level`), from per-eigenvector sector expectations."""
     sectors = reference_sectors(n, j, b)
     e0 = min(values[0] for _, _, values, _ in sectors)
     i, k = pair
     m_bar = g_zz = g_xx = 0.0
     count = 0
     for sz, labels, values, vectors in sectors:
-        for col in np.nonzero(values <= e0 + tol * max(1.0, abs(e0)))[0]:
+        for col in np.nonzero(same_level(values, e0, e0))[0]:
             m_bar += sz / n
             g_zz += _zz_expectations(labels, vectors, i, k)[col]
             g_xx += _flipflop_expectations(labels, vectors, i, k)[col]

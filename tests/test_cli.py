@@ -11,7 +11,7 @@ import xxring
 import xxring.cli as cli
 from xxring.cli import main
 from xxring.eigensolver import full_spectrum
-from xxring.experiments import thermal_concurrence
+from xxring.experiments import level_crossings, thermal_concurrence
 from xxring.hamiltonian import ModelParams
 from xxring.thermal import reweight
 
@@ -117,13 +117,15 @@ def test_threshold_four_decimal_output(capsys):
 
 def test_threshold_returns_for_tol_below_double_spacing():
     # near T_c = 2.21 adjacent doubles are 4.4e-16 apart, so the bracket can
-    # never shrink to 1e-17; bisection must stop there instead of looping
+    # never shrink to 1e-17; bisection must stop there instead of looping, and
+    # a tol below ~1e-308, subnormal ones included, must not overflow the batch depth
     env = {**os.environ, "PYTHONPATH": str(Path(xxring.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-m", "xxring", "threshold", "--n", "4", "--j", "1",
-                             "--b", "0", "--tol", "1e-17"],
-                            env=env, capture_output=True, text=True, timeout=30)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "2.2114"
+    for tol in ("1e-17", "1e-310", "5e-324"):
+        result = subprocess.run([sys.executable, "-m", "xxring", "threshold", "--n", "4", "--j", "1",
+                                 "--b", "0", "--tol", tol],
+                                env=env, capture_output=True, text=True, timeout=30)
+        assert result.returncode == 0, (tol, result.stderr)
+        assert result.stdout.strip() == "2.2114", tol
 
 
 def test_threshold_none_for_zero_exchange(capsys):
@@ -421,6 +423,71 @@ def test_ground_diagonalizes_each_sector_once(capsys, ring_builds):
     assert code == 0 and "tangle" in out
     assert ring_builds.builds == [6]
     assert ring_builds.eigh == []
+
+
+def _multiplicities(out: str) -> list[str]:
+    return [line.rsplit("x", 1)[1] for line in out.splitlines()]
+
+
+def _lines(out: str, *keys: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith(keys)]
+
+
+def test_tiny_exchange_keeps_the_nondegenerate_four_site_ground(capsys):
+    # the headline ground state, concurrence 0.457 and tangle 1, at any scale of j
+    code, out, _ = run_cli(capsys, "ground", "--n", "4", "--j", "1e-10")
+    assert code == 0
+    assert _lines(out, "concurrence", "tangle") == ["concurrence   = 0.457106781187", "tangle        = 1"]
+    code, out, _ = run_cli(capsys, "thermal", "--n", "4", "--j", "1e-10", "--t", "0")
+    assert code == 0
+    assert _lines(out, "Z_shifted", "concurrence") == ["Z_shifted   = 1", "concurrence = 0.457106781187"]
+
+
+def test_tiny_exchange_spectrum_keeps_its_five_levels(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--n", "4", "--j", "1e-10")
+    assert code == 0
+    assert _multiplicities(out) == ["1", "2", "10", "2", "1"]
+
+
+def test_huge_exchange_spectrum_joins_classes_split_by_roundoff(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--n", "8", "--j", "1")
+    want = _multiplicities(out)
+    assert code == 0 and len(want) == 27
+    code, out, _ = run_cli(capsys, "spectrum", "--n", "8", "--j", "1e8")
+    assert code == 0
+    assert _multiplicities(out) == want
+
+
+_N4_CROSSING = 2.0 * (2.0 ** 0.5 - 1.0)
+
+
+def _scale_free_outputs(capsys, n: int, j: float, b: float) -> list:
+    """What scaling (j, b) by s > 0 must not move: the spectrum's multiplicities,
+    the ground state's degeneracy or concurrence and tangle, and Z_shifted and
+    the concurrence at T = 0."""
+    model = ["--n", str(n), f"--j={j!r}", f"--b={b!r}"]
+    outputs = []
+    for argv, keep in ((["spectrum"], _multiplicities),
+                       (["ground"], lambda out: _lines(out, "ground level", "concurrence", "tangle")),
+                       (["thermal", "--t", "0"], lambda out: _lines(out, "Z_shifted", "concurrence"))):
+        code, out, err = run_cli(capsys, argv[0], *model, *argv[1:])
+        assert code == 0, err
+        outputs.append(keep(out))
+    return outputs
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+@pytest.mark.parametrize("j, b", [(1.0, 0.0), (-0.8, 0.4), (1.0, _N4_CROSSING)])
+def test_scaling_the_couplings_moves_no_level_decision(capsys, n, j, b):
+    # H(s j, s b) = s H(j, b): degeneracies, states and crossings in units of s cannot move
+    want = _scale_free_outputs(capsys, n, j, b)
+    fields = level_crossings(n, j, 10.0)
+    assert fields
+    for s in (1e-12, 1e-8, 1e-4, 1e4, 1e8, 1e12):
+        assert _scale_free_outputs(capsys, n, s * j, s * b) == want, s
+        scaled = level_crossings(n, s * j, s * 10.0)
+        assert len(scaled) == len(fields), s
+        assert all(abs(got - s * field) <= 1e-12 * s * field for got, field in zip(scaled, fields)), s
 
 
 @pytest.mark.parametrize("command, j, b, extra", [

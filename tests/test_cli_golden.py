@@ -8,11 +8,15 @@ tests/data/cli_golden.json; to rewrite it from the code on the path, run
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 
-and list in CHANGES.md every line whose bytes moved.
+and list in CHANGES.md every line whose bytes moved. To list them without
+writing anything, run it with --diff instead: it prints each command whose
+exit code, stdout or stderr bytes differ from the recording, with the
+recorded and the current form of each moved line, and exits 1 if any did.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import re
 import sys
@@ -164,6 +168,30 @@ def test_output_matches_recording(recorded, command):
     assert differences(got["stderr"], want["stderr"]) == []
 
 
+def moved_lines(got: dict, want: dict) -> list[str]:
+    """The recorded and current bytes of every part of one command's run
+    that differ: its exit code and each moved stdout or stderr line."""
+    lines = [] if got["rc"] == want["rc"] else [f"  rc recorded {want['rc']!r}", f"  rc now      {got['rc']!r}"]
+    for stream in ("stdout", "stderr"):
+        if got[stream] == want[stream]:
+            continue
+        pairs = itertools.zip_longest(want[stream].splitlines(True), got[stream].splitlines(True))
+        for old, new in pairs:
+            if old != new:
+                lines += [f"  {stream} recorded {old!r}", f"  {stream} now      {new!r}"]
+    return lines
+
+
+def test_moved_lines_name_each_moved_byte():
+    want = {"rc": 0, "stdout": "a = 1\nb = 2\n", "stderr": ""}
+    assert moved_lines(dict(want), want) == []
+    got = {"rc": 2, "stdout": "a = 1\nb = 3\nc\n", "stderr": ""}
+    assert moved_lines(got, want) == [
+        "  rc recorded 0", "  rc now      2",
+        "  stdout recorded 'b = 2\\n'", "  stdout now      'b = 3\\n'",
+        "  stdout recorded None", "  stdout now      'c\\n'"]
+
+
 def _concurrence(stdout: str) -> str:
     return next(line for line in stdout.splitlines() if line.startswith("concurrence")).split("= ")[1]
 
@@ -183,6 +211,15 @@ def test_zero_temperature_concurrence_is_the_ground_concurrence():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        recording = json.loads(DATA.read_text())
+        moved = False
+        for command in CORPUS:
+            lines = moved_lines(run(command), recording[command])
+            if lines:
+                print("\n".join([command] + lines))
+                moved = True
+        raise SystemExit(1 if moved else 0)
     if sys.argv[1:] != ["--record"]:
         raise SystemExit(__doc__)
     DATA.parent.mkdir(exist_ok=True)

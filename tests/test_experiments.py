@@ -564,10 +564,12 @@ def test_batched_bisection_equals_sequential_loop(n, j, b, tol):
 
 
 def test_sequential_bisection_stops_at_adjacent_doubles():
-    # a tol below the spacing of doubles ends both loops at adjacent doubles
+    # a tol below the spacing of doubles ends both loops at adjacent doubles,
+    # down to the subnormals, whose ratio to the bracket overflows
     params = ModelParams(4, 1.0, 0.0)
-    want = threshold_temperature(params, tol=1e-17)
-    assert sequential_threshold(params, tol=1e-17) == want
+    for tol in (1e-17, 1e-310, 5e-324):
+        want = threshold_temperature(params, tol=tol)
+        assert sequential_threshold(params, tol=tol) == want, tol
 
 
 def test_largest_accepted_energies_stay_finite():

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xxring.cli import main
-from xxring.eigensolver import GROUND_RTOL, RingModel, full_spectrum, ring_model
+from xxring.eigensolver import RingModel, full_spectrum, ring_model, same_level
 from xxring.experiments import gibbs_concurrence
 from xxring.hamiltonian import ModelParams
 from xxring.thermal import reweight
@@ -105,7 +105,7 @@ def test_ground_mixture_at_both_n4_crossings_matches_ed(j, b):
     assert g.z_shifted == len(dense_ground_states(ModelParams(n=4, j=j, b=b))) == 2
     energies = dense_ring(4).energies(j, b)
     e0 = energies.min()
-    dense_mask = energies <= e0 + GROUND_RTOL * max(1.0, abs(e0))
+    dense_mask = same_level(energies, e0, e0)
     rho = g.pair_density()
     for bond in bonds(4):
         moments = dense_ring(4).bond_columns(bond)[dense_mask].mean(axis=0)
