@@ -45,9 +45,12 @@ from .eigensolver import RingModel, same_level
 # blocks of points are reweighted a pass at a time. A point weighs each level
 # class of each ring of the stack once (203 classes at n = 10, 4,029 at
 # n = 16), never each of its 2^n levels, so a pass of one ring takes at least
-# 260 points. Only passes are bounded: the (rings x (j, b) entries x classes) energy
-# table and a product temporary of its size come first, whole (tracemalloc peaks at
-# n = 16: `verify` 16.2 MiB at 50 samples, 61.5 MiB at 200; a 1,000-field `sweep` 61.6 MiB).
+# 260 points. A pass forms the class energies of the (j, b) entries from the
+# lowest to the highest its points read, and frees them before the next pass.
+# Every caller's entries come in order (a grid b[:, None] against t, a `verify`
+# stack, a threshold scan), so that is at most one entry per point, and memory is
+# flat in the point count (tracemalloc peaks at n = 16: `verify` 16.1 MiB at
+# 100 samples, 16.3 MiB at 400; a 1,000-field `sweep` 16.2 MiB).
 _BLOCK_WEIGHTS = 1 << 20
 
 
@@ -115,12 +118,14 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
     ring axis. The kernel reads only the rings' class tables
     (`RingModel.classes`): the members of a class share one energy, so
     one weight per class, times the class's sums, is the class's share of
-    every Boltzmann sum. Class energies j * kappa + b * sz are formed and
-    shifted by the ground energy once for each ring and each entry of the
-    broadcast (j, b), not for each temperature. The points are then
-    reweighted a pass at a time (at most _BLOCK_WEIGHTS weights per pass; the
-    energies of all (j, b) entries are held at once, ~64 KB per entry at n = 16):
-    one multiply by -1/T, one exp, and one contraction with the class tables
+    every Boltzmann sum. The points are reweighted a pass at a time (at most
+    _BLOCK_WEIGHTS weights per pass). A pass forms the class energies j *
+    kappa + b * sz of the broadcast (j, b) entries from the lowest to the
+    highest its points read (just those where the points' entries come in
+    order, as a grid b[:, None] against t does), once per ring and entry of
+    the pass, not per temperature, and shifts them by the ground energy;
+    then one multiply by -1/T, one exp,
+    and one contraction with the class tables
     gives z, <kappa>, M and the pair probabilities; U = j <kappa> + b M,
     g_xx = <kappa> / (2n) with each ring's own n, and g_zz = p00 - p01 - p10
     + p11. t may be 0 (or -0): there each class of the point's ground level
@@ -145,19 +150,24 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
         scales = np.maximum(-1.0 / (t + 0.0), -sys.float_info.max)
     zero = t == 0
     j, b = j.ravel(), b.ravel()
-    # (rings, (j, b) entries, classes)
-    energies = j[:, None] * kappa[:, None, :] + b[:, None] * sz[:, None, :]
-    e0 = energies.min(axis=2, keepdims=True)
-    # each (j, b)'s ground level, by unshifted class energies, built only for a point at T = 0
-    ground = same_level(energies, e0, e0) if zero.any() else None
-    energies -= e0
     moments = np.empty((len(rings), scales.size, classes.shape[1]))
     step = max(1, _BLOCK_WEIGHTS // kappa.size)
     for lo in range(0, scales.size, step):
         rows = slice(lo, lo + step)
+        # the pass's (j, b) entries, lowest to highest read, and each point's entry among them
+        read = field[rows]
+        entries = slice(read.min(), read.max() + 1)
+        entry = read - entries.start
+        # (rings, entries, classes)
+        energies = j[entries, None] * kappa[:, None, :] + b[entries, None] * sz[:, None, :]
+        e0 = energies.min(axis=2, keepdims=True)
+        at_zero = zero[rows]
+        # each entry's ground level, by unshifted class energies, built only for a point at T = 0
+        ground = same_level(energies, e0, e0) if at_zero.any() else None
+        energies -= e0
         # the pass's one (rings x points x classes) array: a second one per pass
         # made the allocator hand the memory back and fault it in again each call
-        weights = energies[:, field[rows]]
+        weights = energies[:, entry]
         # below T ~ 5.6e-309 a positive gap times the clamped -1/T overflows to
         # -inf, which exp turns into the exact weight 0
         with np.errstate(over="ignore"):
@@ -165,10 +175,11 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
         np.exp(weights, out=weights)
         if ground is not None:
             # at T = 0 each class of the ground level weighs exactly 1, every other class 0
-            at_zero = zero[rows]
-            weights[:, at_zero] = ground[:, field[rows][at_zero]]
+            weights[:, at_zero] = ground[:, entry[at_zero]]
         # einsum, not a BLAS product, so the sums round alike at any BLAS thread count
         moments[:, rows] = np.einsum("gpc,grc->gpr", weights, classes)
+        # freed before the next pass forms its own, so a call holds one pass's arrays at a time
+        del energies, weights
     z = moments[..., 0]
     if not (np.isfinite(z).all() and (z >= 1.0).all()):
         raise FloatingPointError("non-finite shifted partition sum")

@@ -1,5 +1,9 @@
+import gc
+import importlib
 import math
 import os
+import re
+import runpy
 import subprocess
 import sys
 import warnings
@@ -576,3 +580,106 @@ def test_import_loads_only_the_standard_library_and_numpy():
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "['numpy', 'xxring']\n"
+
+
+# The fresh-process entry: `python -m xxring` and the console script run
+# `cli.entry`, which freezes the heap and turns a closed stdout into exit 141.
+
+_SRC = Path(xxring.__file__).parents[1]
+# argparse wraps help text to the terminal's width: one fixed width on both sides
+_FRESH_ENV = {**os.environ, "PYTHONPATH": str(_SRC), "COLUMNS": "80"}
+_SWEEP_GRID = ["--t-min", "0.5", "--t-max", "2", "--t-steps", "3", "--b-min", "0", "--b-max", "1",
+               "--b-steps", "2"]
+
+
+@pytest.mark.parametrize("argv, want_code", [
+    (["spectrum", "--n", "4", "--j", "1", "--b", "0.3"], 0),
+    (["thermal", "--n", "4", "--j", "1", "--b", "0.5", "--t", "1"], 0),
+    (["ground", "--n", "6", "--j", "1", "--b", "0.2"], 0),
+    (["sweep", "--n", "4", "--j", "1", *_SWEEP_GRID], 0),
+    (["sweep", "--n", "4", "--j", "1", *_SWEEP_GRID, "--output", "{path}"], 0),
+    (["threshold", "--n", "4", "--j", "1"], 0),
+    (["crossings", "--n", "4", "--j", "1", "--b-max", "3"], 0),
+    (["verify", "--n-list", "2,3", "--samples", "3"], 0),
+    (["--help"], 0),
+    (["thermal", "--n", "4", "--j", "1"], 2),
+    (["thermal", "--n", "4", "--j", "1", "--t", "-1"], 2),
+], ids=["spectrum", "thermal", "ground", "sweep", "sweep_output", "threshold", "crossings", "verify",
+        "help", "argparse_error", "refused"])
+def test_python_m_matches_in_process_main(capsysbinary, monkeypatch, tmp_path, argv, want_code):
+    # exit code, stdout, stderr and any written file: the same bytes from a fresh process
+    path = tmp_path / "out.csv"
+    argv = [arg.format(path=path) for arg in argv]
+    fresh = subprocess.run([sys.executable, "-m", "xxring", *argv], env=_FRESH_ENV,
+                           capture_output=True, timeout=60)
+    fresh_file = path.read_bytes() if path.exists() else None
+    path.unlink(missing_ok=True)
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsysbinary.readouterr()
+    assert code == want_code
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, captured.out, captured.err)
+    assert (fresh_file is not None) == ("--output" in argv)
+    assert fresh_file == (path.read_bytes() if path.exists() else None)
+
+
+def test_python_m_freezes_the_heap_before_the_command():
+    # what the interpreter's exit would otherwise collect one object at a time
+    code = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "sys.argv = ['xxring', 'ground', '--n', '4', '--j', '1']\n"
+            "runpy.run_module('xxring', run_name='__main__', alter_sys=True)\n")
+    result = subprocess.run([sys.executable, "-c", code], env=_FRESH_ENV, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0
+    assert result.stderr == "frozen True\n"
+
+
+def test_in_process_main_leaves_the_heap_unfrozen(capsys):
+    assert run_cli(capsys, "ground", "--n", "4", "--j", "1")[0] == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_console_script_runs_the_function_python_m_runs(monkeypatch):
+    text = (_SRC.parent / "pyproject.toml").read_text()
+    module, name = re.search(r'^\[project\.scripts\]\nxxring = "([\w.]+):(\w+)"$', text, re.M).groups()
+    # __main__.py calls the function the console script names...
+    calls = []
+    monkeypatch.setattr(importlib.import_module(module), name, lambda: calls.append(name) or 0)
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("xxring", run_name="__main__")
+    assert stop.value.code == 0 and calls == [name]
+    # ...and the console script's wrapper, run on that function, freezes the heap
+    code = (f"import atexit, gc, sys\nfrom {module} import {name}\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            f"sys.argv = ['xxring', 'ground', '--n', '4', '--j', '1']\nsys.exit({name}())\n")
+    result = subprocess.run([sys.executable, "-c", code], env=_FRESH_ENV, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0
+    assert result.stderr == "frozen True\n"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, lines_read", [
+    # about 80 kB, more than a pipe holds, printed a line at a time: the reader leaves mid-write
+    (["spectrum", "--n", "16", "--j", "1", "--b", "0.3"], 1),
+    # a few lines, buffered until the flush after the command: the reader is gone before it
+    (["ground", "--n", "4", "--j", "1"], 0),
+], ids=["mid_write", "at_flush"])
+def test_closed_stdout_ends_the_command_quietly(argv, lines_read, buffered):
+    env = {key: value for key, value in _FRESH_ENV.items() if key != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    # bufsize=0: readline takes exactly one line off the pipe
+    with subprocess.Popen([sys.executable, "-m", "xxring", *argv], env=env, bufsize=0,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        for _ in range(lines_read):
+            assert proc.stdout.readline().endswith(b"\n")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert err == b""
+    assert code == 141

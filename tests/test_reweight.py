@@ -3,6 +3,7 @@ per-sector reference route (each (j, b) diagonalized on its own, every
 expectation summed sector by sector)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import xxring.thermal as thermal
 from xxring.eigensolver import ring_model
+from xxring.experiments import verify_propositions
 from xxring.hamiltonian import ModelParams
 from xxring.thermal import reweight
 
@@ -83,6 +85,26 @@ def test_block_matches_pointwise_views(rng, monkeypatch):
             obs = reweight(ring_model(n), j, b, t)
             assert _close(whole.u[k_b, k_t], obs.u) and _close(whole.g_zz[k_b, k_t], obs.g_zz)
             assert _close(math.log(whole.z_shifted[k_b, k_t]), math.log(obs.z_shifted))
+
+
+def _peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("run", [
+    lambda points: reweight(ring_model(16), 1.0, np.linspace(0.0, 3.0, points), 0.5),
+    lambda points: verify_propositions([16], samples=points // 5),
+], ids=["fields", "verify"])
+def test_memory_is_flat_in_the_point_count(run):
+    # every point has its own (j, b) at n = 16, 4,029 classes: a pass forms
+    # the energies of only the entries it reads, so 2,000 points peak as 500 do
+    ring_model(16)
+    assert _peak(lambda: run(2000)) <= 1.1 * _peak(lambda: run(500))
 
 
 def test_kernel_rejects_bad_input():
