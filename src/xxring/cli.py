@@ -269,10 +269,9 @@ def entry() -> int:
     Freezing moves every object built so far, numpy's import included, out
     of the collector's reach, so the interpreter's exit no longer collects
     and frees them one by one and the OS reclaims the memory instead: the
-    exit of `ground --n 12` went from ~45 to ~10 ms (2-core Xeon VM,
-    Python 3.11, numpy 2.4). Library callers call
-    `main`, which leaves their heap alone. A closed stdout ends the command
-    quietly with exit status 141.
+    exit of `ground --n 12` went from ~45 to ~10 ms (2-core Xeon VM, Python
+    3.11, numpy 2.4). Library callers call `main`, which leaves their heap
+    alone. A closed stdout ends the command quietly with exit status 141.
     """
     gc.freeze()
     try:

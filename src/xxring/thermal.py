@@ -124,9 +124,8 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
     highest its points read (just those where the points' entries come in
     order, as a grid b[:, None] against t does), once per ring and entry of
     the pass, not per temperature, and shifts them by the ground energy;
-    then one multiply by -1/T, one exp,
-    and one contraction with the class tables
-    gives z, <kappa>, M and the pair probabilities; U = j <kappa> + b M,
+    then one multiply by -1/T, one exp, and one contraction with the class
+    tables gives z, <kappa>, M and the pair probabilities; U = j <kappa> + b M,
     g_xx = <kappa> / (2n) with each ring's own n, and g_zz = p00 - p01 - p10
     + p11. t may be 0 (or -0): there each class of the point's ground level
     weighs exactly 1 and every other class 0, so z_shifted is the ground
