@@ -182,17 +182,18 @@ def _cmd_sweep(args) -> int:
     t_values, b_values = sorted(_grid(args, "t")), sorted(_grid(args, "b"))
     block, concurrence = sweep(params, t_values, b_values)
     columns = [a.tolist() for a in (block.u, block.m, block.g_xx, block.g_zz, concurrence)]
-    lines = ["T,B,J,N,U,M,Gxx,Gzz,concurrence"]
+    lines, row = ["T,B,J,N,U,M,Gxx,Gzz,concurrence\n"], _CSV_ROW + "\n"
     # b outer, t inner: one row per grid point, formatted straight from the columns
     for b, *row_columns in zip(b_values, *columns):
-        lines += [_CSV_ROW % (t, b, params.j, params.n, u, m, g_xx, g_zz, c)
+        lines += [row % (t, b, params.j, params.n, u, m, g_xx, g_zz, c)
                   for t, u, m, g_xx, g_zz, c in zip(t_values, *row_columns)]
-    text = "\n".join(lines) + "\n"
     if args.output == "-":
-        sys.stdout.write(text)
+        # a line at a time: a write-through stdout (PYTHONUNBUFFERED) drops what a closed pipe
+        # cuts from one large write, but the next line's write raises BrokenPipeError
+        sys.stdout.writelines(lines)
     else:
         with open(args.output, "w", newline="") as handle:
-            handle.write(text)
+            handle.writelines(lines)
         print(f"wrote {len(lines) - 1} rows to {args.output}", file=sys.stderr)
     return 0
 

@@ -15,7 +15,7 @@ import numpy as np
 from .entanglement import concurrence_from_correlators, concurrence_xstate
 from .eigensolver import GROUND_RTOL, RingModel, Spectrum, full_spectrum, ring_model, same_level
 from .hamiltonian import ModelParams
-from .thermal import GibbsBlock, PairDensity, reweight
+from .thermal import _BLOCK_WEIGHTS, GibbsBlock, PairDensity, reweight
 
 # Below this, the clamped concurrence is indistinguishable from roundoff.
 POSITIVE_CONCURRENCE = 1e-12
@@ -30,19 +30,10 @@ _SCAN_T_MAX = 1.0e3
 # depth 3 ran a threshold fastest (depth 1, one midpoint per call, took about
 # 1.4 times as long, depths 4 and 5 wasted more points than they saved calls).
 _BISECTION_DEPTH = 3
-# A verify stack (`_stacks`) holds fewer (ring, point, class) weights than
-# this, padding included: about one kernel call's fixed cost. On a 2-CPU
-# machine a `_ring_gaps` call on the 2-site ring at one sample took 180 us and
-# each further weight 10-16 ns, a fixed cost of 11k-19k weights. Bounding the
-# whole stack also bounds the padding a ring adds: a bound on the padding
-# alone stacked the n = 15 and 16 rings at 8 samples into 2.6 MB arrays that
-# faulted in 1,224 fresh pages per call, 5.0 ms against 3.0 ms for two calls.
-# Bounds of 16k, 32k and 64k ran verify on rings 2..6, 2..12 and 2..16 alike.
-_STACK_WEIGHTS = 1 << 14
 
 
 class DegenerateGroundError(RuntimeError):
-    """Ground level is degenerate (field sits exactly on a crossing)."""
+    """Ground level is degenerate."""
 
 
 @dataclass(frozen=True)
@@ -231,15 +222,14 @@ def ground_state_concurrence(params: ModelParams) -> float:
     """Nearest-neighbor concurrence of the ground state: the Gibbs state at
     T = 0, from one `reweight` call.
 
-    A degenerate ground level sits exactly on a crossing and is refused, its
-    degeneracy in the message; at b = 0 the zero-field energy formula
-    C = max(0, -+ U/(n j) - g_zz - 1) / 2 (sign by the sign of j) must agree
-    to 1e-9. A single site has no bond and reports 0.
+    A degenerate ground level (a field on a crossing, or the +-k mode pair of
+    an odd ring) is refused, its degeneracy in the message; at b = 0 the
+    zero-field energy formula C = max(0, -+ U/(n j) - g_zz - 1) / 2 (sign by
+    the sign of j) must agree to 1e-9. A single site has no bond and reports 0.
     """
     g, value = gibbs_concurrence(ring_model(params.n), params.j, params.b, 0.0)
     if g.z_shifted > 1:
-        raise DegenerateGroundError(
-            f"ground level is {int(g.z_shifted)}-fold degenerate (field sits on a level crossing)")
+        raise DegenerateGroundError(f"ground level is {int(g.z_shifted)}-fold degenerate")
     if params.b == 0.0 and params.j != 0.0:
         formula = _energy_formula(g.u, params.n, params.j, g.g_zz)
         if abs(formula - value) > 1e-9:
@@ -260,13 +250,15 @@ def _draw_parameters(rng: np.random.Generator) -> tuple[float, float, float]:
 
 
 def _stacks(rings: list[RingModel], points: int) -> list[list[RingModel]]:
-    """The rings in kernel stacks, by ascending class count: a ring joins the
-    current stack while the stack's (ring, point, class) weights, padding
-    included, stay under _STACK_WEIGHTS; a ring that cannot join starts the
-    next stack."""
+    """The rings in kernel stacks, by ascending class count (which packs a
+    few more rings per call than the given order): a ring joins the current
+    stack while the stack's classes at every point fit in one kernel pass
+    (`thermal._BLOCK_WEIGHTS` weights), so a stacked call is one pass; a ring
+    that cannot join starts the next stack, and a ring too large for one
+    pass goes alone."""
     stacks: list[list[RingModel]] = []
     for ring in sorted(rings, key=lambda r: r.class_kappa.size):
-        if stacks and points * (len(stacks[-1]) + 1) * ring.class_kappa.size < _STACK_WEIGHTS:
+        if stacks and points * sum(r.class_kappa.size for r in stacks[-1] + [ring]) <= _BLOCK_WEIGHTS:
             stacks[-1].append(ring)
         else:
             stacks.append([ring])

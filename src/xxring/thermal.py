@@ -22,17 +22,16 @@ E0, so scaling j and b together moves no weight) weighs 1 and every other
 class 0, so the state is the uniform mixture over the ground level and
 z_shifted is its degeneracy.
 
-Several rings reweight at the same points in one pass as a stack: their
-class tables, padded with empty classes to the widest, gain a leading ring
-axis, and a lone ring is a stack of one. A pad has multiplicity 0, every
-class sum 0 and kappa = sz = 0. Its energy 0 never lies below its ring's
-ground energy, since a ring's levels sum to energy 0, and its weight, at
-most 1, multiplies only zeros: a pad changes no ground energy, no partition
-sum and no moment, at T = 0 too.
+Several rings reweight at the same points in one call as a stack: their
+class tables lie side by side on the class axis, each ring's ground energy
+is the least over its own classes, and each ring's sums run over exactly its
+own classes in the order a lone call uses, so a stacked ring's every number
+is bit-identical to its lone call. A lone ring is a stack of one.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ import numpy as np
 
 from .eigensolver import RingModel, same_level
 
-# A kernel pass holds at most this many (ring, point, class) weights; larger
+# A kernel pass holds at most this many (point, class) weights; larger
 # blocks of points are reweighted a pass at a time. A point weighs each level
 # class of each ring of the stack once (203 classes at n = 10, 4,029 at
 # n = 16), never each of its 2^n levels, so a pass of one ring takes at least
@@ -49,8 +48,8 @@ from .eigensolver import RingModel, same_level
 # lowest to the highest its points read, and frees them before the next pass.
 # Every caller's entries come in order (a grid b[:, None] against t, a `verify`
 # stack, a threshold scan), so that is at most one entry per point, and memory is
-# flat in the point count (tracemalloc peaks at n = 16: `verify` 16.1 MiB at
-# 100 samples, 16.3 MiB at 400; a 1,000-field `sweep` 16.2 MiB).
+# flat in the point count (tracemalloc peaks at n = 16: `verify` 16.3 MiB at
+# 100 samples, 16.5 MiB at 400; a 1,000-field `sweep` 16.4 MiB).
 _BLOCK_WEIGHTS = 1 << 20
 
 
@@ -91,22 +90,6 @@ class GibbsBlock:
         return PairDensity(u_plus=p[..., 0], u_minus=p[..., 3], w=p[..., 1], z=self.g_xx / 2.0)
 
 
-def _stack(rings: Sequence[RingModel]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rings' class tables, class kappas and class sz with a leading ring
-    axis, shapes (rings, 6, classes), (rings, classes) and (rings, classes):
-    views of a lone ring's own arrays, else padded with empty classes to the
-    widest table."""
-    if len(rings) == 1:
-        return rings[0].classes[None], rings[0].class_kappa[None], rings[0].class_sz[None]
-    width = max(ring.class_kappa.size for ring in rings)
-    classes = np.zeros((len(rings), 6, width))
-    kappa, sz = np.zeros((2, len(rings), width))
-    for k, ring in enumerate(rings):
-        size = ring.class_kappa.size
-        classes[k, :, :size], kappa[k, :size], sz[k, :size] = ring.classes, ring.class_kappa, ring.class_sz
-    return classes, kappa, sz
-
-
 def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
     """Boltzmann averages of one ring, or of a stack of rings, at the
     broadcast points (j, b, t).
@@ -116,16 +99,19 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
     b[:, None] against t[None, :]. A sequence of rings is a stack: each ring
     is reweighted at every point, and every output array gains a leading
     ring axis. The kernel reads only the rings' class tables
-    (`RingModel.classes`): the members of a class share one energy, so
-    one weight per class, times the class's sums, is the class's share of
-    every Boltzmann sum. The points are reweighted a pass at a time (at most
-    _BLOCK_WEIGHTS weights per pass). A pass forms the class energies j *
-    kappa + b * sz of the broadcast (j, b) entries from the lowest to the
-    highest its points read (just those where the points' entries come in
-    order, as a grid b[:, None] against t does), once per ring and entry of
-    the pass, not per temperature, and shifts them by the ground energy;
-    then one multiply by -1/T, one exp, and one contraction with the class
-    tables gives z, <kappa>, M and the pair probabilities; U = j <kappa> + b M,
+    (`RingModel.classes`), side by side on one class axis: the members of a
+    class share one energy, so one weight per class, times the class's sums,
+    is the class's share of every Boltzmann sum. The points are reweighted a
+    pass at a time (at most _BLOCK_WEIGHTS (point, class) weights per pass).
+    A pass forms the class energies j * kappa + b * sz of the broadcast
+    (j, b) entries from the lowest to the highest its points read (just
+    those where the points' entries come in order, as a grid b[:, None]
+    against t does), once per entry of the pass, not per temperature, and
+    shifts each ring's by its ground energy, the least over its own classes;
+    then one multiply by -1/T and one exp, and a contraction of each ring's
+    weights with its own class table gives z, <kappa>, M and the pair
+    probabilities, summed over exactly that ring's classes, as a lone call
+    sums them, so a stack changes no number; U = j <kappa> + b M,
     g_xx = <kappa> / (2n) with each ring's own n, and g_zz = p00 - p01 - p10
     + p11. t may be 0 (or -0): there each class of the point's ground level
     weighs exactly 1 and every other class 0, so z_shifted is the ground
@@ -134,7 +120,13 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
     """
     lone = isinstance(ring, RingModel)
     rings = [ring] if lone else ring
-    classes, kappa, sz = _stack(rings)
+    classes = np.concatenate([r.classes for r in rings], axis=1)
+    kappa = np.concatenate([r.class_kappa for r in rings])
+    sz = np.concatenate([r.class_sz for r in rings])
+    # where each ring's classes start and end on the class axis
+    sizes = [r.class_kappa.size for r in rings]
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    segments = [slice(lo, hi) for lo, hi in itertools.pairwise(bounds)]
     j, b = np.broadcast_arrays(np.asarray(j, dtype=float), np.asarray(b, dtype=float))
     # each point's row of class energies (one row per (j, b) entry), and its temperature
     field, t = np.broadcast_arrays(np.arange(j.size).reshape(j.shape), np.asarray(t, dtype=float))
@@ -149,7 +141,7 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
         scales = np.maximum(-1.0 / (t + 0.0), -sys.float_info.max)
     zero = t == 0
     j, b = j.ravel(), b.ravel()
-    moments = np.empty((len(rings), scales.size, classes.shape[1]))
+    moments = np.empty((len(rings), scales.size, classes.shape[0]))
     step = max(1, _BLOCK_WEIGHTS // kappa.size)
     for lo in range(0, scales.size, step):
         rows = slice(lo, lo + step)
@@ -157,16 +149,18 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
         read = field[rows]
         entries = slice(read.min(), read.max() + 1)
         entry = read - entries.start
-        # (rings, entries, classes)
-        energies = j[entries, None] * kappa[:, None, :] + b[entries, None] * sz[:, None, :]
-        e0 = energies.min(axis=2, keepdims=True)
+        # (entries, classes), and each class's ring's ground energy at each entry
+        energies = j[entries, None] * kappa + b[entries, None] * sz
+        e0 = np.repeat(np.minimum.reduceat(energies, bounds[:-1], axis=1), sizes, axis=1)
         at_zero = zero[rows]
         # each entry's ground level, by unshifted class energies, built only for a point at T = 0
         ground = same_level(energies, e0, e0) if at_zero.any() else None
         energies -= e0
-        # the pass's one (rings x points x classes) array: a second one per pass
+        # freed before the weights are gathered, so a pass holds two arrays of its size at a time
+        del e0
+        # the pass's one (points x classes) array: a second one per pass
         # made the allocator hand the memory back and fault it in again each call
-        weights = energies[:, entry]
+        weights = energies[entry]
         # below T ~ 5.6e-309 a positive gap times the clamped -1/T overflows to
         # -inf, which exp turns into the exact weight 0
         with np.errstate(over="ignore"):
@@ -174,9 +168,10 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
         np.exp(weights, out=weights)
         if ground is not None:
             # at T = 0 each class of the ground level weighs exactly 1, every other class 0
-            weights[:, at_zero] = ground[:, entry[at_zero]]
+            weights[at_zero] = ground[entry[at_zero]]
         # einsum, not a BLAS product, so the sums round alike at any BLAS thread count
-        moments[:, rows] = np.einsum("gpc,grc->gpr", weights, classes)
+        for k, segment in enumerate(segments):
+            moments[k, rows] = np.einsum("pc,rc->pr", weights[:, segment], classes[:, segment])
         # freed before the next pass forms its own, so a call holds one pass's arrays at a time
         del energies, weights
     z = moments[..., 0]

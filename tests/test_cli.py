@@ -462,6 +462,32 @@ def test_huge_exchange_spectrum_joins_classes_split_by_roundoff(capsys):
     assert _multiplicities(out) == want
 
 
+def test_a_small_field_splits_a_level_of_a_huge_exchange(capsys):
+    # the Zeeman pair of the second level splits by 1.2, 2.1e-9 |E0|: far above roundoff
+    code, out, _ = run_cli(capsys, "spectrum", "--n", "4", "--j", "1e8", "--b", "0.3")
+    assert code == 0
+    lines = [line.strip() for line in out.splitlines()]
+    assert lines[1:3] == ["-400000000.6  x1", "-399999999.4  x1"]
+    assert len(lines) == 11
+
+
+def test_a_tiny_field_splits_the_ground_at_zero_temperature_as_at_low(capsys):
+    # b = 3e-9 splits the four zero-field ground levels of the n = 5 ring (a +-k mode pair
+    # in each of two sectors) by 6e-9, 1.1e-9 |E0|: T = 0 is the limit of small T
+    model = ["--n", "5", "--j", "1", "--b", "3e-9"]
+    at_zero = run_cli(capsys, "thermal", *model, "--t", "0")
+    assert at_zero == run_cli(capsys, "thermal", *model, "--t", "1e-11")
+    assert _lines(at_zero[1], "Z_shifted", "M") == ["Z_shifted   = 2", "M           = -1"]
+
+
+@pytest.mark.parametrize("n, b", [("5", "0.5"), ("3", "0.2"), ("5", "3e-9")])
+def test_ground_names_no_cause_for_a_degeneracy(capsys, n, b):
+    # an odd ring's +-k mode pair makes its ground 2-fold at a generic field, on no crossing
+    code, out, _ = run_cli(capsys, "ground", "--n", n, "--j", "1", "--b", b)
+    assert code == 0
+    assert out.splitlines()[1] == "ground level is 2-fold degenerate"
+
+
 _N4_CROSSING = 2.0 * (2.0 ** 0.5 - 1.0)
 
 
@@ -668,7 +694,11 @@ def test_console_script_runs_the_function_python_m_runs(monkeypatch):
     (["spectrum", "--n", "16", "--j", "1", "--b", "0.3"], 1),
     # a few lines, buffered until the flush after the command: the reader is gone before it
     (["ground", "--n", "4", "--j", "1"], 0),
-], ids=["mid_write", "at_flush"])
+    # about 1 MB of CSV, written a line at a time: a write-through stdout (unbuffered) drops
+    # the unwritten rest of one large write without an error
+    (["sweep", "--n", "4", "--j", "1", "--t-min", "0.1", "--t-max", "3", "--t-steps", "100",
+      "--b-min", "0", "--b-max", "3", "--b-steps", "100"], 1),
+], ids=["mid_write", "at_flush", "mid_write_sweep"])
 def test_closed_stdout_ends_the_command_quietly(argv, lines_read, buffered):
     env = {key: value for key, value in _FRESH_ENV.items() if key != "PYTHONUNBUFFERED"}
     if not buffered:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from xxring.eigensolver import full_spectrum
+from xxring.basis import N_MAX
+from xxring.eigensolver import GROUND_RTOL, full_spectrum, ring_model
 from xxring.hamiltonian import ModelParams
 from xxring.thermal import reweight
 
@@ -149,3 +150,14 @@ def test_negative_exchange_keeps_sectors_ascending(rng):
             residual = block @ sec.eig.vectors - sec.eig.vectors * sec.eig.values
             assert np.abs(residual).max() < 1e-10
 
+
+def test_the_level_width_lies_between_roundoff_and_every_splitting():
+    # at B = 0 the sorted class energies of each ring step either by roundoff within one
+    # level (an odd ring's spin-flip partners are built on the other mode grid; at most
+    # 2.0e-16 |E0|) or from one level to the next (at least 2.5e-5 |E0|)
+    for n in range(2, N_MAX + 1):
+        kappa = np.sort(ring_model(n).class_kappa)
+        # |E0| is |j| times -kappa[0] for j > 0 and kappa[-1] for j < 0
+        steps = np.diff(kappa) / min(-kappa[0], kappa[-1])
+        assert steps[steps < GROUND_RTOL].max(initial=0.0) < GROUND_RTOL / 1000, n
+        assert steps[steps >= GROUND_RTOL].min() > 1e-6, n

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import xxring.experiments as experiments
+import xxring.thermal as thermal
 from xxring.cli import main
 from xxring.eigensolver import full_spectrum, ring_model
 from xxring.entanglement import concurrence_from_correlators, concurrence_xstate
@@ -445,10 +446,6 @@ def _propositions_argv(seed, index):
     return list(make_op("propositions", seed, index).argv)
 
 
-def _stack_weights(rings, points):
-    return points * len(rings) * max(ring_model(n).class_kappa.size for n in rings)
-
-
 def test_verify_stacks_its_rings_into_few_kernel_calls(capsys, reweight_calls):
     # the benchmark's verify op (rings 2..6, 8 samples, control 5) is one call
     for seed, index in [(1, -1), (1, 0), (3, 17)]:
@@ -459,6 +456,7 @@ def test_verify_stacks_its_rings_into_few_kernel_calls(capsys, reweight_calls):
     for n_list, control, samples in [
         ([1, 2, 3, 4, 5, 6], 0, 8), ([5, 3, 5], 5, 8), ([2, 4], 7, 8), ([1], 0, 3),
         (list(range(2, 17)), 5, 8), (list(range(2, 17)), 0, 60), (list(range(1, 13)), 9, 40),
+        (list(range(2, 17)), 15, 200), ([1, 2, 16], 0, 200),
     ]:
         reweight_calls.clear()
         verify_propositions(n_list, samples=samples, seed=3, odd_control=control)
@@ -469,14 +467,15 @@ def test_verify_stacks_its_rings_into_few_kernel_calls(capsys, reweight_calls):
         assert len(reweight_calls) <= len(rings)
         for stack, shape in zip(stacks, (shape for _, shape in reweight_calls)):
             assert shape[-2:] == (5, samples)
-            # a stack of several rings stays under the bound, padding included
+            # a stack of several rings is one kernel pass
             if len(stack) > 1:
-                assert _stack_weights(stack, 5 * samples) < experiments._STACK_WEIGHTS, stack
-    # the two widest rings would pass the bound together, so each goes alone,
-    # in order of class count (4,029 at n = 16, 4,038 at n = 15)
-    reweight_calls.clear()
-    verify_propositions([15, 16], samples=8, seed=3)
-    assert [n for n, _ in reweight_calls] == [(16,), (15,)]
+                assert 5 * samples * sum(ring_model(n).class_kappa.size for n in stack) <= thermal._BLOCK_WEIGHTS
+    # the two widest rings fit one pass together at 8 samples; at 200 each is a pass and more, so each
+    # goes alone, in order of class count (4,029 at n = 16, 4,038 at n = 15)
+    for samples, want in [(8, [(16, 15)]), (200, [(16,), (15,)])]:
+        reweight_calls.clear()
+        verify_propositions([15, 16], samples=samples, seed=3)
+        assert [n for n, _ in reweight_calls] == want
 
 
 def _draws(samples, seed):
@@ -499,53 +498,59 @@ _GAP_CASES = [
 ]
 
 
-# "one stack" pads every ring into a single call; it stays at 40 samples or
-# fewer, where that call holds at most a few million weights
+# "one stack" reweights every ring of a case in a single call, however many passes that
+# takes; it stays at 40 samples or fewer, where that call holds at most a few million weights
 @pytest.mark.parametrize("n_list,control,samples,seed,stacking",
                          [(*case, "rule") for case in _GAP_CASES]
                          + [(*case, "one stack") for case in _GAP_CASES if case[2] <= 40])
-def test_stacked_gaps_equal_the_per_ring_reference(monkeypatch, n_list, control, samples, seed, stacking):
-    if stacking == "one stack":
-        # every ring padded into a single stack: n = 1, the widest ring and everything between
-        monkeypatch.setattr(experiments, "_STACK_WEIGHTS", math.inf)
+def test_stacked_gaps_equal_the_per_ring_reference(n_list, control, samples, seed, stacking):
     rings = [ring_model(n) for n in dict.fromkeys(n_list + ([control] if control else []))]
     j, b, t = _draws(samples, seed)
-    stacks = experiments._stacks(rings, 5 * samples)
-    if stacking == "one stack":
-        assert len(stacks) == 1
     got = {}
-    for stack in stacks:
+    for stack in experiments._stacks(rings, 5 * samples) if stacking == "rule" else [rings]:
         got.update(experiments._ring_gaps(stack, j, b, t))
+    # a stack changes no number: every gap is the ring's own, bit for bit
     want = {ring.n: per_ring_gaps(ring, j, b, t) for ring in rings}
-    assert got.keys() == want.keys()
-    for n in want:
-        for proposition, (a, w) in enumerate(zip(got[n], want[n]), start=1):
-            assert abs(a - w) <= 1e-15, (n, proposition, a, w)
+    assert got == want
     # the reports read the same worst gaps, and no pass flag moves
     reports = verify_propositions(n_list, samples=samples, seed=seed, odd_control=control)
     worst = [max(want[n][0] for n in n_list), max((want[n][1] for n in n_list if n % 2 == 0), default=0.0),
              max(want[n][2] for n in n_list)] + ([want[control][1]] if control else [])
-    assert len(reports) == len(worst)
-    for report, gap in zip(reports, worst):
-        assert abs(report.max_discrepancy - gap) <= 1e-15
-        assert report.passed == (gap < experiments.PROPOSITION_TOL)
+    assert [report.max_discrepancy for report in reports] == worst
+    assert [report.passed for report in reports] == [gap < experiments.PROPOSITION_TOL for gap in worst]
+
+
+_FIELDS = ("z_shifted", "u", "m", "g_xx", "g_zz", "probabilities")
+
+
+def _assert_stack_is_each_ring_alone(sizes, j, b, t):
+    stacked = reweight([ring_model(n) for n in sizes], j, b, t)
+    assert stacked.u.shape == (len(sizes),) + np.broadcast_shapes(np.shape(j), np.shape(b), np.shape(t))
+    for k, n in enumerate(sizes):
+        alone = reweight(ring_model(n), j, b, t)
+        for name in _FIELDS:
+            assert np.array_equal(getattr(stacked, name)[k], getattr(alone, name)), (sizes, n, name)
 
 
 def test_a_stack_reweights_each_ring_as_alone():
-    # pads change nothing a ring reads: every array of a stacked call is the
-    # ring's own call to roundoff, at T = 0 and at a degenerate ground too
+    # each ring's sums run over exactly its own classes, in a lone call's order: every
+    # array of a stacked call is the ring's own call bit for bit, at T > 0 and at T = 0,
+    # at a degenerate ground, on the all-zero spectrum and in calls of several passes
     rng = np.random.default_rng(8)
-    sizes = [1, 2, 5, 8, 16, 3]
     j = np.append(rng.uniform(-2.0, 2.0, 7), [0.0, 1.0, 0.0])
     b = np.append(rng.uniform(-3.0, 3.0, 7), [0.0, 0.0, 0.7])
     for t in (rng.uniform(0.05, 5.0, 10), np.zeros(10), np.full(10, 1e-310)):
-        stacked = reweight([ring_model(n) for n in sizes], j, b, t)
-        assert stacked.u.shape == (len(sizes), 10)
-        for k, n in enumerate(sizes):
-            alone = reweight(ring_model(n), j, b, t)
-            for name in ("z_shifted", "u", "m", "g_xx", "g_zz", "probabilities"):
-                np.testing.assert_allclose(getattr(stacked, name)[k], getattr(alone, name), rtol=1e-14, atol=1e-15,
-                                           err_msg=f"n={n} {name}")
+        _assert_stack_is_each_ring_alone([1, 2, 5, 8, 16, 3], j, b, t)
+    for _ in range(12):
+        sizes = rng.integers(1, 17, size=rng.integers(2, 7)).tolist()
+        points = int(rng.integers(1, 400))
+        j, b = rng.uniform(-2.0, 2.0, points), rng.uniform(-3.0, 3.0, points)
+        b[rng.random(points) < 0.2] = 0.0
+        t = np.exp(rng.uniform(math.log(0.01), math.log(50.0), points))
+        t[rng.random(points) < 0.3] = 0.0
+        _assert_stack_is_each_ring_alone(sizes, j, b, t)
+    # a grid, its rows sharing each (j, b) entry
+    _assert_stack_is_each_ring_alone([16, 15, 4], 1.3, np.linspace(-2.0, 2.0, 30)[:, None], np.linspace(0.0, 3.0, 40))
 
 
 @pytest.mark.parametrize("n,j,b,tol", [
