@@ -1,69 +1,121 @@
-"""Oracles and cross-checks that only the tests use.
+"""Oracles and cross-checks that only the tests use, one oracle per
+independent route.
 
-- Brute force on the full 2^n space, independent of the Jordan-Wigner
-  levels it checks: the complex tensor-product route (Gibbs and ground
-  densities, partial traces, `wootters_concurrence`) and the real
-  `full_hamiltonian`.
-- The dense exact-diagonalization (ED) oracle: sector blocks
-  (`build_sector_hamiltonian`), `eigh_symmetric`, the dense ring cache
-  (`dense_ring`, with per-bond columns from its own eigenvectors), its own
-  Boltzmann reweighting (`dense_reweight`), its per-sector views
-  (`dense_sectors`, `dense_ground_states`) and the crossings of its sector
-  floors (`dense_floor_crossings`).
-- The 2^n views of the package's ring: the bitstring basis
-  (`enumerate_sector`, `embed_in_full_space`), the per-level build the
-  class table is checked against (`level_table`), every eigenvalue
-  (`eigenvalues`), the Slater ground vector (`ground_state_vector`) and
-  the 2^n-amplitude tangle (`n_tangle`), and a bond state as a dense 4x4
-  matrix (`pair_matrix`).
-- The ring symmetry operators on basis labels.
-- `concurrence_wootters`, the general spin-flip construction through
-  `eigh_symmetric`, kept apart from `wootters_concurrence` so that the two
-  can be compared.
-- `gxx_from_energy`, which recovers g_xx from energy and magnetization.
-- The per-sector reference route, which diagonalizes each (j, b) block on
-  its own to check the spectral cache and the batched thermal kernel, and
-  the per-point drivers, which check the batched drivers one kernel call
-  per point.
+- Full space, brute force on all 2^n amplitudes: Pauli strings
+  (`site_operator`, real or complex), the real `full_hamiltonian`, its
+  Gibbs and ground densities (`gibbs_density`, `log_partition`,
+  `ground_mixture_density`), `partial_trace_pair`, the spin-flip
+  concurrence of a 4x4 state (`wootters_concurrence`; Wootters, PRL 80,
+  2245 (1998)) and the tangle of a pure state (`n_tangle`).
+- Dense exact diagonalization (ED): each magnetization sector's block on
+  its bitstring basis (`enumerate_sector`, `build_sector_hamiltonian`),
+  diagonalized once per ring (`dense_ring`, with per-bond columns from its
+  own eigenvectors) and reweighted without the package's kernel
+  (`dense_reweight`); its per-sector views (`dense_sectors`,
+  `dense_ground_states`, lifted to 2^n by `embed_in_full_space`) and the
+  crossings of its sector floors (`dense_floor_crossings`).
+- Per-level table: all 2^n Jordan-Wigner Fock levels (`level_table`) and
+  the Slater ground vector (`ground_state_vector`).
+- Four-site closed forms: the sixteen levels (`reference_spectrum_n4`) and
+  the zero-field and mid-field ground states
+  (`four_site_singletlike_ground`, `four_site_w_prime`).
+- Per-point drivers: the proposition suites (`pointwise_propositions`,
+  `pointwise_odd_control`) and the threshold bisection
+  (`sequential_threshold`), one kernel call per point.
+
+`eigenvalues` and `pair_matrix` put a package result in an oracle's form,
+and `gxx_from_energy` recovers g_xx from energy and magnetization.
+
+The test that compares two independent routes for each quantity (module.test,
+then the two routes):
+- spectrum: test_jordan_wigner.test_sorted_levels_equal_the_ed_eigenvalues
+  (package, dense ED);
+- Gibbs u, m, g_xx, g_zz and p: test_reweight.test_views_match_reference_on_every_bond
+  (package, dense ED, every bond);
+- ground mixture: test_jordan_wigner.test_ground_mixture_at_both_n4_crossings_matches_ed
+  (package, dense ED);
+- concurrence: test_acceptance.test_criterion_08_oracle_equivalences
+  (package's two formulas, Wootters on its bond state and on the
+  full-space partial trace);
+- tangle: test_jordan_wigner.test_closed_form_tangle_is_the_slater_vector_tangle
+  (package's closed form, per-level Slater vector);
+- crossings: test_experiments.test_level_crossings_are_the_ed_floor_intersections
+  (package, dense ED);
+- threshold: test_experiments.test_threshold_brackets_the_positivity_boundary
+  (package, full space);
+- proposition gaps: test_experiments.test_verify_propositions_equal_pointwise_loop
+  (package, per-point drivers).
 """
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
 
-from xxring.basis import N_MAX, _check_ring_size
+from xxring.basis import _check_ring_size
 from xxring.eigensolver import full_spectrum, ring_model, same_level
 from xxring.entanglement import _clamp_unit, concurrence_from_correlators
-from xxring.experiments import POSITIVE_CONCURRENCE, _splits, gibbs_concurrence, thermal_concurrence
+from xxring.experiments import POSITIVE_CONCURRENCE, _splits, thermal_concurrence
 from xxring.hamiltonian import ModelParams
 from xxring.thermal import reweight
 
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-ID2 = np.eye(2, dtype=complex)
+# The full-space route.
+
+SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
+ID2 = np.eye(2)
+_ISY = np.array([[0.0, 1.0], [-1.0, 0.0]])  # i * sigma_y, kept real
+
+# Largest ring worth materializing as a dense 2^n matrix.
+FULL_ORACLE_N_MAX = 12
 
 
 def site_operator(n, ops):
-    """Tensor product placing site n-1 as the most significant label bit."""
-    out = np.array([[1.0 + 0.0j]])
+    """Tensor product placing site n-1 as the most significant label bit;
+    real unless one of ops is complex."""
+    out = np.array([[1.0]])
     for site in reversed(range(n)):
         out = np.kron(out, ops.get(site, ID2))
     return out
 
 
-def ring_hamiltonian(n, j, b):
-    """The ring Hamiltonian assembled from explicit Pauli tensor products."""
-    dim = 1 << n
-    h = np.zeros((dim, dim), dtype=complex)
+def bonds(n: int) -> list[tuple[int, int]]:
+    """Ring bonds (i, i+1 mod n) exactly as the periodic sum visits them."""
+    if n == 1:
+        return []
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+@functools.lru_cache(maxsize=4)
+def _full_parts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only exchange part (j = 1, b = 0) and field part (j = 0, b = 1),
+    built once per ring size (the last four are kept), so that each
+    `full_hamiltonian` call is one j * X + b * Z."""
+    exchange = np.zeros((1 << n, 1 << n))
+    field = np.zeros((1 << n, 1 << n))
     for i, k in bonds(n):
-        h += j * (site_operator(n, {i: SX, k: SX}) + site_operator(n, {i: SY, k: SY}))
+        # sigma_y x sigma_y = -(i sigma_y) x (i sigma_y), all-real arithmetic
+        exchange += site_operator(n, {i: SX, k: SX}) - site_operator(n, {i: _ISY, k: _ISY})
     for i in range(n):
-        h += b * site_operator(n, {i: SZ})
-    return h
+        field += site_operator(n, {i: SZ})
+    exchange.setflags(write=False)
+    field.setflags(write=False)
+    return exchange, field
+
+
+def full_hamiltonian(params: ModelParams) -> np.ndarray:
+    """Dense 2^n Hamiltonian built from explicit tensor products.
+
+    Brute-force oracle that bypasses sector blocking entirely; only sensible
+    for small rings (n <= 12).
+    """
+    if params.n > FULL_ORACLE_N_MAX:
+        raise ValueError(f"full matrix limited to n <= {FULL_ORACLE_N_MAX}, got {params.n}")
+    exchange, field = _full_parts(params.n)
+    return params.j * exchange + params.b * field
 
 
 def gibbs_density(h, t):
@@ -117,6 +169,45 @@ def wootters_concurrence(rho):
         product = rho @ yy @ rho.conj() @ yy
         lam = np.sqrt(np.abs(np.sort(np.linalg.eigvals(product).real)))[::-1]
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def n_tangle(psi: np.ndarray) -> float:
+    """Multiqubit tangle |<psi| sigma_y^(x n) |psi*>|^2 of a normalized pure
+    state over an even number of qubits.
+
+    sigma_y^(x n) |x> = i^n (-1)^|x| |~x>, |x> holding |x| down spins, and
+    for even n the phase collapses to the real sign (-1)^(n/2 + |x|).
+    """
+    amp = np.asarray(psi, dtype=complex).ravel()
+    dim = amp.size
+    n = dim.bit_length() - 1
+    if dim < 2 or (1 << n) != dim:
+        raise ValueError(f"amplitude count must be a power of two >= 2, got {dim}")
+    if n % 2:
+        raise ValueError(f"tangle is defined for an even number of qubits, got n={n}")
+    norm = float(np.linalg.norm(amp))
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"state is not normalized: |psi| = {norm}")
+    counts = np.array([x.bit_count() for x in range(dim)])
+    signs = np.where((n // 2 + counts) % 2, -1.0, 1.0)
+    # reversal maps index x to its bit complement
+    flipped_conj = signs * np.conj(amp)[::-1]
+    overlap = np.vdot(amp, flipped_conj)
+    return _clamp_unit(float(abs(overlap)) ** 2, "tangle")
+
+
+def pair_matrix(rho) -> np.ndarray:
+    """A bond's X-form state (`PairDensity`) as a dense 4x4 matrix in the
+    basis {|00>, |01>, |10>, |11>}."""
+    return np.array([
+        [rho.u_plus, 0.0, 0.0, 0.0],
+        [0.0, rho.w, rho.z, 0.0],
+        [0.0, rho.z, rho.w, 0.0],
+        [0.0, 0.0, 0.0, rho.u_minus],
+    ])
+
+
+# The four-site closed forms.
 
 
 def reference_spectrum_n4(j, b):
@@ -331,106 +422,12 @@ def ground_state_vector(spectrum) -> np.ndarray:
     return embed_in_full_space(basis, (amplitudes * (abs(pivot) / pivot)).real)
 
 
-def n_tangle(psi: np.ndarray) -> float:
-    """Multiqubit tangle |<psi| sigma_y^(x n) |psi*>|^2 of a normalized pure
-    state over an even number of qubits.
-
-    sigma_y^(x n) |x> = i^n (-1)^popcount(x) |~x>, and for even n the phase
-    collapses to the real sign (-1)^(n/2 + popcount(x)).
-    """
-    amp = np.asarray(psi, dtype=complex).ravel()
-    dim = amp.size
-    n = dim.bit_length() - 1
-    if dim < 2 or (1 << n) != dim:
-        raise ValueError(f"amplitude count must be a power of two >= 2, got {dim}")
-    if n % 2:
-        raise ValueError(f"tangle is defined for an even number of qubits, got n={n}")
-    norm = float(np.linalg.norm(amp))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state is not normalized: |psi| = {norm}")
-    counts = np.array([x.bit_count() for x in range(dim)])
-    signs = np.where((n // 2 + counts) % 2, -1.0, 1.0)
-    # reversal maps index x to its bit complement
-    flipped_conj = signs * np.conj(amp)[::-1]
-    overlap = np.vdot(amp, flipped_conj)
-    return _clamp_unit(float(abs(overlap)) ** 2, "tangle")
-
-
-def pair_matrix(rho) -> np.ndarray:
-    """A bond's X-form state (`PairDensity`) as a dense 4x4 matrix in the
-    basis {|00>, |01>, |10>, |11>}."""
-    return np.array([
-        [rho.u_plus, 0.0, 0.0, 0.0],
-        [0.0, rho.w, rho.z, 0.0],
-        [0.0, rho.z, rho.w, 0.0],
-        [0.0, 0.0, 0.0, rho.u_minus],
-    ])
-
-
-# The real 2^n Hamiltonian from explicit tensor products. Its exchange and
-# field parts are built once per ring size (the last four sizes are kept),
-# so each call is one j * X + b * Z.
-
-# Largest ring worth materializing as a dense 2^n matrix.
-FULL_ORACLE_N_MAX = 12
-
-_ID2 = np.eye(2)
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_ISY = np.array([[0.0, 1.0], [-1.0, 0.0]])  # i * sigma_y, kept real
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-
-def _site_product(n: int, ops: dict[int, np.ndarray]) -> np.ndarray:
-    # Site n-1 is the most significant bit of a label, so it comes first
-    # in the tensor product chain.
-    out = np.array([[1.0]])
-    for site in reversed(range(n)):
-        out = np.kron(out, ops.get(site, _ID2))
-    return out
-
-
-@functools.lru_cache(maxsize=4)
-def _full_parts(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only exchange part (j = 1, b = 0) and field part (j = 0, b = 1)."""
-    exchange = np.zeros((1 << n, 1 << n))
-    field = np.zeros((1 << n, 1 << n))
-    for i, k in bonds(n):
-        # sigma_y x sigma_y = -(i sigma_y) x (i sigma_y), all-real arithmetic
-        exchange += _site_product(n, {i: _SX, k: _SX}) - _site_product(n, {i: _ISY, k: _ISY})
-    for i in range(n):
-        field += _site_product(n, {i: _SZ})
-    exchange.setflags(write=False)
-    field.setflags(write=False)
-    return exchange, field
-
-
-def full_hamiltonian(params: ModelParams) -> np.ndarray:
-    """Dense 2^n Hamiltonian built from explicit tensor products.
-
-    Brute-force oracle that bypasses sector blocking entirely; only sensible
-    for small rings (n <= 12).
-    """
-    if params.n > FULL_ORACLE_N_MAX:
-        raise ValueError(f"full matrix limited to n <= {FULL_ORACLE_N_MAX}, got {params.n}")
-    exchange, field = _full_parts(params.n)
-    return params.j * exchange + params.b * field
-
-
 # The dense ED oracle: each magnetization sector's block assembled from its
 # labels and diagonalized with LAPACK. This is the package's spectral cache
 # as it stood before the Jordan-Wigner levels replaced it. Its per-level
 # columns are computed per bond from the eigenvectors, and `dense_reweight`
 # reweights them without the package's kernel, so nothing on the ED side
 # assumes that every bond carries the same state.
-
-_SYMMETRY_RTOL = 1e-12
-
-
-def bonds(n: int) -> list[tuple[int, int]]:
-    """Ring bonds (i, i+1 mod n) exactly as the periodic sum visits them."""
-    if n == 1:
-        return []
-    return [(i, (i + 1) % n) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -463,36 +460,13 @@ def build_sector_hamiltonian(params: ModelParams, r: int) -> SectorMatrix:
 
 
 @dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues ascending; vectors[:, k] is the unit eigenvector of values[k]."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def eigh_symmetric(matrix: np.ndarray) -> EigenDecomposition:
-    """Diagonalize a dense real symmetric matrix (LAPACK divide and conquer).
-
-    Input must be square and symmetric to 1e-12 relative; convergence failure
-    surfaces as numpy.linalg.LinAlgError, which signals numerical pathology.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > _SYMMETRY_RTOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    values, vectors = np.linalg.eigh(a)
-    values.setflags(write=False)
-    vectors.setflags(write=False)
-    return EigenDecomposition(values=values, vectors=vectors)
-
-
-@dataclass(frozen=True)
 class SectorSpectrum:
+    """One sector's eigenvalues, ascending, and unit eigenvectors (columns)."""
+
     sz: int
     basis: SectorBasis
-    eig: EigenDecomposition
+    values: np.ndarray
+    vectors: np.ndarray
 
 
 class DenseRing:
@@ -508,11 +482,10 @@ class DenseRing:
         sectors = []
         for r in range(n + 1):
             block = build_sector_hamiltonian(ModelParams(n=n, j=1.0, b=0.0), r)
-            sectors.append(SectorSpectrum(sz=block.basis.sz, basis=block.basis,
-                                          eig=eigh_symmetric(block.entries)))
+            sectors.append(SectorSpectrum(block.basis.sz, block.basis, *np.linalg.eigh(block.entries)))
         self.n = n
         self.sectors = tuple(sectors)
-        self.kappa = np.concatenate([sec.eig.values for sec in sectors])
+        self.kappa = np.concatenate([sec.values for sec in sectors])
         self.sz = np.concatenate([np.full(len(sec.basis), float(sec.sz)) for sec in sectors])
         self._bond_columns = {}
 
@@ -561,7 +534,7 @@ def _sector_bond_expectations(sec: SectorSpectrum, i: int, j: int) -> np.ndarray
     01 <-> 10 swap) has matrix elements inside a sector.
     """
     labels = np.array(sec.basis.labels, dtype=np.int64)
-    vectors = sec.eig.vectors
+    vectors = sec.vectors
     bit_i, bit_j = (labels >> i) & 1, (labels >> j) & 1
     out = np.zeros((labels.size, 5))
     rows = np.nonzero((bit_i == 1) & (bit_j == 0))[0]
@@ -590,12 +563,10 @@ def dense_sectors(params: ModelParams) -> tuple[SectorSpectrum, ...]:
     j, b = params.j, params.b
     sectors = []
     for sec in dense_ring(params.n).sectors:
-        values = j * sec.eig.values + b * sec.sz
-        vectors = sec.eig.vectors
+        values, vectors = j * sec.values + b * sec.sz, sec.vectors
         if j < 0:
             values, vectors = values[::-1], vectors[:, ::-1]
-        sectors.append(SectorSpectrum(sz=sec.sz, basis=sec.basis,
-                                      eig=EigenDecomposition(values=values, vectors=vectors)))
+        sectors.append(replace(sec, values=values, vectors=vectors))
     return tuple(sectors)
 
 
@@ -606,7 +577,7 @@ def dense_floor_crossings(n: int, j: float) -> list[float]:
     at b = 0) where the lowest line just below differs from the one just
     above. Intersections closer than 1e-9 are one point."""
     sectors = dense_sectors(ModelParams(n=n, j=j, b=0.0))
-    floors = np.array([sec.eig.values[0] for sec in sectors])
+    floors = np.array([sec.values[0] for sec in sectors])
     slopes = np.array([float(sec.sz) for sec in sectors])
     points = sorted((floors[r] - floors[s]) / (slopes[s] - slopes[r])
                     for r in range(n + 1) for s in range(r + 1, n + 1))
@@ -639,95 +610,6 @@ def dense_ground_states(params: ModelParams) -> list[tuple[SectorSpectrum, int]]
     return hits
 
 
-# Ring symmetry operators on basis labels (bit i is site i, 1 = spin down).
-
-
-def popcount(bits: int) -> int:
-    return bits.bit_count()
-
-
-def _check_label(label: int, n: int) -> None:
-    if not 0 <= label < (1 << n):
-        raise ValueError(f"label {label} out of range for {n} sites")
-
-
-def translate(label: int, n: int) -> int:
-    """Cyclic shift: the content of site i moves to site (i + 1) mod n."""
-    _check_ring_size(n)
-    _check_label(label, n)
-    mask = (1 << n) - 1
-    return ((label << 1) | (label >> (n - 1))) & mask
-
-
-def lambda_x(label: int, n: int) -> int:
-    """All-sites spin flip: bitwise complement within n bits."""
-    _check_ring_size(n)
-    _check_label(label, n)
-    return label ^ ((1 << n) - 1)
-
-
-# sigma_z applied on every other site (sites 0, 2, ..., n-2). The alternating
-# pattern only closes around the ring when n is even.
-_ALTERNATING_MASKS = {n: sum(1 << i for i in range(0, n, 2)) for n in range(2, N_MAX + 1, 2)}
-
-
-def lambda_z_sign(label: int, n: int) -> int:
-    """Sign (+1 or -1) picked up by a basis label under the alternating
-    sigma_z string; the label itself is unchanged (diagonal action)."""
-    _check_ring_size(n)
-    if n % 2:
-        raise ValueError("alternating sigma_z string requires an even ring")
-    _check_label(label, n)
-    return -1 if popcount(label & _ALTERNATING_MASKS[n]) % 2 else 1
-
-
-# The general spin-flip concurrence (Wootters, PRL 80, 2245 (1998)) of a real
-# 4x4 density matrix, through the ED oracle's eigensolver and the package's
-# clamp. It is kept
-# apart from wootters_concurrence above so that tests can compare the two.
-
-# sigma_y x sigma_y is real in the computational basis.
-_YY = np.array([
-    [0.0, 0.0, 0.0, -1.0],
-    [0.0, 0.0, 1.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0],
-    [-1.0, 0.0, 0.0, 0.0],
-])
-
-
-def concurrence_wootters(rho: np.ndarray) -> float:
-    """Concurrence of an arbitrary real 4x4 density matrix.
-
-    Square roots of the eigenvalues of rho * (YY rho YY) are taken from the
-    equivalent symmetric product sqrt(rho) * (YY rho YY) * sqrt(rho), which
-    keeps everything inside the real symmetric eigensolver; the spin-flip
-    conjugation is a no-op for real input.
-    """
-    a = np.asarray(rho)
-    if a.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {a.shape}")
-    if np.iscomplexobj(a):
-        if float(np.abs(a.imag).max()) > 1e-9:
-            raise ValueError("only real density matrices are supported")
-        a = a.real.copy()
-    if float(np.abs(a - a.T).max()) > 1e-9:
-        raise ValueError("density matrix is not symmetric")
-    if abs(float(np.trace(a)) - 1.0) > 1e-9:
-        raise ValueError("density matrix trace differs from one")
-    eig = eigh_symmetric(a)
-    if float(eig.values[0]) < -1e-9:
-        raise ValueError("density matrix is not positive semidefinite")
-    vals = np.where(eig.values < 1e-14, 0.0, eig.values)
-    sqrt_rho = (eig.vectors * np.sqrt(vals)) @ eig.vectors.T
-    # sqrt(rho) rho_tilde sqrt(rho) is the square of the symmetric matrix
-    # sqrt(rho) YY sqrt(rho), so its eigenvalue square roots are available
-    # as absolute eigenvalues directly, without halving the precision of
-    # the near-zero ones
-    core = sqrt_rho @ _YY @ sqrt_rho
-    lam = np.sort(np.abs(eigh_symmetric(core).values))[::-1]
-    return _clamp_unit(max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3])), "concurrence")
-
-
 def gxx_from_energy(obs, params) -> float:
     """Transverse correlator from energy and magnetization alone:
     (U/n - b * M/n) / (2 j), with obs anything that has u and m, such as a
@@ -736,97 +618,6 @@ def gxx_from_energy(obs, params) -> float:
     if params.j == 0:
         raise ValueError("relation undefined for j = 0; read g_xx directly")
     return (obs.u / params.n - params.b * obs.m / params.n) / (2.0 * params.j)
-
-
-# Per-sector reference route: each (j, b) block diagonalized on its own, and
-# every expectation summed sector by sector in Python loops. This is the
-# thermal pipeline as it stood before the spectral cache and the batched
-# kernel replaced it, kept to check them against.
-
-
-def reference_sectors(n, j, b):
-    """(sz, labels, eigenvalues, eigenvectors) of every sector of H(j, b)."""
-    out = []
-    for r in range(n + 1):
-        block = build_sector_hamiltonian(ModelParams(n=n, j=j, b=b), r)
-        values, vectors = np.linalg.eigh(block.entries)
-        out.append((block.basis.sz, block.basis.labels, values, vectors))
-    return out
-
-
-def _zz_expectations(labels, vectors, i, k):
-    labels = np.asarray(labels, dtype=np.int64)
-    diag = (1 - 2 * ((labels >> i) & 1)) * (1 - 2 * ((labels >> k) & 1))
-    return np.einsum("lk,l,lk->k", vectors, diag.astype(float), vectors)
-
-
-def _flipflop_expectations(labels, vectors, i, k):
-    mask = (1 << i) | (1 << k)
-    index = {label: pos for pos, label in enumerate(labels)}
-    rows, cols = [], []
-    for label in labels:
-        if ((label >> i) & 1) and not ((label >> k) & 1):
-            rows.append(index[label])
-            cols.append(index[label ^ mask])
-    if not rows:
-        return np.zeros(vectors.shape[1])
-    return 2.0 * np.einsum("lk,lk->k", vectors[rows, :], vectors[cols, :])
-
-
-def _pattern_probability_expectations(labels, vectors, i, k):
-    labels = np.asarray(labels, dtype=np.int64)
-    pattern = 2 * ((labels >> i) & 1) + ((labels >> k) & 1)
-    v2 = vectors ** 2
-    out = np.zeros((4, vectors.shape[1]))
-    for p in range(4):
-        rows = pattern == p
-        if rows.any():
-            out[p] = v2[rows, :].sum(axis=0)
-    return out
-
-
-def reference_thermal(n, j, b, t, bond=(0, 1)):
-    """Gibbs averages from per-sector Boltzmann sums: u, m and, when the
-    ring has a bond, g_xx, g_zz and the pair probabilities p00..p11."""
-    sectors = reference_sectors(n, j, b)
-    e0 = min(values[0] for _, _, values, _ in sectors)
-    weights = [np.exp(-(values - e0) / t) for _, _, values, _ in sectors]
-    z = sum(w.sum() for w in weights)
-    out = {
-        "u": sum(values @ w for (_, _, values, _), w in zip(sectors, weights)) / z,
-        "m": sum(sz * w.sum() for (sz, _, _, _), w in zip(sectors, weights)) / z,
-    }
-    if n > 1:
-        i, k = bond
-        probs = sum(_pattern_probability_expectations(labels, vectors, i, k) @ w
-                    for (_, labels, _, vectors), w in zip(sectors, weights)) / z
-        out.update({
-            "g_xx": sum(_flipflop_expectations(labels, vectors, i, k) @ w
-                        for (_, labels, _, vectors), w in zip(sectors, weights)) / z,
-            "g_zz": sum(_zz_expectations(labels, vectors, i, k) @ w
-                        for (_, labels, _, vectors), w in zip(sectors, weights)) / z,
-            "p00": probs[0], "p01": probs[1], "p10": probs[2], "p11": probs[3],
-        })
-    return out
-
-
-def reference_ground_reduced(n, j, b, pair=(0, 1)):
-    """(u_plus, u_minus, w, z) of the uniform mixture over the degenerate
-    ground subspace (`same_level`), from per-eigenvector sector expectations."""
-    sectors = reference_sectors(n, j, b)
-    e0 = min(values[0] for _, _, values, _ in sectors)
-    i, k = pair
-    m_bar = g_zz = g_xx = 0.0
-    count = 0
-    for sz, labels, values, vectors in sectors:
-        for col in np.nonzero(same_level(values, e0, e0))[0]:
-            m_bar += sz / n
-            g_zz += _zz_expectations(labels, vectors, i, k)[col]
-            g_xx += _flipflop_expectations(labels, vectors, i, k)[col]
-            count += 1
-    m_bar, g_zz, g_xx = m_bar / count, g_zz / count, g_xx / count
-    return ((1.0 + 2.0 * m_bar + g_zz) / 4.0, (1.0 - 2.0 * m_bar + g_zz) / 4.0,
-            (1.0 - g_zz) / 4.0, g_xx / 2.0)
 
 
 # Per-point drivers: the proposition suites and the threshold bisection as
@@ -889,26 +680,6 @@ def pointwise_odd_control(n, samples, seed):
     rng = np.random.default_rng(seed)
     draws = [_draw_parameters(rng) for _ in range(samples)]
     return _pointwise_worst_gap(n, draws, lambda j, b: (-j, b), _unclamped_xstate)
-
-
-def per_ring_gaps(ring, j, b, t):
-    """Worst gaps (field mirror, unclamped exchange mirror, zero-field
-    correlator vs energy formula) of one ring over the draws (j, b, t), from
-    one kernel call on the ring alone: the suites' gaps as they stood before
-    the rings of a run were stacked into shared kernel calls."""
-    rows_j = np.stack([j, j, -j, np.abs(j), -np.abs(j)])
-    rows_b = np.stack([b, -b, b, np.zeros_like(b), np.zeros_like(b)])
-    g, concurrence = gibbs_concurrence(ring, rows_j, rows_b, t)
-    mirror_b = float(np.max(np.abs(concurrence[0] - concurrence[1])))
-    p = g.probabilities[0:3:2]
-    unclamped = np.abs(g.g_xx[0:3:2]) - 2.0 * np.sqrt(p[..., 0] * p[..., 3])
-    mirror_j = float(np.max(np.abs(unclamped[0] - unclamped[1])))
-    zero_field = slice(3, 5)
-    c5 = concurrence_from_correlators(g.g_xx[zero_field], g.g_zz[zero_field], g.m[zero_field] / ring.n)
-    sign = np.where(rows_j[zero_field] > 0, -1.0, 1.0)
-    c10 = 0.5 * np.maximum(0.0, sign * g.u[zero_field] / (ring.n * rows_j[zero_field])
-                           - g.g_zz[zero_field] - 1.0)
-    return mirror_b, mirror_j, float(np.max(np.abs(c5 - c10)))
 
 
 def sequential_threshold(params, tol=1e-6):

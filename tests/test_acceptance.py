@@ -30,7 +30,6 @@ from xxring.hamiltonian import ModelParams
 from xxring.thermal import reweight
 
 from oracles import (
-    concurrence_wootters,
     eigenvalues,
     four_site_singletlike_ground,
     four_site_w_prime,
@@ -155,7 +154,7 @@ def test_criterion_08_oracle_equivalences():
             h_full = full_hamiltonian(params)
             worst_spec = max(worst_spec, float(np.abs(
                 eigenvalues(spectrum) - np.sort(np.linalg.eigvalsh(h_full))).max()))
-            rho_full = gibbs_density(h_full.astype(complex), t)
+            rho_full = gibbs_density(h_full, t)
             traced = partial_trace_pair(rho_full, n, (0, 1))
             obs = reweight(spectrum.ring, j, b, t)
             rho_pair = obs.pair_density()
@@ -163,7 +162,7 @@ def test_criterion_08_oracle_equivalences():
             routes = [
                 concurrence_from_correlators(obs.g_xx, obs.g_zz, obs.m / n),
                 concurrence_xstate(rho_pair),
-                concurrence_wootters(pair_matrix(rho_pair)),
+                wootters_concurrence(pair_matrix(rho_pair)),
                 wootters_concurrence(traced),
             ]
             worst_conc = max(worst_conc, max(routes) - min(routes))

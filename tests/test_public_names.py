@@ -3,7 +3,8 @@ and property of its classes, has a reader outside its own definition: a code
 reference (a name, an attribute or an import alias) in another statement of
 a package module, or in the benchmark's checks. A mention in a docstring, a
 comment or the README is not a reader. Test-only oracles belong in
-tests/oracles.py, not in the package."""
+tests/oracles.py, not in the package, and each of them has a reader too: a
+test module or another oracle."""
 
 import ast
 from pathlib import Path
@@ -15,6 +16,8 @@ MODULES = sorted(p for p in (ROOT / "src" / "xxring").glob("*.py") if p.name != 
 CHECKS = ROOT / "perfbench" / "checks.py"
 TREES = {path: ast.parse(path.read_text()) for path in MODULES + [CHECKS]}
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+TESTS = sorted((ROOT / "tests").glob("test_*.py")) + [ROOT / "tests" / "conftest.py"]
+ORACLES = ast.parse((ROOT / "tests" / "oracles.py").read_text())
 
 
 def _public_definitions():
@@ -58,6 +61,12 @@ def _readers(own):
     return {reference for root in roots for reference in _references(root, own)}
 
 
+def _public_oracles():
+    for node in ORACLES.body:
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+            yield pytest.param(node, node.name, id=f"oracles.{node.name}")
+
+
 @pytest.mark.parametrize("own, name", list(_public_definitions()))
 def test_public_name_has_a_reader_outside_tests(own, name):
     readers = _readers(own)
@@ -70,3 +79,17 @@ def test_public_member_has_a_reader_outside_tests(own, name):
     # a member is read as an attribute, so only ".name" counts
     assert ("attribute", name) in _readers(own), \
         f"member {name} is read by no package code and no benchmark check"
+
+
+# What each top-level statement of the test modules and the oracles reads. An
+# import only binds a name, so the test modules' imports are no reader.
+TEST_READS = [(node, set(_references(node, None)))
+              for tree in [ast.parse(path.read_text()) for path in TESTS] + [ORACLES]
+              for node in tree.body if not isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+@pytest.mark.parametrize("own, name", list(_public_oracles()))
+def test_oracle_has_a_reader(own, name):
+    readers = set().union(*(reads for node, reads in TEST_READS if node is not own))
+    assert ("name", name) in readers or ("attribute", name) in readers, \
+        f"oracle {name} is read by no test and no other oracle"

@@ -1,6 +1,6 @@
 """The cached ring spectrum and the batched thermal kernel against the
-per-sector reference route (each (j, b) diagonalized on its own, every
-expectation summed sector by sector)."""
+dense ED oracle (each sector diagonalized densely, every bond reweighted
+from its own columns)."""
 
 import math
 import tracemalloc
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xxring.thermal as thermal
-from xxring.eigensolver import ring_model
+from xxring.eigensolver import ring_model, same_level
 from xxring.experiments import verify_propositions
 from xxring.hamiltonian import ModelParams
 from xxring.thermal import reweight
@@ -19,9 +19,9 @@ from xxring.thermal import reweight
 from oracles import (
     bonds,
     build_sector_hamiltonian,
+    dense_reweight,
+    dense_ring,
     dense_sectors,
-    reference_ground_reduced,
-    reference_thermal,
 )
 
 RTOL = 1e-12
@@ -48,18 +48,20 @@ def _draws(rng, count):
 
 
 def test_views_match_reference_on_every_bond(rng):
-    # the one bond state of the kernel against each bond's own reference
+    # the one bond state of the kernel against each bond's own dense ED columns
     for n, j, b, t in _draws(rng, 30):
         g = reweight(ring_model(n), j, b, t)
         rho = g.pair_density()
-        ref = reference_thermal(n, j, b, t)
+        ref = dense_reweight(n, j, b, t, None)
         assert _close(g.u, ref["u"]) and _close(g.m, ref["m"]), (n, j, b, t)
         for bond in bonds(n):
-            ref = reference_thermal(n, j, b, t, bond)
-            for name, got in zip(PROBABILITIES, g.probabilities):
-                assert got == pytest.approx(ref[name], rel=RTOL, abs=0), (n, j, b, t, bond, name)
-            assert _close(g.g_xx, ref["g_xx"]) and _close(g.g_zz, ref["g_zz"]), (n, j, b, t, bond)
-            assert _close(1.0 - 4.0 * rho.w, ref["g_zz"]), (n, j, b, t, bond)
+            ref = dense_reweight(n, j, b, t, bond)
+            for name, got, want in zip(PROBABILITIES, g.probabilities, ref["probabilities"]):
+                assert got == pytest.approx(want, rel=RTOL, abs=0), (n, j, b, t, bond, name)
+            p00, p01, p10, p11 = ref["probabilities"]
+            g_zz = p00 - p01 - p10 + p11
+            assert _close(g.g_xx, ref["g_xx"]) and _close(g.g_zz, g_zz), (n, j, b, t, bond)
+            assert _close(1.0 - 4.0 * rho.w, g_zz), (n, j, b, t, bond)
 
 
 def test_single_site_has_no_bond_averages():
@@ -134,16 +136,20 @@ def test_cached_eigenvalues_match_direct_diagonalization(rng):
         for sec in dense_sectors(params):
             direct = np.linalg.eigvalsh(build_sector_hamiltonian(params, sec.basis.r).entries)
             scale = max(1.0, float(np.abs(direct).max()))
-            assert np.abs(sec.eig.values - direct).max() <= 1e-12 * scale, (n, j, b)
+            assert np.abs(sec.values - direct).max() <= 1e-12 * scale, (n, j, b)
 
 
 @pytest.mark.parametrize("j,b", [(1.0, 2.0 * (math.sqrt(2.0) - 1.0)), (-1.0, 2.0 * (math.sqrt(2.0) - 1.0)),
                                  (1.0, 0.0), (0.0, 0.5)])
 def test_ground_state_reduced_matches_reference(j, b):
+    # the T = 0 bond state against the mean of the dense ED ground levels on each bond
     rho = reweight(ring_model(4), j, b, 0.0).pair_density()
     got = (rho.u_plus, rho.u_minus, rho.w, rho.z)
+    energies = dense_ring(4).energies(j, b)
+    ground = same_level(energies, energies.min(), energies.min())
     for pair in bonds(4):
-        want = reference_ground_reduced(4, j, b, pair)
+        _, g_xx, p00, p01, p10, p11 = dense_ring(4).bond_columns(pair)[ground].mean(axis=0)
+        want = (p00, p11, (p01 + p10) / 2.0, g_xx / 2.0)
         assert all(_close(g, w) for g, w in zip(got, want)), (j, b, pair, got, want)
 
 

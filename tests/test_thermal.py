@@ -12,6 +12,7 @@ from oracles import (
     SX,
     SY,
     bonds,
+    dense_reweight,
     eigenvalues,
     four_site_singletlike_ground,
     full_hamiltonian,
@@ -21,7 +22,6 @@ from oracles import (
     log_partition,
     pair_matrix,
     partial_trace_pair,
-    reference_thermal,
     site_operator,
 )
 
@@ -81,10 +81,10 @@ def test_correlator_matches_frozen_zero_field_value():
 
 
 def test_correlator_is_bond_independent():
-    # the package's one bond correlator against each bond's own reference
+    # the package's one bond correlator against each bond's own dense ED columns
     g_xx = reweight(ring_model(4), 1.0, 0.7, 0.9).g_xx
     for bond in bonds(4):
-        assert g_xx == pytest.approx(reference_thermal(4, 1.0, 0.7, 0.9, bond)["g_xx"], abs=1e-10)
+        assert g_xx == pytest.approx(float(dense_reweight(4, 1.0, 0.7, 0.9, bond)["g_xx"]), abs=1e-10)
 
 
 def test_gxx_from_energy_matches_direct(rng):
@@ -112,7 +112,7 @@ def test_gxx_geq_gyy_both_from_full_space_oracle(rng):
         j, b = rng.uniform(-2, 2, size=2)
         t = float(rng.uniform(0.2, 5.0))
         params = ModelParams(n=n, j=j, b=b)
-        rho = gibbs_density(full_hamiltonian(params).astype(complex), t)
+        rho = gibbs_density(full_hamiltonian(params), t)
         xx = np.trace(site_operator(n, {0: SX, 1: SX}) @ rho)
         yy = np.trace(site_operator(n, {0: SY, 1: SY}) @ rho)
         assert abs(xx.imag) < 1e-12 and abs(yy.imag) < 1e-12
@@ -142,7 +142,7 @@ def test_reduced_density_matches_partial_trace(n, rng):
     t = float(rng.uniform(0.2, 5.0))
     params = ModelParams(n=n, j=j, b=b)
     rho = reweight(ring_model(n), j, b, t).pair_density()
-    rho_full = gibbs_density(full_hamiltonian(params).astype(complex), t)
+    rho_full = gibbs_density(full_hamiltonian(params), t)
     for pair in [(0, 1), (n - 1, 0)]:
         direct = partial_trace_pair(rho_full, n, pair)
         assert np.abs(direct.imag).max() < 1e-12
@@ -157,7 +157,7 @@ def test_reduced_density_matches_partial_trace(n, rng):
 def test_reduced_density_identical_on_every_bond():
     # the package's one bond state against the partial trace on each bond
     rho = pair_matrix(reweight(ring_model(6), 1.4, -0.8, 0.7).pair_density())
-    rho_full = gibbs_density(full_hamiltonian(ModelParams(n=6, j=1.4, b=-0.8)).astype(complex), 0.7)
+    rho_full = gibbs_density(full_hamiltonian(ModelParams(n=6, j=1.4, b=-0.8)), 0.7)
     for bond in bonds(6):
         assert np.abs(rho - partial_trace_pair(rho_full, 6, bond).real).max() < 1e-10, bond
 
@@ -169,7 +169,7 @@ def test_pair_operator_expectations_agree_with_full_space(rng):
         t = float(rng.uniform(0.2, 5.0))
         params = ModelParams(n=n, j=j, b=b)
         rho_pair = pair_matrix(reweight(ring_model(n), j, b, t).pair_density())
-        rho_full = gibbs_density(full_hamiltonian(params).astype(complex), t)
+        rho_full = gibbs_density(full_hamiltonian(params), t)
         for _ in range(3):
             a = rng.normal(size=(4, 4))
             a = (a + a.T) / 2.0
@@ -222,7 +222,7 @@ def test_ground_state_reduced_degenerate_mixture_matches_oracle():
         g = reweight(ring_model(4), params.j, params.b, 0.0)
         assert g.z_shifted == 2
         oracle = partial_trace_pair(
-            ground_mixture_density(full_hamiltonian(params).astype(complex)), 4, (0, 1)).real
+            ground_mixture_density(full_hamiltonian(params)), 4, (0, 1)).real
         assert np.abs(pair_matrix(g.pair_density()) - oracle).max() < 1e-9
 
 
