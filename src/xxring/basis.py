@@ -9,5 +9,5 @@ N_MAX = 16
 
 
 def _check_ring_size(n: int) -> None:
-    if not 1 <= n <= N_MAX:
-        raise ValueError(f"ring size must be in [1, {N_MAX}], got {n}")
+    if not isinstance(n, int) or not 1 <= n <= N_MAX:
+        raise ValueError(f"ring size must be an integer in [1, {N_MAX}], got {n}")

@@ -6,7 +6,6 @@ model's symmetry propositions."""
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -145,8 +144,8 @@ def threshold_temperature(params: ModelParams, tol: float = 1e-6) -> float | Non
     if params.j == 0.0:
         return None
     grid = []
-    # a subnormal j would start the scan at 0
-    t = max(_SCAN_T_MIN * min(1.0, abs(params.j)), sys.float_info.min)
+    # below |j| ~ 1e-322 the product rounds to 0: start at the least positive double instead
+    t = max(_SCAN_T_MIN * min(1.0, abs(params.j)), math.ulp(0.0))
     t_max = _SCAN_T_MAX * max(1.0, abs(params.j), abs(params.b))
     while t <= t_max:
         grid.append(t)

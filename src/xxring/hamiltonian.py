@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .basis import N_MAX
+from .basis import _check_ring_size
 
 # The largest accepted level-energy scale 4n|j| + n|b|. Energy gaps reach twice
 # it and a `spectrum` cluster sums multiplicity times energy over at most 2^16
@@ -32,8 +32,7 @@ class ModelParams:
     b: float
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not 1 <= self.n <= N_MAX:
-            raise ValueError(f"ring size must be an integer in [1, {N_MAX}], got {self.n}")
+        _check_ring_size(self.n)
         if not (math.isfinite(self.j) and math.isfinite(self.b)):
             raise ValueError(f"j and b must be finite, got j={self.j}, b={self.b}")
         scale = 4 * self.n * abs(self.j) + self.n * abs(self.b)

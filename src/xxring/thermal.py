@@ -4,7 +4,7 @@ Everything thermal is a reweighting of one cached ring: `reweight` reads
 only the ring's class table (`RingModel.classes`), where levels of one
 energy at every (j, b) are one class. At any broadcast block of points
 (j, b, t) it forms the class energies E = j * kappa + b * sz, subtracts each
-(j, b)'s ground energy, scales by -1/t, applies one exp and contracts the
+(j, b)'s ground energy, divides by -t, applies one exp and contracts the
 weights with the class table (multiplicity, kappa, sum(sigma_z) and the
 pair-pattern probabilities, each summed over the class). Every level is
 translation invariant, so one table serves every bond and every bond
@@ -12,15 +12,15 @@ carries the same state; no function takes a bond. A bond's X-form state
 (`GibbsBlock.pair_density`) has the pattern probabilities p00 and p11 as
 corners: positive sums, accurate however small.
 
-Shifting by the ground energy keeps every weight at most 1, and -1/T is
-clamped to a finite value, so every positive temperature is safe, down to the
-subnormals: there a positive gap weighs exactly 0 (its overflow to -inf is
-expected and not reported), and the ground level weighs 1. At T = 0 the
-weights are exact, never a large-beta limit: each class of the degenerate
-ground level (`same_level`: within GROUND_RTOL * |E0| of the ground energy
-E0, so scaling j and b together moves no weight) weighs 1 and every other
-class 0, so the state is the uniform mixture over the ground level and
-z_shifted is its degeneracy.
+Shifting by the ground energy keeps every weight at most 1, and the shifted
+energies are divided by -T itself, so every positive temperature is safe,
+down to the subnormals: there a positive gap over T overflows to -inf
+(expected and not reported) and weighs exactly 0, and the ground level, a
+gap of 0, weighs 1. At T = 0 the weights are exact, never a large-beta
+limit: each class of the degenerate ground level (`same_level`: within
+GROUND_RTOL * |E0| of the ground energy E0, so scaling j and b together
+moves no weight) weighs 1 and every other class 0, so the state is the
+uniform mixture over the ground level and z_shifted is its degeneracy.
 
 Several rings reweight at the same points in one call as a stack: their
 class tables lie side by side on the class axis, each ring's ground energy
@@ -32,7 +32,6 @@ is bit-identical to its lone call. A lone ring is a stack of one.
 from __future__ import annotations
 
 import itertools
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -108,7 +107,7 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
     those where the points' entries come in order, as a grid b[:, None]
     against t does), once per entry of the pass, not per temperature, and
     shifts each ring's by its ground energy, the least over its own classes;
-    then one multiply by -1/T and one exp, and a contraction of each ring's
+    then one division by -T and one exp, and a contraction of each ring's
     weights with its own class table gives z, <kappa>, M and the pair
     probabilities, summed over exactly that ring's classes, as a lone call
     sums them, so a stack changes no number; U = j <kappa> + b M,
@@ -135,15 +134,11 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
     if not (t >= 0).all():
         raise ValueError("temperature must be nonnegative")
     shape, field, t = t.shape, field.ravel(), t.ravel()
-    # -1/T, kept finite below T ~ 5.6e-309 so that a zero energy gap never gives 0 * inf = nan;
-    # at T = 0 (+ 0.0 turns -0 into 0) it is clamped alike, and the ground mask sets the weights
-    with np.errstate(over="ignore", divide="ignore"):
-        scales = np.maximum(-1.0 / (t + 0.0), -sys.float_info.max)
     zero = t == 0
     j, b = j.ravel(), b.ravel()
-    moments = np.empty((len(rings), scales.size, classes.shape[0]))
+    moments = np.empty((len(rings), t.size, classes.shape[0]))
     step = max(1, _BLOCK_WEIGHTS // kappa.size)
-    for lo in range(0, scales.size, step):
+    for lo in range(0, t.size, step):
         rows = slice(lo, lo + step)
         # the pass's (j, b) entries, lowest to highest read, and each point's entry among them
         read = field[rows]
@@ -161,10 +156,11 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
         # the pass's one (points x classes) array: a second one per pass
         # made the allocator hand the memory back and fault it in again each call
         weights = energies[entry]
-        # below T ~ 5.6e-309 a positive gap times the clamped -1/T overflows to
-        # -inf, which exp turns into the exact weight 0
-        with np.errstate(over="ignore"):
-            weights *= scales[rows, None]
+        # at a small enough T a positive gap over -T overflows to -inf, which exp
+        # turns into the exact weight 0; at T = 0 the quotients are -inf or nan,
+        # and the ground mask below replaces them
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            weights /= -t[rows, None]
         np.exp(weights, out=weights)
         if ground is not None:
             # at T = 0 each class of the ground level weighs exactly 1, every other class 0

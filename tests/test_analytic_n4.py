@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from xxring.analytic_n4 import closed_forms
-from xxring.eigensolver import full_spectrum
-from xxring.hamiltonian import ModelParams
-from xxring.thermal import reweight
 
 from oracles import reference_spectrum_n4
 
@@ -45,25 +42,6 @@ def test_partition_equals_level_sum(rng):
         cf = closed_forms(j, b, beta)
         z_levels = np.exp(-beta * reference_spectrum_n4(j, b)).sum()
         assert cf.z == pytest.approx(float(z_levels), rel=1e-12)
-
-
-def test_agrees_with_spectral_pipeline(rng):
-    for _ in range(25):
-        j = float(rng.uniform(0.05, 2.0)) * float(rng.choice([-1.0, 1.0]))
-        b = float(rng.uniform(-3, 3))
-        t = float(math.exp(rng.uniform(math.log(0.05), math.log(50.0))))
-        spectrum = full_spectrum(ModelParams(n=4, j=j, b=b))
-        obs = reweight(spectrum.ring, j, b, t)
-        cf = closed_forms(j, b, 1.0 / t)
-        z_spectral = math.exp(math.log(obs.z_shifted) - spectrum.ground_energy / t)
-        for got, want in [
-            (z_spectral, cf.z),
-            (obs.u, 4.0 * cf.u_bar),
-            (obs.m, 4.0 * cf.m_bar),
-            (obs.g_zz, cf.g_zz),
-            (obs.g_xx, cf.g_xx),
-        ]:
-            assert abs(got - want) <= 1e-10 * max(1.0, abs(got), abs(want))
 
 
 def test_field_sign_flip(rng):

@@ -138,10 +138,11 @@ def test_threshold_none_for_zero_exchange(capsys):
     assert out.strip() == "none"
 
 
-@pytest.mark.parametrize("j, want", [("0.01", "0.0221"), ("1000", "2211.3515")])
+@pytest.mark.parametrize("j, want", [("0.01", "0.0221"), ("1000", "2211.3515"), ("1e-310", "0.0000")])
 def test_threshold_scan_scales_with_the_exchange(capsys, j, want):
     # T_c is 2.21135148 j at n = 4, b = 0; a scan fixed to [0.05, 1e3] saw
-    # nothing at j = 0.01 and was still entangled at its top at j = 1000
+    # nothing at j = 0.01 and was still entangled at its top at j = 1000, and
+    # a scan floored at the least normal double started above T_c at j = 1e-310
     code, out, err = run_cli(capsys, "threshold", "--n", "4", "--j", j, "--b", "0")
     assert code == 0, err
     assert out.strip() == want
@@ -327,7 +328,7 @@ def test_verify_checks_the_ring_list_before_the_control(capsys):
     code, out, err = run_cli(capsys, "verify", "--n-list", "17", "--samples", "3",
                              "--odd-control", "4")
     assert code == 2 and out == ""
-    assert err == "error: ring size must be in [1, 16], got 17\n"
+    assert err == "error: ring size must be an integer in [1, 16], got 17\n"
 
 
 def test_verify_refuses_more_samples_than_the_cap_before_drawing(capsys, monkeypatch):
@@ -368,9 +369,13 @@ def test_sweep_refuses_a_grid_over_the_cap_before_building_it(capsys, monkeypatc
      "1e-310,1,1,4,-6,-2,-0.5,0,0.5\n"
      "0.5,1,1,4,-5.85975698505,-1.36193298633,-0.56222799984,-0.153278415889,0.310622119451\n"
      "1,1,1,4,-5.58022686797,-1.34870708615,-0.528939972727,-0.116113647198,0.243238037307\n"),
-], ids=["thermal", "sweep"])
+    # H and T scale together: the state of j = t = 1 to the ~4 digits a subnormal j carries
+    ("thermal --n 4 --j 1e-320 --b 0 --t 1e-320",
+     "Z_shifted   = 1.41664853217\nU           = -5.07010165762e-320\nM           = 5.24250349532e-18\n"
+     "Gxx         = -0.633761132758\nGzz         = -0.350483403629\nconcurrence = 0.309002834573\n"),
+], ids=["thermal", "sweep", "subnormal_exchange"])
 def test_subnormal_temperatures_print_no_warnings(capsys, argv, want):
-    # -1/T and the scaled gaps overflow to -inf on purpose below T ~ 5.6e-309
+    # a positive gap divided by a subnormal T overflows to -inf on purpose
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, *argv.split())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xxring.eigensolver import ring_model
 from xxring.hamiltonian import MAX_ENERGY, ModelParams
 
 from oracles import (
@@ -13,10 +14,11 @@ from oracles import (
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ModelParams(n=0, j=1.0, b=0.0)
-    with pytest.raises(ValueError):
-        ModelParams(n=17, j=1.0, b=0.0)
+    # one ring-size check, with one message, for the parameters and the ring cache
+    for n in (0, 17, 4.5):
+        for build in (lambda n: ModelParams(n=n, j=1.0, b=0.0), ring_model):
+            with pytest.raises(ValueError, match=rf"^ring size must be an integer in \[1, 16\], got {n}$"):
+                build(n)
     with pytest.raises(ValueError):
         ModelParams(n=4, j=float("inf"), b=0.0)
     ModelParams(n=4, j=0.0, b=0.0)  # zero couplings are legal

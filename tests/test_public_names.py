@@ -4,9 +4,11 @@ reference (a name, an attribute or an import alias) in another statement of
 a package module, or in the benchmark's checks. A mention in a docstring, a
 comment or the README is not a reader. Test-only oracles belong in
 tests/oracles.py, not in the package, and each of them has a reader too: a
-test module or another oracle."""
+test module or another oracle. Every test that the oracles' route map names
+exists."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -93,3 +95,14 @@ def test_oracle_has_a_reader(own, name):
     readers = set().union(*(reads for node, reads in TEST_READS if node is not own))
     assert ("name", name) in readers or ("attribute", name) in readers, \
         f"oracle {name} is read by no test and no other oracle"
+
+
+# Each module.test the route map in the oracles' docstring names.
+ROUTE_MAP = sorted(set(re.findall(r"\b(test_\w+)\.(test_\w+)", ast.get_docstring(ORACLES))))
+
+
+@pytest.mark.parametrize("module, name", ROUTE_MAP, ids=[f"{m}.{n}" for m, n in ROUTE_MAP])
+def test_route_map_names_a_test(module, name):
+    tree = ast.parse((ROOT / "tests" / f"{module}.py").read_text())
+    assert any(isinstance(node, ast.FunctionDef) and node.name == name for node in tree.body), \
+        f"the route map names {module}.{name}, which is no top-level test of {module}"
