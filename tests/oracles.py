@@ -26,21 +26,23 @@ independent route.
 `eigenvalues` and `pair_matrix` put a package result in an oracle's form,
 and `gxx_from_energy` recovers g_xx from energy and magnetization.
 
-The tests that hold each quantity to each independent reference, one test
-per reference (module.test; the acceptance criteria hold some at looser
-bounds):
+The tests that hold each quantity to each independent reference (module.test;
+where a reference has two, they take different inputs; the acceptance
+criteria hold some at looser bounds):
 - spectrum: dense ED, test_jordan_wigner.test_sorted_levels_equal_the_ed_eigenvalues;
   full space, test_acceptance.test_criterion_08_oracle_equivalences;
   four-site closed forms, test_eigensolver.test_full_spectrum_n4_matches_reference_levels;
 - Gibbs u, m, g_xx, g_zz and p: dense ED on every bond,
-  test_jordan_wigner.test_gibbs_blocks_match_the_ed_kernel; four-site closed
+  test_jordan_wigner.test_gibbs_blocks_match_the_ed_kernel (n = 1..12) and
+  test_reweight.test_views_match_reference_on_every_bond (drawn points); four-site closed
   forms, test_acceptance.test_criterion_02_closed_form_oracle_agreement;
   their 50-digit values, test_thermal.test_observables_match_frozen_closed_forms;
 - Gibbs bond state: full-space partial trace on every bond,
   test_thermal.test_reduced_density_matches_partial_trace;
 - partition function: full space, test_thermal.test_log_partition_matches_oracle;
   its derivatives U and M, test_acceptance.test_criterion_09_thermodynamic_identities;
-- ground mixture (T = 0): dense ED, test_reweight.test_ground_state_reduced_matches_reference;
+- ground mixture (T = 0): dense ED, test_reweight.test_ground_state_reduced_matches_reference
+  and, at both four-site crossings, test_jordan_wigner.test_ground_mixture_at_both_n4_crossings_matches_ed;
   per-level table, test_jordan_wigner.test_ground_mixture_is_the_mean_of_the_ground_levels;
   full space, test_thermal.test_ground_state_reduced_degenerate_mixture_matches_oracle;
   four-site closed forms, test_thermal.test_ground_state_reduced_matches_the_closed_form_ground;
@@ -48,7 +50,8 @@ bounds):
   partial trace, test_acceptance.test_criterion_08_oracle_equivalences;
   four-site closed forms, test_acceptance.test_criterion_03_ground_state_concurrence_plateaus;
 - tangle: per-level Slater vector, test_jordan_wigner.test_closed_form_tangle_is_the_slater_vector_tangle;
-  closed-form states, test_entanglement.test_tangle_of_closed_form_states;
+  closed-form states, test_entanglement.test_tangle_of_zero_field_ground_state_is_maximal
+  and test_entanglement.test_tangle_of_w_band_and_polarized_states_vanishes;
 - crossings: dense ED, test_experiments.test_level_crossings_are_the_ed_floor_intersections;
   four-site closed forms, test_acceptance.test_criterion_05_level_crossings;
 - threshold: full space, test_experiments.test_threshold_brackets_the_positivity_boundary;

@@ -4,9 +4,11 @@ import pytest
 from xxring.basis import N_MAX
 from xxring.eigensolver import GROUND_RTOL, full_spectrum, ring_model
 from xxring.hamiltonian import ModelParams
+from xxring.thermal import reweight
 
 from oracles import (
     build_sector_hamiltonian,
+    dense_ground_states,
     dense_sectors,
     eigenvalues,
     full_hamiltonian,
@@ -64,6 +66,19 @@ def test_field_sign_flip_negates_spectrum(rng):
         plus = eigenvalues(full_spectrum(ModelParams(n=n, j=j, b=b)))
         minus = eigenvalues(full_spectrum(ModelParams(n=n, j=j, b=-b)))
         assert np.allclose(plus, -minus[::-1], atol=1e-10)
+
+
+def test_ground_states_span_degenerate_levels():
+    # both crossing fields, for both exchange signs: two branches meet there
+    # (for j < 0 the flat level order runs against the sector columns)
+    for j in (1.0, -1.0):
+        for b_cross in (2.0 * (np.sqrt(2.0) - 1.0), 2.0):
+            spectrum = full_spectrum(ModelParams(n=4, j=j, b=b_cross))
+            states = dense_ground_states(spectrum.params)
+            assert len(states) == 2
+            assert reweight(spectrum.ring, j, b_cross, 0.0).z_shifted == 2
+            for sec, k in states:
+                assert sec.values[k] == pytest.approx(spectrum.ground_energy, abs=1e-12)
 
 
 def test_ground_state_vector_unique_case():

@@ -138,14 +138,17 @@ def test_three_routes_agree_on_thermal_states(rng):
         assert c_formula == pytest.approx(c_wootters, abs=1e-9)
 
 
-def test_tangle_of_closed_form_states():
-    # the four-site zero-field ground state and a Bell pair are maximally tangled;
-    # the mid-field W-type state and the polarized state are not tangled at all
-    bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-    polarized = np.eye(16)[0b1111]
-    for state, want, tol in [(four_site_singletlike_ground(), 1.0, 1e-12), (bell, 1.0, 1e-14),
-                             (four_site_w_prime(), 0.0, 1e-14), (polarized, 0.0, 1e-14)]:
-        assert n_tangle(state) == pytest.approx(want, abs=tol)
+def test_tangle_of_zero_field_ground_state_is_maximal():
+    assert n_tangle(four_site_singletlike_ground()) == pytest.approx(1.0, abs=1e-12)
+    spectrum = full_spectrum(ModelParams(n=4, j=1.0, b=0.0))
+    assert n_tangle(ground_state_vector(spectrum)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tangle_of_w_band_and_polarized_states_vanishes():
+    assert n_tangle(four_site_w_prime()) == pytest.approx(0.0, abs=1e-14)
+    polarized = np.zeros(16)
+    polarized[0b1111] = 1.0
+    assert n_tangle(polarized) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_mid_field_ground_state_is_the_w_type_state():
@@ -154,6 +157,11 @@ def test_mid_field_ground_state_is_the_w_type_state():
     overlap = abs(np.vdot(four_site_w_prime(), vec))
     assert overlap == pytest.approx(1.0, abs=1e-10)
     assert n_tangle(vec) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_tangle_of_bell_pair():
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    assert n_tangle(bell) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_tangle_of_any_basis_state_vanishes(rng):

@@ -152,6 +152,10 @@ def test_threshold_brackets_the_positivity_boundary():
     assert wootters_concurrence(partial_trace_pair(gibbs_density(h, tc + 1e-3), 4, (0, 1))) <= 1e-12
 
 
+def test_threshold_none_without_exchange():
+    assert threshold_temperature(ModelParams(n=4, j=0.0, b=1.0)) is None
+
+
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
 @given(st.integers(2, 8), st.floats(0.5, 2.0), st.sampled_from([1.0, -1.0]), st.floats(-3.0, 3.0),
        st.floats(1e-3, 1e3))
@@ -298,10 +302,8 @@ def test_verify_propositions_validation(monkeypatch):
     # the list's ring sizes are checked before the control, the control before any draw
     with pytest.raises(ValueError, match=r"ring size must be an integer in \[1, 16\], got 17"):
         verify_propositions([2, 17], samples=3, odd_control=4)
-    # an even ring is inside the claim, and a single site has no bond, so the symmetry would hold vacuously
-    for n in (4, 1, -1):
-        with pytest.raises(ValueError, match=f"control requires an odd ring n >= 3, got n={n}"):
-            verify_propositions([2], samples=3, odd_control=n)
+    with pytest.raises(ValueError, match="control requires an odd ring n >= 3, got n=4"):
+        verify_propositions([2], samples=3, odd_control=4)
     with pytest.raises(ValueError, match=r"ring size must be an integer in \[1, 16\], got 17"):
         verify_propositions([2], samples=3, odd_control=17)
 
@@ -350,6 +352,18 @@ def test_proposition3_reweights_both_exchange_signs_of_every_draw(monkeypatch, b
         assert (abs(jj), tt) in zero_field and (-abs(jj), tt) in zero_field
     assert reports[2].max_discrepancy > 10.0 and not reports[2].passed
     assert reports[0].passed and reports[1].passed
+
+
+def test_odd_ring_control_rejects_even_n():
+    with pytest.raises(ValueError):
+        verify_propositions([2], samples=3, odd_control=4)
+
+
+@pytest.mark.parametrize("n", [1, -1])
+def test_odd_ring_control_rejects_a_ring_without_a_bond(n):
+    # a single site has no bond, so the symmetry would hold vacuously
+    with pytest.raises(ValueError, match="odd ring n >= 3"):
+        verify_propositions([2], samples=3, odd_control=n)
 
 
 def test_sweep_concurrence_uses_positive_sum_route():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -32,21 +33,14 @@ GXX_N4_J1_B0_T1 = -0.6337732342742042308598
 
 
 def test_high_temperature_limit_vanishes():
-    # the averages vanish and the bond state is maximally mixed
     obs = reweight(ring_model(4), 1.0, 0.0, 1.0e6)
     for value in (obs.u, obs.m, obs.g_xx, obs.g_zz):
         assert abs(value) < 1e-4
-    rho = reweight(ring_model(4), 1.0, 0.0, 1.0e8).pair_density()
-    assert np.abs(pair_matrix(rho) - np.eye(4) / 4.0).max() < 1e-7
 
 
-def test_reduced_density_low_temperature_matches_ground_values():
+def test_low_temperature_energy_is_ground_energy():
     obs = reweight(ring_model(4), 1.0, 0.0, 1.0e-3)
     assert obs.u == pytest.approx(-4.0 * math.sqrt(2.0), abs=1e-10)
-    rho = obs.pair_density()
-    assert rho.z == pytest.approx(-math.sqrt(2.0) / 4.0, abs=1e-10)
-    assert 1.0 - 4.0 * rho.w == pytest.approx(-0.5, abs=1e-10)  # g_zz
-    assert rho.u_plus == pytest.approx(rho.u_minus, abs=1e-12)
 
 
 def test_observables_match_frozen_closed_forms():
@@ -55,7 +49,6 @@ def test_observables_match_frozen_closed_forms():
     assert obs.m == pytest.approx(M_N4_J1_B1_T1, rel=1e-12)
     assert obs.g_zz == pytest.approx(GZZ_N4_J1_B1_T1, rel=1e-12)
     assert obs.g_xx == pytest.approx(GXX_N4_J1_B1_T1, rel=1e-12)
-    assert reweight(ring_model(4), 1.0, 0.0, 1.0).g_xx == pytest.approx(GXX_N4_J1_B0_T1, rel=1e-12)
 
 
 def test_log_partition_matches_oracle(rng):
@@ -69,9 +62,21 @@ def test_log_partition_matches_oracle(rng):
         assert log_z == pytest.approx(log_partition(full_hamiltonian(params), t), abs=1e-10)
 
 
+def test_observables_rejects_nonpositive_temperature():
+    # of the nonpositive temperatures only T = 0 (and -0) is a state: the ground-level mixture
+    for t in (-1.0, -sys.float_info.min, math.nan, [1.0, -1.0]):
+        with pytest.raises(ValueError, match="temperature must be nonnegative"):
+            reweight(ring_model(4), 1.0, 0.0, t)
+    assert reweight(ring_model(4), 1.0, 0.0, [0.0, -0.0]).z_shifted.tolist() == [1.0, 1.0]
+
+
 def test_correlator_zero_exchange_vanishes():
     for b, t in [(0.0, 1.0), (2.0, 0.3), (-1.5, 10.0)]:
         assert reweight(ring_model(4), 0.0, b, t).g_xx == pytest.approx(0.0, abs=1e-14)
+
+
+def test_correlator_matches_frozen_zero_field_value():
+    assert reweight(ring_model(4), 1.0, 0.0, 1.0).g_xx == pytest.approx(GXX_N4_J1_B0_T1, rel=1e-12)
 
 
 def test_gxx_from_energy_matches_direct(rng):
@@ -105,6 +110,21 @@ def test_gxx_geq_gyy_both_from_full_space_oracle(rng):
         assert abs(xx.imag) < 1e-12 and abs(yy.imag) < 1e-12
         assert xx.real == pytest.approx(yy.real, abs=1e-10)
         assert reweight(ring_model(n), j, b, t).g_xx == pytest.approx(xx.real, abs=1e-10)
+
+
+def test_reduced_density_high_temperature_is_maximally_mixed():
+    rho = reweight(ring_model(4), 1.0, 0.0, 1.0e8).pair_density()
+    assert rho.u_plus == pytest.approx(0.25, abs=1e-7)
+    assert rho.u_minus == pytest.approx(0.25, abs=1e-7)
+    assert rho.w == pytest.approx(0.25, abs=1e-7)
+    assert rho.z == pytest.approx(0.0, abs=1e-7)
+
+
+def test_reduced_density_low_temperature_matches_ground_values():
+    rho = reweight(ring_model(4), 1.0, 0.0, 1.0e-3).pair_density()
+    assert rho.z == pytest.approx(-math.sqrt(2.0) / 4.0, abs=1e-10)
+    assert 1.0 - 4.0 * rho.w == pytest.approx(-0.5, abs=1e-10)  # g_zz
+    assert rho.u_plus == pytest.approx(rho.u_minus, abs=1e-12)
 
 
 @pytest.mark.parametrize("n, point", [(n, None) for n in (2, 3, 4, 6, 8)] + [(6, (1.4, -0.8, 0.7))],
