@@ -42,8 +42,19 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-# One sweep CSV row, formatted in one call: "%.12g" writes the bytes of _fmt.
-_CSV_ROW = ",".join(["%.12g"] * 3 + ["%d"] + ["%.12g"] * 5)
+def _csv_lines(t_values, b_values, j: float, n: int, columns) -> list[str]:
+    """The sweep CSV: the header, then one line per grid point, B outer and
+    T inner, from the five columns (U, M, Gxx, Gzz, concurrence), each a
+    list of rows of floats, one row per field. Each T, B, J and N cell is
+    formatted once; "%.12g" writes the bytes of _fmt."""
+    t_cells = ["%.12g," % t for t in t_values]
+    values = "%.12g,%.12g,%.12g,%.12g,%.12g\n"
+    lines = ["T,B,J,N,U,M,Gxx,Gzz,concurrence\n"]
+    for b, *row_columns in zip(b_values, *columns):
+        point = "%.12g,%.12g,%d," % (b, j, n)
+        lines += [t_cell + point + values % (u, m, g_xx, g_zz, c)
+                  for t_cell, u, m, g_xx, g_zz, c in zip(t_cells, *row_columns)]
+    return lines
 
 
 def _add_model_args(parser, with_b=True):
@@ -181,12 +192,8 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"grid of {rows} rows exceeds cap {MAX_POINTS}")
     t_values, b_values = sorted(_grid(args, "t")), sorted(_grid(args, "b"))
     block, concurrence = sweep(params, t_values, b_values)
-    columns = [a.tolist() for a in (block.u, block.m, block.g_xx, block.g_zz, concurrence)]
-    lines, row = ["T,B,J,N,U,M,Gxx,Gzz,concurrence\n"], _CSV_ROW + "\n"
-    # b outer, t inner: one row per grid point, formatted straight from the columns
-    for b, *row_columns in zip(b_values, *columns):
-        lines += [row % (t, b, params.j, params.n, u, m, g_xx, g_zz, c)
-                  for t, u, m, g_xx, g_zz, c in zip(t_values, *row_columns)]
+    lines = _csv_lines(t_values, b_values, params.j, params.n,
+                       [a.tolist() for a in (block.u, block.m, block.g_xx, block.g_zz, concurrence)])
     if args.output == "-":
         # a line at a time: a write-through stdout (PYTHONUNBUFFERED) drops what a closed pipe
         # cuts from one large write, but the next line's write raises BrokenPipeError

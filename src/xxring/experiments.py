@@ -55,9 +55,11 @@ def gibbs_concurrence(ring: RingModel | Sequence[RingModel], j, b, t) -> tuple[G
     """
     block = reweight(ring, j, b, t)
     rho = block.pair_density()
-    bonded = np.array(ring.n > 1 if isinstance(ring, RingModel) else [r.n > 1 for r in ring])
-    if bonded.all():
+    lone = isinstance(ring, RingModel)
+    bonded = [r.n > 1 for r in ([ring] if lone else ring)]
+    if all(bonded):
         return block, concurrence_xstate(rho)
+    bonded = np.array(bonded[0] if lone else bonded)
     concurrence = np.zeros(block.g_xx.shape)
     concurrence[bonded] = concurrence_xstate(PairDensity(*(x[bonded] for x in (
         rho.u_plus, rho.u_minus, rho.w, rho.z))))
@@ -238,14 +240,35 @@ def ground_state_concurrence(params: ModelParams) -> float:
     return float(value)
 
 
-def _draw_parameters(rng: np.random.Generator) -> tuple[float, float, float]:
-    # j stays clear of zero so energy-based relations keep a safe denominator
-    j = 0.0
-    while abs(j) < 0.05:
-        j = float(rng.uniform(-2.0, 2.0))
-    b = float(rng.uniform(-3.0, 3.0))
-    t = float(math.exp(rng.uniform(math.log(0.05), math.log(50.0))))
-    return j, b, t
+def _draw_parameters(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`samples` draws of (j, b, t) from one block of the generator's doubles.
+
+    Each draw reads j = uniform(-2, 2), redrawn while |j| < 0.05 so that
+    energy-based relations keep a safe denominator, then b = uniform(-3, 3)
+    and t = exp(uniform(log 0.05, log 50)). `Generator.uniform(low, high)`
+    maps the generator's next double u to low + (high - low) * u, so walking
+    one `rng.random` block with the same maps reads the same doubles, in the
+    same order, as one `uniform` call per value; redraws that use up the
+    block draw more doubles.
+    """
+    u = rng.random(3 * samples).tolist()
+    # high - low as a double: 4 and 6 exactly, and the log span rounded once
+    log_t_low = math.log(0.05)
+    log_t_span = math.log(50.0) - log_t_low
+    j, b, t = [], [], []
+    k = 0
+    for left in range(samples, 0, -1):
+        j_k = 0.0
+        while abs(j_k) < 0.05:
+            if len(u) - k < 3:
+                u += rng.random(3 * left).tolist()
+            j_k = -2.0 + 4.0 * u[k]
+            k += 1
+        j.append(j_k)
+        b.append(-3.0 + 6.0 * u[k])
+        t.append(math.exp(log_t_low + log_t_span * u[k + 1]))
+        k += 2
+    return np.array(j), np.array(b), np.array(t)
 
 
 def _stacks(rings: list[RingModel], points: int) -> list[list[RingModel]]:
@@ -304,7 +327,8 @@ def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED,
 
     Each proposition is checked on `samples` draws of (j, b, t) per
     applicable ring size; a report passes when the worst discrepancy stays
-    below 1e-9. The draws are made once, and the distinct rings are
+    below 1e-9. The draws are made once, in one generator call
+    (`_draw_parameters`), and the distinct rings are
     reweighted at the same 5 * samples points (at most MAX_POINTS) serving
     all three: one kernel call per stack of rings (`_stacks`), a single call
     for a few small rings at few samples. An empty ring list is refused: it
@@ -328,7 +352,7 @@ def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED,
             raise ValueError(f"control requires an odd ring n >= 3, got n={odd_control}")
         rings[odd_control] = ring_model(odd_control)
     rng = np.random.default_rng(seed)
-    j, b, t = (np.array(column) for column in zip(*(_draw_parameters(rng) for _ in range(samples))))
+    j, b, t = _draw_parameters(rng, samples)
     gaps = {}
     for stack in _stacks(list(rings.values()), 5 * samples):
         gaps.update(_ring_gaps(stack, j, b, t))

@@ -89,6 +89,13 @@ class GibbsBlock:
         return PairDensity(u_plus=p[..., 0], u_minus=p[..., 3], w=p[..., 1], z=self.g_xx / 2.0)
 
 
+def _flat(x: np.ndarray, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """x broadcast to shape, as a new flat array."""
+    out = np.empty(shape, dtype)
+    out[...] = x
+    return out.ravel()
+
+
 def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
     """Boltzmann averages of one ring, or of a stack of rings, at the
     broadcast points (j, b, t).
@@ -126,16 +133,20 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
     sizes = [r.class_kappa.size for r in rings]
     bounds = list(itertools.accumulate(sizes, initial=0))
     segments = [slice(lo, hi) for lo, hi in itertools.pairwise(bounds)]
-    j, b = np.broadcast_arrays(np.asarray(j, dtype=float), np.asarray(b, dtype=float))
-    # each point's row of class energies (one row per (j, b) entry), and its temperature
-    field, t = np.broadcast_arrays(np.arange(j.size).reshape(j.shape), np.asarray(t, dtype=float))
+    j, b, t = np.asarray(j, dtype=float), np.asarray(b, dtype=float), np.asarray(t, dtype=float)
+    # the (j, b) entries, each a row of class energies, and the points' shape
+    pairs = np.broadcast(j, b)
+    shape = np.broadcast_shapes(pairs.shape, t.shape)
+    # each point's entry and temperature, and each entry's j and b, flat
+    field = _flat(np.arange(pairs.size).reshape(pairs.shape), shape, np.intp)
+    j, b, t = _flat(j, pairs.shape), _flat(b, pairs.shape), _flat(t, shape)
     if t.size == 0:
         raise ValueError("no points to reweight")
     if not (t >= 0).all():
-        raise ValueError("temperature must be nonnegative")
-    shape, field, t = t.shape, field.ravel(), t.ravel()
+        # nan is not negative: it is named on the refusal path only, which an accepted call never takes
+        raise ValueError("temperature must be a number" if np.isnan(t).any()
+                         else "temperature must be nonnegative")
     zero = t == 0
-    j, b = j.ravel(), b.ravel()
     moments = np.empty((len(rings), t.size, classes.shape[0]))
     step = max(1, _BLOCK_WEIGHTS // kappa.size)
     for lo in range(0, t.size, step):

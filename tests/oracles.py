@@ -702,7 +702,8 @@ def sequential_threshold(params, tol=1e-6):
     if params.j == 0.0:
         return None
     spectrum = full_spectrum(params)
-    grid = [0.05 * min(1.0, abs(params.j))]
+    # below |j| ~ 1e-322 the product rounds to 0: start at the least positive double instead
+    grid = [max(0.05 * min(1.0, abs(params.j)), math.ulp(0.0))]
     while grid[-1] <= 1.0e3 * max(1.0, abs(params.j), abs(params.b)):
         grid.append(grid[-1] * 2.0)
     entangled = [thermal_concurrence(spectrum, t) > POSITIVE_CONCURRENCE for t in grid]

@@ -265,11 +265,11 @@ def test_csv_row_format_writes_the_per_field_bytes():
     edges = [-0.0, 5e-324, 1e16, 1.0 / 3.0, 0.0, -2.5e-300, 123456789012.5, math.inf, -math.inf,
              math.nan]
     for k in range(len(edges)):
-        values = [edges[(k + i) % len(edges)] for i in range(8)]
-        row = values[:3] + [16] + values[3:]
-        want = ",".join(format(v, ".12g") for v in values[:3]) + ",16," \
-            + ",".join(format(v, ".12g") for v in values[3:])
-        assert cli._CSV_ROW % tuple(row) == want
+        t, b, j, *values = [edges[(k + i) % len(edges)] for i in range(8)]
+        want = ",".join(format(v, ".12g") for v in (t, b, j)) + ",16," \
+            + ",".join(format(v, ".12g") for v in values) + "\n"
+        assert cli._csv_lines([t], [b], j, 16, [[[v]] for v in values]) == [
+            "T,B,J,N,U,M,Gxx,Gzz,concurrence\n", want]
 
 
 def test_sweep_csv_uses_twelve_significant_digits(capsys):
@@ -335,7 +335,7 @@ def test_verify_refuses_more_samples_than_the_cap_before_drawing(capsys, monkeyp
     # a billion samples would draw for hours; five kernel points per sample are capped
     import xxring.experiments as experiments
 
-    def no_draw(rng):
+    def no_draw(rng, samples):
         raise AssertionError("drew before refusing")
 
     monkeypatch.setattr(experiments, "_draw_parameters", no_draw)
@@ -417,13 +417,16 @@ def test_argument_errors_exit_two(capsys):
 
 
 def test_sweep_log_scale_grid(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--n", "2", "--j", "1",
-                           "--t-min", "0.1", "--t-max", "10", "--t-steps", "3",
-                           "--t-scale", "log",
-                           "--b-min", "0", "--b-max", "0", "--b-steps", "1")
-    assert code == 0
-    t_column = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
-    assert t_column == pytest.approx([0.1, 1.0, 10.0], rel=1e-9)
+    # a one-field grid at -0 keeps the sign of its B cell
+    for b in ("0", "-0"):
+        code, out, _ = run_cli(capsys, "sweep", "--n", "2", "--j", "1",
+                               "--t-min", "0.1", "--t-max", "10", "--t-steps", "3",
+                               "--t-scale", "log",
+                               "--b-min", b, "--b-max", b, "--b-steps", "1")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == pytest.approx([0.1, 1.0, 10.0], rel=1e-9)
+        assert [row[1] for row in rows] == [b] * 3
 
 
 def test_ground_diagonalizes_each_sector_once(capsys, ring_builds):

@@ -26,6 +26,7 @@ from xxring.hamiltonian import MAX_ENERGY, ModelParams
 from xxring.thermal import reweight
 
 from oracles import (
+    _draw_parameters,
     dense_floor_crossings,
     eigenvalues,
     full_hamiltonian,
@@ -274,18 +275,31 @@ def test_verify_propositions_seed_changes_draws():
     assert a[0].max_discrepancy != b[0].max_discrepancy
 
 
+@pytest.mark.parametrize("samples", [1, 8, 200])
+def test_block_draws_are_the_one_at_a_time_stream(samples):
+    # seeds 1 and 26 redraw their first j, so at one sample the block of three doubles runs out
+    for seed in (1, 26):
+        assert abs(-2.0 + 4.0 * np.random.default_rng(seed).random()) < 0.05
+    for seed in range(51):
+        rng = np.random.default_rng(seed)
+        want = [np.array(column) for column in zip(*(_draw_parameters(rng) for _ in range(samples)))]
+        got = experiments._draw_parameters(np.random.default_rng(seed), samples)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), seed
+
+
 def test_verify_draws_its_samples_once(capsys, monkeypatch):
     # the propositions and the odd control read the same (j, b, t) draws
     calls = []
     draw = experiments._draw_parameters
-    monkeypatch.setattr(experiments, "_draw_parameters", lambda rng: calls.append(1) or draw(rng))
+    monkeypatch.setattr(experiments, "_draw_parameters",
+                        lambda rng, samples: calls.append(samples) or draw(rng, samples))
     assert main(["verify", "--n-list", "2,3", "--samples", "7", "--seed", "11"]) == 0
-    assert len(calls) == 7
+    assert calls == [7]
     assert "breaks as expected" in capsys.readouterr().out
 
 
 def test_verify_propositions_validation(monkeypatch):
-    def no_draw(rng):
+    def no_draw(rng, samples):
         raise AssertionError("drew before refusing")
 
     monkeypatch.setattr(experiments, "_draw_parameters", no_draw)
@@ -347,8 +361,7 @@ def test_proposition3_reweights_both_exchange_signs_of_every_draw(monkeypatch, b
     assert len(points) == 1
     zero_field = {(float(jj), float(tt)) for jj, bb, tt in zip(*(a.ravel() for a in points[0]))
                   if bb == 0.0}
-    rng = np.random.default_rng(5)
-    for jj, _, tt in (experiments._draw_parameters(rng) for _ in range(6)):
+    for jj, _, tt in zip(*_draws(6, 5)):
         assert (abs(jj), tt) in zero_field and (-abs(jj), tt) in zero_field
     assert reports[2].max_discrepancy > 10.0 and not reports[2].passed
     assert reports[0].passed and reports[1].passed
@@ -452,8 +465,7 @@ def test_verify_stacks_its_rings_into_few_kernel_calls(capsys, reweight_calls):
 
 
 def _draws(samples, seed):
-    rng = np.random.default_rng(seed)
-    return (np.array(column) for column in zip(*(experiments._draw_parameters(rng) for _ in range(samples))))
+    return experiments._draw_parameters(np.random.default_rng(seed), samples)
 
 
 def _random_lists():
@@ -531,7 +543,7 @@ def test_a_stack_reweights_each_ring_as_alone():
 @pytest.mark.parametrize("n,j,b,tol", [
     (2, 1.0, 0.0, 1e-6), (3, -0.8, 0.4, 1e-6), (4, 1.0, 0.0, 1e-6), (4, 1.0, 1.3, 1e-7),
     (4, -1.0, 2.5, 1e-6), (5, 1.7, -0.9, 1e-5), (6, 1.0, 2.0, 1e-6), (8, -0.6, 0.3, 1e-9),
-    (4, 1.0, 0.0, 10.0), (4, 0.0, 1.0, 1e-6), (1, 1.0, 1.0, 1e-6),
+    (4, 1.0, 0.0, 10.0), (4, 0.0, 1.0, 1e-6), (1, 1.0, 1.0, 1e-6), (4, 1e-323, 0.0, 1e-6),
 ])
 def test_batched_bisection_equals_sequential_loop(n, j, b, tol):
     params = ModelParams(n=n, j=j, b=b)

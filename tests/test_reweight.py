@@ -113,6 +113,9 @@ def test_kernel_rejects_bad_input():
     ring = ring_model(4)
     with pytest.raises(ValueError):
         reweight(ring, 1.0, [0.0], [-1.0])
+    # nan is not negative: it is no temperature
+    with pytest.raises(ValueError, match="temperature must be a number"):
+        reweight(ring, 1.0, [0.0], [1.0, math.nan])
     with pytest.raises(ValueError):
         reweight(ring, 1.0, [], [1.0])
 
