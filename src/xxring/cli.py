@@ -79,6 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_SWEEP_RECIPE,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command name's own parser, read by `_parse`: the add_subparsers action's choices
+    parser.commands = sub.choices
 
     p = sub.add_parser("spectrum", help="sorted eigenvalues with degeneracies")
     _add_model_args(p)
@@ -254,12 +256,32 @@ _HANDLERS = {
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first call of `main` (not at import) and
-    reused: parse_args leaves it unchanged and fills a fresh namespace."""
+    reused: a parse leaves it and its subparsers unchanged and fills a fresh
+    namespace."""
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """`_parser().parse_args(argv)` in one argparse pass where argv starts
+    with a command name: that command's subparser parses the rest, and a
+    leftover argument is the top-level parser's error, as parse_args words
+    it. Any other argv (empty, -h, an unknown command, an option before the
+    command) takes the two-level parse_args."""
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command on argv (sys.argv[1:] if None), parsed once by the
+    command's own subparser (`_parse`); return its exit code."""
+    args = _parse(argv)
     try:
         return _HANDLERS[args.command](args)
     except BrokenPipeError:

@@ -26,7 +26,9 @@ Several rings reweight at the same points in one call as a stack: their
 class tables lie side by side on the class axis, each ring's ground energy
 is the least over its own classes, and each ring's sums run over exactly its
 own classes in the order a lone call uses, so a stacked ring's every number
-is bit-identical to its lone call. A lone ring is a stack of one.
+is bit-identical to its lone call. One ring (alone or a list of one) is read
+in place, its ground energy the least over the class axis; only a stack of
+several is concatenated.
 """
 
 from __future__ import annotations
@@ -105,7 +107,8 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
     b[:, None] against t[None, :]. A sequence of rings is a stack: each ring
     is reweighted at every point, and every output array gains a leading
     ring axis. The kernel reads only the rings' class tables
-    (`RingModel.classes`), side by side on one class axis: the members of a
+    (`RingModel.classes`): one ring's read-only table in place, several
+    rings' concatenated side by side on one class axis. The members of a
     class share one energy, so one weight per class, times the class's sums,
     is the class's share of every Boltzmann sum. The points are reweighted a
     pass at a time (at most _BLOCK_WEIGHTS (point, class) weights per pass).
@@ -126,13 +129,18 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
     """
     lone = isinstance(ring, RingModel)
     rings = [ring] if lone else ring
-    classes = np.concatenate([r.classes for r in rings], axis=1)
-    kappa = np.concatenate([r.class_kappa for r in rings])
-    sz = np.concatenate([r.class_sz for r in rings])
-    # where each ring's classes start and end on the class axis
-    sizes = [r.class_kappa.size for r in rings]
-    bounds = list(itertools.accumulate(sizes, initial=0))
-    segments = [slice(lo, hi) for lo, hi in itertools.pairwise(bounds)]
+    if len(rings) == 1:
+        # one ring is read in place: its arrays are read-only, and nothing is copied
+        classes, kappa, sz = rings[0].classes, rings[0].class_kappa, rings[0].class_sz
+        segments = [slice(None)]
+    else:
+        classes = np.concatenate([r.classes for r in rings], axis=1)
+        kappa = np.concatenate([r.class_kappa for r in rings])
+        sz = np.concatenate([r.class_sz for r in rings])
+        # where each ring's classes start and end on the class axis
+        sizes = [r.class_kappa.size for r in rings]
+        bounds = list(itertools.accumulate(sizes, initial=0))
+        segments = [slice(lo, hi) for lo, hi in itertools.pairwise(bounds)]
     j, b, t = np.asarray(j, dtype=float), np.asarray(b, dtype=float), np.asarray(t, dtype=float)
     # the (j, b) entries, each a row of class energies, and the points' shape
     pairs = np.broadcast(j, b)
@@ -157,7 +165,8 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
         entry = read - entries.start
         # (entries, classes), and each class's ring's ground energy at each entry
         energies = j[entries, None] * kappa + b[entries, None] * sz
-        e0 = np.repeat(np.minimum.reduceat(energies, bounds[:-1], axis=1), sizes, axis=1)
+        e0 = (energies.min(axis=1, keepdims=True) if len(rings) == 1
+              else np.repeat(np.minimum.reduceat(energies, bounds[:-1], axis=1), sizes, axis=1))
         at_zero = zero[rows]
         # each entry's ground level, by unshifted class energies, built only for a point at T = 0
         ground = same_level(energies, e0, e0) if at_zero.any() else None

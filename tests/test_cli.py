@@ -19,6 +19,8 @@ from xxring.experiments import level_crossings, thermal_concurrence
 from xxring.hamiltonian import ModelParams
 from xxring.thermal import reweight
 
+from test_cli_golden import CORPUS
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -560,6 +562,9 @@ _REUSE_COMMANDS = {
                 "--b-min", "0", "--b-max", "1", "--b-steps", "2", "-o", "{path}"],
     "sweep": ["sweep", "--n", "2", "--j", "1", "--t-min", "0.5", "--t-max", "1", "--t-steps", "2",
               "--b-min", "0", "--b-max", "1", "--b-steps", "2"],
+    # refused by the sweep subparser after it has read a non-default --t-scale
+    "sweep_refused": ["sweep", "--n", "2", "--j", "1", "--t-min", "0.5", "--t-max", "1", "--t-steps", "2",
+                      "--t-scale", "log", "--b-min", "0", "--b-max", "1", "--b-steps", "two"],
     "verify": ["verify", "--n-list", "2,3", "--samples", "3"],
     "verify_no_control": ["verify", "--n-list", "2,3", "--samples", "3", "--odd-control", "0"],
     "thermal_b": ["thermal", "--n", "3", "--j", "1", "--b", "0.4", "--t", "1"],
@@ -574,15 +579,19 @@ _REUSE_COMMANDS = {
 def _run_named(capsys, tmp_path, name):
     path = tmp_path / f"{name}.csv"
     argv = [arg.format(path=path) for arg in _REUSE_COMMANDS[name]]
-    code, out, err = run_cli(capsys, *argv)
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        code, out, err = exc.code, captured.out, captured.err
     return code, out, err.replace(str(path), "<path>"), path.read_text() if path.exists() else None
 
 
 @pytest.mark.parametrize("order", [
-    ["sweep_o", "sweep", "verify_no_control", "verify", "thermal_b", "ground",
+    ["sweep_o", "sweep_refused", "sweep", "verify_no_control", "verify", "thermal_b", "ground",
      "threshold_tol", "threshold", "spectrum", "crossings"],
     ["crossings", "spectrum", "threshold", "threshold_tol", "ground", "thermal_b",
-     "verify", "verify_no_control", "sweep", "sweep_o"],
+     "verify", "verify_no_control", "sweep", "sweep_refused", "sweep_o"],
 ], ids=["options-first", "defaults-first"])
 def test_reused_parser_matches_a_fresh_one(capsys, tmp_path, order):
     # a command that follows one which set its options must see the defaults again
@@ -594,6 +603,30 @@ def test_reused_parser_matches_a_fresh_one(capsys, tmp_path, order):
     for name in order:
         assert _run_named(capsys, tmp_path, name) == fresh[name], name
     assert cli._parser.cache_info().misses == 1
+
+
+def _parsed(capsys, parse, argv):
+    """vars of the namespace, or the exit code, stdout and stderr of a refused argv."""
+    try:
+        return vars(parse(list(argv)))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+_SWEEP_ARGV = "sweep --n 4 --j 1 --t-min 0.1 --t-max 1 --t-steps 3 --b-min 0 --b-max 1 --b-steps 2"
+
+
+@pytest.mark.parametrize("argv", [command.split() for command in CORPUS] + [
+    [], ["-h"], ["bogus-subcommand"], ["--n", "4", "thermal"], ["thermal", "--n", "4"],
+    "thermal --n four --j 1 --t 1".split(), (_SWEEP_ARGV + " --t-scale cubic").split(),
+    "ground --n 4 --j 1 --bogus 3".split(), _SWEEP_ARGV.replace("--t-min", "--t-mi").split(),
+    ["sweep", "-h"],
+])
+def test_single_parse_matches_parse_args(capsys, argv):
+    # a command's own subparser parses what the two-level parse_args parses, and refuses
+    # what it refuses with the same exit code and bytes
+    assert _parsed(capsys, cli._parse, argv) == _parsed(capsys, cli._parser().parse_args, argv)
 
 
 def test_import_builds_no_parser():

@@ -511,12 +511,19 @@ _FIELDS = ("z_shifted", "u", "m", "g_xx", "g_zz", "probabilities")
 
 
 def _assert_stack_is_each_ring_alone(sizes, j, b, t):
+    # a ring's lone call, its one-element list (read in place) and its slot in the
+    # stack (concatenated) agree bit for bit
+    shape = np.broadcast_shapes(np.shape(j), np.shape(b), np.shape(t))
     stacked = reweight([ring_model(n) for n in sizes], j, b, t)
-    assert stacked.u.shape == (len(sizes),) + np.broadcast_shapes(np.shape(j), np.shape(b), np.shape(t))
+    assert stacked.u.shape == (len(sizes),) + shape
     for k, n in enumerate(sizes):
         alone = reweight(ring_model(n), j, b, t)
+        listed = reweight([ring_model(n)], j, b, t)
+        assert alone.u.shape == shape and listed.u.shape == (1,) + shape
         for name in _FIELDS:
-            assert np.array_equal(getattr(stacked, name)[k], getattr(alone, name)), (sizes, n, name)
+            want = getattr(alone, name).tobytes()
+            assert getattr(stacked, name)[k].tobytes() == want, (sizes, n, name)
+            assert getattr(listed, name)[0].tobytes() == want, (sizes, n, name)
 
 
 def test_a_stack_reweights_each_ring_as_alone():
@@ -536,6 +543,12 @@ def test_a_stack_reweights_each_ring_as_alone():
         t = np.exp(rng.uniform(math.log(0.01), math.log(50.0), points))
         t[rng.random(points) < 0.3] = 0.0
         _assert_stack_is_each_ring_alone(sizes, j, b, t)
+    # one T = 0 point among positive ones, at a nondegenerate ground (b = 0) and at the
+    # n = 4 crossing, where the ground mask holds two classes of different sz
+    crossing = 2.0 * (math.sqrt(2.0) - 1.0)
+    _assert_stack_is_each_ring_alone([4, 6, 4], 1.0, np.array([0.0, crossing, crossing, 2.0]),
+                                     np.array([0.7, 0.0, 1.3, 0.4]))
+    _assert_stack_is_each_ring_alone([4, 9], 1.0, 0.0, np.array([0.0, 0.5]))
     # a grid, its rows sharing each (j, b) entry
     _assert_stack_is_each_ring_alone([16, 15, 4], 1.3, np.linspace(-2.0, 2.0, 30)[:, None], np.linspace(0.0, 3.0, 40))
 

@@ -1,0 +1,101 @@
+"""In-process A/B of a benchmark workload: a base commit against the working tree.
+
+Exports the base commit's `src/xxring` with `git archive` into a temporary
+directory under another package name, loads it and the working tree's
+`src/xxring` in one process, and runs a workload's first 400 ops from
+`perfbench/workloads.py` through each side's `cli.main`, alternating which
+side runs first. Every op's (exit code, stdout, stderr) must be equal on both
+sides; the script prints the median per-op time ratio (working tree / base)
+and how many ops ran faster on the working tree.
+
+    python tools/ab_ops.py --workload surface --seed 31
+    python tools/ab_ops.py --workload propositions --seed 32 --base HEAD~1
+
+With `--base HEAD` and a clean tree it is an A/A control.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib
+import io
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BASE_PACKAGE = "xxring_base"
+OPS = 400
+
+
+def _export(base: str, directory: Path) -> None:
+    """The base commit's src/xxring, unpacked as directory/BASE_PACKAGE."""
+    archive = subprocess.run(["git", "archive", "--format=tar", base, "src/xxring"], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(directory, filter="data")
+    (directory / "src" / "xxring").rename(directory / BASE_PACKAGE)
+
+
+def _run(main, argv) -> tuple[int | None, str, str]:
+    """One op, as the benchmark's worker runs it: output captured, argparse's exit read as a code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code if isinstance(exc.code, int) else 2
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _timed(main, argv):
+    start = time.perf_counter()
+    result = _run(main, argv)
+    return time.perf_counter() - start, result
+
+
+def compare(base_main, work_main, make_op, workload: str, seed: int, ops: int) -> list[float]:
+    """Each op's time ratio (working tree / base); raises if any op's output differs."""
+    for main in (base_main, work_main):
+        _run(main, make_op(workload, seed, -1).argv)
+    ratios = []
+    for index in range(ops):
+        argv = make_op(workload, seed, index).argv
+        if index % 2:
+            work_s, work = _timed(work_main, argv)
+            base_s, base = _timed(base_main, argv)
+        else:
+            base_s, base = _timed(base_main, argv)
+            work_s, work = _timed(work_main, argv)
+        if work != base:
+            raise AssertionError(f"op {index} ({' '.join(argv)}): base {base!r}, working tree {work!r}")
+        ratios.append(work_s / base_s)
+    return ratios
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--workload", choices=("surface", "propositions"), required=True)
+    parser.add_argument("--seed", type=int, default=31)
+    parser.add_argument("--base", default="HEAD", help="commit to compare against (default HEAD)")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        _export(args.base, Path(tmp))
+        sys.path[:0] = [tmp, str(ROOT / "src"), str(ROOT / "perfbench")]
+        base_cli = importlib.import_module(f"{BASE_PACKAGE}.cli")
+        work_cli = importlib.import_module("xxring.cli")
+        make_op = importlib.import_module("workloads").make_op
+        ratios = compare(base_cli.main, work_cli.main, make_op, args.workload, args.seed, OPS)
+    wins = sum(ratio < 1.0 for ratio in ratios)
+    print(f"{args.workload} seed {args.seed} vs {args.base}: {len(ratios)} ops, outputs equal; "
+          f"median ratio {statistics.median(ratios):.3f}, {wins}/{len(ratios)} faster")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
