@@ -207,14 +207,22 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _resolved_digits(value: float, tol: float) -> int:
+    """The significant digits of a positive bisection result down to the
+    place of its tolerance, floor(log10 value) - floor(log10 tol) + 1, in
+    [1, 17]: the final bracket fixes all but the last, which is within tol
+    of the root; an infinite tol gives one."""
+    return min(17, max(1, math.floor(math.log10(value)) - math.floor(math.log10(min(tol, sys.float_info.max))) + 1))
+
+
 def _cmd_threshold(args) -> int:
     tc = threshold_temperature(ModelParams(n=args.n, j=args.j, b=args.b), tol=args.tol)
-    print("none" if tc is None else f"{tc:.4f}")
+    print("none" if tc is None else "%.*g" % (_resolved_digits(tc, args.tol), tc))
     return 0
 
 
 def _cmd_crossings(args) -> int:
-    print("\n".join(f"{b:.9f}" for b in level_crossings(args.n, args.j, args.b_max)) or "none")
+    print("\n".join(map(_fmt, level_crossings(args.n, args.j, args.b_max))) or "none")
     return 0
 
 

@@ -26,11 +26,12 @@ def _first(bad: np.ndarray, *arrays) -> tuple[float, ...]:
 
 def _clamp_unit(value, what: str):
     """Clamp roundoff excursions out of [0, 1]; scalar in gives float out,
-    array in gives array out. Raises if any point lies further out."""
+    array in gives array out. Raises if any point lies further out, or is nan."""
     value = np.asarray(value, dtype=float)
-    bad = (value < -_CLAMP_TOL) | (value > 1.0 + _CLAMP_TOL)
-    if bad.any():
-        raise ValueError(f"{what} = {_first(bad, value)[0]} lies outside [0, 1] beyond roundoff")
+    # both bounds in one test, which a nan fails
+    inside = (value >= -_CLAMP_TOL) & (value <= 1.0 + _CLAMP_TOL)
+    if not inside.all():
+        raise ValueError(f"{what} = {_first(~inside, value)[0]} lies outside [0, 1] beyond roundoff")
     value = np.minimum(np.maximum(value, 0.0), 1.0)
     return float(value) if value.ndim == 0 else value
 
@@ -47,26 +48,32 @@ def concurrence_from_correlators(g_xx, g_zz, m_bar):
     """
     g_xx, g_zz, m_bar = (np.asarray(x, dtype=float) for x in (g_xx, g_zz, m_bar))
     radicand = (1.0 + g_zz) ** 2 - 4.0 * m_bar ** 2
-    bad = radicand < -1e-12
-    if bad.any():
-        raise ValueError(f"unphysical inputs: (1+g_zz)^2 - 4 m_bar^2 = {_first(bad, radicand)[0]}")
+    # a test that a nan fails
+    physical = radicand >= -1e-12
+    if not physical.all():
+        raise ValueError(f"unphysical inputs: (1+g_zz)^2 - 4 m_bar^2 = {_first(~physical, radicand)[0]}")
     value = np.abs(g_xx) - 0.5 * np.sqrt(np.maximum(radicand, 0.0))
     return _clamp_unit(np.maximum(0.0, value), "concurrence")
 
 
 def _validated(rho: PairDensity) -> tuple[np.ndarray, ...]:
     """(u_plus, u_minus, w, |z|) as arrays, after checking that every point
-    is a state; the message names the first point that is not."""
+    is a state; the message names the first point that is not. A nan is no
+    state."""
     u_plus, u_minus, w, z = (np.asarray(x, dtype=float) for x in (rho.u_plus, rho.u_minus, rho.w, rho.z))
     abs_z = np.abs(z)
-    for bad, problem in (
-        (np.minimum(np.minimum(u_plus, u_minus), w) < -1e-10, "negative population beyond tolerance"),
-        (abs_z > w + 1e-10, "central block not positive semidefinite"),
-        (np.abs(u_plus + u_minus + 2.0 * w - 1.0) > 1e-8, "trace differs from one"),
-    ):
-        if bad.any():
-            bad, *fields = np.broadcast_arrays(bad, u_plus, u_minus, w, z)
-            raise ValueError(f"{problem}: {PairDensity(*_first(bad, *fields))}")
+    # each check holds where the point passes it, so a nan fails it
+    checks = (
+        (np.minimum(np.minimum(u_plus, u_minus), w) >= -1e-10, "negative population beyond tolerance"),
+        (abs_z <= w + 1e-10, "central block not positive semidefinite"),
+        (np.abs(u_plus + u_minus + 2.0 * w - 1.0) <= 1e-8, "trace differs from one"),
+    )
+    # one test on the accepted path; a refusal names the first check failed, in this order
+    if not (checks[0][0] & checks[1][0] & checks[2][0]).all():
+        for ok, problem in checks:
+            if not ok.all():
+                bad, *fields = np.broadcast_arrays(~ok, u_plus, u_minus, w, z)
+                raise ValueError(f"{problem}: {PairDensity(*_first(bad, *fields))}")
     return u_plus, u_minus, w, abs_z
 
 

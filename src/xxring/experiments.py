@@ -279,11 +279,14 @@ def _stacks(rings: list[RingModel], points: int) -> list[list[RingModel]]:
     that cannot join starts the next stack, and a ring too large for one
     pass goes alone."""
     stacks: list[list[RingModel]] = []
+    classes = 0
     for ring in sorted(rings, key=lambda r: r.class_kappa.size):
-        if stacks and points * sum(r.class_kappa.size for r in stacks[-1] + [ring]) <= _BLOCK_WEIGHTS:
+        if stacks and points * (classes + ring.class_kappa.size) <= _BLOCK_WEIGHTS:
             stacks[-1].append(ring)
+            classes += ring.class_kappa.size
         else:
             stacks.append([ring])
+            classes = ring.class_kappa.size
     return stacks
 
 
@@ -300,19 +303,23 @@ def _ring_gaps(rings: list[RingModel], j: np.ndarray, b: np.ndarray,
     that is positive: its evenness implies the concurrence's, and on odd
     rings it breaks even where both signs are unentangled. It is computed on
     every ring, so the odd control reads it too."""
-    rows_j = np.stack([j, j, -j, np.abs(j), -np.abs(j)])
-    rows_b = np.stack([b, -b, b, np.zeros_like(b), np.zeros_like(b)])
+    abs_j = np.abs(j)
+    rows_j = np.array([j, j, -j, abs_j, -abs_j])
+    rows_b = np.zeros((5, b.size))
+    rows_b[0] = rows_b[2] = b
+    rows_b[1] = -b
     g, concurrence = gibbs_concurrence(rings, rows_j, rows_b, t)
     n = np.array([float(ring.n) for ring in rings])[:, None, None]
-    mirror_b = np.max(np.abs(concurrence[:, 0] - concurrence[:, 1]), axis=1)
+    mirror_b = np.abs(concurrence[:, 0] - concurrence[:, 1]).max(axis=1)
     # 2 (|z| - sqrt(u+ u-)) of rows 0 and 2, with z = g_xx / 2 and corners p00 and p11
     p = g.probabilities[:, 0:3:2]
     unclamped = np.abs(g.g_xx[:, 0:3:2]) - 2.0 * np.sqrt(p[..., 0] * p[..., 3])
-    mirror_j = np.max(np.abs(unclamped[:, 0] - unclamped[:, 1]), axis=1)
+    mirror_j = np.abs(unclamped[:, 0] - unclamped[:, 1]).max(axis=1)
     zero_field = slice(3, 5)
-    c5 = concurrence_from_correlators(g.g_xx[:, zero_field], g.g_zz[:, zero_field], g.m[:, zero_field] / n)
-    c10 = _energy_formula(g.u[:, zero_field], n, rows_j[zero_field], g.g_zz[:, zero_field])
-    c5_c10 = np.max(np.abs(c5 - c10), axis=(1, 2))
+    g_zz = g.g_zz[:, zero_field]
+    c5 = concurrence_from_correlators(g.g_xx[:, zero_field], g_zz, g.m[:, zero_field] / n)
+    c10 = _energy_formula(g.u[:, zero_field], n, rows_j[zero_field], g_zz)
+    c5_c10 = np.abs(c5 - c10).max(axis=(1, 2))
     return {ring.n: gaps for ring, gaps in zip(rings, zip(mirror_b.tolist(), mirror_j.tolist(), c5_c10.tolist()))}
 
 

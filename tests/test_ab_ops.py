@@ -19,8 +19,16 @@ finally:
 
 @pytest.mark.parametrize("workload", ["surface", "propositions"])
 def test_equal_sides_give_one_ratio_per_op(workload):
-    ratios = ab_ops.compare(cli.main, cli.main, make_op, workload, 1, 4)
+    ratios = [work / base for base, work in ab_ops.compare(cli.main, cli.main, make_op, workload, 1, 4)]
     assert len(ratios) == 4 and all(ratio > 0 for ratio in ratios)
+
+
+def test_summary_gives_each_sides_budget_and_the_ratio_quartiles():
+    # (base, working tree) seconds: ratios 0.5, 0.5, 2 and 0.25
+    times = [(1e-3, 0.5e-3), (2e-3, 1e-3), (1e-3, 2e-3), (4e-3, 1e-3)]
+    assert ab_ops.summary(times) == (
+        "4 ops, outputs equal; median per op: base 1500.0 us, working tree 1000.0 us; "
+        "median ratio 0.500 (quartiles 0.312, 1.625), 3/4 faster")
 
 
 def test_a_moved_byte_stops_the_comparison():

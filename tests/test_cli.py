@@ -15,7 +15,7 @@ import xxring
 import xxring.cli as cli
 from xxring.cli import main
 from xxring.eigensolver import full_spectrum
-from xxring.experiments import level_crossings, thermal_concurrence
+from xxring.experiments import level_crossings, thermal_concurrence, threshold_temperature
 from xxring.hamiltonian import ModelParams
 from xxring.thermal import reweight
 
@@ -115,10 +115,17 @@ def test_single_site_has_no_bond_in_every_command(capsys, argv, want):
     assert any(line == want or line.startswith(want + " ") for line in out.splitlines())
 
 
-def test_threshold_four_decimal_output(capsys):
-    code, out, _ = run_cli(capsys, "threshold", "--n", "4", "--j", "1", "--b", "0")
-    assert code == 0
-    assert out.strip() == "2.2114"
+@pytest.mark.parametrize("j, want", [("1", "2.211351"), ("1e-5", "2.3e-05")])
+def test_threshold_prints_digits_to_the_place_of_tol(capsys, j, want):
+    # floor(log10 T_c) - floor(log10 tol) + 1 digits: 7 at T_c = 2.21 and the default
+    # tol = 1e-6, 2 at T_c = 2.2e-5, where fixed decimals printed 0.0000. The last digit
+    # is the final bracket's midpoint rounded, within tol of T_c: [2.2e-5, 2.3e-5] has
+    # the midpoint 2.25e-5, so 2.3e-05
+    code, out, err = run_cli(capsys, "threshold", "--n", "4", "--j", j, "--b", "0")
+    assert code == 0, err
+    assert out == want + "\n"
+    fine = threshold_temperature(ModelParams(n=4, j=float(j), b=0.0), tol=1e-15)
+    assert abs(float(want) - fine) <= 1e-6
 
 
 def test_threshold_returns_for_tol_below_double_spacing():
@@ -131,7 +138,8 @@ def test_threshold_returns_for_tol_below_double_spacing():
                                  "--b", "0", "--tol", tol],
                                 env=env, capture_output=True, text=True, timeout=30)
         assert result.returncode == 0, (tol, result.stderr)
-        assert result.stdout.strip() == "2.2114", tol
+        # 17 digits: the bisection ends on adjacent doubles whatever tol below their spacing
+        assert result.stdout.strip() == "2.2113514789845423", tol
 
 
 def test_threshold_none_for_zero_exchange(capsys):
@@ -140,7 +148,7 @@ def test_threshold_none_for_zero_exchange(capsys):
     assert out.strip() == "none"
 
 
-@pytest.mark.parametrize("j, want", [("0.01", "0.0221"), ("1000", "2211.3515"), ("1e-310", "0.0000")])
+@pytest.mark.parametrize("j, want", [("0.01", "0.022114"), ("1000", "2211.351479"), ("1e-310", "2e-310")])
 def test_threshold_scan_scales_with_the_exchange(capsys, j, want):
     # T_c is 2.21135148 j at n = 4, b = 0; a scan fixed to [0.05, 1e3] saw
     # nothing at j = 0.01 and was still entangled at its top at j = 1000, and
@@ -174,7 +182,7 @@ def test_crossings_resolve_a_tight_cluster(capsys):
     code, out, err = run_cli(capsys, "crossings", "--n", "12", "--j", "0.05", "--b-max", "1")
     assert code == 0, err
     lines = out.splitlines()
-    assert len(lines) == 6 and lines[-1] == "0.100000000"
+    assert len(lines) == 6 and lines[-1] == "0.1"
 
 
 def test_crossings_up_to_an_infinite_field(capsys):
@@ -183,7 +191,15 @@ def test_crossings_up_to_an_infinite_field(capsys):
     assert everything == run_cli(capsys, "crossings", "--n", "4", "--j", "1", "--b-max", "3")[1]
     code, out, err = run_cli(capsys, "crossings", "--n", "16", "--j", "-1", "--b-max", "inf")
     assert code == 0, err
-    assert len(out.splitlines()) == 8 and out.splitlines()[-1] == "2.000000000"
+    assert len(out.splitlines()) == 8 and out.splitlines()[-1] == "2"
+
+
+def test_crossings_print_twelve_significant_digits_at_any_scale(capsys):
+    # the n = 4 crossings 2 (sqrt 2 - 1) j and 2 j at j = 1e-10, which nine fixed
+    # decimals printed as two identical lines
+    code, out, err = run_cli(capsys, "crossings", "--n", "4", "--j", "1e-10", "--b-max", "3")
+    assert code == 0, err
+    assert out == "8.28427124746e-11\n2e-10\n"
 
 
 @pytest.mark.parametrize("bounds", [

@@ -106,6 +106,27 @@ def test_array_concurrence_raises_on_one_bad_point(rng, name, value, problem):
         concurrence_xstate(PairDensity(**fields))
 
 
+@pytest.mark.parametrize("route,field", [
+    *(("xstate", name) for name in ("u_plus", "u_minus", "w", "z")),
+    *(("correlators", name) for name in ("g_xx", "g_zz", "m_bar")),
+])
+def test_a_nan_is_no_state_on_either_route(rng, route, field):
+    # a nan fails every check, alone and as one point of an array, and the message names it
+    if route == "xstate":
+        point = {"u_plus": 0.25, "u_minus": 0.25, "w": 0.25, "z": 0.1}
+        fields = _batch(rng, (5, 7))
+        concurrence = lambda values: concurrence_xstate(PairDensity(**values))
+    else:
+        point = {"g_xx": 0.3, "g_zz": 0.0, "m_bar": 0.0}
+        fields = {name: np.full((5, 7), value) for name, value in point.items()}
+        concurrence = lambda values: concurrence_from_correlators(**values)
+    point[field] = math.nan
+    fields[field][3, 2] = math.nan
+    for values in (point, fields):
+        with pytest.raises(ValueError, match="nan"):
+            concurrence(values)
+
+
 def test_array_correlator_formula_raises_on_one_bad_point():
     m_bar = np.zeros(9)
     m_bar[6] = 1.0  # radicand (1 + g_zz)^2 - 4 m_bar^2 = -3 at this point only

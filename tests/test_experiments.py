@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import xxring.experiments as experiments
 import xxring.thermal as thermal
-from xxring.cli import main
+from xxring.cli import _resolved_digits, main
 from xxring.eigensolver import full_spectrum, ring_model
 from xxring.entanglement import concurrence_from_correlators, concurrence_xstate
 from xxring.experiments import (
@@ -512,10 +512,16 @@ _FIELDS = ("z_shifted", "u", "m", "g_xx", "g_zz", "probabilities")
 
 def _assert_stack_is_each_ring_alone(sizes, j, b, t):
     # a ring's lone call, its one-element list (read in place) and its slot in the
-    # stack (concatenated) agree bit for bit
+    # stack (concatenated) agree bit for bit, and so do its slots in the same stack
+    # called again (its layout from the cache) and in the reversed stack
     shape = np.broadcast_shapes(np.shape(j), np.shape(b), np.shape(t))
-    stacked = reweight([ring_model(n) for n in sizes], j, b, t)
-    assert stacked.u.shape == (len(sizes),) + shape
+    rings = [ring_model(n) for n in sizes]
+    stacked = reweight(rings, j, b, t)
+    hits = thermal._layout.cache_info().hits
+    again = reweight(rings, j, b, t)
+    assert thermal._layout.cache_info().hits == hits + 1
+    backward = reweight(rings[::-1], j, b, t)
+    assert stacked.u.shape == again.u.shape == backward.u.shape == (len(sizes),) + shape
     for k, n in enumerate(sizes):
         alone = reweight(ring_model(n), j, b, t)
         listed = reweight([ring_model(n)], j, b, t)
@@ -523,10 +529,17 @@ def _assert_stack_is_each_ring_alone(sizes, j, b, t):
         for name in _FIELDS:
             want = getattr(alone, name).tobytes()
             assert getattr(stacked, name)[k].tobytes() == want, (sizes, n, name)
+            assert getattr(again, name)[k].tobytes() == want, (sizes, n, name)
+            assert getattr(backward, name)[-1 - k].tobytes() == want, (sizes, n, name)
             assert getattr(listed, name)[0].tobytes() == want, (sizes, n, name)
+    # a stack's layout, and a lone ring's (its own arrays), are read-only
+    for stack in (rings, rings[::-1], rings[:1]):
+        layout = thermal._layout(tuple(stack))
+        arrays = [layout.kappa, layout.sz, layout.starts, layout.sizes, layout.two_n, *layout.tables]
+        assert not any(array.flags.writeable for array in arrays if array is not None), sizes
 
 
-def test_a_stack_reweights_each_ring_as_alone():
+def test_a_stack_reweights_each_ring_as_alone(monkeypatch):
     # each ring's sums run over exactly its own classes, in a lone call's order: every
     # array of a stacked call is the ring's own call bit for bit, at T > 0 and at T = 0,
     # at a degenerate ground, on the all-zero spectrum and in calls of several passes
@@ -551,6 +564,14 @@ def test_a_stack_reweights_each_ring_as_alone():
     _assert_stack_is_each_ring_alone([4, 9], 1.0, 0.0, np.array([0.0, 0.5]))
     # a grid, its rows sharing each (j, b) entry
     _assert_stack_is_each_ring_alone([16, 15, 4], 1.3, np.linspace(-2.0, 2.0, 30)[:, None], np.linspace(0.0, 3.0, 40))
+    # passes of a few points, lone and stacked: every point its own entry (verify's
+    # rows, T = 0 among them), and a grid whose passes read a range of entries
+    monkeypatch.setattr(thermal, "_BLOCK_WEIGHTS", 100)
+    j, b = rng.uniform(-2.0, 2.0, (5, 8)), rng.uniform(-3.0, 3.0, (5, 8))
+    t = np.exp(rng.uniform(math.log(0.05), math.log(50.0), 8))
+    t[[2, 5]] = 0.0
+    _assert_stack_is_each_ring_alone([2, 3, 4, 5, 6], j, b, t)
+    _assert_stack_is_each_ring_alone([6, 2], -0.8, np.linspace(-1.0, 1.0, 7)[:, None], np.linspace(0.0, 2.0, 9))
 
 
 @pytest.mark.parametrize("n,j,b,tol", [
@@ -565,7 +586,8 @@ def test_batched_bisection_equals_sequential_loop(n, j, b, tol):
         assert got is None
     else:
         assert got == pytest.approx(want, rel=0, abs=1e-12)
-        assert f"{got:.4f}" == f"{want:.4f}"
+        # the bytes `threshold` prints
+        assert "%.*g" % (_resolved_digits(got, tol), got) == "%.*g" % (_resolved_digits(want, tol), want)
 
 
 def test_sequential_bisection_stops_at_adjacent_doubles():

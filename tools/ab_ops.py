@@ -5,8 +5,9 @@ directory under another package name, loads it and the working tree's
 `src/xxring` in one process, and runs a workload's first 400 ops from
 `perfbench/workloads.py` through each side's `cli.main`, alternating which
 side runs first. Every op's (exit code, stdout, stderr) must be equal on both
-sides; the script prints the median per-op time ratio (working tree / base)
-and how many ops ran faster on the working tree.
+sides; the script prints each side's median time per op in microseconds, the
+median per-op time ratio (working tree / base) with its quartiles, and how
+many ops ran faster on the working tree.
 
     python tools/ab_ops.py --workload surface --seed 31
     python tools/ab_ops.py --workload propositions --seed 32 --base HEAD~1
@@ -59,11 +60,11 @@ def _timed(main, argv):
     return time.perf_counter() - start, result
 
 
-def compare(base_main, work_main, make_op, workload: str, seed: int, ops: int) -> list[float]:
-    """Each op's time ratio (working tree / base); raises if any op's output differs."""
+def compare(base_main, work_main, make_op, workload: str, seed: int, ops: int) -> list[tuple[float, float]]:
+    """Each op's (base, working tree) time in seconds; raises if any op's output differs."""
     for main in (base_main, work_main):
         _run(main, make_op(workload, seed, -1).argv)
-    ratios = []
+    times = []
     for index in range(ops):
         argv = make_op(workload, seed, index).argv
         if index % 2:
@@ -74,8 +75,19 @@ def compare(base_main, work_main, make_op, workload: str, seed: int, ops: int) -
             work_s, work = _timed(work_main, argv)
         if work != base:
             raise AssertionError(f"op {index} ({' '.join(argv)}): base {base!r}, working tree {work!r}")
-        ratios.append(work_s / base_s)
-    return ratios
+        times.append((base_s, work_s))
+    return times
+
+
+def summary(times: list[tuple[float, float]]) -> str:
+    """Each side's median time per op, the median ratio (working tree / base)
+    with its quartiles, and the ops faster on the working tree."""
+    base_us, work_us = (statistics.median(side) * 1e6 for side in zip(*times))
+    ratios = [work / base for base, work in times]
+    low, median, high = statistics.quantiles(ratios, n=4)
+    wins = sum(ratio < 1.0 for ratio in ratios)
+    return (f"{len(times)} ops, outputs equal; median per op: base {base_us:.1f} us, working tree {work_us:.1f} us; "
+            f"median ratio {median:.3f} (quartiles {low:.3f}, {high:.3f}), {wins}/{len(times)} faster")
 
 
 def main() -> int:
@@ -90,10 +102,8 @@ def main() -> int:
         base_cli = importlib.import_module(f"{BASE_PACKAGE}.cli")
         work_cli = importlib.import_module("xxring.cli")
         make_op = importlib.import_module("workloads").make_op
-        ratios = compare(base_cli.main, work_cli.main, make_op, args.workload, args.seed, OPS)
-    wins = sum(ratio < 1.0 for ratio in ratios)
-    print(f"{args.workload} seed {args.seed} vs {args.base}: {len(ratios)} ops, outputs equal; "
-          f"median ratio {statistics.median(ratios):.3f}, {wins}/{len(ratios)} faster")
+        times = compare(base_cli.main, work_cli.main, make_op, args.workload, args.seed, OPS)
+    print(f"{args.workload} seed {args.seed} vs {args.base}: {summary(times)}")
     return 0
 
 
