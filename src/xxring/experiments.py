@@ -14,7 +14,7 @@ import numpy as np
 from .entanglement import concurrence_from_correlators, concurrence_xstate
 from .eigensolver import GROUND_RTOL, RingModel, Spectrum, full_spectrum, ring_model, same_level
 from .hamiltonian import ModelParams
-from .thermal import _BLOCK_WEIGHTS, GibbsBlock, PairDensity, reweight
+from .thermal import GibbsBlock, PairDensity, reweight
 
 # Below this, the clamped concurrence is indistinguishable from roundoff.
 POSITIVE_CONCURRENCE = 1e-12
@@ -271,38 +271,19 @@ def _draw_parameters(rng: np.random.Generator, samples: int) -> tuple[np.ndarray
     return np.array(j), np.array(b), np.array(t)
 
 
-def _stacks(rings: list[RingModel], points: int) -> list[list[RingModel]]:
-    """The rings in kernel stacks, by ascending class count (which packs a
-    few more rings per call than the given order): a ring joins the current
-    stack while the stack's classes at every point fit in one kernel pass
-    (`thermal._BLOCK_WEIGHTS` weights), so a stacked call is one pass; a ring
-    that cannot join starts the next stack, and a ring too large for one
-    pass goes alone."""
-    stacks: list[list[RingModel]] = []
-    classes = 0
-    for ring in sorted(rings, key=lambda r: r.class_kappa.size):
-        if stacks and points * (classes + ring.class_kappa.size) <= _BLOCK_WEIGHTS:
-            stacks[-1].append(ring)
-            classes += ring.class_kappa.size
-        else:
-            stacks.append([ring])
-            classes = ring.class_kappa.size
-    return stacks
-
-
 def _ring_gaps(rings: list[RingModel], j: np.ndarray, b: np.ndarray,
                t: np.ndarray) -> dict[int, tuple[float, float, float]]:
-    """Worst gaps of the three propositions on each ring of a stack over the
-    draws (j, b, t), by ring size, from one kernel call on the stacked
-    rows (j, b), (j, -b), (-j, b), (|j|, 0) and (-|j|, 0): the field mirror
-    of the concurrence (rows 0 and 1), the exchange mirror (rows 0 and 2),
-    and at zero field the gap between the correlator formula and the halved
-    energy formula for the concurrence (rows 3 and 4, whose sign branch
-    follows the sign of j). The exchange mirror compares the unclamped
-    X-state value 2 (|z| - sqrt(u+ u-)), which is the concurrence wherever
-    that is positive: its evenness implies the concurrence's, and on odd
-    rings it breaks even where both signs are unentangled. It is computed on
-    every ring, so the odd control reads it too."""
+    """Worst gaps of the three propositions on each of the rings over the
+    draws (j, b, t), by ring size, from one kernel call on the rings as one
+    stack at the rows (j, b), (j, -b), (-j, b), (|j|, 0) and (-|j|, 0): the
+    field mirror of the concurrence (rows 0 and 1), the exchange mirror
+    (rows 0 and 2), and at zero field the gap between the correlator formula
+    and the halved energy formula for the concurrence (rows 3 and 4, whose
+    sign branch follows the sign of j). The exchange mirror compares the
+    unclamped X-state value 2 (|z| - sqrt(u+ u-)), which is the concurrence
+    wherever that is positive: its evenness implies the concurrence's, and
+    on odd rings it breaks even where both signs are unentangled. It is
+    computed on every ring, so the odd control reads it too."""
     abs_j = np.abs(j)
     rows_j = np.array([j, j, -j, abs_j, -abs_j])
     rows_b = np.zeros((5, b.size))
@@ -335,11 +316,11 @@ def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED,
     Each proposition is checked on `samples` draws of (j, b, t) per
     applicable ring size; a report passes when the worst discrepancy stays
     below 1e-9. The draws are made once, in one generator call
-    (`_draw_parameters`), and the distinct rings are
-    reweighted at the same 5 * samples points (at most MAX_POINTS) serving
-    all three: one kernel call per stack of rings (`_stacks`), a single call
-    for a few small rings at few samples. An empty ring list is refused: it
-    would pass every proposition vacuously.
+    (`_draw_parameters`), and the distinct rings, in first-listed order and
+    then the control, are reweighted as one stack at the same 5 * samples
+    points (at most MAX_POINTS) serving all three: one kernel call
+    (`_ring_gaps`), whose passes bound its memory. An empty ring list is
+    refused: it would pass every proposition vacuously.
 
     A nonzero odd_control adds a fourth report, proposition 2 on that odd
     ring n >= 3, outside the claim: the symmetry breaks there (expect a
@@ -360,9 +341,7 @@ def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED,
         rings[odd_control] = ring_model(odd_control)
     rng = np.random.default_rng(seed)
     j, b, t = _draw_parameters(rng, samples)
-    gaps = {}
-    for stack in _stacks(list(rings.values()), 5 * samples):
-        gaps.update(_ring_gaps(stack, j, b, t))
+    gaps = _ring_gaps(list(rings.values()), j, b, t)
     worst = [(1, max(gaps[n][0] for n in n_list)),
              (2, max((gaps[n][1] for n in n_list if n % 2 == 0), default=0.0)),
              (3, max(gaps[n][2] for n in n_list))]

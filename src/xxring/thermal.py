@@ -28,9 +28,8 @@ energy is the least over its own classes, and each ring's sums run over
 exactly its own classes, with its own class table, in the order a lone call
 uses, so a stacked ring's every number is bit-identical to its lone call.
 What a pass reads of a stack (`_layout`) is built once per stack and kept
-in a bounded cache keyed by the tuple of rings. One ring's (alone or a list
-of one) is its own read-only arrays, its ground energy the least over the
-class axis; only a stack of several is concatenated.
+in a bounded cache keyed by the tuple of rings; a lone ring (alone or a list
+of one) is a stack of one, so its layout is the same entry either way.
 """
 
 from __future__ import annotations
@@ -46,17 +45,19 @@ import numpy as np
 from .eigensolver import RingModel, same_level
 
 # A kernel pass holds at most this many (point, class) weights; larger
-# blocks of points are reweighted a pass at a time. A point weighs each level
-# class of each ring of the stack once (203 classes at n = 10, 4,029 at
-# n = 16), never each of its 2^n levels, so a pass of one ring takes at least
-# 260 points. A pass forms the class energies of the (j, b) entries it reads
-# and frees them before the next pass: its points' own where every point has
-# its own entry (a `verify` stack, a single point), else those from the lowest
-# to the highest its points read. Every caller's entries come in order (a grid
-# b[:, None] against t, a threshold scan), so that is at most one entry per
-# point, and memory is flat in the point count (tracemalloc peaks at n = 16:
-# `verify` 16.3 MiB at 100 samples, 16.5 MiB at 400; a 1,000-field `sweep`
-# 16.4 MiB). `reweight` reads it on every call.
+# blocks of points are reweighted a pass at a time, so the passes bound the
+# memory of a stack of any size (a `verify` call stacks every ring it
+# checks). A point weighs each level class of each ring of the stack once
+# (203 classes at n = 10, 4,029 at n = 16), never each of its 2^n levels, so
+# a pass of one ring takes at least 260 points. A pass forms the class
+# energies of the (j, b) entries it reads and frees them before the next
+# pass: its points' own where every point has its own entry (a `verify`
+# call, a single point), else those from the lowest to the highest its
+# points read. Every caller's entries come in order (a grid b[:, None]
+# against t, a threshold scan), so that is at most one entry per point, and
+# memory is flat in the point count (tracemalloc peaks at n = 16: `verify`
+# 16.3 MiB at 100 samples, 16.5 MiB at 400; a 1,000-field `sweep` 16.4 MiB).
+# `reweight` reads it on every call.
 _BLOCK_WEIGHTS = 1 << 20
 
 
@@ -109,8 +110,8 @@ class _Layout(NamedTuple):
 
     kappa: np.ndarray  # the rings' classes side by side on one class axis
     sz: np.ndarray
-    starts: np.ndarray | None  # where each ring's classes start, and how many; None for one ring
-    sizes: np.ndarray | None
+    starts: np.ndarray  # where each ring's classes start, and how many
+    sizes: np.ndarray
     tables: tuple[np.ndarray, ...]  # each ring's own class table, and its slice of the class axis
     segments: tuple[slice, ...]
     two_n: np.ndarray  # each ring's 2n, a column
@@ -118,22 +119,17 @@ class _Layout(NamedTuple):
 
 @functools.lru_cache(maxsize=64)
 def _layout(rings: tuple[RingModel, ...]) -> _Layout:
-    """The layout of a stack of rings, built on its first call: one ring's
-    own arrays, or a stack's kappa and sz concatenated."""
-    if len(rings) == 1:
-        kappa, sz, starts, sizes = rings[0].class_kappa, rings[0].class_sz, None, None
-        segments = (slice(None),)
-    else:
-        kappa = np.concatenate([r.class_kappa for r in rings])
-        sz = np.concatenate([r.class_sz for r in rings])
-        sizes = np.array([r.class_kappa.size for r in rings])
-        bounds = [0, *itertools.accumulate(sizes.tolist())]
-        starts = np.array(bounds[:-1])
-        segments = tuple(slice(lo, hi) for lo, hi in itertools.pairwise(bounds))
+    """The layout of a stack of rings, built on its first call: the rings'
+    kappa and sz concatenated, a lone ring being a stack of one."""
+    kappa = np.concatenate([r.class_kappa for r in rings])
+    sz = np.concatenate([r.class_sz for r in rings])
+    sizes = np.array([r.class_kappa.size for r in rings])
+    bounds = [0, *itertools.accumulate(sizes.tolist())]
+    starts = np.array(bounds[:-1])
+    segments = tuple(slice(lo, hi) for lo, hi in itertools.pairwise(bounds))
     two_n = np.array([[2.0 * r.n] for r in rings])
     for array in (kappa, sz, starts, sizes, two_n):
-        if array is not None:
-            array.setflags(write=False)
+        array.setflags(write=False)
     return _Layout(kappa, sz, starts, sizes, tuple(r.classes for r in rings), segments, two_n)
 
 
@@ -147,14 +143,15 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
     is reweighted at every point, and every output array gains a leading
     ring axis. The kernel reads only the rings' class tables
     (`RingModel.classes`), through the stack's layout (`_layout`, built once
-    per stack). The members of a class share one energy, so one weight per
-    class, times the class's sums, is the class's share of every Boltzmann
-    sum. The points are reweighted a pass at a time (at most _BLOCK_WEIGHTS
-    (point, class) weights per pass). A pass forms the class energies
-    j * kappa + b * sz of the (j, b) entries it reads, once per entry, not
-    per temperature: where j and b have the points' shape, each point is its
-    own entry and the class energies are the pass's weights, with no gather
-    (every `verify` call, every single point); otherwise each point gathers
+    per stack; a lone ring is a stack of one). The members of a class share
+    one energy, so one weight per class, times the class's sums, is the
+    class's share of every Boltzmann sum. The points are reweighted a pass
+    at a time (at most _BLOCK_WEIGHTS (point, class) weights per pass, for a
+    stack of any size). A pass forms the class energies j * kappa + b * sz
+    of the (j, b) entries it reads, once per entry, not per temperature:
+    where j and b have the points' shape, each point is its own entry and
+    the class energies are the pass's weights, with no gather (every
+    `verify` call, every single point); otherwise each point gathers
     its entry's row from the lowest to the highest entry the pass reads.
     Which of these a call takes depends only on the shapes of j, b and t.
     Each ring's energies are shifted by its ground energy, the least over
@@ -204,7 +201,7 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
             entry = read - entries.start
         # (entries, classes), and each class's ring's ground energy at each entry
         energies = j[entries, None] * kappa + b[entries, None] * sz
-        e0 = (energies.min(axis=1, keepdims=True) if starts is None
+        e0 = (energies.min(axis=1, keepdims=True) if len(layout.segments) == 1
               else np.repeat(np.minimum.reduceat(energies, starts, axis=1), layout.sizes, axis=1))
         at_zero = None if zero is None else zero[rows]
         # each entry's ground level, by unshifted class energies, built only for a point at T = 0

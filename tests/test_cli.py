@@ -242,18 +242,20 @@ def test_printed_digits_do_not_depend_on_the_blas_thread_count():
         # 400 points x 4,029 classes: a BLAS product here rounds differently on two threads
         ["sweep", "--n", "16", "--j", "0.8", "--t-min", "0.1", "--t-max", "4", "--t-steps", "20",
          "--b-min", "0", "--b-max", "3", "--b-steps", "20"],
+        # one stack of 4,039 classes at 1,500 points, in 6 kernel passes
+        ["verify", "--n-list", "2,3,16", "--samples", "300", "--odd-control", "0"],
     ]
     script = ("import sys\nfrom xxring.cli import main\n"
-              "for argv in sys.argv[1:]:\n    main(argv.split(','))\n")
+              "for argv in sys.argv[1:]:\n    main(argv.split())\n")
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(Path(xxring.__file__).parents[1]),
                "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        result = subprocess.run([sys.executable, "-c", script, *(",".join(c) for c in commands)],
+        result = subprocess.run([sys.executable, "-c", script, *(" ".join(c) for c in commands)],
                                 env=env, capture_output=True, timeout=120)
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
-    assert outputs[0].count(b"\n") == 1 + 800 + 1 + 200 + 6 + 6 + 1 + 200 + 1 + 400
+    assert outputs[0].count(b"\n") == 1 + 800 + 1 + 200 + 6 + 6 + 1 + 200 + 1 + 400 + 3
     assert outputs[0] == outputs[1]
 
 
@@ -316,6 +318,20 @@ def test_verify_without_odd_control(capsys):
                            "--odd-control", "0")
     assert code == 0
     assert "out of claim" not in out
+
+
+def test_verify_says_a_proposition_without_a_bond_in_scope_checked_nothing(capsys):
+    # no even ring leaves proposition 2 nothing to check; a single site has no bond at all
+    code, out, _ = run_cli(capsys, "verify", "--n-list", "3,5", "--odd-control", "0")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 3 and lines[0].startswith("proposition 1: pass") and lines[2].startswith("proposition 3: pass")
+    assert lines[1] == "proposition 2: nothing checked  (no ring with a bond, n in [])"
+    code, out, _ = run_cli(capsys, "verify", "--n-list", "1", "--samples", "3", "--odd-control", "0")
+    assert code == 0
+    assert out == ("proposition 1: nothing checked  (no ring with a bond, n in [1])\n"
+                   "proposition 2: nothing checked  (no ring with a bond, n in [])\n"
+                   "proposition 3: nothing checked  (no ring with a bond, n in [1], b = 0, both exchange signs)\n")
 
 
 @pytest.mark.parametrize("n_list", ["", ","])

@@ -433,35 +433,23 @@ def _propositions_argv(seed, index):
 
 
 def test_verify_stacks_its_rings_into_few_kernel_calls(capsys, reweight_calls):
-    # the benchmark's verify op (rings 2..6, 8 samples, control 5) is one call
+    # every verify is one kernel call on one stack: each distinct ring once, in first-listed
+    # order, then the control, however many passes the stack takes
     for seed, index in [(1, -1), (1, 0), (3, 17)]:
         reweight_calls.clear()
         assert main(_propositions_argv(seed, index)) == 0
         assert reweight_calls == [((2, 3, 4, 5, 6), (5, 5, 8))]
     capsys.readouterr()
     for n_list, control, samples in [
-        ([1, 2, 3, 4, 5, 6], 0, 8), ([5, 3, 5], 5, 8), ([2, 4], 7, 8), ([1], 0, 3),
+        ([1, 2, 3, 4, 5, 6], 0, 8), ([5, 3, 5], 5, 8), ([5, 3, 5], 7, 8), ([2, 4], 7, 8), ([1], 0, 3),
         (list(range(2, 17)), 5, 8), (list(range(2, 17)), 0, 60), (list(range(1, 13)), 9, 40),
-        (list(range(2, 17)), 15, 200), ([1, 2, 16], 0, 200),
+        (list(range(2, 17)), 15, 200), ([1, 2, 16], 0, 200), ([15, 16], 0, 8), ([15, 16], 0, 200),
+        ([6, 2, 16, 2, 4], 3, 20),
     ]:
         reweight_calls.clear()
         verify_propositions(n_list, samples=samples, seed=3, odd_control=control)
-        rings = set(n_list) | ({control} if control else set())
-        stacks = [n for n, _ in reweight_calls]
-        # every ring exactly once, never more calls than distinct rings
-        assert sorted(n for stack in stacks for n in stack) == sorted(rings)
-        assert len(reweight_calls) <= len(rings)
-        for stack, shape in zip(stacks, (shape for _, shape in reweight_calls)):
-            assert shape[-2:] == (5, samples)
-            # a stack of several rings is one kernel pass
-            if len(stack) > 1:
-                assert 5 * samples * sum(ring_model(n).class_kappa.size for n in stack) <= thermal._BLOCK_WEIGHTS
-    # the two widest rings fit one pass together at 8 samples; at 200 each is a pass and more, so each
-    # goes alone, in order of class count (4,029 at n = 16, 4,038 at n = 15)
-    for samples, want in [(8, [(16, 15)]), (200, [(16,), (15,)])]:
-        reweight_calls.clear()
-        verify_propositions([15, 16], samples=samples, seed=3)
-        assert [n for n, _ in reweight_calls] == want
+        stack = tuple(dict.fromkeys(n_list + ([control] if control else [])))
+        assert reweight_calls == [(stack, (len(stack), 5, samples))]
 
 
 def _draws(samples, seed):
@@ -483,19 +471,15 @@ _GAP_CASES = [
 ]
 
 
-# "one stack" reweights every ring of a case in a single call, however many passes that
-# takes. Each pass holds at most 2^20 weights whatever the stack, so the call's memory does
-# not grow with the samples; its output does, rings x 5 x samples points, and so does its
-# time. The 40-sample cap only keeps the run short
-@pytest.mark.parametrize("n_list,control,samples,seed,stacking",
-                         [(*case, "rule") for case in _GAP_CASES]
-                         + [(*case, "one stack") for case in _GAP_CASES if case[2] <= 40])
+# every case stacks its rings by verify's rule (the "rule" of its id): each distinct ring,
+# in first-listed order then the control, in one call however many passes that takes. Each
+# pass holds at most 2^20 weights whatever the stack, so the call's memory does not grow
+# with the samples; its output does, rings x 5 x samples points, and so does its time
+@pytest.mark.parametrize("n_list,control,samples,seed,stacking", [(*case, "rule") for case in _GAP_CASES])
 def test_stacked_gaps_equal_the_per_ring_reference(n_list, control, samples, seed, stacking):
     rings = [ring_model(n) for n in dict.fromkeys(n_list + ([control] if control else []))]
     j, b, t = _draws(samples, seed)
-    got = {}
-    for stack in experiments._stacks(rings, 5 * samples) if stacking == "rule" else [rings]:
-        got.update(experiments._ring_gaps(stack, j, b, t))
+    got = experiments._ring_gaps(rings, j, b, t)
     # a stack changes no number: every gap is the ring's own, bit for bit
     want = {ring.n: experiments._ring_gaps([ring], j, b, t)[ring.n] for ring in rings}
     assert got == want
@@ -511,9 +495,9 @@ _FIELDS = ("z_shifted", "u", "m", "g_xx", "g_zz", "probabilities")
 
 
 def _assert_stack_is_each_ring_alone(sizes, j, b, t):
-    # a ring's lone call, its one-element list (read in place) and its slot in the
-    # stack (concatenated) agree bit for bit, and so do its slots in the same stack
-    # called again (its layout from the cache) and in the reversed stack
+    # a ring's lone call, its one-element list (one layout, a stack of one) and its slot
+    # in the stack agree bit for bit, and so do its slots in the same stack called
+    # again (its layout from the cache) and in the reversed stack
     shape = np.broadcast_shapes(np.shape(j), np.shape(b), np.shape(t))
     rings = [ring_model(n) for n in sizes]
     stacked = reweight(rings, j, b, t)
@@ -524,7 +508,9 @@ def _assert_stack_is_each_ring_alone(sizes, j, b, t):
     assert stacked.u.shape == again.u.shape == backward.u.shape == (len(sizes),) + shape
     for k, n in enumerate(sizes):
         alone = reweight(ring_model(n), j, b, t)
+        hits = thermal._layout.cache_info().hits
         listed = reweight([ring_model(n)], j, b, t)
+        assert thermal._layout.cache_info().hits == hits + 1
         assert alone.u.shape == shape and listed.u.shape == (1,) + shape
         for name in _FIELDS:
             want = getattr(alone, name).tobytes()
@@ -532,11 +518,11 @@ def _assert_stack_is_each_ring_alone(sizes, j, b, t):
             assert getattr(again, name)[k].tobytes() == want, (sizes, n, name)
             assert getattr(backward, name)[-1 - k].tobytes() == want, (sizes, n, name)
             assert getattr(listed, name)[0].tobytes() == want, (sizes, n, name)
-    # a stack's layout, and a lone ring's (its own arrays), are read-only
+    # every layout, a lone ring's too, is read-only
     for stack in (rings, rings[::-1], rings[:1]):
         layout = thermal._layout(tuple(stack))
         arrays = [layout.kappa, layout.sz, layout.starts, layout.sizes, layout.two_n, *layout.tables]
-        assert not any(array.flags.writeable for array in arrays if array is not None), sizes
+        assert not any(array.flags.writeable for array in arrays), sizes
 
 
 def test_a_stack_reweights_each_ring_as_alone(monkeypatch):

@@ -101,11 +101,14 @@ def _peak(call):
 @pytest.mark.parametrize("run", [
     lambda points: reweight(ring_model(16), 1.0, np.linspace(0.0, 3.0, points), 0.5),
     lambda points: verify_propositions([16], samples=points // 5),
-], ids=["fields", "verify"])
+    lambda points: verify_propositions([2, 3, 16], samples=points // 5),
+], ids=["fields", "verify", "verify_stack"])
 def test_memory_is_flat_in_the_point_count(run):
     # every point has its own (j, b) at n = 16, 4,029 classes: a pass forms
-    # the energies of only the entries it reads, so 2,000 points peak as 500 do
-    ring_model(16)
+    # the energies of only the entries it reads, so 2,000 points peak as 500 do,
+    # and a stack of several passes is bounded by its passes too
+    for n in (2, 3, 16):
+        ring_model(n)
     assert _peak(lambda: run(2000)) <= 1.1 * _peak(lambda: run(500))
 
 
