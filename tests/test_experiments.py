@@ -471,15 +471,34 @@ _GAP_CASES = [
 ]
 
 
-# every case stacks its rings by verify's rule (the "rule" of its id): each distinct ring,
-# in first-listed order then the control, in one call however many passes that takes. Each
-# pass holds at most 2^20 weights whatever the stack, so the call's memory does not grow
-# with the samples; its output does, rings x 5 x samples points, and so does its time
-@pytest.mark.parametrize("n_list,control,samples,seed,stacking", [(*case, "rule") for case in _GAP_CASES])
-def test_stacked_gaps_equal_the_per_ring_reference(n_list, control, samples, seed, stacking):
+# "rule" checks the stack verify itself hands the kernel: each distinct ring, in first-listed
+# order then the control, at the draws of its seed, in one call however many passes that
+# takes. "one stack" calls the kernel directly on the case's rings. Each pass holds at most
+# 2^20 weights whatever the stack, so the call's memory does not grow with the samples; its
+# output does, rings x 5 x samples points, and so does its time. The 40-sample cap on "one
+# stack" only keeps the run short
+@pytest.mark.parametrize("n_list,control,samples,seed,stacking",
+                         [(*case, "rule") for case in _GAP_CASES]
+                         + [(*case, "one stack") for case in _GAP_CASES if case[2] <= 40])
+def test_stacked_gaps_equal_the_per_ring_reference(n_list, control, samples, seed, stacking, monkeypatch):
     rings = [ring_model(n) for n in dict.fromkeys(n_list + ([control] if control else []))]
     j, b, t = _draws(samples, seed)
-    got = experiments._ring_gaps(rings, j, b, t)
+    if stacking == "rule":
+        calls = []
+        original = experiments._ring_gaps
+
+        def recording(stack, *points):
+            calls.append((stack, points, original(stack, *points)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(experiments, "_ring_gaps", recording)
+        verify_propositions(n_list, samples=samples, seed=seed, odd_control=control)
+        monkeypatch.undo()
+        [(stack, points, got)] = calls
+        assert stack == rings
+        assert all(np.array_equal(drawn, want) for drawn, want in zip(points, (j, b, t), strict=True))
+    else:
+        got = experiments._ring_gaps(rings, j, b, t)
     # a stack changes no number: every gap is the ring's own, bit for bit
     want = {ring.n: experiments._ring_gaps([ring], j, b, t)[ring.n] for ring in rings}
     assert got == want
