@@ -22,7 +22,6 @@ from .eigensolver import full_spectrum, ring_model, same_level
 from .experiments import (
     DEFAULT_SEED,
     MAX_POINTS,
-    DegenerateGroundError,
     gibbs_concurrence,
     ground_state_concurrence,
     level_crossings,
@@ -89,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--t", type=float, required=True, help="temperature (k_B = 1)")
 
-    p = sub.add_parser("ground", help="ground energy, concurrence, and (even n) tangle")
+    p = sub.add_parser("ground", help="the T = 0 state: energy, concurrence, and (nondegenerate even n) tangle")
     _add_model_args(p)
 
     p = sub.add_parser("sweep", help="CSV of observables over a (t, b) grid")
@@ -167,22 +166,21 @@ def _cmd_thermal(args) -> int:
 
 
 def _cmd_ground(args) -> int:
-    params = ModelParams(n=args.n, j=args.j, b=args.b)
-    spectrum = full_spectrum(params)
-    print(f"ground energy = {_fmt(spectrum.ground_energy)}")
-    try:
-        c = ground_state_concurrence(params)
-    except DegenerateGroundError as exc:
-        print(exc)
+    g, c = ground_state_concurrence(ModelParams(n=args.n, j=args.j, b=args.b))
+    # the energy of the T = 0 state; + 0.0 reads the all-zero spectrum (j = b = 0) as 0, never -0
+    print(f"ground energy = {_fmt(float(g.u) + 0.0)}")
+    if g.z_shifted > 1:
+        print(f"ground level is {int(g.z_shifted)}-fold degenerate")
+        print(f"concurrence   = {_fmt(c)}  (uniform mixture over the ground level, the T -> 0 limit)")
         return 0
     print(f"concurrence   = {_fmt(c)}")
     if args.n % 2 == 0:
         # the tangle |<psi| sigma_y^n |psi*>|^2 (Wong and Christensen, PRA 63, 044301
         # (2001)) of the Fock ground state: sigma_y^n maps N down spins to n - N, so it
         # vanishes off half filling; at half filling the nondegenerate ground set holds one
-        # mode of each {k, k + pi} pair (cos(k + pi) = -cos k), which makes it exactly 1
-        ground_sz = spectrum.ring.class_sz[np.argmin(spectrum.class_energies())]
-        print(f"tangle        = {_fmt(1.0 if ground_sz == 0 else 0.0)}")
+        # mode of each {k, k + pi} pair (cos(k + pi) = -cos k), which makes it exactly 1.
+        # The level is one class of multiplicity 1, so M is its sz exactly
+        print(f"tangle        = {_fmt(1.0 if g.m == 0 else 0.0)}")
     return 0
 
 
@@ -232,16 +230,10 @@ def _cmd_verify(args) -> int:
     except ValueError:
         raise ValueError(f"--n-list must be comma-separated integers, got {args.n_list!r}") from None
     reports = verify_propositions(n_list, samples=args.samples, seed=args.seed, odd_control=args.odd_control)
-    evens = [n for n in n_list if n % 2 == 0]
-    scopes = {
-        1: (n_list, f"n in {n_list}"),
-        2: (evens, f"n in {evens}"),
-        3: (n_list, f"n in {n_list}, b = 0, both exchange signs"),
-    }
     failed = False
     for rep in reports[:3]:
-        rings, scope = scopes[rep.proposition]
-        if all(n < 2 for n in rings):
+        scope = f"n in {list(rep.rings)}" + (", b = 0, both exchange signs" if rep.proposition == 3 else "")
+        if all(n < 2 for n in rep.rings):
             # no bond in scope: a gap of 0 there checked nothing
             print(f"proposition {rep.proposition}: nothing checked  (no ring with a bond, {scope})")
             continue
@@ -250,7 +242,7 @@ def _cmd_verify(args) -> int:
         print(f"proposition {rep.proposition}: {status}  "
               f"(max discrepancy {rep.max_discrepancy:.3e}, {rep.samples} samples, {scope})")
     for control in reports[3:]:
-        print(f"proposition 2 on n={args.odd_control} (odd, out of claim, negative control): "
+        print(f"proposition 2 on n={control.rings[0]} (odd, out of claim, negative control): "
               f"symmetry {'UNEXPECTEDLY held' if control.passed else 'breaks as expected'} "
               f"(max discrepancy {control.max_discrepancy:.3e})")
     return 1 if failed else 0

@@ -66,14 +66,12 @@ def _class_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q = np.arange(n + 1)
     # cos(pi q / n) as a sine, so that cos(pi/2) is exactly 0 and cos(pi - k) exactly -cos k
     cosines = np.sin(np.pi * (n - 2 * q) / (2 * n))
-    if n > 1:
-        # the cosines of a whole grid sum to 0, so a set more than half full sums its holes:
-        # kappa(S) = -kappa(holes of S), exactly 0 for a full grid (+ 0.0 turns -0.0 into 0)
-        more_than_half = 2 * counted > n
-        summed = np.where(more_than_half[:, None], grid - counts, counts)
-        kappa = np.where(more_than_half, -4.0, 4.0) * (summed * cosines).sum(axis=1) + 0.0
-    else:  # a single site has no bond
-        kappa = np.zeros(counted.size)
+    # the cosines of a whole grid sum to 0, so a set more than half full sums its holes:
+    # kappa(S) = -kappa(holes of S), exactly 0 for a full grid (+ 0.0 turns -0.0 into 0);
+    # a single site has no bond, and its kappa is exactly 0 too
+    more_than_half = 2 * counted > n
+    summed = np.where(more_than_half[:, None], grid - counts, counts)
+    kappa = np.where(more_than_half, -4.0, 4.0) * (summed * cosines).sum(axis=1) + 0.0
     # n^2 times a key's mean pair sums, as sums of nonnegative terms over ordered mode pairs:
     # over the key's +-k choices a pair from classes q != q' weighs on average
     # sin^2(pi (q - q') / 2n) + sin^2(pi (q + q') / 2n) = 1 - cos(pi q / n) cos(pi q' / n),
@@ -158,11 +156,6 @@ class Spectrum:
     def class_energies(self) -> np.ndarray:
         """The energy of each class's levels."""
         return self.params.j * self.ring.class_kappa + self.params.b * self.ring.class_sz
-
-    @property
-    def ground_energy(self) -> float:
-        # + 0.0 reads the all-zero spectrum (j = b = 0) as 0, never -0
-        return float(self.class_energies().min()) + 0.0
 
 
 def full_spectrum(params: ModelParams) -> Spectrum:

@@ -31,13 +31,10 @@ _SCAN_T_MAX = 1.0e3
 _BISECTION_DEPTH = 3
 
 
-class DegenerateGroundError(RuntimeError):
-    """Ground level is degenerate."""
-
-
 @dataclass(frozen=True)
 class PropositionReport:
     proposition: int
+    rings: tuple[int, ...]
     samples: int
     max_discrepancy: float
     passed: bool
@@ -219,25 +216,24 @@ def _energy_formula(energy, n: int, j, g_zz):
     return 0.5 * np.maximum(0.0, sign * energy / (n * j) - g_zz - 1.0)
 
 
-def ground_state_concurrence(params: ModelParams) -> float:
-    """Nearest-neighbor concurrence of the ground state: the Gibbs state at
-    T = 0, from one `reweight` call.
+def ground_state_concurrence(params: ModelParams) -> tuple[GibbsBlock, float]:
+    """The ground state and its nearest-neighbor concurrence: the Gibbs block
+    at T = 0 and its concurrence, from one `reweight` call.
 
     A degenerate ground level (a field on a crossing, or the +-k mode pair of
-    an odd ring) is refused, its degeneracy in the message; at b = 0 the
-    zero-field energy formula C = max(0, -+ U/(n j) - g_zz - 1) / 2 (sign by
-    the sign of j) must agree to 1e-9. A single site has no bond and reports 0.
+    an odd ring) gives the uniform mixture over the level, the T -> 0 limit,
+    and the block's z_shifted is its degeneracy. At b = 0 the zero-field
+    energy formula C = max(0, -+ U/(n j) - g_zz - 1) / 2 (sign by the sign of
+    j) must agree to 1e-9. A single site has no bond and reports 0.
     """
     g, value = gibbs_concurrence(ring_model(params.n), params.j, params.b, 0.0)
-    if g.z_shifted > 1:
-        raise DegenerateGroundError(f"ground level is {int(g.z_shifted)}-fold degenerate")
     if params.b == 0.0 and params.j != 0.0:
         formula = _energy_formula(g.u, params.n, params.j, g.g_zz)
         if abs(formula - value) > 1e-9:
             raise RuntimeError(
                 f"zero-field energy formula ({formula}) disagrees with the "
                 f"reduced-density route ({value})")
-    return float(value)
+    return g, float(value)
 
 
 def _draw_parameters(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -314,18 +310,20 @@ def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED,
        with the sign branch chosen by the sign of the exchange constant.
 
     Each proposition is checked on `samples` draws of (j, b, t) per
-    applicable ring size; a report passes when the worst discrepancy stays
-    below 1e-9. The draws are made once, in one generator call
-    (`_draw_parameters`), and the distinct rings, in first-listed order and
-    then the control, are reweighted as one stack at the same 5 * samples
-    points (at most MAX_POINTS) serving all three: one kernel call
-    (`_ring_gaps`), whose passes bound its memory. An empty ring list is
-    refused: it would pass every proposition vacuously.
+    applicable ring size. Each report names its rings (`rings`: the list as
+    given for 1 and 3, its even rings for 2) and holds their worst
+    discrepancy, 0 for no ring; it passes below 1e-9. The draws are made
+    once, in one generator call (`_draw_parameters`), and the distinct
+    rings, in first-listed order and then the control, are reweighted as one
+    stack at the same 5 * samples points (at most MAX_POINTS) serving all
+    three: one kernel call (`_ring_gaps`), whose passes bound its memory. An
+    empty ring list is refused: it would pass every proposition vacuously.
 
-    A nonzero odd_control adds a fourth report, proposition 2 on that odd
-    ring n >= 3, outside the claim: the symmetry breaks there (expect a
-    failing flag), so it is never a pass criterion. Every argument is
-    checked, the list's rings before the control, before any draw.
+    A nonzero odd_control adds a fourth report, proposition 2 on the rings
+    (odd_control,), an odd ring n >= 3 outside the claim: the symmetry
+    breaks there (expect a failing flag), so it is never a pass criterion.
+    Every argument is checked, the list's rings before the control, before
+    any draw.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -342,9 +340,11 @@ def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED,
     rng = np.random.default_rng(seed)
     j, b, t = _draw_parameters(rng, samples)
     gaps = _ring_gaps(list(rings.values()), j, b, t)
-    worst = [(1, max(gaps[n][0] for n in n_list)),
-             (2, max((gaps[n][1] for n in n_list if n % 2 == 0), default=0.0)),
-             (3, max(gaps[n][2] for n in n_list))]
+    scopes = [(1, tuple(n_list)), (2, tuple(n for n in n_list if n % 2 == 0)), (3, tuple(n_list))]
     if odd_control:
-        worst.append((2, gaps[odd_control][1]))
-    return [PropositionReport(k, samples, gap, gap < PROPOSITION_TOL) for k, gap in worst]
+        scopes.append((2, (odd_control,)))
+    reports = []
+    for k, scope in scopes:
+        gap = max((gaps[n][k - 1] for n in scope), default=0.0)
+        reports.append(PropositionReport(k, scope, samples, gap, gap < PROPOSITION_TOL))
+    return reports

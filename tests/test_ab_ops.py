@@ -17,7 +17,7 @@ finally:
     del sys.path[:2]
 
 
-@pytest.mark.parametrize("workload", ["surface", "propositions"])
+@pytest.mark.parametrize("workload", ["surface", "propositions", "cold_cli"])
 def test_equal_sides_give_one_ratio_per_op(workload):
     ratios = [work / base for base, work in ab_ops.compare(cli.main, cli.main, make_op, workload, 1, 4)]
     assert len(ratios) == 4 and all(ratio > 0 for ratio in ratios)

@@ -378,17 +378,25 @@ def test_verify_refuses_more_samples_than_the_cap_before_drawing(capsys, monkeyp
     assert err == "error: 1000000000 samples make 5000000000 points per ring, over cap 2000000\n"
 
 
-@pytest.mark.parametrize("t_steps, b_steps", [("2001", "1000"), ("1000000000000000", "1")])
-def test_sweep_refuses_a_grid_over_the_cap_before_building_it(capsys, monkeypatch, t_steps, b_steps):
-    # a huge grid must exit 2 with the cap, not exhaust memory building the axes first
+@pytest.mark.parametrize("t_steps, b_steps, scale, want", [
+    ("2001", "1000", "linear", "grid of 2001000 rows exceeds cap 2000000"),
+    ("1000000000000000", "1", "linear", "grid of 1000000000000000 rows exceeds cap 2000000"),
+    ("0", "1", "linear", "--t-steps must be >= 1"),
+    ("2", "2", "log", "log scale needs positive --b-min"),
+], ids=["2001-1000", "1000000000000000-1", "no_t_steps", "log_b_from_zero"])
+def test_sweep_refuses_a_grid_over_the_cap_before_building_it(capsys, monkeypatch, t_steps, b_steps, scale,
+                                                               want):
+    # a huge grid must exit 2 with the cap, not exhaust memory building the axes first; an
+    # axis without points, or a log axis from B = 0, is refused before any axis is built too
     def no_grid(args, axis):
         raise AssertionError("built a grid before refusing it")
 
     monkeypatch.setattr(cli, "_grid", no_grid)
     code, out, err = run_cli(capsys, "sweep", "--n", "4", "--j", "1", "--t-min", "1", "--t-max", "2",
-                             "--t-steps", t_steps, "--b-min", "0", "--b-max", "1", "--b-steps", b_steps)
+                             "--t-steps", t_steps, "--b-min", "0", "--b-max", "1", "--b-steps", b_steps,
+                             "--b-scale", scale)
     assert code == 2 and out == ""
-    assert err == f"error: grid of {int(t_steps) * int(b_steps)} rows exceeds cap 2000000\n"
+    assert err == f"error: {want}\n"
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -423,9 +431,9 @@ def test_verify_exits_one_when_a_claim_fails(capsys, monkeypatch):
     from xxring.experiments import PropositionReport
 
     def broken(n_list, samples, seed, odd_control):
-        return [PropositionReport(1, samples, 0.5, False),
-                PropositionReport(2, samples, 0.0, True),
-                PropositionReport(3, samples, 0.0, True)]
+        return [PropositionReport(1, tuple(n_list), samples, 0.5, False),
+                PropositionReport(2, tuple(n_list), samples, 0.0, True),
+                PropositionReport(3, tuple(n_list), samples, 0.0, True)]
 
     monkeypatch.setattr(cli, "verify_propositions", broken)
     code, out, _ = run_cli(capsys, "verify", "--n-list", "2", "--samples", "1",
@@ -522,12 +530,21 @@ def test_a_tiny_field_splits_the_ground_at_zero_temperature_as_at_low(capsys):
     assert _lines(at_zero[1], "Z_shifted", "M") == ["Z_shifted   = 2", "M           = -1"]
 
 
-@pytest.mark.parametrize("n, b", [("5", "0.5"), ("3", "0.2"), ("5", "3e-9")])
+@pytest.mark.parametrize("n, b", [("5", "0.5"), ("3", "0.2"), ("5", "3e-9"), ("5", "0.3")])
 def test_ground_names_no_cause_for_a_degeneracy(capsys, n, b):
-    # an odd ring's +-k mode pair makes its ground 2-fold at a generic field, on no crossing
+    # an odd ring's +-k mode pair makes its ground 2-fold at a generic field, on no crossing;
+    # ground prints the mixture `thermal --t 0` prints, and no tangle, whose pure-state
+    # closed form does not hold for a mixture
     code, out, _ = run_cli(capsys, "ground", "--n", n, "--j", "1", "--b", b)
     assert code == 0
-    assert out.splitlines()[1] == "ground level is 2-fold degenerate"
+    thermal = run_cli(capsys, "thermal", "--n", n, "--j", "1", "--b", b, "--t", "0")[1]
+    state = {key.strip(): value.strip() for key, value in (line.split("=") for line in thermal.splitlines())}
+    assert state["Z_shifted"] == "2"
+    assert out == (f"ground energy = {state['U']}\nground level is 2-fold degenerate\n"
+                   f"concurrence   = {state['concurrence']}  (uniform mixture over the ground level, "
+                   f"the T -> 0 limit)\n")
+    if b == "0.3":
+        assert state["concurrence"] == "0.286023497158"
 
 
 _N4_CROSSING = 2.0 * (2.0 ** 0.5 - 1.0)

@@ -193,21 +193,18 @@ def test_moved_lines_name_each_moved_byte():
 
 
 def _concurrence(stdout: str) -> str:
-    return next(line for line in stdout.splitlines() if line.startswith("concurrence")).split("= ")[1]
+    return next(line for line in stdout.splitlines() if line.startswith("concurrence")).split()[2]
 
 
 def test_zero_temperature_concurrence_is_the_ground_concurrence():
-    # a nondegenerate ground prints the concurrence bytes of the Gibbs state at T = 0
-    compared = 0
-    for command in CORPUS:
+    # every ground, a degenerate level's mixture included, prints the concurrence bytes
+    # of the Gibbs state at T = 0, and a ring refused for one is refused for the other
+    for command in (command for command in CORPUS if command.startswith("ground")):
         ground = run(command)
-        if not (command.startswith("ground") and "concurrence" in ground["stdout"]):
-            continue
         thermal = run(command.replace("ground", "thermal", 1) + " --t 0")
-        assert thermal["rc"] == 0, command
-        assert _concurrence(thermal["stdout"]) == _concurrence(ground["stdout"]), command
-        compared += 1
-    assert compared >= 8
+        assert (thermal["rc"], thermal["stderr"]) == (ground["rc"], ground["stderr"]), command
+        if ground["rc"] == 0:
+            assert _concurrence(thermal["stdout"]) == _concurrence(ground["stdout"]), command
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from xxring.cli import _resolved_digits, main
 from xxring.eigensolver import full_spectrum, ring_model
 from xxring.entanglement import concurrence_from_correlators, concurrence_xstate
 from xxring.experiments import (
-    DegenerateGroundError,
+    gibbs_concurrence,
     ground_state_concurrence,
     level_crossings,
     sweep,
@@ -110,18 +110,12 @@ def test_sweep_validation(reweight_calls):
 
 
 def test_sweep_zero_temperature_column_is_the_ground_state():
+    # the crossings B_CROSS_LOW and 2 included, where each is the ground-level mixture
     params = ModelParams(n=4, j=1.0, b=0.0)
     fields = [-3.0, -1.0, 0.0, 0.5, B_CROSS_LOW, 1.0, 2.0, 3.0]
     _, concurrence = sweep(params, [0.0, 1.0], fields)
-    checked = 0
-    for b, c in zip(fields, concurrence[:, 0]):
-        try:
-            want = ground_state_concurrence(dataclasses.replace(params, b=b))
-        except DegenerateGroundError:  # the crossings B_CROSS_LOW and 2
-            continue
-        assert c == want, b
-        checked += 1
-    assert checked == 6
+    for b, c in zip(fields, concurrence[:, 0], strict=True):
+        assert c == ground_state_concurrence(dataclasses.replace(params, b=b))[1], b
 
 
 @pytest.mark.parametrize("t_grid, b_grid", [
@@ -247,15 +241,17 @@ def test_level_crossings_validation():
 
 
 def test_ground_state_concurrence_ferromagnetic_branch():
-    assert ground_state_concurrence(ModelParams(n=4, j=-1.0, b=0.0)) == pytest.approx(
+    assert ground_state_concurrence(ModelParams(n=4, j=-1.0, b=0.0))[1] == pytest.approx(
         GROUND_CONCURRENCE, abs=1e-9)
-    assert ground_state_concurrence(ModelParams(n=6, j=-0.7, b=0.0)) == pytest.approx(
-        ground_state_concurrence(ModelParams(n=6, j=0.7, b=0.0)), abs=1e-9)
+    assert ground_state_concurrence(ModelParams(n=6, j=-0.7, b=0.0))[1] == pytest.approx(
+        ground_state_concurrence(ModelParams(n=6, j=0.7, b=0.0))[1], abs=1e-9)
 
 
-def test_ground_state_concurrence_flags_crossing_degeneracy():
-    with pytest.raises(DegenerateGroundError):
-        ground_state_concurrence(ModelParams(n=4, j=1.0, b=B_CROSS_LOW))
+def test_ground_state_concurrence_is_the_mixture_at_a_crossing():
+    # two branches meet at the crossing: the ground state is their uniform mixture, the T = 0 state
+    g, c = ground_state_concurrence(ModelParams(n=4, j=1.0, b=B_CROSS_LOW))
+    assert g.z_shifted == 2
+    assert c == gibbs_concurrence(ring_model(4), 1.0, B_CROSS_LOW, 0.0)[1]
 
 
 def test_verify_propositions_pass_and_reproduce():
@@ -263,6 +259,7 @@ def test_verify_propositions_pass_and_reproduce():
     again = verify_propositions([2, 3, 4], samples=25)
     assert first == again
     assert [rep.proposition for rep in first] == [1, 2, 3]
+    assert [rep.rings for rep in first] == [(2, 3, 4), (2, 4), (2, 3, 4)]
     for rep in first:
         assert rep.passed
         assert rep.samples == 25
@@ -507,6 +504,8 @@ def test_stacked_gaps_equal_the_per_ring_reference(n_list, control, samples, see
     worst = [max(want[n][0] for n in n_list), max((want[n][1] for n in n_list if n % 2 == 0), default=0.0),
              max(want[n][2] for n in n_list)] + ([want[control][1]] if control else [])
     assert [report.max_discrepancy for report in reports] == worst
+    evens = tuple(n for n in n_list if n % 2 == 0)
+    assert [report.rings for report in reports] == [tuple(n_list), evens, tuple(n_list)] + ([(control,)] if control else [])
     assert [report.passed for report in reports] == [gap < experiments.PROPOSITION_TOL for gap in worst]
 
 

@@ -4,13 +4,17 @@ Exports the base commit's `src/xxring` with `git archive` into a temporary
 directory under another package name, loads it and the working tree's
 `src/xxring` in one process, and runs a workload's first 400 ops from
 `perfbench/workloads.py` through each side's `cli.main`, alternating which
-side runs first. Every op's (exit code, stdout, stderr) must be equal on both
-sides; the script prints each side's median time per op in microseconds, the
-median per-op time ratio (working tree / base) with its quartiles, and how
-many ops ran faster on the working tree.
+side runs first. Every workload runs in process here, `cold_cli` too: its
+`thermal`, `ground` and `threshold` argvs at n = 11 and 12 run without the
+fresh interpreter the benchmark starts per op. Every op's (exit code,
+stdout, stderr) must be equal on both sides; the script prints each side's
+median time per op in microseconds, the median per-op time ratio (working
+tree / base) with its quartiles, and how many ops ran faster on the working
+tree.
 
     python tools/ab_ops.py --workload surface --seed 31
     python tools/ab_ops.py --workload propositions --seed 32 --base HEAD~1
+    python tools/ab_ops.py --workload cold_cli --seed 33
 
 With `--base HEAD` and a clean tree it is an A/A control.
 """
@@ -91,18 +95,19 @@ def summary(times: list[tuple[float, float]]) -> str:
 
 
 def main() -> int:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    workloads = importlib.import_module("workloads")
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
-    parser.add_argument("--workload", choices=("surface", "propositions"), required=True)
+    parser.add_argument("--workload", choices=workloads.WORKLOADS, required=True)
     parser.add_argument("--seed", type=int, default=31)
     parser.add_argument("--base", default="HEAD", help="commit to compare against (default HEAD)")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         _export(args.base, Path(tmp))
-        sys.path[:0] = [tmp, str(ROOT / "src"), str(ROOT / "perfbench")]
+        sys.path.insert(0, tmp)
         base_cli = importlib.import_module(f"{BASE_PACKAGE}.cli")
         work_cli = importlib.import_module("xxring.cli")
-        make_op = importlib.import_module("workloads").make_op
-        times = compare(base_cli.main, work_cli.main, make_op, args.workload, args.seed, OPS)
+        times = compare(base_cli.main, work_cli.main, workloads.make_op, args.workload, args.seed, OPS)
     print(f"{args.workload} seed {args.seed} vs {args.base}: {summary(times)}")
     return 0
 
