@@ -41,16 +41,17 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _csv_lines(t_values, b_values, j: float, n: int, columns) -> list[str]:
+def _csv_lines(t_cells, b_cells, j: float, n: int, columns) -> list[str]:
     """The sweep CSV: the header, then one line per grid point, B outer and
-    T inner, from the five columns (U, M, Gxx, Gzz, concurrence), each a
-    list of rows of floats, one row per field. Each T, B, J and N cell is
-    formatted once; "%.12g" writes the bytes of _fmt."""
-    t_cells = ["%.12g," % t for t in t_values]
+    T inner, from the T and B cells of `_grid` (each "%.12g," of a value)
+    and the five columns (U, M, Gxx, Gzz, concurrence), each a list of rows
+    of floats, one row per field. The J and N cells are formatted once;
+    "%.12g" writes the bytes of _fmt."""
     values = "%.12g,%.12g,%.12g,%.12g,%.12g\n"
     lines = ["T,B,J,N,U,M,Gxx,Gzz,concurrence\n"]
-    for b, *row_columns in zip(b_values, *columns):
-        point = "%.12g,%.12g,%d," % (b, j, n)
+    rest = "%.12g,%d," % (j, n)
+    for b_cell, *row_columns in zip(b_cells, *columns):
+        point = b_cell + rest
         lines += [t_cell + point + values % (u, m, g_xx, g_zz, c)
                   for t_cell, u, m, g_xx, g_zz, c in zip(t_cells, *row_columns)]
     return lines
@@ -131,12 +132,27 @@ def _grid_steps(args, axis) -> int:
     return steps
 
 
-def _grid(args, axis):
-    lo, hi, steps = (getattr(args, f"{axis}_{key}") for key in ("min", "max", "steps"))
+def _grid(args, axis) -> tuple[tuple[float, ...], tuple[str, ...]]:
+    """One axis of a sweep, after `_grid_steps` has checked it: its values,
+    ascending, as Python floats, and their CSV cells ("%.12g," of each
+    value), two tuples kept by `_axis`. The memo key carries the sign of
+    each bound, since -0.0 == 0.0 but a -0 axis prints -0."""
+    lo, hi, steps, scale = (getattr(args, f"{axis}_{key}") for key in ("min", "max", "steps", "scale"))
+    return _axis(lo, hi, steps, scale, math.copysign(1.0, lo), math.copysign(1.0, hi))
+
+
+@functools.lru_cache(maxsize=2)
+def _axis(lo, hi, steps, scale, lo_sign, hi_sign):
+    """`_grid`'s memo of the last two axes. A sweep reads its T axis and then
+    its B axis, so the sweeps of one process that share a T axis build it
+    once, and each new B axis replaces the previous one; a fresh process
+    builds both."""
     if steps == 1:
-        return [lo]
-    space = np.geomspace if getattr(args, f"{axis}_scale") == "log" else np.linspace
-    return list(space(lo, hi, steps))
+        values = (lo,)
+    else:
+        space = np.geomspace if scale == "log" else np.linspace
+        values = tuple(sorted(space(lo, hi, steps).tolist()))
+    return values, tuple(["%.12g," % value for value in values])
 
 
 def _cmd_spectrum(args) -> int:
@@ -190,9 +206,9 @@ def _cmd_sweep(args) -> int:
     rows = _grid_steps(args, "t") * _grid_steps(args, "b")
     if rows > MAX_POINTS:
         raise ValueError(f"grid of {rows} rows exceeds cap {MAX_POINTS}")
-    t_values, b_values = sorted(_grid(args, "t")), sorted(_grid(args, "b"))
+    (t_values, t_cells), (b_values, b_cells) = _grid(args, "t"), _grid(args, "b")
     block, concurrence = sweep(params, t_values, b_values)
-    lines = _csv_lines(t_values, b_values, params.j, params.n,
+    lines = _csv_lines(t_cells, b_cells, params.j, params.n,
                        [a.tolist() for a in (block.u, block.m, block.g_xx, block.g_zz, concurrence)])
     if args.output == "-":
         # a line at a time: a write-through stdout (PYTHONUNBUFFERED) drops what a closed pipe

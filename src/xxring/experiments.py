@@ -83,9 +83,12 @@ def sweep(params: ModelParams, t_grid, b_grid) -> tuple[GibbsBlock, np.ndarray]:
 
     Returns the Gibbs block and its concurrence, both of shape
     (fields, temperatures): entry [k_b, k_t] is the point (b_grid[k_b],
-    t_grid[k_t]). The concurrence is the same number `thermal_concurrence`
-    gives at the point; a single site has no bond and reports 0. A grid of
-    more than MAX_POINTS points is refused before any reweighting.
+    t_grid[k_t]). The grids are any sequences of real numbers, read in the
+    order given; the CLI passes the ascending tuples of floats its axis memo
+    keeps, which are read, never changed. The concurrence is the same number
+    `thermal_concurrence` gives at the point; a single site has no bond and
+    reports 0. A grid of more than MAX_POINTS points is refused before any
+    reweighting.
     """
     t_values = [float(t) for t in t_grid]
     b_values = [float(b) for b in b_grid]

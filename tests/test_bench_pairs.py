@@ -1,0 +1,53 @@
+"""tools/bench_pairs.py: the verdict and summary of paired benchmark runs,
+on fixed numbers; no benchmark runs here."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+try:
+    import bench_pairs
+finally:
+    del sys.path[0]
+
+BASE = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 100.0]
+
+
+@pytest.mark.parametrize("better, bound, work, want", [
+    # 10/10 wins by a median gap of 12 over the base's quartile distance of 2.5
+    ("higher", 0.2, [b + 12.0 for b in BASE], (10, "gain")),
+    # 9/10 wins is enough, ties and losses count for neither side
+    ("higher", 0.2, [b + 12.0 for b in BASE[:9]] + [BASE[9]], (9, "gain")),
+    ("higher", 0.2, [b + 12.0 for b in BASE[:8]] + [BASE[8] - 1.0, BASE[9]], (8, "same")),
+    # 10/10 wins inside the base's own spread are no gain
+    ("higher", 0.2, [b + 1.0 for b in BASE], (10, "same")),
+    # lower is better: the same numbers read the other way
+    ("lower", 0.2, [b + 12.0 for b in BASE], (0, "same")),
+    ("lower", 0.1, [b + 12.0 for b in BASE], (0, "worse")),
+    ("higher", 0.1, [b - 12.0 for b in BASE], (0, "worse")),
+    # a base spread (2.5 of 100) wider than the bound can tell nothing short of a gain
+    ("higher", 0.02, [b - 1.0 for b in BASE], (0, "unresolved")),
+    ("higher", 0.02, [b + 12.0 for b in BASE], (10, "gain")),
+], ids=["gain", "nine_of_ten", "eight_of_ten", "inside_spread", "lower_same", "lower_worse", "higher_worse",
+        "unresolved", "gain_over_spread"])
+def test_verdict_counts_wins_and_reads_the_bound(better, bound, work, want):
+    assert bench_pairs.verdict(better, bound, BASE, work) == want
+
+
+def test_summary_gives_each_sides_quartiles_the_wins_and_the_verdict():
+    metrics = [m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+               if m["name"] in ("ops_per_s", "op_p50_ms")]
+    base = [{"ops_per_s": 700.0, "op_p50_ms": 1.4}, {"ops_per_s": 800.0, "op_p50_ms": 1.2},
+            {"ops_per_s": 750.0, "op_p50_ms": 1.3}]
+    work = [{"ops_per_s": 900.0, "op_p50_ms": 1.3}, {"ops_per_s": 800.0, "op_p50_ms": 1.3},
+            {"ops_per_s": 850.0, "op_p50_ms": 1.3}]
+    assert bench_pairs.summary(metrics, base, work) == [
+        "ops_per_s (1/s, higher is better, bound 0.2): base 750 [700, 800], working tree 850 [800, 900]; "
+        "working tree won 2/3; same",
+        "op_p50_ms (ms, lower is better, bound 0.25): base 1.3 [1.2, 1.4], working tree 1.3 [1.3, 1.3]; "
+        "working tree won 1/3; same",
+    ]

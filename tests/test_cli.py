@@ -1,3 +1,4 @@
+import argparse
 import gc
 import importlib
 import math
@@ -148,6 +149,17 @@ def test_threshold_none_for_zero_exchange(capsys):
     assert out.strip() == "none"
 
 
+def test_threshold_refuses_a_ring_still_entangled_at_the_top_of_its_scan(capsys, monkeypatch):
+    # no ring is entangled that high; a threshold below every concurrence makes each point so
+    import xxring.experiments as experiments
+
+    monkeypatch.setattr(experiments, "POSITIVE_CONCURRENCE", -1.0)
+    code, out, err = run_cli(capsys, "threshold", "--n", "4", "--j", "1", "--b", "0")
+    # the scan doubles from 0.05 past 1e3 * max(1, |j|, |b|)
+    assert code == 2 and out == ""
+    assert err == f"error: still entangled at the top of the scan range ({0.05 * 2 ** 15})\n"
+
+
 @pytest.mark.parametrize("j, want", [("0.01", "0.022114"), ("1000", "2211.351479"), ("1e-310", "2e-310")])
 def test_threshold_scan_scales_with_the_exchange(capsys, j, want):
     # T_c is 2.21135148 j at n = 4, b = 0; a scan fixed to [0.05, 1e3] saw
@@ -274,6 +286,18 @@ def test_sweep_csv_schema_and_determinism(capsys, tmp_path):
     code, out_again, _ = run_cli(capsys, *argv)
     assert out_again == out  # byte-identical rerun
 
+    # the axis memo is invisible: a surface-shaped sweep prints the same bytes when both its
+    # axes are kept from the run before and when a sweep on another T axis has replaced them
+    surface = ["sweep", "--n", "10", "--j=-1.3", "--t-min=0.05", "--t-max=5.0", "--t-steps", "40",
+               "--t-scale", "log", "--b-min=0.7", "--b-max=1.2", "--b-steps", "2"]
+    first = run_cli(capsys, *surface)
+    assert first[0] == 0 and first[1].count("\n") == 1 + 2 * 40
+    hits = cli._axis.cache_info().hits
+    assert run_cli(capsys, *surface) == first
+    assert cli._axis.cache_info().hits == hits + 2
+    assert run_cli(capsys, *argv)[1] == out
+    assert run_cli(capsys, *surface) == first
+
     path = tmp_path / "sweep.csv"
     code, _, err = run_cli(capsys, *argv, "--output", str(path))
     assert code == 0
@@ -288,7 +312,11 @@ def test_csv_row_format_writes_the_per_field_bytes():
         t, b, j, *values = [edges[(k + i) % len(edges)] for i in range(8)]
         want = ",".join(format(v, ".12g") for v in (t, b, j)) + ",16," \
             + ",".join(format(v, ".12g") for v in values) + "\n"
-        assert cli._csv_lines([t], [b], j, 16, [[[v]] for v in values]) == [
+        (_, t_cells), (_, b_cells) = (
+            cli._grid(argparse.Namespace(**{f"{axis}_min": v, f"{axis}_max": v, f"{axis}_steps": 1,
+                                            f"{axis}_scale": "linear"}), axis)
+            for axis, v in (("t", t), ("b", b)))
+        assert cli._csv_lines(t_cells, b_cells, j, 16, [[[v]] for v in values]) == [
             "T,B,J,N,U,M,Gxx,Gzz,concurrence\n", want]
 
 
@@ -469,6 +497,14 @@ def test_sweep_log_scale_grid(capsys):
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert [float(row[0]) for row in rows] == pytest.approx([0.1, 1.0, 10.0], rel=1e-9)
         assert [row[1] for row in rows] == [b] * 3
+    # and a T = 0 axis keeps the sign of its T cell in one process, where the axis memo
+    # holds the previous run's axis, equal to this one but for the sign
+    for t in ("0", "-0", "0"):
+        code, out, _ = run_cli(capsys, "sweep", "--n", "2", "--j", "1",
+                               "--t-min", t, "--t-max", t, "--t-steps", "1",
+                               "--b-min", "1", "--b-max", "1", "--b-steps", "1")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == [t]
 
 
 def test_ground_diagonalizes_each_sector_once(capsys, ring_builds):

@@ -4,6 +4,7 @@ from its own columns)."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,13 @@ def test_kernel_rejects_bad_input():
         reweight(ring, 1.0, [0.0], [1.0, math.nan])
     with pytest.raises(ValueError):
         reweight(ring, 1.0, [], [1.0])
+    # a nan coupling makes every weight nan: refused by the partition sum's check, and
+    # quietly, as a warning turned into an error here would replace the refusal
+    for j, b in ((math.nan, 0.0), (1.0, math.nan)):
+        with warnings.catch_warnings(), pytest.raises(FloatingPointError,
+                                                      match="^non-finite shifted partition sum$"):
+            warnings.simplefilter("error")
+            reweight(ring, j, b, 1.0)
 
 
 def test_zero_temperature_rows_are_those_of_separate_calls():
