@@ -5,6 +5,11 @@ Exit codes: 0 success, 1 in-claim verification failure, 2 argument and file erro
 141 (128 + SIGPIPE, what a shell reports for `cat`) when the reader of stdout
 goes away before the output is written. Only the `xxring` process, `entry`,
 turns a closed stdout into 141; in-process `main` raises its BrokenPipeError.
+
+An argv that is a command name followed by `--opt=value` and `--opt value`
+tokens (exact long options, values that do not start with "-") is read in
+one pass over that command's argparse actions; every other argv takes
+argparse's `parse_args`, and both give the same namespace or refusal.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import functools
 import gc
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -36,6 +42,13 @@ _SWEEP_RECIPE = (
     "xxring sweep --n 4 --j 1 --t-min 0.05 --t-max 3 --t-steps 60 "
     "--b-min 0 --b-max 4 --b-steps 80"
 )
+
+# a token that argparse reads as a value, not an option, though it starts with
+# "-": "-" then a digit, or "." and a digit; argparse's own rule,
+# ^-\d+$|^-\d*\.\d+$ on Python 3.11, takes "-1e-3" for an option ("-inf" and
+# "-nan" still need "--opt=value")
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
 
 def _fmt(value: float) -> str:
     return format(value, ".12g")
@@ -112,6 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--odd-control", type=int, default=5,
                    help="odd ring for the out-of-claim exchange-sign control (0 disables)")
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -284,25 +299,66 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv) -> argparse.Namespace:
-    """`_parser().parse_args(argv)` in one argparse pass where argv starts
-    with a command name: that command's subparser parses the rest, and a
-    leftover argument is the top-level parser's error, as parse_args words
-    it. Any other argv (empty, -h, an unknown command, an option before the
-    command) takes the two-level parse_args."""
+    """`_parser().parse_args(argv)`, read in one pass (`_read_options`)
+    where argv is a command name and then only `--opt=value` or `--opt value`
+    tokens whose value `parse_args` would take as given. Any other argv
+    takes `parse_args`, which gives the same namespace or refusal."""
     parser = _parser()
     argv = sys.argv[1:] if argv is None else argv
     command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = None if command is None else _read_options(command, argv)
+    return parser.parse_args(argv) if args is None else args
+
+
+def _read_options(command, argv) -> argparse.Namespace | None:
+    """The namespace `parse_args` gives argv, read in one pass over the
+    subparser `command`'s actions, or None for `parse_args` to read it.
+
+    Each token after the command name is `--opt=value`, or `--opt` followed
+    by a value that does not start with "-"; `--opt` is exactly a long
+    option string of a one-value store action; the value passes the
+    action's type and choices (a value of "--" does not: argparse drops it);
+    and every required action is given. Every other action gets its
+    default, a string default through its type, as argparse sets it. Any
+    other argv returns None: an abbreviation, a single-dash option, -h,
+    --, a value that starts with "-", a missing or unconvertible value, an
+    unknown option, a missing required option."""
+    args = argparse.Namespace(command=argv[0])
+    seen = set()
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            option, equals, value = token.partition("=")
+            if not equals:
+                value = next(tokens, "-")
+            elif value == "--":
+                return None
+            action = command._option_string_actions.get(option)
+            if (not option.startswith("--") or (value.startswith("-") and not equals)
+                    or type(action) is not argparse._StoreAction or action.nargs is not None):
+                return None
+            value = command._get_value(action, value)
+            command._check_value(action, value)
+            setattr(args, action.dest, value)
+            seen.add(action)
+        for action in command._actions:
+            if action in seen:
+                continue
+            if action.required:
+                return None
+            default = action.default
+            if action.dest is not argparse.SUPPRESS and default is not argparse.SUPPRESS:
+                setattr(args, action.dest, command._get_value(action, default) if isinstance(default, str) else default)
+    except argparse.ArgumentError:
+        return None
     return args
 
 
 def main(argv=None) -> int:
-    """Run one command on argv (sys.argv[1:] if None), parsed once by the
-    command's own subparser (`_parse`); return its exit code."""
+    """Run one command on argv (sys.argv[1:] if None), parsed by `_parse`:
+    in one pass over the command's own options where every token is a long
+    option and its value, otherwise by `parse_args`, to the same namespace
+    or refusal; return its exit code."""
     args = _parse(argv)
     try:
         return _HANDLERS[args.command](args)

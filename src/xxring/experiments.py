@@ -332,6 +332,9 @@ def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED,
         raise ValueError("samples must be >= 1")
     if 5 * samples > MAX_POINTS:
         raise ValueError(f"{samples} samples make {5 * samples} points per ring, over cap {MAX_POINTS}")
+    # numpy's own refusal names neither the argument nor its value
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n_list = list(n_list)
     if not n_list:
         raise ValueError("ring list must be nonempty")

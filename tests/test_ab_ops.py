@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import xxring.cli as cli
+from test_cli_golden import CORPUS
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "perfbench")]
@@ -19,8 +20,16 @@ finally:
 
 @pytest.mark.parametrize("workload", ["surface", "propositions", "cold_cli"])
 def test_equal_sides_give_one_ratio_per_op(workload):
-    ratios = [work / base for base, work in ab_ops.compare(cli.main, cli.main, make_op, workload, 1, 4)]
+    times = ab_ops.compare(cli.main, cli.main, *ab_ops.workload_argvs(make_op, workload, 1, 4))
+    ratios = [work / base for base, work in times]
     assert len(ratios) == 4 and all(ratio > 0 for ratio in ratios)
+
+
+def test_corpus_compares_every_golden_command_byte_for_byte():
+    warmup, argvs = ab_ops.corpus_argvs()
+    assert argvs == [command.split() for command in CORPUS] and warmup == argvs[0]
+    # refusals included: argparse's exit is read as a code
+    assert len(ab_ops.compare(cli.main, cli.main, warmup, argvs)) == len(CORPUS)
 
 
 def test_summary_gives_each_sides_budget_and_the_ratio_quartiles():
@@ -38,4 +47,4 @@ def test_a_moved_byte_stops_the_comparison():
         return code
 
     with pytest.raises(AssertionError, match="op 0"):
-        ab_ops.compare(cli.main, moved, make_op, "surface", 1, 4)
+        ab_ops.compare(cli.main, moved, *ab_ops.workload_argvs(make_op, "surface", 1, 4))

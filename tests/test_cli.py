@@ -1,6 +1,9 @@
 import argparse
+import contextlib
 import gc
 import importlib
+import io
+import itertools
 import math
 import os
 import re
@@ -11,6 +14,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import xxring
 import xxring.cli as cli
@@ -485,6 +490,10 @@ def test_argument_errors_exit_two(capsys):
     assert code == 2
     assert "error" in err
 
+    # refused by name before numpy's draw, which names neither the option nor the value
+    assert run_cli(capsys, "verify", "--n-list", "2", "--samples", "1", "--seed", "-1") == (
+        2, "", "error: seed must be >= 0, got -1\n")
+
 
 def test_sweep_log_scale_grid(capsys):
     # a one-field grid at -0 keeps the sign of its B cell
@@ -712,6 +721,113 @@ def test_single_parse_matches_parse_args(capsys, argv):
     # a command's own subparser parses what the two-level parse_args parses, and refuses
     # what it refuses with the same exit code and bytes
     assert _parsed(capsys, cli._parse, argv) == _parsed(capsys, cli._parser().parse_args, argv)
+
+
+def _outcome(parse, argv):
+    """The namespace's values by repr (so that nan equals nan and -0.0 is not 0.0), or the
+    exit code, stdout and stderr of a refused argv."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return {key: repr(value) for key, value in vars(parse(list(argv))).items()}
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+# values of every kind: signed, exponent, underscore, empty, inf and nan, "--", and
+# the values each option takes
+_VALUES = ["4", "-4", "0.5", "-1.3", "1e-3", "-1e-3", "-.5", ".5", "+2", "1_000", "-1_0", "",
+           "inf", "-inf", "nan", "-nan", "log", "linear", "cubic", "2,3", "--", "-", "x"]
+_GOOD = {int: "3", float: "0.5"}
+
+
+@st.composite
+def _command_argvs(draw):
+    """A command name, then each of its required options with a value of its type (one
+    may be dropped), and up to three options drawn from its own long options, their
+    abbreviations and an unknown one, each with a value of its type or from _VALUES, in
+    either spelling; one option may lose its value, and -h, --help, --, -o or a stray
+    value may be mixed in."""
+    name = draw(st.sampled_from(sorted(cli._HANDLERS)))
+    actions = {option: action for action in cli._parser().commands[name]._actions
+               for option in action.option_strings if option.startswith("--") and option != "--help"}
+    abbreviations = [option[:k] for option in actions for k in range(3, len(option))]
+
+    def good(action):
+        return _GOOD.get(action.type, (action.choices or ["2,3"])[-1])
+
+    items = [(option, good(action)) for option, action in actions.items() if action.required]
+    if items and draw(st.integers(0, 5)) == 0:
+        del items[draw(st.integers(0, len(items) - 1))]
+    for _ in range(draw(st.integers(0, 3))):
+        option = draw(st.sampled_from(sorted(actions)) | st.sampled_from(abbreviations + ["--bogus"]))
+        values = st.sampled_from(_VALUES)
+        items.append((option, draw(st.just(good(actions[option])) | values if option in actions else values)))
+    tokens = [[f"{option}={value}"] if draw(st.booleans()) else [option, value] for option, value in items]
+    if tokens and draw(st.integers(0, 5)) == 0:
+        index = draw(st.integers(0, len(tokens) - 1))
+        tokens[index] = [tokens[index][0].partition("=")[0]]
+    if draw(st.integers(0, 5)) == 0:
+        tokens.append(draw(st.sampled_from([["-h"], ["--help"], ["--"], ["-o", "x"], ["x"]])))
+    return [name, *itertools.chain.from_iterable(draw(st.permutations(tokens)))]
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(argv=_command_argvs())
+# argparse drops a value of "--": --n-list=-- reads as []
+@example(argv=["verify", "--n-list=--"])
+def test_one_pass_read_matches_parse_args_on_drawn_argvs(argv):
+    # either route gives parse_args's namespace, or its exit code and bytes
+    assert _outcome(cli._parse, argv) == _outcome(cli._parser().parse_args, argv)
+
+
+def _patched_out(monkeypatch, capsys, argv):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"argparse parsed {argv}")
+
+    with monkeypatch.context() as patch:
+        for method in ("parse_args", "parse_known_args"):
+            patch.setattr(argparse.ArgumentParser, method, refused)
+        return run_cli(capsys, *argv)
+
+
+def test_workload_argvs_skip_argparses_parse(monkeypatch, capsys):
+    # the benchmark's argv shapes, signed values written --opt=value, take the one-pass
+    # read; the cold_cli ones on a small ring
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import make_op
+    finally:
+        sys.path.pop(0)
+    argvs = [make_op(workload, 3, index).argv for workload in ("surface", "propositions") for index in range(2)]
+    for index in range(6):
+        argv = list(make_op("cold_cli", 3, index).argv)
+        argv[argv.index("--n") + 1] = "6"
+        argvs.append(argv)
+    assert {argv[0] for argv in argvs} == {"sweep", "verify", "thermal", "ground", "threshold"}
+    for argv in argvs:
+        want = run_cli(capsys, *argv)
+        assert want[0] == 0
+        assert _patched_out(monkeypatch, capsys, argv) == want, argv
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-.5", "-2E+1"])
+def test_a_negative_number_reads_in_both_spellings(capsys, value):
+    # the spaced value takes parse_args, the joined one the one-pass read
+    spaced = ["thermal", "--n", "4", "--j", value, "--t", "1"]
+    joined = ["thermal", "--n", "4", f"--j={value}", "--t", "1"]
+    want = run_cli(capsys, *joined)
+    assert want[0] == 0
+    assert run_cli(capsys, *spaced) == want
+    assert (_parsed(capsys, cli._parse, spaced) == _parsed(capsys, cli._parser().parse_args, spaced)
+            == _parsed(capsys, cli._parse, joined))
+
+
+def test_negative_infinity_still_needs_the_equals_sign(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["thermal", "--n", "4", "--j", "-inf", "--t", "1"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --j: expected one argument\n")
 
 
 def test_import_builds_no_parser():

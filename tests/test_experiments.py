@@ -310,6 +310,9 @@ def test_verify_propositions_validation(monkeypatch):
     with pytest.raises(ValueError, match=f"{cap + 1} samples make {5 * cap + 5} points per ring, "
                                          f"over cap {experiments.MAX_POINTS}"):
         verify_propositions([4], samples=cap + 1)
+    # numpy would refuse it only at the draw, naming neither the seed nor its value
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        verify_propositions([4], samples=3, seed=-1)
     # the list's ring sizes are checked before the control, the control before any draw
     with pytest.raises(ValueError, match=r"ring size must be an integer in \[1, 16\], got 17"):
         verify_propositions([2, 17], samples=3, odd_control=4)

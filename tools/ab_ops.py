@@ -10,11 +10,14 @@ fresh interpreter the benchmark starts per op. Every op's (exit code,
 stdout, stderr) must be equal on both sides; the script prints each side's
 median time per op in microseconds, the median per-op time ratio (working
 tree / base) with its quartiles, and how many ops ran faster on the working
-tree.
+tree. With `--corpus` the ops are the argvs of `tests/test_cli_golden.py`'s
+CORPUS, refusals included, in place of a workload's, compared byte for byte
+where the golden test allows each number to drift by 1e-12.
 
     python tools/ab_ops.py --workload surface --seed 31
     python tools/ab_ops.py --workload propositions --seed 32 --base HEAD~1
     python tools/ab_ops.py --workload cold_cli --seed 33
+    python tools/ab_ops.py --corpus
 
 With `--base HEAD` and a clean tree it is an A/A control.
 """
@@ -64,13 +67,24 @@ def _timed(main, argv):
     return time.perf_counter() - start, result
 
 
-def compare(base_main, work_main, make_op, workload: str, seed: int, ops: int) -> list[tuple[float, float]]:
-    """Each op's (base, working tree) time in seconds; raises if any op's output differs."""
+def workload_argvs(make_op, workload: str, seed: int, ops: int):
+    """The warm-up op's argv (index -1) and the argvs of a workload's first ops."""
+    return make_op(workload, seed, -1).argv, [make_op(workload, seed, index).argv for index in range(ops)]
+
+
+def corpus_argvs():
+    """The argvs of the golden test's CORPUS (tests/ on the path), the first one also the warm-up."""
+    argvs = [command.split() for command in importlib.import_module("test_cli_golden").CORPUS]
+    return argvs[0], argvs
+
+
+def compare(base_main, work_main, warmup, argvs) -> list[tuple[float, float]]:
+    """Each op's (base, working tree) time in seconds, after one untimed
+    warm-up op on each side; raises if any op's output differs."""
     for main in (base_main, work_main):
-        _run(main, make_op(workload, seed, -1).argv)
+        _run(main, warmup)
     times = []
-    for index in range(ops):
-        argv = make_op(workload, seed, index).argv
+    for index, argv in enumerate(argvs):
         if index % 2:
             work_s, work = _timed(work_main, argv)
             base_s, base = _timed(base_main, argv)
@@ -95,10 +109,12 @@ def summary(times: list[tuple[float, float]]) -> str:
 
 
 def main() -> int:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
     workloads = importlib.import_module("workloads")
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
-    parser.add_argument("--workload", choices=workloads.WORKLOADS, required=True)
+    ops = parser.add_mutually_exclusive_group(required=True)
+    ops.add_argument("--workload", choices=workloads.WORKLOADS)
+    ops.add_argument("--corpus", action="store_true", help="the golden test's commands in place of a workload's ops")
     parser.add_argument("--seed", type=int, default=31)
     parser.add_argument("--base", default="HEAD", help="commit to compare against (default HEAD)")
     args = parser.parse_args()
@@ -107,8 +123,13 @@ def main() -> int:
         sys.path.insert(0, tmp)
         base_cli = importlib.import_module(f"{BASE_PACKAGE}.cli")
         work_cli = importlib.import_module("xxring.cli")
-        times = compare(base_cli.main, work_cli.main, workloads.make_op, args.workload, args.seed, OPS)
-    print(f"{args.workload} seed {args.seed} vs {args.base}: {summary(times)}")
+        if args.corpus:
+            label, (warmup, argvs) = "corpus", corpus_argvs()
+        else:
+            label = f"{args.workload} seed {args.seed}"
+            warmup, argvs = workload_argvs(workloads.make_op, args.workload, args.seed, OPS)
+        times = compare(base_cli.main, work_cli.main, warmup, argvs)
+    print(f"{label} vs {args.base}: {summary(times)}")
     return 0
 
 
