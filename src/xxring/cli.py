@@ -6,21 +6,24 @@ Exit codes: 0 success, 1 in-claim verification failure, 2 argument and file erro
 goes away before the output is written. Only the `xxring` process, `entry`,
 turns a closed stdout into 141; in-process `main` raises its BrokenPipeError.
 
-An argv that is a command name followed by `--opt=value` and `--opt value`
-tokens (exact long options, values that do not start with "-") is read in
-one pass over that command's argparse actions; every other argv takes
-argparse's `parse_args`, and both give the same namespace or refusal.
+Each command's options are stated once, in the table `_COMMANDS`. An argv
+that is a command name followed by `--opt=value` and `--opt value` tokens
+(exact long options, values that do not start with "-") is read straight
+from that table, and imports no argparse; every other argv takes the
+argparse parser that `build_parser` makes from the same table, and both
+give the same namespace or refusal.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import math
 import os
 import re
 import sys
+import types
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,16 +40,14 @@ from .experiments import (
 )
 from .hamiltonian import ModelParams
 
-_SWEEP_RECIPE = (
-    "concurrence-vs-(T, B) surface at desk scale: "
-    "xxring sweep --n 4 --j 1 --t-min 0.05 --t-max 3 --t-steps 60 "
-    "--b-min 0 --b-max 4 --b-steps 80"
-)
+if TYPE_CHECKING:
+    import argparse
 
 # a token that argparse reads as a value, not an option, though it starts with
 # "-": "-" then a digit, or "." and a digit; argparse's own rule,
 # ^-\d+$|^-\d*\.\d+$ on Python 3.11, takes "-1e-3" for an option ("-inf" and
-# "-nan" still need "--opt=value")
+# "-nan" still need "--opt=value"). `build_parser` sets it as each parser's
+# _negative_number_matcher, the one private argparse attribute the package sets
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
@@ -68,66 +69,6 @@ def _csv_lines(t_cells, b_cells, j: float, n: int, columns) -> list[str]:
         lines += [t_cell + point + values % (u, m, g_xx, g_zz, c)
                   for t_cell, u, m, g_xx, g_zz, c in zip(t_cells, *row_columns)]
     return lines
-
-
-def _add_model_args(parser, with_b=True):
-    parser.add_argument("--n", type=int, required=True, help="ring size")
-    parser.add_argument("--j", type=float, required=True, help="exchange constant")
-    if with_b:
-        parser.add_argument("--b", type=float, default=0.0, help="magnetic field (default 0)")
-
-
-def _add_grid_args(parser, axis):
-    parser.add_argument(f"--{axis}-min", type=float, required=True)
-    parser.add_argument(f"--{axis}-max", type=float, required=True)
-    parser.add_argument(f"--{axis}-steps", type=int, required=True, help="number of grid points")
-    parser.add_argument(f"--{axis}-scale", choices=("linear", "log"), default="linear")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="xxring",
-        description="Exact spectra, thermal entanglement and ground states of XX qubit "
-                    "rings in a magnetic field.",
-        epilog=_SWEEP_RECIPE,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # each command name's own parser, read by `_parse`: the add_subparsers action's choices
-    parser.commands = sub.choices
-
-    p = sub.add_parser("spectrum", help="sorted eigenvalues with degeneracies")
-    _add_model_args(p)
-
-    p = sub.add_parser("thermal", help="Z(shifted), U, M, Gxx, Gzz, concurrence at (n, j, b, t)")
-    _add_model_args(p)
-    p.add_argument("--t", type=float, required=True, help="temperature (k_B = 1)")
-
-    p = sub.add_parser("ground", help="the T = 0 state: energy, concurrence, and (nondegenerate even n) tangle")
-    _add_model_args(p)
-
-    p = sub.add_parser("sweep", help="CSV of observables over a (t, b) grid")
-    _add_model_args(p, with_b=False)
-    _add_grid_args(p, "t")
-    _add_grid_args(p, "b")
-    p.add_argument("--output", "-o", default="-", help="CSV path, '-' for stdout (default)")
-
-    p = sub.add_parser("threshold", help="largest temperature with positive concurrence")
-    _add_model_args(p)
-    p.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance")
-
-    p = sub.add_parser("crossings", help="fields where the ground level changes branch")
-    _add_model_args(p, with_b=False)
-    p.add_argument("--b-max", type=float, required=True, help="largest field (may be inf)")
-
-    p = sub.add_parser("verify", help="run the symmetry proposition suites")
-    p.add_argument("--n-list", default="2,3,4,5,6", help="comma-separated ring sizes")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--odd-control", type=int, default=5,
-                   help="odd ring for the out-of-claim exchange-sign control (0 disables)")
-    for each in (parser, *sub.choices.values()):
-        each._negative_number_matcher = _NEGATIVE_NUMBER
-    return parser
 
 
 def _grid_steps(args, axis) -> int:
@@ -279,89 +220,142 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "thermal": _cmd_thermal,
-    "ground": _cmd_ground,
-    "sweep": _cmd_sweep,
-    "threshold": _cmd_threshold,
-    "crossings": _cmd_crossings,
-    "verify": _cmd_verify,
+# The CLI grammar, read by `_read_options` and by `build_parser`. An option
+# row is (option strings, type or tuple of choices, default or _REQUIRED,
+# help); a command row is (help, handler, option rows in help order).
+_REQUIRED = object()
+_N = (("--n",), int, _REQUIRED, "ring size")
+_J = (("--j",), float, _REQUIRED, "exchange constant")
+_B = (("--b",), float, 0.0, "magnetic field (default 0)")
+_SCALES = ("linear", "log")
+_COMMANDS = {
+    "spectrum": ("sorted eigenvalues with degeneracies", _cmd_spectrum, (_N, _J, _B)),
+    "thermal": ("Z(shifted), U, M, Gxx, Gzz, concurrence at (n, j, b, t)", _cmd_thermal,
+                (_N, _J, _B, (("--t",), float, _REQUIRED, "temperature (k_B = 1)"))),
+    "ground": ("the T = 0 state: energy, concurrence, and (nondegenerate even n) tangle", _cmd_ground,
+               (_N, _J, _B)),
+    "sweep": ("CSV of observables over a (t, b) grid", _cmd_sweep,
+              (_N, _J, (("--t-min",), float, _REQUIRED, None), (("--t-max",), float, _REQUIRED, None),
+               (("--t-steps",), int, _REQUIRED, "number of grid points"), (("--t-scale",), _SCALES, "linear", None),
+               (("--b-min",), float, _REQUIRED, None), (("--b-max",), float, _REQUIRED, None),
+               (("--b-steps",), int, _REQUIRED, "number of grid points"), (("--b-scale",), _SCALES, "linear", None),
+               (("--output", "-o"), str, "-", "CSV path, '-' for stdout (default)"))),
+    "threshold": ("largest temperature with positive concurrence", _cmd_threshold,
+                  (_N, _J, _B, (("--tol",), float, 1e-6, "bisection tolerance"))),
+    "crossings": ("fields where the ground level changes branch", _cmd_crossings,
+                  (_N, _J, (("--b-max",), float, _REQUIRED, "largest field (may be inf)"))),
+    "verify": ("run the symmetry proposition suites", _cmd_verify,
+               ((("--n-list",), str, "2,3,4,5,6", "comma-separated ring sizes"),
+                (("--samples",), int, 200, None),
+                (("--seed",), int, DEFAULT_SEED, None),
+                (("--odd-control",), int, 5, "odd ring for the out-of-claim exchange-sign control (0 disables)"))),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of `_COMMANDS`, for the argvs `_read_options`
+    declines: -h, refusals, abbreviations, -o, a value written `--j -1.3`."""
+    import argparse
+
+    class StoreOne(argparse.Action):
+        """argparse's store of one value, refusing the [] that a value of "--" reads as."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                raise argparse.ArgumentError(self, "expected one argument")
+            setattr(namespace, self.dest, values)
+
+    parser = argparse.ArgumentParser(
+        prog="xxring",
+        description="Exact spectra, thermal entanglement and ground states of XX qubit "
+                    "rings in a magnetic field.",
+        epilog="concurrence-vs-(T, B) surface at desk scale: xxring sweep --n 4 --j 1 --t-min 0.05 "
+               "--t-max 3 --t-steps 60 --b-min 0 --b-max 4 --b-steps 80",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (command_help, _, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=command_help)
+        for strings, kind, default, option_help in options:
+            required = default is _REQUIRED
+            choices = kind if isinstance(kind, tuple) else None
+            command.add_argument(*strings, action=StoreOne, type=None if choices else kind, choices=choices,
+                                 required=required, default=None if required else default, help=option_help)
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER
+    return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call of `main` (not at import) and
-    reused: a parse leaves it and its subparsers unchanged and fills a fresh
-    namespace."""
+    """The parser, built on the first argv that `_read_options` declines
+    (not at import) and reused: a parse leaves it and its subparsers
+    unchanged and fills a fresh namespace."""
     return build_parser()
 
 
-def _parse(argv) -> argparse.Namespace:
-    """`_parser().parse_args(argv)`, read in one pass (`_read_options`)
-    where argv is a command name and then only `--opt=value` or `--opt value`
-    tokens whose value `parse_args` would take as given. Any other argv
-    takes `parse_args`, which gives the same namespace or refusal."""
-    parser = _parser()
+def _parse(argv) -> types.SimpleNamespace | argparse.Namespace:
+    """`_parser().parse_args(argv)`, read straight from `_COMMANDS`
+    (`_read_options`) where argv is a command name and then only
+    `--opt=value` or `--opt value` tokens whose value `parse_args` would
+    take as given. Any other argv takes `parse_args`, which gives the same
+    namespace or refusal."""
     argv = sys.argv[1:] if argv is None else argv
-    command = parser.commands.get(argv[0]) if argv else None
-    args = None if command is None else _read_options(command, argv)
-    return parser.parse_args(argv) if args is None else args
+    args = _read_options(argv)
+    return _parser().parse_args(argv) if args is None else args
 
 
-def _read_options(command, argv) -> argparse.Namespace | None:
-    """The namespace `parse_args` gives argv, read in one pass over the
-    subparser `command`'s actions, or None for `parse_args` to read it.
+def _read_options(argv) -> types.SimpleNamespace | None:
+    """The namespace `parse_args` gives argv, read from its command's row of
+    `_COMMANDS`, or None for `parse_args` to read it.
 
     Each token after the command name is `--opt=value`, or `--opt` followed
     by a value that does not start with "-"; `--opt` is exactly a long
-    option string of a one-value store action; the value passes the
-    action's type and choices (a value of "--" does not: argparse drops it);
-    and every required action is given. Every other action gets its
-    default, a string default through its type, as argparse sets it. Any
-    other argv returns None: an abbreviation, a single-dash option, -h,
-    --, a value that starts with "-", a missing or unconvertible value, an
-    unknown option, a missing required option."""
-    args = argparse.Namespace(command=argv[0])
-    seen = set()
-    tokens = iter(argv[1:])
-    try:
-        for token in tokens:
-            option, equals, value = token.partition("=")
-            if not equals:
-                value = next(tokens, "-")
-            elif value == "--":
-                return None
-            action = command._option_string_actions.get(option)
-            if (not option.startswith("--") or (value.startswith("-") and not equals)
-                    or type(action) is not argparse._StoreAction or action.nargs is not None):
-                return None
-            value = command._get_value(action, value)
-            command._check_value(action, value)
-            setattr(args, action.dest, value)
-            seen.add(action)
-        for action in command._actions:
-            if action in seen:
-                continue
-            if action.required:
-                return None
-            default = action.default
-            if action.dest is not argparse.SUPPRESS and default is not argparse.SUPPRESS:
-                setattr(args, action.dest, command._get_value(action, default) if isinstance(default, str) else default)
-    except argparse.ArgumentError:
+    option string of the command; the value is not "--" (the parser refuses
+    it) and passes the option's type or choices; and every required option
+    is given. Every other option gets its default. Any other argv returns
+    None: an abbreviation, a single-dash option, -h, --, a value that starts
+    with "-", a missing or unconvertible value, an unknown option, a missing
+    required option."""
+    row = _COMMANDS.get(argv[0]) if argv else None
+    if row is None:
         return None
+    options = {string: option for option in row[2] for string in option[0] if string.startswith("--")}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        string, equals, value = token.partition("=")
+        if not equals:
+            value = next(tokens, "-")
+        option = options.get(string)
+        if option is None or value == "--" or (value.startswith("-") and not equals):
+            return None
+        kind = option[1]
+        if isinstance(kind, tuple):
+            if value not in kind:
+                return None
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        given[option[0]] = value
+    args = types.SimpleNamespace(command=argv[0])
+    for strings, _, default, _ in row[2]:
+        value = given.get(strings, default)
+        if value is _REQUIRED:
+            return None
+        setattr(args, strings[0][2:].replace("-", "_"), value)
     return args
 
 
 def main(argv=None) -> int:
     """Run one command on argv (sys.argv[1:] if None), parsed by `_parse`:
-    in one pass over the command's own options where every token is a long
-    option and its value, otherwise by `parse_args`, to the same namespace
-    or refusal; return its exit code."""
+    straight from `_COMMANDS` where every token is a long option and its
+    value, otherwise by `parse_args`, to the same namespace or refusal;
+    return its exit code."""
     args = _parse(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except BrokenPipeError:
         # the reader of stdout went away: not a file error, `entry` ends the process quietly
         raise

@@ -748,21 +748,21 @@ def _command_argvs(draw):
     abbreviations and an unknown one, each with a value of its type or from _VALUES, in
     either spelling; one option may lose its value, and -h, --help, --, -o or a stray
     value may be mixed in."""
-    name = draw(st.sampled_from(sorted(cli._HANDLERS)))
-    actions = {option: action for action in cli._parser().commands[name]._actions
-               for option in action.option_strings if option.startswith("--") and option != "--help"}
-    abbreviations = [option[:k] for option in actions for k in range(3, len(option))]
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    # each long option string's row of the command table: (strings, type or choices, default, help)
+    rows = {option: row for row in cli._COMMANDS[name][2] for option in row[0] if option.startswith("--")}
+    abbreviations = [option[:k] for option in rows for k in range(3, len(option))]
 
-    def good(action):
-        return _GOOD.get(action.type, (action.choices or ["2,3"])[-1])
+    def good(row):
+        return row[1][-1] if isinstance(row[1], tuple) else _GOOD.get(row[1], "2,3")
 
-    items = [(option, good(action)) for option, action in actions.items() if action.required]
+    items = [(option, good(row)) for option, row in rows.items() if row[2] is cli._REQUIRED]
     if items and draw(st.integers(0, 5)) == 0:
         del items[draw(st.integers(0, len(items) - 1))]
     for _ in range(draw(st.integers(0, 3))):
-        option = draw(st.sampled_from(sorted(actions)) | st.sampled_from(abbreviations + ["--bogus"]))
+        option = draw(st.sampled_from(sorted(rows)) | st.sampled_from(abbreviations + ["--bogus"]))
         values = st.sampled_from(_VALUES)
-        items.append((option, draw(st.just(good(actions[option])) | values if option in actions else values)))
+        items.append((option, draw(st.just(good(rows[option])) | values if option in rows else values)))
     tokens = [[f"{option}={value}"] if draw(st.booleans()) else [option, value] for option, value in items]
     if tokens and draw(st.integers(0, 5)) == 0:
         index = draw(st.integers(0, len(tokens) - 1))
@@ -830,6 +830,29 @@ def test_negative_infinity_still_needs_the_equals_sign(capsys):
     assert capsys.readouterr().err.endswith("error: argument --j: expected one argument\n")
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "--n-list=--"], "--n-list"),
+    (["thermal", "--n", "4", "--j=--", "--t", "1"], "--j"),
+    (_SWEEP_ARGV.split() + ["--output=--"], "--output/-o"),
+    (["verify", "--n-li=--"], "--n-list"),
+    (_SWEEP_ARGV.split() + ["-o=--"], "--output/-o"),
+], ids=["n_list", "j", "output", "abbreviated", "short"])
+def test_a_value_of_two_dashes_is_refused_as_a_missing_value(capsys, argv, option):
+    # argparse reads a value of "--" as no value: the bytes of the spaced `--opt --` refusal
+    spaced = [part for token in argv for part in (token.partition("=")[::2] if token.endswith("=--") else [token])]
+    refusals = []
+    for each in (argv, spaced):
+        with pytest.raises(SystemExit) as refused:
+            main(each)
+        captured = capsys.readouterr()
+        refusals.append((refused.value.code, captured.out, captured.err))
+    code, out, err = refusals[0]
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: xxring {argv[0]} [-h]")
+    assert err.endswith(f"\nxxring {argv[0]}: error: argument {option}: expected one argument\n")
+    assert refusals[1] == refusals[0]
+
+
 def test_import_builds_no_parser():
     code = "import sys, xxring.cli; sys.exit(xxring.cli._parser.cache_info().currsize)"
     env = {**os.environ, "PYTHONPATH": str(Path(xxring.__file__).parents[1])}
@@ -892,6 +915,28 @@ def test_python_m_matches_in_process_main(capsysbinary, monkeypatch, tmp_path, a
     assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, captured.out, captured.err)
     assert (fresh_file is not None) == ("--output" in argv)
     assert fresh_file == (path.read_bytes() if path.exists() else None)
+
+
+@pytest.mark.parametrize("argv, want_code, loads_argparse", [
+    (["spectrum", "--n", "3", "--j", "1"], 0, False),
+    (["thermal", "--n", "3", "--j=-1", "--t", "1"], 0, False),
+    (["ground", "--n", "4", "--j", "1"], 0, False),
+    (["sweep", "--n", "2", "--j", "1", *_SWEEP_GRID], 0, False),
+    (["threshold", "--n", "4", "--j", "1", "--tol=1e-3"], 0, False),
+    (["crossings", "--n", "4", "--j", "1", "--b-max", "3"], 0, False),
+    (["verify", "--n-list", "2,3", "--samples", "3"], 0, False),
+    (["-h"], 0, True),
+    (["threshold", "--n", "4", "--j", "1", "--to", "1e-3"], 0, True),
+    (["thermal", "--n", "4", "--j", "1"], 2, True),
+], ids=["spectrum", "thermal", "ground", "sweep", "threshold", "crossings", "verify",
+        "help", "abbreviation", "refusal"])
+def test_python_m_imports_argparse_only_for_an_argv_the_table_declines(argv, want_code, loads_argparse):
+    # -X importtime lists every module the process imports, one "| name" line each
+    result = subprocess.run([sys.executable, "-X", "importtime", "-m", "xxring", *argv], env=_FRESH_ENV,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == want_code, result.stderr
+    assert re.search(r"\|\s+xxring\.cli$", result.stderr, re.M)
+    assert bool(re.search(r"\|\s+argparse$", result.stderr, re.M)) == loads_argparse
 
 
 def test_python_m_freezes_the_heap_before_the_command():

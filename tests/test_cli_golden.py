@@ -153,10 +153,10 @@ def recorded():
 
 
 def test_corpus_covers_every_subcommand(recorded):
-    from xxring.cli import _HANDLERS
+    from xxring.cli import _COMMANDS
 
     assert len(CORPUS) >= 40 and len(set(CORPUS)) == len(CORPUS)
-    assert {command.split()[0] for command in CORPUS} >= set(_HANDLERS)
+    assert {command.split()[0] for command in CORPUS} >= set(_COMMANDS)
     assert sorted(recorded) == sorted(CORPUS)
 
 

@@ -29,25 +29,16 @@ import contextlib
 import importlib
 import io
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
+from bench_pairs import export
+
 ROOT = Path(__file__).resolve().parents[1]
 BASE_PACKAGE = "xxring_base"
 OPS = 400
-
-
-def _export(base: str, directory: Path) -> None:
-    """The base commit's src/xxring, unpacked as directory/BASE_PACKAGE."""
-    archive = subprocess.run(["git", "archive", "--format=tar", base, "src/xxring"], cwd=ROOT,
-                             capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(directory, filter="data")
-    (directory / "src" / "xxring").rename(directory / BASE_PACKAGE)
 
 
 def _run(main, argv) -> tuple[int | None, str, str]:
@@ -119,7 +110,9 @@ def main() -> int:
     parser.add_argument("--base", default="HEAD", help="commit to compare against (default HEAD)")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        _export(args.base, Path(tmp))
+        # the base commit's src/xxring, imported as BASE_PACKAGE
+        export(args.base, Path(tmp), ["src/xxring"])
+        (Path(tmp) / "src" / "xxring").rename(Path(tmp) / BASE_PACKAGE)
         sys.path.insert(0, tmp)
         base_cli = importlib.import_module(f"{BASE_PACKAGE}.cli")
         work_cli = importlib.import_module("xxring.cli")

@@ -41,9 +41,9 @@ ROOT = Path(__file__).resolve().parents[1]
 ARCHIVED = ("src", "perfbench", "BENCHMARK.json")
 
 
-def _export(base: str, directory: Path) -> None:
-    """The base commit's benchmark and program, unpacked into directory."""
-    archive = subprocess.run(["git", "archive", "--format=tar", base, *ARCHIVED], cwd=ROOT,
+def export(base: str, directory: Path, paths) -> None:
+    """The base commit's copy of paths (files and directories of the repo), unpacked into directory."""
+    archive = subprocess.run(["git", "archive", "--format=tar", base, *paths], cwd=ROOT,
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(directory, filter="data")
@@ -106,7 +106,7 @@ def main() -> int:
         parser.error("--pairs must be at least 2")
     base_runs, work_runs = [], []
     with tempfile.TemporaryDirectory() as tmp:
-        _export(args.base, Path(tmp))
+        export(args.base, Path(tmp), ARCHIVED)
         for seed in range(1, args.pairs + 1):
             sides = [(Path(tmp), base_runs), (ROOT, work_runs)]
             for tree, runs in sides if seed % 2 else sides[::-1]:
