@@ -7,7 +7,7 @@ oracles and randomized symmetry verification.
 
 from .analytic_n4 import ClosedFormN4, closed_forms
 from .eigensolver import RingModel, Spectrum, full_spectrum, ring_model
-from .entanglement import concurrence_from_correlators, concurrence_xstate
+from .entanglement import concurrence_xstate
 from .experiments import (
     PropositionReport,
     gibbs_concurrence,

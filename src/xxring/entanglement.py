@@ -1,10 +1,8 @@
-"""Entanglement measures: pairwise concurrence by two routes.
+"""Entanglement measure: pairwise concurrence.
 
 The ring conserves sum(sigma_z), so every bond state is X-form and its
-concurrence has a closed form (`concurrence_xstate`, the production route).
-The correlator formula (`concurrence_from_correlators`) is algebraically the
-same, written in M, g_xx and g_zz; Proposition 3 checks it against the energy
-formula.
+concurrence has a closed form (`concurrence_xstate`), the one route every
+command reports and proposition 3 checks against the energy formula.
 """
 
 from __future__ import annotations
@@ -34,26 +32,6 @@ def _clamp_unit(value, what: str):
         raise ValueError(f"{what} = {_first(~inside, value)[0]} lies outside [0, 1] beyond roundoff")
     value = np.minimum(np.maximum(value, 0.0), 1.0)
     return float(value) if value.ndim == 0 else value
-
-
-def concurrence_from_correlators(g_xx, g_zz, m_bar):
-    """Nearest-neighbor concurrence from the bond correlators and the
-    per-site magnetization:
-
-        C = max(0, |g_xx| - sqrt((1 + g_zz)^2 - 4 m_bar^2) / 2).
-
-    Arguments broadcast: scalars give a float, arrays an array of their
-    broadcast shape. Raises if any point's radicand is negative beyond
-    roundoff.
-    """
-    g_xx, g_zz, m_bar = (np.asarray(x, dtype=float) for x in (g_xx, g_zz, m_bar))
-    radicand = (1.0 + g_zz) ** 2 - 4.0 * m_bar ** 2
-    # a test that a nan fails
-    physical = radicand >= -1e-12
-    if not physical.all():
-        raise ValueError(f"unphysical inputs: (1+g_zz)^2 - 4 m_bar^2 = {_first(~physical, radicand)[0]}")
-    value = np.abs(g_xx) - 0.5 * np.sqrt(np.maximum(radicand, 0.0))
-    return _clamp_unit(np.maximum(0.0, value), "concurrence")
 
 
 def _validated(rho: PairDensity) -> tuple[np.ndarray, ...]:

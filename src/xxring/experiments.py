@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import concurrence_from_correlators, concurrence_xstate
+from .entanglement import concurrence_xstate
 from .eigensolver import GROUND_RTOL, RingModel, Spectrum, full_spectrum, ring_model, same_level
 from .hamiltonian import ModelParams
 from .thermal import GibbsBlock, PairDensity, reweight
@@ -68,10 +68,8 @@ def thermal_concurrence(spectrum: Spectrum, t: float) -> float:
 
     The X-state closed form of the bond state of `reweight` at the point
     (`GibbsBlock.pair_density`), whose corner populations are positive
-    spectral sums; this agrees with the correlator
-    formula but stays relatively accurate deep in the polarized regime, where
-    the correlator route loses its radicand to cancellation. A single site
-    has no bond and reports 0.
+    spectral sums, so it stays relatively accurate deep in the polarized
+    regime. A single site has no bond and reports 0.
     """
     params = spectrum.params
     return float(gibbs_concurrence(spectrum.ring, params.j, params.b, t)[1])
@@ -227,12 +225,14 @@ def ground_state_concurrence(params: ModelParams) -> tuple[GibbsBlock, float]:
     an odd ring) gives the uniform mixture over the level, the T -> 0 limit,
     and the block's z_shifted is its degeneracy. At b = 0 the zero-field
     energy formula C = max(0, -+ U/(n j) - g_zz - 1) / 2 (sign by the sign of
-    j) must agree to 1e-9. A single site has no bond and reports 0.
+    j) must agree to 1e-9 + ulp(U)/(n |j|): below |j| ~ 1e-308 the energy
+    U = j <kappa> is a subnormal double of few bits, and U/(n j) carries its
+    rounding. A single site has no bond and reports 0.
     """
     g, value = gibbs_concurrence(ring_model(params.n), params.j, params.b, 0.0)
     if params.b == 0.0 and params.j != 0.0:
         formula = _energy_formula(g.u, params.n, params.j, g.g_zz)
-        if abs(formula - value) > 1e-9:
+        if abs(formula - value) > 1e-9 + math.ulp(float(g.u)) / (params.n * abs(params.j)):
             raise RuntimeError(
                 f"zero-field energy formula ({formula}) disagrees with the "
                 f"reduced-density route ({value})")
@@ -276,13 +276,14 @@ def _ring_gaps(rings: list[RingModel], j: np.ndarray, b: np.ndarray,
     draws (j, b, t), by ring size, from one kernel call on the rings as one
     stack at the rows (j, b), (j, -b), (-j, b), (|j|, 0) and (-|j|, 0): the
     field mirror of the concurrence (rows 0 and 1), the exchange mirror
-    (rows 0 and 2), and at zero field the gap between the correlator formula
-    and the halved energy formula for the concurrence (rows 3 and 4, whose
-    sign branch follows the sign of j). The exchange mirror compares the
-    unclamped X-state value 2 (|z| - sqrt(u+ u-)), which is the concurrence
-    wherever that is positive: its evenness implies the concurrence's, and
-    on odd rings it breaks even where both signs are unentangled. It is
-    computed on every ring, so the odd control reads it too."""
+    (rows 0 and 2), and at zero field the gap between the concurrence and
+    the halved energy formula (rows 3 and 4, whose sign branch follows the
+    sign of j). Every concurrence is the clamped X-state value the program
+    prints. The exchange mirror compares the unclamped X-state value
+    2 (|z| - sqrt(u+ u-)), which is the concurrence wherever that is
+    positive: its evenness implies the concurrence's, and on odd rings it
+    breaks even where both signs are unentangled. It is computed on every
+    ring, so the odd control reads it too."""
     abs_j = np.abs(j)
     rows_j = np.array([j, j, -j, abs_j, -abs_j])
     rows_b = np.zeros((5, b.size))
@@ -296,11 +297,9 @@ def _ring_gaps(rings: list[RingModel], j: np.ndarray, b: np.ndarray,
     unclamped = np.abs(g.g_xx[:, 0:3:2]) - 2.0 * np.sqrt(p[..., 0] * p[..., 3])
     mirror_j = np.abs(unclamped[:, 0] - unclamped[:, 1]).max(axis=1)
     zero_field = slice(3, 5)
-    g_zz = g.g_zz[:, zero_field]
-    c5 = concurrence_from_correlators(g.g_xx[:, zero_field], g_zz, g.m[:, zero_field] / n)
-    c10 = _energy_formula(g.u[:, zero_field], n, rows_j[zero_field], g_zz)
-    c5_c10 = np.abs(c5 - c10).max(axis=(1, 2))
-    return {ring.n: gaps for ring, gaps in zip(rings, zip(mirror_b.tolist(), mirror_j.tolist(), c5_c10.tolist()))}
+    formula = _energy_formula(g.u[:, zero_field], n, rows_j[zero_field], g.g_zz[:, zero_field])
+    energy_gap = np.abs(concurrence[:, zero_field] - formula).max(axis=(1, 2))
+    return {ring.n: gaps for ring, gaps in zip(rings, zip(mirror_b.tolist(), mirror_j.tolist(), energy_gap.tolist()))}
 
 
 def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED,
@@ -309,8 +308,9 @@ def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED,
 
     1: concurrence is even in the field for every ring size.
     2: concurrence is even in the exchange constant for even rings.
-    3: at zero field the concurrence equals the halved energy formula,
-       with the sign branch chosen by the sign of the exchange constant.
+    3: at zero field the concurrence, the X-state value every command
+       prints, equals the halved energy formula, with the sign branch
+       chosen by the sign of the exchange constant.
 
     Each proposition is checked on `samples` draws of (j, b, t) per
     applicable ring size. Each report names its rings (`rings`: the list as

@@ -19,6 +19,8 @@ independent route.
 - Four-site closed forms: the sixteen levels (`reference_spectrum_n4`) and
   the zero-field and mid-field ground states
   (`four_site_singletlike_ground`, `four_site_w_prime`).
+- Correlator formula: the concurrence in g_xx, g_zz and the per-site
+  magnetization (`concurrence_from_correlators`).
 - Per-point drivers: the proposition suites (`pointwise_propositions`,
   `pointwise_odd_control`) and the threshold bisection
   (`sequential_threshold`), one kernel call per point.
@@ -48,6 +50,7 @@ criteria hold some at looser bounds):
   four-site closed forms, test_thermal.test_ground_state_reduced_matches_the_closed_form_ground;
 - concurrence: Wootters on the package's bond state and on the full-space
   partial trace, test_acceptance.test_criterion_08_oracle_equivalences;
+  correlator formula, test_entanglement.test_three_routes_agree_on_thermal_states;
   four-site closed forms, test_acceptance.test_criterion_03_ground_state_concurrence_plateaus;
 - tangle: per-level Slater vector, test_jordan_wigner.test_closed_form_tangle_is_the_slater_vector_tangle;
   closed-form states, test_entanglement.test_tangle_of_zero_field_ground_state_is_maximal
@@ -68,8 +71,8 @@ from itertools import combinations
 import numpy as np
 
 from xxring.basis import _check_ring_size
-from xxring.eigensolver import full_spectrum, ring_model, same_level
-from xxring.entanglement import _clamp_unit, concurrence_from_correlators
+from xxring.eigensolver import full_spectrum, same_level
+from xxring.entanglement import _clamp_unit, _first
 from xxring.experiments import POSITIVE_CONCURRENCE, _splits, thermal_concurrence
 from xxring.hamiltonian import ModelParams
 from xxring.thermal import reweight
@@ -633,6 +636,30 @@ def gxx_from_energy(obs, params) -> float:
     return (obs.u / params.n - params.b * obs.m / params.n) / (2.0 * params.j)
 
 
+# The correlator formula: the concurrence written in the bond correlators
+# and the per-site magnetization, algebraically the X-state closed form.
+
+
+def concurrence_from_correlators(g_xx, g_zz, m_bar):
+    """Nearest-neighbor concurrence from the bond correlators and the
+    per-site magnetization:
+
+        C = max(0, |g_xx| - sqrt((1 + g_zz)^2 - 4 m_bar^2) / 2).
+
+    Arguments broadcast: scalars give a float, arrays an array of their
+    broadcast shape. Raises if any point's radicand is negative beyond
+    roundoff.
+    """
+    g_xx, g_zz, m_bar = (np.asarray(x, dtype=float) for x in (g_xx, g_zz, m_bar))
+    radicand = (1.0 + g_zz) ** 2 - 4.0 * m_bar ** 2
+    # a test that a nan fails
+    physical = radicand >= -1e-12
+    if not physical.all():
+        raise ValueError(f"unphysical inputs: (1+g_zz)^2 - 4 m_bar^2 = {_first(~physical, radicand)[0]}")
+    value = np.abs(g_xx) - 0.5 * np.sqrt(np.maximum(radicand, 0.0))
+    return _clamp_unit(np.maximum(0.0, value), "concurrence")
+
+
 # Per-point drivers: the proposition suites and the threshold bisection as
 # they stood before each became a few batched kernel calls, one kernel call
 # per point. Kept to check the batched drivers.
@@ -679,11 +706,11 @@ def pointwise_propositions(n_list, samples, seed):
     for n in n_list:
         for j, _, t in draws:
             for branch_j in (abs(j), -abs(j)):
-                obs = reweight(ring_model(n), branch_j, 0.0, t)
-                c5 = concurrence_from_correlators(obs.g_xx, obs.g_zz, obs.m / n)
+                spectrum = full_spectrum(ModelParams(n=n, j=branch_j, b=0.0))
+                obs = reweight(spectrum.ring, branch_j, 0.0, t)
                 sign = -1.0 if branch_j > 0 else 1.0
-                c10 = 0.5 * max(0.0, sign * obs.u / (n * branch_j) - obs.g_zz - 1.0)
-                worst3 = max(worst3, float(abs(c5 - c10)))
+                formula = 0.5 * max(0.0, sign * obs.u / (n * branch_j) - obs.g_zz - 1.0)
+                worst3 = max(worst3, abs(thermal_concurrence(spectrum, t) - float(formula)))
     return worst1, worst2, worst3
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from xxring.analytic_n4 import closed_forms
 from xxring.eigensolver import full_spectrum
-from xxring.entanglement import concurrence_from_correlators, concurrence_xstate
+from xxring.entanglement import concurrence_xstate
 from xxring.experiments import (
     ground_state_concurrence,
     level_crossings,
@@ -30,6 +30,7 @@ from xxring.hamiltonian import ModelParams
 from xxring.thermal import reweight
 
 from oracles import (
+    concurrence_from_correlators,
     eigenvalues,
     four_site_singletlike_ground,
     four_site_w_prime,

@@ -17,25 +17,27 @@ finally:
 BASE = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 100.0]
 
 
-@pytest.mark.parametrize("better, bound, work, want", [
+@pytest.mark.parametrize("better, bound, base, work, want", [
     # 10/10 wins by a median gap of 12 over the base's quartile distance of 2.5
-    ("higher", 0.2, [b + 12.0 for b in BASE], (10, "gain")),
+    ("higher", 0.2, BASE, [b + 12.0 for b in BASE], (10, "gain")),
     # 9/10 wins is enough, ties and losses count for neither side
-    ("higher", 0.2, [b + 12.0 for b in BASE[:9]] + [BASE[9]], (9, "gain")),
-    ("higher", 0.2, [b + 12.0 for b in BASE[:8]] + [BASE[8] - 1.0, BASE[9]], (8, "same")),
+    ("higher", 0.2, BASE, [b + 12.0 for b in BASE[:9]] + [BASE[9]], (9, "gain")),
+    ("higher", 0.2, BASE, [b + 12.0 for b in BASE[:8]] + [BASE[8] - 1.0, BASE[9]], (8, "same")),
     # 10/10 wins inside the base's own spread are no gain
-    ("higher", 0.2, [b + 1.0 for b in BASE], (10, "same")),
+    ("higher", 0.2, BASE, [b + 1.0 for b in BASE], (10, "same")),
     # lower is better: the same numbers read the other way
-    ("lower", 0.2, [b + 12.0 for b in BASE], (0, "same")),
-    ("lower", 0.1, [b + 12.0 for b in BASE], (0, "worse")),
-    ("higher", 0.1, [b - 12.0 for b in BASE], (0, "worse")),
-    # a base spread (2.5 of 100) wider than the bound can tell nothing short of a gain
-    ("higher", 0.02, [b - 1.0 for b in BASE], (0, "unresolved")),
-    ("higher", 0.02, [b + 12.0 for b in BASE], (10, "gain")),
+    ("lower", 0.2, BASE, [b + 12.0 for b in BASE], (0, "same")),
+    ("lower", 0.1, BASE, [b + 12.0 for b in BASE], (0, "worse")),
+    ("higher", 0.1, BASE, [b - 12.0 for b in BASE], (0, "worse")),
+    # a base spread (2.5 of 100) wider than the bound can tell nothing short of a gain ...
+    ("higher", 0.02, BASE, [b - 1.0 for b in BASE], (0, "unresolved")),
+    ("higher", 0.02, BASE, [b + 12.0 for b in BASE], (10, "gain")),
+    # ... unless every run of the working tree beats every base run (a base spread of 10 of 105)
+    ("higher", 0.02, [100.0] * 5 + [110.0] * 5, [111.0] * 10, (10, "same")),
 ], ids=["gain", "nine_of_ten", "eight_of_ten", "inside_spread", "lower_same", "lower_worse", "higher_worse",
-        "unresolved", "gain_over_spread"])
-def test_verdict_counts_wins_and_reads_the_bound(better, bound, work, want):
-    assert bench_pairs.verdict(better, bound, BASE, work) == want
+        "unresolved", "gain_over_spread", "every_run_better"])
+def test_verdict_counts_wins_and_reads_the_bound(better, bound, base, work, want):
+    assert bench_pairs.verdict(better, bound, base, work) == want
 
 
 def test_summary_gives_each_sides_quartiles_the_wins_and_the_verdict():

@@ -743,20 +743,24 @@ _GOOD = {int: "3", float: "0.5"}
 
 @st.composite
 def _command_argvs(draw):
-    """A command name, then each of its required options with a value of its type (one
-    may be dropped), and up to three options drawn from its own long options, their
-    abbreviations and an unknown one, each with a value of its type or from _VALUES, in
-    either spelling; one option may lose its value, and -h, --help, --, -o or a stray
-    value may be mixed in."""
+    """A command name, then each of its required options, and each of its options with
+    choices half the time, with a value of its type (one may be dropped), and up to three
+    options drawn from its own long options, their abbreviations and an unknown one, each
+    with a value of its type or from _VALUES, in either spelling; one option may lose its
+    value, and -h, --help, --, -o or a stray value may be mixed in. The value of its type,
+    for an option with choices, is one of them or one value outside them."""
     name = draw(st.sampled_from(sorted(cli._COMMANDS)))
     # each long option string's row of the command table: (strings, type or choices, default, help)
     rows = {option: row for row in cli._COMMANDS[name][2] for option in row[0] if option.startswith("--")}
     abbreviations = [option[:k] for option in rows for k in range(3, len(option))]
 
     def good(row):
-        return row[1][-1] if isinstance(row[1], tuple) else _GOOD.get(row[1], "2,3")
+        if isinstance(row[1], tuple):
+            return draw(st.sampled_from([*row[1], "cubic"]))
+        return _GOOD.get(row[1], "2,3")
 
-    items = [(option, good(row)) for option, row in rows.items() if row[2] is cli._REQUIRED]
+    items = [(option, good(row)) for option, row in rows.items()
+             if row[2] is cli._REQUIRED or isinstance(row[1], tuple) and draw(st.booleans())]
     if items and draw(st.integers(0, 5)) == 0:
         del items[draw(st.integers(0, len(items) - 1))]
     for _ in range(draw(st.integers(0, 3))):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from xxring.eigensolver import full_spectrum, ring_model
-from xxring.entanglement import concurrence_from_correlators, concurrence_xstate
+from xxring.entanglement import concurrence_xstate
 from xxring.hamiltonian import ModelParams
 from xxring.thermal import PairDensity, reweight
 
 from oracles import (
     SY,
+    concurrence_from_correlators,
     four_site_singletlike_ground,
     four_site_w_prime,
     ground_state_vector,

@@ -12,7 +12,7 @@ import xxring.experiments as experiments
 import xxring.thermal as thermal
 from xxring.cli import _resolved_digits, main
 from xxring.eigensolver import full_spectrum, ring_model
-from xxring.entanglement import concurrence_from_correlators, concurrence_xstate
+from xxring.entanglement import concurrence_xstate
 from xxring.experiments import (
     gibbs_concurrence,
     ground_state_concurrence,
@@ -27,6 +27,7 @@ from xxring.thermal import reweight
 
 from oracles import (
     _draw_parameters,
+    concurrence_from_correlators,
     dense_floor_crossings,
     eigenvalues,
     full_hamiltonian,
@@ -247,6 +248,28 @@ def test_ground_state_concurrence_ferromagnetic_branch():
         ground_state_concurrence(ModelParams(n=6, j=0.7, b=0.0))[1], abs=1e-9)
 
 
+@pytest.mark.parametrize("n,j", [(4, 1e-320), (4, -1e-322), (16, 1e-320)])
+def test_ground_accepts_a_subnormal_exchange(n, j, capsys):
+    # U = j <kappa> is subnormal here, and U/(n j) carries its rounding: the concurrence is
+    # still the one of j = +-1, and ground prints it as thermal --t 0 does
+    want = ground_state_concurrence(ModelParams(n=n, j=math.copysign(1.0, j), b=0.0))[1]
+    assert ground_state_concurrence(ModelParams(n=n, j=j, b=0.0))[1] == want
+    assert main(["ground", "--n", str(n), f"--j={j!r}"]) == 0
+    ground = capsys.readouterr().out.splitlines()
+    assert main(["thermal", "--n", str(n), f"--j={j!r}", "--b", "0", "--t", "0"]) == 0
+    thermal_lines = capsys.readouterr().out.splitlines()
+    assert ground[1].split("=")[1] == thermal_lines[-1].split("=")[1]
+
+
+@pytest.mark.parametrize("j", [1.0, -0.7, 1e-300])
+def test_ground_refuses_an_energy_formula_off_by_1e_8(j, monkeypatch):
+    # at a normal exchange the rounding allowance is below 1e-15, so the 1e-9 check still bites
+    original = experiments._energy_formula
+    monkeypatch.setattr(experiments, "_energy_formula", lambda *args: original(*args) + 1e-8)
+    with pytest.raises(RuntimeError, match="disagrees"):
+        ground_state_concurrence(ModelParams(n=6, j=j, b=0.0))
+
+
 def test_ground_state_concurrence_is_the_mixture_at_a_crossing():
     # two branches meet at the crossing: the ground state is their uniform mixture, the T = 0 state
     g, c = ground_state_concurrence(ModelParams(n=4, j=1.0, b=B_CROSS_LOW))
@@ -345,7 +368,7 @@ def test_odd_ring_control_breaks_even_at_one_sample(seed):
 def test_proposition3_reweights_both_exchange_signs_of_every_draw(monkeypatch, branch):
     # at zero field the suite reweights each draw at +|j| and at -|j|, and
     # its gap reads both: lowering one branch's energies by 400 |j| moves the
-    # energy formula (n = 4) by 100 there, and the correlator formula not at all
+    # energy formula (n = 4) by 100 there, and the concurrence not at all
     points = []
     original = experiments.gibbs_concurrence
 

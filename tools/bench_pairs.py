@@ -16,7 +16,8 @@ side), and a verdict, the first of these that holds:
 - worse: the working tree's median is worse than the base's by more than the
   metric's bound, a fraction of the base's median;
 - unresolved: the distance between the base's quartiles exceeds the bound,
-  so the runs spread too widely to tell;
+  so the runs spread too widely to tell, and some run of the working tree
+  is no better than some base run;
 - same.
 
     python tools/bench_pairs.py --workload surface --pairs 10
@@ -71,7 +72,8 @@ def verdict(better: str, bound: float, base: list[float], work: list[float]) -> 
         return wins, "gain"
     if -gap > bound * scale:
         return wins, "worse"
-    if high - low > bound * scale:
+    # a spread wider than the bound tells nothing, unless every working-tree run beats every base run
+    if high - low > bound * scale and min(sign * w for w in work) <= max(sign * b for b in base):
         return wins, "unresolved"
     return wins, "same"
 
