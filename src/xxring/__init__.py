@@ -5,7 +5,6 @@ concurrence, and the even-N multiqubit tangle, with closed-form four-site
 oracles and randomized symmetry verification.
 """
 
-from .analytic_n4 import ClosedFormN4, closed_forms
 from .eigensolver import RingModel, Spectrum, full_spectrum, ring_model
 from .entanglement import concurrence_xstate
 from .experiments import (

@@ -24,11 +24,6 @@ MAX_POINTS = 2_000_000
 
 _SCAN_T_MIN = 0.05
 _SCAN_T_MAX = 1.0e3
-# Bisection steps per kernel call: a batch evaluates 2**depth - 1 midpoints.
-# At n = 12 an extra point costs about a seventh of a call's fixed cost, and
-# depth 3 ran a threshold fastest (depth 1, one midpoint per call, took about
-# 1.4 times as long, depths 4 and 5 wasted more points than they saved calls).
-_BISECTION_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -101,22 +96,6 @@ def sweep(params: ModelParams, t_grid, b_grid) -> tuple[GibbsBlock, np.ndarray]:
     return gibbs_concurrence(ring_model(params.n), params.j, np.array(b_values)[:, None], t_values)
 
 
-def _bisection_tree(lo: float, hi: float, depth: int) -> list[float]:
-    """Midpoints of every bracket bisection can reach from [lo, hi] in depth
-    steps, in heap order: the midpoints of the lower and upper halves of
-    entry k's bracket are entries 2k + 1 and 2k + 2."""
-    brackets = [(lo, hi)]
-    midpoints = []
-    for _ in range(depth):
-        children = []
-        for a, c in brackets:
-            mid = 0.5 * (a + c)
-            midpoints.append(mid)
-            children += [(a, mid), (mid, c)]
-        brackets = children
-    return midpoints
-
-
 def _splits(lo: float, hi: float, tol: float) -> bool:
     """Whether bisection still narrows [lo, hi]: wider than tol, with a midpoint
     strictly inside (for adjacent doubles the midpoint is lo or hi)."""
@@ -127,17 +106,13 @@ def threshold_temperature(params: ModelParams, tol: float = 1e-6) -> float | Non
     """Largest temperature with positive nearest-neighbor concurrence.
 
     Coarse factor-2 upward scan in one kernel call, then bisection of the
-    last positive bracket down to tol (or to adjacent doubles, if tol is
-    finer); None when nothing in the scan is entangled, and at j = 0, where
-    every Gibbs state is a product state. The threshold scales with the
-    couplings, so the scan covers [0.05 min(1, |j|), 1e3 max(1, |j|, |b|)]:
-    the top of the entangled window lay between 0.6 |j| and 4.6 |j| on rings
-    n = 2..12 with |b| <= 100 |j|, and no ring was entangled beyond
-    |b| = 56 |j|.
-    The bisection runs in batches: each batch evaluates the whole tree of
-    midpoints the next _BISECTION_DEPTH steps can reach in one kernel call,
-    then walks it. That takes exactly the steps, and returns exactly the
-    value, of one midpoint at a time.
+    last positive bracket, one midpoint per kernel call, down to tol (or to
+    adjacent doubles, if tol is finer); None when nothing in the scan is
+    entangled, and at j = 0, where every Gibbs state is a product state.
+    The threshold scales with the couplings, so the scan covers
+    [0.05 min(1, |j|), 1e3 max(1, |j|, |b|)]: the top of the entangled
+    window lay between 0.6 |j| and 4.6 |j| on rings n = 2..12 with
+    |b| <= 100 |j|, and no ring was entangled beyond |b| = 56 |j|.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -160,17 +135,11 @@ def threshold_temperature(params: ModelParams, tol: float = 1e-6) -> float | Non
         raise RuntimeError(f"still entangled at the top of the scan range ({grid[-1]})")
     lo, hi = grid[last], grid[last + 1]
     while _splits(lo, hi, tol):
-        # steps left if every halving were exact, so the last batch is no deeper than needed;
-        # the ratio is capped, as below tol ~ 1e-308 it overflows, and the depth only sizes a batch
-        depth = max(1, math.ceil(math.log2(min((hi - lo) / tol, 2 ** _BISECTION_DEPTH))))
-        midpoints = _bisection_tree(lo, hi, depth)
-        positive = gibbs_concurrence(ring, params.j, params.b, midpoints)[1] > POSITIVE_CONCURRENCE
-        node = 0
-        while node < len(midpoints) and _splits(lo, hi, tol):
-            if positive[node]:
-                lo, node = midpoints[node], 2 * node + 2
-            else:
-                hi, node = midpoints[node], 2 * node + 1
+        mid = 0.5 * (lo + hi)
+        if gibbs_concurrence(ring, params.j, params.b, mid)[1] > POSITIVE_CONCURRENCE:
+            lo = mid
+        else:
+            hi = mid
     return 0.5 * (lo + hi)
 
 

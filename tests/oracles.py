@@ -22,7 +22,7 @@ independent route.
 - Correlator formula: the concurrence in g_xx, g_zz and the per-site
   magnetization (`concurrence_from_correlators`).
 - Per-point drivers: the proposition suites (`pointwise_propositions`,
-  `pointwise_odd_control`) and the threshold bisection
+  `pointwise_odd_control`) and the threshold scan and bisection
   (`sequential_threshold`), one kernel call per point.
 
 `eigenvalues` and `pair_matrix` put a package result in an oracle's form,
@@ -58,7 +58,7 @@ criteria hold some at looser bounds):
 - crossings: dense ED, test_experiments.test_level_crossings_are_the_ed_floor_intersections;
   four-site closed forms, test_acceptance.test_criterion_05_level_crossings;
 - threshold: full space, test_experiments.test_threshold_brackets_the_positivity_boundary;
-  one kernel call per point, test_experiments.test_batched_bisection_equals_sequential_loop;
+  one kernel call per point, test_experiments.test_threshold_equals_the_pointwise_loop;
 - proposition gaps: one kernel call per point,
   test_experiments.test_verify_propositions_equal_pointwise_loop.
 """
@@ -660,9 +660,9 @@ def concurrence_from_correlators(g_xx, g_zz, m_bar):
     return _clamp_unit(np.maximum(0.0, value), "concurrence")
 
 
-# Per-point drivers: the proposition suites and the threshold bisection as
-# they stood before each became a few batched kernel calls, one kernel call
-# per point. Kept to check the batched drivers.
+# Per-point drivers: the proposition suites and the threshold's scan and
+# bisection, one kernel call per point. The package evaluates each suite and
+# the threshold's scan as a block of points in one call; these check it.
 # The exchange mirror compares the unclamped X-state value, as the suites do.
 
 

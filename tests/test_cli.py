@@ -137,7 +137,7 @@ def test_threshold_prints_digits_to_the_place_of_tol(capsys, j, want):
 def test_threshold_returns_for_tol_below_double_spacing():
     # near T_c = 2.21 adjacent doubles are 4.4e-16 apart, so the bracket can
     # never shrink to 1e-17; bisection must stop there instead of looping, and
-    # a tol below ~1e-308, subnormal ones included, must not overflow the batch depth
+    # so must it for a tol below ~1e-308, subnormal ones included
     env = {**os.environ, "PYTHONPATH": str(Path(xxring.__file__).parents[1])}
     for tol in ("1e-17", "1e-310", "5e-324"):
         result = subprocess.run([sys.executable, "-m", "xxring", "threshold", "--n", "4", "--j", "1",
@@ -941,6 +941,8 @@ def test_python_m_imports_argparse_only_for_an_argv_the_table_declines(argv, wan
     assert result.returncode == want_code, result.stderr
     assert re.search(r"\|\s+xxring\.cli$", result.stderr, re.M)
     assert bool(re.search(r"\|\s+argparse$", result.stderr, re.M)) == loads_argparse
+    # the four-site closed forms are a test oracle, never on a command's import path
+    assert not re.search(r"\|\s+xxring\.analytic_n4$", result.stderr, re.M)
 
 
 def test_python_m_freezes_the_heap_before_the_command():

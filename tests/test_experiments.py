@@ -608,8 +608,9 @@ def test_a_stack_reweights_each_ring_as_alone(monkeypatch):
     (2, 1.0, 0.0, 1e-6), (3, -0.8, 0.4, 1e-6), (4, 1.0, 0.0, 1e-6), (4, 1.0, 1.3, 1e-7),
     (4, -1.0, 2.5, 1e-6), (5, 1.7, -0.9, 1e-5), (6, 1.0, 2.0, 1e-6), (8, -0.6, 0.3, 1e-9),
     (4, 1.0, 0.0, 10.0), (4, 0.0, 1.0, 1e-6), (1, 1.0, 1.0, 1e-6), (4, 1e-323, 0.0, 1e-6),
+    (16, -1.2, 0.7, 1e-6),
 ])
-def test_batched_bisection_equals_sequential_loop(n, j, b, tol):
+def test_threshold_equals_the_pointwise_loop(n, j, b, tol):
     params = ModelParams(n=n, j=j, b=b)
     got, want = threshold_temperature(params, tol=tol), sequential_threshold(params, tol=tol)
     if want is None:
@@ -620,9 +621,17 @@ def test_batched_bisection_equals_sequential_loop(n, j, b, tol):
         assert "%.*g" % (_resolved_digits(got, tol), got) == "%.*g" % (_resolved_digits(want, tol), want)
 
 
+def test_threshold_scans_in_one_call_then_bisects_one_midpoint_per_call(reweight_calls):
+    # the scan 0.05 * 2^k, k = 0..15, runs up past 1e3 max(1, |j|, |b|) in one call, and
+    # T_c lies in its bracket [1.6, 3.2]: halving the width 1.6 down to tol = 1e-6 takes
+    # ceil(log2(1.6e6)) = 21 steps, each one call at one point
+    assert 1.6 < threshold_temperature(ModelParams(n=12, j=1.0, b=0.5), tol=1e-6) < 3.2
+    assert reweight_calls == [(12, (16,))] + [(12, ())] * 21
+
+
 def test_sequential_bisection_stops_at_adjacent_doubles():
     # a tol below the spacing of doubles ends both loops at adjacent doubles,
-    # down to the subnormals, whose ratio to the bracket overflows
+    # down to the subnormals
     params = ModelParams(4, 1.0, 0.0)
     for tol in (1e-17, 1e-310, 5e-324):
         want = threshold_temperature(params, tol=tol)

@@ -7,10 +7,11 @@ directory under another package name, loads it and the working tree's
 side runs first. Every workload runs in process here, `cold_cli` too: its
 `thermal`, `ground` and `threshold` argvs at n = 11 and 12 run without the
 fresh interpreter the benchmark starts per op. Every op's (exit code,
-stdout, stderr) must be equal on both sides; the script prints each side's
-median time per op in microseconds, the median per-op time ratio (working
-tree / base) with its quartiles, and how many ops ran faster on the working
-tree. With `--corpus` the ops are the argvs of `tests/test_cli_golden.py`'s
+stdout, stderr) must be equal on both sides: every op is checked and timed,
+and then one error names how many differ and the first few. The script
+prints each side's median time per op in microseconds, the median per-op
+time ratio (working tree / base) with its quartiles, and how many ops ran
+faster on the working tree. With `--corpus` the ops are the argvs of `tests/test_cli_golden.py`'s
 CORPUS, refusals included, in place of a workload's, compared byte for byte
 where the golden test allows each number to drift by 1e-12.
 
@@ -71,10 +72,12 @@ def corpus_argvs():
 
 def compare(base_main, work_main, warmup, argvs) -> list[tuple[float, float]]:
     """Each op's (base, working tree) time in seconds, after one untimed
-    warm-up op on each side; raises if any op's output differs."""
+    warm-up op on each side. Every op runs; if any op's output differs, one
+    error then gives how many differ, the first three by index and argv, and
+    the first one's outputs on both sides."""
     for main in (base_main, work_main):
         _run(main, warmup)
-    times = []
+    times, moved = [], []
     for index, argv in enumerate(argvs):
         if index % 2:
             work_s, work = _timed(work_main, argv)
@@ -83,8 +86,13 @@ def compare(base_main, work_main, warmup, argvs) -> list[tuple[float, float]]:
             base_s, base = _timed(base_main, argv)
             work_s, work = _timed(work_main, argv)
         if work != base:
-            raise AssertionError(f"op {index} ({' '.join(argv)}): base {base!r}, working tree {work!r}")
+            moved.append((index, argv, base, work))
         times.append((base_s, work_s))
+    if moved:
+        ops = "; ".join(f"op {index} ({' '.join(argv)})" for index, argv, _, _ in moved[:3])
+        _, _, base, work = moved[0]
+        raise AssertionError(f"{len(moved)} of {len(argvs)} ops differ: {ops}; "
+                             f"first: base {base!r}, working tree {work!r}")
     return times
 
 
