@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 # The n = 16 ring's class table comes from its 7,655 count keys, not its
-# 65,536 levels, and a thermal point weighs its 4,029 level classes; the cap
+# 65,536 levels, and a thermal point weighs its 2,901 level classes; the cap
 # bounds the count keys a ring builds and the classes `spectrum` prints.
 N_MAX = 16
 

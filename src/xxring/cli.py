@@ -25,13 +25,11 @@ import sys
 import types
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .eigensolver import full_spectrum, ring_model, same_level
 from .experiments import (
     DEFAULT_SEED,
     MAX_POINTS,
-    gibbs_concurrence,
+    gibbs_concurrence_point,
     ground_state_concurrence,
     level_crossings,
     sweep,
@@ -106,6 +104,7 @@ def _axis(lo, hi, steps, scale, lo_sign, hi_sign):
     if steps == 1:
         values = (lo,)
     else:
+        import numpy as np
         space = np.geomspace if scale == "log" else np.linspace
         values = tuple(sorted(space(lo, hi, steps).tolist()))
     return values, tuple(["%.12g," % value for value in values])
@@ -113,11 +112,11 @@ def _axis(lo, hi, steps, scale, lo_sign, hi_sign):
 
 def _cmd_spectrum(args) -> int:
     spectrum = full_spectrum(ModelParams(n=args.n, j=args.j, b=args.b))
-    energies = spectrum.class_energies()
-    order = np.argsort(energies, kind="stable")
+    # the classes by energy, ties in class order
+    levels = sorted(zip(spectrum.class_energies(), spectrum.ring.classes[0]), key=lambda level: level[0])
     # [lowest energy, sum of multiplicity * energy, levels] of each printed level; the first's lowest is E0
     clusters: list[list[float]] = []
-    for e, count in zip(energies[order].tolist(), spectrum.ring.classes[0, order].tolist()):
+    for e, count in levels:
         if clusters and same_level(e, clusters[-1][0], clusters[0][0]):
             clusters[-1][1] += count * e
             clusters[-1][2] += count
@@ -130,17 +129,17 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_thermal(args) -> int:
     params = ModelParams(n=args.n, j=args.j, b=args.b)
-    g, c = gibbs_concurrence(ring_model(params.n), params.j, params.b, args.t)
+    g, c = gibbs_concurrence_point(ring_model(params.n), params.j, params.b, args.t)
     for name, value in (("Z_shifted", g.z_shifted), ("U", g.u), ("M", g.m), ("Gxx", g.g_xx), ("Gzz", g.g_zz),
                         ("concurrence", c)):
-        print(f"{name:<11} = {_fmt(float(value))}")
+        print(f"{name:<11} = {_fmt(value)}")
     return 0
 
 
 def _cmd_ground(args) -> int:
     g, c = ground_state_concurrence(ModelParams(n=args.n, j=args.j, b=args.b))
     # the energy of the T = 0 state; + 0.0 reads the all-zero spectrum (j = b = 0) as 0, never -0
-    print(f"ground energy = {_fmt(float(g.u) + 0.0)}")
+    print(f"ground energy = {_fmt(g.u + 0.0)}")
     if g.z_shifted > 1:
         print(f"ground level is {int(g.z_shifted)}-fold degenerate")
         print(f"concurrence   = {_fmt(c)}  (uniform mixture over the ground level, the T -> 0 limit)")
@@ -368,12 +367,14 @@ def entry() -> int:
     """The `xxring` process, run by `python -m xxring` and by the console
     script: `main` on the process's argv, after `gc.freeze()`.
 
-    Freezing moves every object built so far, numpy's import included, out
-    of the collector's reach, so the interpreter's exit no longer collects
-    and frees them one by one and the OS reclaims the memory instead: the
-    exit of `ground --n 12` went from ~45 to ~10 ms (2-core Xeon VM, Python
-    3.11, numpy 2.4). Library callers call `main`, which leaves their heap
-    alone. A closed stdout ends the command quietly with exit status 141.
+    Freezing moves every object built so far out of the collector's reach,
+    the package's imports, and numpy's for the commands that import it
+    (`sweep`, `verify`), so the interpreter's exit no longer collects and
+    frees them one by one and the OS reclaims the memory instead: the exit
+    of `ground --n 12` went from ~45 to ~10 ms when it still imported numpy
+    (2-core Xeon VM, Python 3.11, numpy 2.4). Library callers call `main`,
+    which leaves their heap alone. A closed stdout ends the command quietly
+    with exit status 141.
     """
     gc.freeze()
     try:

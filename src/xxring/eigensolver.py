@@ -9,7 +9,8 @@ exact eigenstate, with kappa(S) = 4 sum_{k in S} cos k, so nothing is
 diagonalized. Fock states are translation invariant, so one table serves
 every bond, and levels of equal (kappa, sz) fold into one class of a class
 table, which each ring builds from the +-k count keys of its modes without
-enumerating its 2^n levels (`ring_model`); the thermal kernel reads only
+enumerating its 2^n levels (`ring_model`), in pure Python: numpy's import
+is left to the commands that form arrays. Both thermal kernels read only
 that table. The spectrum at any (j, b) is a view of it with class energies
 j * kappa + b * sz (`full_spectrum`).
 """
@@ -17,18 +18,17 @@ j * kappa + b * sz (`full_spectrum`).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .basis import _check_ring_size
 from .hamiltonian import ModelParams
 
 # The width of one level relative to the ground energy (`same_level`). On rings
-# n <= 16, classes that are one level in exact arithmetic lie at most 2.0e-16 |E0|
+# n <= 16, classes that are one level in exact arithmetic lie at most 1.2e-16 |E0|
 # apart at B = 0 (the spin-flip partners of odd rings, built on the other grid,
-# included) and 3.2e-16 |E0| at random |J|, |B| in [1e-3, 1e3]: a margin of about
-# 3,000. Every splitting wider than 1e-12 |E0| is resolved.
+# included) and 2.3e-16 |E0| at random |J|, |B| in [1e-3, 1e3]: a margin of about
+# 4,000. Every splitting wider than 1e-12 |E0| is resolved.
 GROUND_RTOL = 1e-12
 
 
@@ -39,59 +39,69 @@ def same_level(energies, lowest, e0):
     return energies <= lowest + GROUND_RTOL * abs(e0)
 
 
-def _count_keys(n: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
-    """The count keys of one grid parity (odd for an odd number of down
-    spins), one row per key, and the grid's modes per +-k class.
+def _class_table(n: int) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...], tuple[float, ...]]:
+    """The class table of the n-site ring, six columns of one float per
+    class, with each class's sz and kappa (`RingModel`), from a depth-first
+    walk over each grid's count keys, one +-k class per level.
 
-    The grid's modes k = pi * p / n (p = 2m, +1 for an even number of down
-    spins) fold into the +-k classes q = min(p, 2n - p), so that k = pi q / n
-    or 2 pi - pi q / n; a class holds 2 modes, or 1 for the self-paired
-    q = 0 (k = 0) and q = n (k = pi). A key counts the occupied modes of each
-    class; on this grid the total count has the grid's parity."""
-    q = np.arange(n + 1)
-    grid = (((q - parity) % 2 == 1) * (2 - (q == 0) - (q == n))).astype(np.int8)
-    counts = np.indices(grid + 1, dtype=np.int8).reshape(n + 1, -1).T
-    return counts[counts.sum(axis=1) % 2 == parity], grid
-
-
-def _class_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The class table of the n-site ring, shape (6, classes), with each
-    class's sz and kappa (`RingModel`), built from the count keys of both grids."""
-    keys, grids = zip(*(_count_keys(n, parity) for parity in (0, 1)))
-    counts = np.concatenate(keys)
-    grid = np.concatenate([np.broadcast_to(g, k.shape) for g, k in zip(grids, keys)])
-    counted = counts.sum(axis=1)
-    # a key stands for prod C(g_q, c_q) levels: 2 choices for each half-filled +-k pair
-    multiplicity = 2.0 ** ((counts == 1) & (grid == 2)).sum(axis=1)
-    q = np.arange(n + 1)
+    Grid parity 1 (an odd number of down spins) has the modes k = pi p / n
+    with p = 2m, parity 0 those with p = 2m + 1; they fold into the +-k
+    classes q = min(p, 2n - p) of 2 modes, or 1 for the self-paired q = 0
+    and q = n. A key counts the occupied modes of each class of its grid,
+    with a total of the grid's parity."""
     # cos(pi q / n) as a sine, so that cos(pi/2) is exactly 0 and cos(pi - k) exactly -cos k
-    cosines = np.sin(np.pi * (n - 2 * q) / (2 * n))
-    # the cosines of a whole grid sum to 0, so a set more than half full sums its holes:
-    # kappa(S) = -kappa(holes of S), exactly 0 for a full grid (+ 0.0 turns -0.0 into 0);
-    # a single site has no bond, and its kappa is exactly 0 too
-    more_than_half = 2 * counted > n
-    summed = np.where(more_than_half[:, None], grid - counts, counts)
-    kappa = np.where(more_than_half, -4.0, 4.0) * (summed * cosines).sum(axis=1) + 0.0
-    # n^2 times a key's mean pair sums, as sums of nonnegative terms over ordered mode pairs:
-    # over the key's +-k choices a pair from classes q != q' weighs on average
-    # sin^2(pi (q - q') / 2n) + sin^2(pi (q + q') / 2n) = 1 - cos(pi q / n) cos(pi q' / n),
-    # exact where the cosines are, and a pair within class q weighs 2 sin^2(pi q / n), with
-    # c_q (c_q - 1) such pairs filled, h_q (h_q - 1) empty and c_q h_q filled-empty (c filled
-    # and h = g - c empty modes)
-    weights = 1.0 - np.outer(cosines, cosines)
-    np.fill_diagonal(weights, 0.0)
-    within = 2.0 * np.sin(np.pi * q / n) ** 2
-    filled, empty = counts.astype(float), (grid - counts).astype(float)
-    pairs = [np.einsum("kr,kr->k", a @ weights, b) + np.einsum("kq,kq,q->k", a, pairs_within, within)
-             for a, b, pairs_within in ((empty, empty, empty - 1.0), (filled, empty, empty),
-                                        (filled, filled, filled - 1.0))]
-    sz = n - 2.0 * counted
-    # count keys with bit-identical kappa and sz share every energy too: one class
-    classes, members = np.unique(np.stack([sz, kappa], axis=1), axis=0, return_inverse=True)
-    table = np.stack([np.bincount(members, multiplicity * column)
-                      for column in (np.ones(sz.size), kappa, sz, *pairs)])
-    table[3:] /= n ** 2
-    return table, classes[:, 0].copy(), classes[:, 1].copy()
+    cosines = [math.sin(math.pi * (n - 2 * q) / (2 * n)) for q in range(n + 1)]
+    classes: dict[tuple[float, float], list[float]] = {}
+    for parity in (0, 1):
+        grid = [q for q in range(n + 1) if (q - parity) % 2 == 1]
+        sizes = [2 - (q == 0) - (q == n) for q in grid]
+        cos = [cosines[q] for q in grid]
+        # a pair within class q weighs 2 sin^2(pi q / n)
+        within = [2.0 * math.sin(math.pi * q / n) ** 2 for q in grid]
+
+        def visit(i, counts, filled, empty, p00, p01, p11, multiplicity):
+            # filled[k], empty[k]: the key's filled and empty modes so far, weighed against class i + k;
+            # over the key's +-k choices a pair from classes q != q' weighs on average
+            # sin^2(pi (q - q') / 2n) + sin^2(pi (q + q') / 2n) = 1 - cos(pi q / n) cos(pi q' / n)
+            size, f, h = sizes[i], filled[0], empty[0]
+            row = [1.0 - cos[i] * x for x in cos[i + 1:]]
+            for c in range(size + 1):
+                e, key = size - c, counts + (c,)
+                # n^2 times the key's mean pair sums, nonnegative terms over ordered mode pairs
+                q00 = p00 + 2 * e * h + e * (e - 1) * within[i]
+                q01 = p01 + c * h + e * f + c * e * within[i]
+                q11 = p11 + 2 * c * f + c * (c - 1) * within[i]
+                # a key stands for prod C(g_q, c_q) levels: 2 choices for each half-filled +-k pair
+                weight = 2.0 * multiplicity if c == 1 == e else multiplicity
+                if i + 1 < len(grid):
+                    visit(i + 1, key, [a + c * r for a, r in zip(filled[1:], row)],
+                          [a + e * r for a, r in zip(empty[1:], row)], q00, q01, q11, weight)
+                    continue
+                down = sum(key)
+                if down % 2 != parity:
+                    continue
+                # the cosines of a whole grid sum to 0, so a set more than half full sums its holes:
+                # kappa(S) = -kappa(holes of S), exactly 0 for a full grid (+ 0.0 turns -0.0 into 0)
+                if 2 * down > n:
+                    kappa = -4.0 * math.fsum([(g - k) * x for g, k, x in zip(sizes, key, cos)]) + 0.0
+                else:
+                    kappa = 4.0 * math.fsum([k * x for k, x in zip(key, cos)]) + 0.0
+                sz = float(n - 2 * down)
+                # keys with one correctly rounded kappa and one sz share every energy: one class
+                sums = classes.setdefault((sz, kappa), [0.0] * 6)
+                # unrolled: a loop over the six sums took half the build
+                sums[0] += weight
+                sums[1] += weight * kappa
+                sums[2] += weight * sz
+                sums[3] += weight * q00
+                sums[4] += weight * q01
+                sums[5] += weight * q11
+
+        visit(0, (), [0.0] * len(grid), [0.0] * len(grid), 0.0, 0.0, 0.0, 1.0)
+    keys, rows = zip(*sorted(classes.items()))
+    columns = list(zip(*rows))
+    columns[3:] = [tuple(x / n ** 2 for x in column) for column in columns[3:]]
+    return tuple(columns), tuple(sz for sz, _ in keys), tuple(kappa for _, kappa in keys)
 
 
 class RingModel:
@@ -112,35 +122,35 @@ class RingModel:
     each +-k class (0, 1 or 2; 0 or 1 for the self-paired k = 0 and k = pi).
     The table is built from the keys alone, never from the 2^n levels: a key
     stands for prod C(g_q, c_q) levels (g_q the class's modes, c_q its
-    count), its kappa is summed once over the classes (over the holes for a
-    set more than half full, since the cosines of a whole grid sum to 0, so
-    a full grid has kappa exactly 0), and its members' pair sums are
-    positive quadratic forms in the counts and holes. Keys with bit-identical
-    kappa and sz have bit-identical energies at every (j, b) and form one
-    class, ordered by sz, then kappa. `classes` is the class table, shape
-    (6, classes): the sums over each class's levels of 1 (its multiplicity),
-    kappa, sz, p00, p01 and p11; `class_kappa` and `class_sz` are each
-    class's own kappa and sz. The n = 10 ring has 284 count keys in 203
-    classes; the n = 16 ring has 7,655 in 4,029.
+    count), its kappa is summed once over the classes, correctly rounded
+    (`math.fsum`; over the holes for a set more than half full, since the
+    cosines of a whole grid sum to 0, so a full grid has kappa exactly 0),
+    and its members' pair sums are positive quadratic forms in the counts
+    and holes, every term of them nonnegative. Keys with bit-identical kappa
+    and sz have bit-identical energies at every (j, b) and form one class,
+    ordered by sz, then kappa. `classes` is the class table, six tuples of
+    one float per class: the sums over each class's levels of 1 (its
+    multiplicity), kappa, sz, p00, p01 and p11; `class_kappa` and `class_sz`
+    are each class's own kappa and sz. The n = 10 ring has 284 count keys in
+    188 classes; the n = 12 ring has 443 classes, and the n = 16 ring 7,655
+    keys in 2,901.
     """
 
     def __init__(self, n: int):
         _check_ring_size(n)
         self.n = n
         self.classes, self.class_sz, self.class_kappa = _class_table(n)
-        for array in (self.classes, self.class_kappa, self.class_sz):
-            array.setflags(write=False)
 
 
 @functools.cache
 def ring_model(n: int) -> RingModel:
     """The cached `RingModel` of the n-site ring, kept for the process.
 
-    A ring holds its class table with each class's kappa and sz (64 bytes
-    per class): 0.26 MB for the n = 16 ring, 0.82 MB for all N_MAX = 16
-    rings at once. Measured on a 2-CPU machine (median of 15 builds, peak
-    by tracemalloc), the n = 16 ring builds in 17-25 ms with a 6.1 MB peak,
-    and the n = 12 ring in 1.9-2.7 ms.
+    A ring holds its class table with each class's kappa and sz as tuples
+    of floats: 1.5 MB for the n = 16 ring. Measured on a 2-CPU machine
+    (median of 15 builds, peak by tracemalloc), the n = 16 ring builds in
+    57-78 ms with a 1.6 MB peak, the n = 12 ring in 6.2-7.8 ms and the
+    n = 10 ring in 2.1-2.3 ms.
     """
     return RingModel(n)
 
@@ -153,9 +163,10 @@ class Spectrum:
     params: ModelParams
     ring: RingModel = field(repr=False, compare=False)
 
-    def class_energies(self) -> np.ndarray:
+    def class_energies(self) -> list[float]:
         """The energy of each class's levels."""
-        return self.params.j * self.ring.class_kappa + self.params.b * self.ring.class_sz
+        j, b = self.params.j, self.params.b
+        return [j * kappa + b * sz for kappa, sz in zip(self.ring.class_kappa, self.ring.class_sz)]
 
 
 def full_spectrum(params: ModelParams) -> Spectrum:

@@ -1,20 +1,24 @@
 """Drivers: temperature/field sweeps, threshold-temperature bisection,
 ground-level crossings (exact, from the lower envelope of the sector-floor
 lines), ground-state concurrence, and randomized verification of the
-model's symmetry propositions."""
+model's symmetry propositions. Only `sweep` and `verify_propositions`
+reweight a block of points (`gibbs_concurrence`) and import numpy; the
+rest work on single points (`gibbs_concurrence_point`)."""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .entanglement import concurrence_xstate
+from .entanglement import concurrence_xstate, concurrence_xstate_point
 from .eigensolver import GROUND_RTOL, RingModel, Spectrum, full_spectrum, ring_model, same_level
 from .hamiltonian import ModelParams
-from .thermal import GibbsBlock, PairDensity, reweight
+from .thermal import GibbsBlock, PairDensity, reweight, reweight_point
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Below this, the clamped concurrence is indistinguishable from roundoff.
 POSITIVE_CONCURRENCE = 1e-12
@@ -45,6 +49,7 @@ def gibbs_concurrence(ring: RingModel | Sequence[RingModel], j, b, t) -> tuple[G
     point of one ring, else an array of the block's shape. A single site has
     no bond and reports 0, never reaching the state checks.
     """
+    import numpy as np
     block = reweight(ring, j, b, t)
     rho = block.pair_density()
     lone = isinstance(ring, RingModel)
@@ -58,16 +63,24 @@ def gibbs_concurrence(ring: RingModel | Sequence[RingModel], j, b, t) -> tuple[G
     return block, concurrence[()]
 
 
+def gibbs_concurrence_point(ring: RingModel, j: float, b: float, t: float) -> tuple[GibbsBlock, float]:
+    """`gibbs_concurrence` at the single point (j, b, t) of one ring, as
+    floats and without numpy (`reweight_point`, `concurrence_xstate_point`).
+    A single site has no bond and reports 0, never reaching the state checks."""
+    block = reweight_point(ring, j, b, t)
+    return block, concurrence_xstate_point(block.pair_density()) if ring.n > 1 else 0.0
+
+
 def thermal_concurrence(spectrum: Spectrum, t: float) -> float:
     """Nearest-neighbor concurrence of the Gibbs state at temperature t.
 
-    The X-state closed form of the bond state of `reweight` at the point
-    (`GibbsBlock.pair_density`), whose corner populations are positive
+    The X-state closed form of the bond state at the point
+    (`gibbs_concurrence_point`), whose corner populations are positive
     spectral sums, so it stays relatively accurate deep in the polarized
     regime. A single site has no bond and reports 0.
     """
     params = spectrum.params
-    return float(gibbs_concurrence(spectrum.ring, params.j, params.b, t)[1])
+    return gibbs_concurrence_point(spectrum.ring, params.j, params.b, t)[1]
 
 
 def sweep(params: ModelParams, t_grid, b_grid) -> tuple[GibbsBlock, np.ndarray]:
@@ -93,6 +106,7 @@ def sweep(params: ModelParams, t_grid, b_grid) -> tuple[GibbsBlock, np.ndarray]:
     ModelParams(n=params.n, j=params.j, b=max(map(abs, b_values)))
     if len(t_values) * len(b_values) > MAX_POINTS:
         raise ValueError(f"grid of {len(t_values) * len(b_values)} rows exceeds cap {MAX_POINTS}")
+    import numpy as np
     return gibbs_concurrence(ring_model(params.n), params.j, np.array(b_values)[:, None], t_values)
 
 
@@ -105,10 +119,10 @@ def _splits(lo: float, hi: float, tol: float) -> bool:
 def threshold_temperature(params: ModelParams, tol: float = 1e-6) -> float | None:
     """Largest temperature with positive nearest-neighbor concurrence.
 
-    Coarse factor-2 upward scan in one kernel call, then bisection of the
-    last positive bracket, one midpoint per kernel call, down to tol (or to
-    adjacent doubles, if tol is finer); None when nothing in the scan is
-    entangled, and at j = 0, where every Gibbs state is a product state.
+    Coarse factor-2 upward scan, then bisection of the last positive
+    bracket down to tol (or to adjacent doubles, if tol is finer), one
+    `gibbs_concurrence_point` call per temperature; None when nothing in the
+    scan is entangled, and at j = 0, where every Gibbs state is a product state.
     The threshold scales with the couplings, so the scan covers
     [0.05 min(1, |j|), 1e3 max(1, |j|, |b|)]: the top of the entangled
     window lay between 0.6 |j| and 4.6 |j| on rings n = 2..12 with
@@ -127,16 +141,16 @@ def threshold_temperature(params: ModelParams, tol: float = 1e-6) -> float | Non
         t *= 2.0
     grid.append(t)
     ring = ring_model(params.n)
-    entangled = gibbs_concurrence(ring, params.j, params.b, grid)[1] > POSITIVE_CONCURRENCE
-    if not entangled.any():
+    entangled = [gibbs_concurrence_point(ring, params.j, params.b, t)[1] > POSITIVE_CONCURRENCE for t in grid]
+    if not any(entangled):
         return None
-    last = int(np.nonzero(entangled)[0][-1])
+    last = max(k for k, flag in enumerate(entangled) if flag)
     if last == len(grid) - 1:
         raise RuntimeError(f"still entangled at the top of the scan range ({grid[-1]})")
     lo, hi = grid[last], grid[last + 1]
     while _splits(lo, hi, tol):
         mid = 0.5 * (lo + hi)
-        if gibbs_concurrence(ring, params.j, params.b, mid)[1] > POSITIVE_CONCURRENCE:
+        if gibbs_concurrence_point(ring, params.j, params.b, mid)[1] > POSITIVE_CONCURRENCE:
             lo = mid
         else:
             hi = mid
@@ -159,36 +173,40 @@ def level_crossings(n: int, j: float, b_max: float) -> list[float]:
     if not b_max > 0:
         raise ValueError("b_max must be positive")
     spectrum = full_spectrum(ModelParams(n=n, j=j, b=0.0))
-    slopes = n - 2.0 * np.arange(n + 1)
-    # classes run by sz ascending: the floors by ascending sz, reversed, are the floors by r
-    starts = np.searchsorted(spectrum.ring.class_sz, slopes[::-1])
-    floors = np.minimum.reduceat(spectrum.class_energies(), starts)[::-1]
+    slopes = [n - 2.0 * r for r in range(n + 1)]
+    # sector r holds the classes of sz = n - 2r
+    floors = [math.inf] * (n + 1)
+    for e, sz in zip(spectrum.class_energies(), spectrum.ring.class_sz):
+        r = (n - int(sz)) // 2
+        floors[r] = min(floors[r], e)
+    lowest = min(floors)
     # slopes descend with r, so the last of several tied lines is the smallest slope
-    branch = int(np.nonzero(same_level(floors, floors.min(), floors.min()))[0][-1])
+    branch = max(r for r, floor in enumerate(floors) if same_level(floor, lowest, lowest))
     # meeting fields are fields, not energies, in units of j: they tie within GROUND_RTOL * |j|
     tie = GROUND_RTOL * abs(j)
     crossings = []
     while branch < n:
-        meets = (floors[branch + 1:] - floors[branch]) / (slopes[branch] - slopes[branch + 1:])
-        b = float(meets.min())
+        meets = [(floors[r] - floors[branch]) / (slopes[branch] - slopes[r]) for r in range(branch + 1, n + 1)]
+        b = min(meets)
         if not b < b_max:
             break
         crossings.append(b)
-        branch += 1 + int(np.nonzero(meets <= b + tie)[0][-1])
+        branch += 1 + max(k for k, meet in enumerate(meets) if meet <= b + tie)
     return crossings
 
 
 def _energy_formula(energy, n: int, j, g_zz):
     """The zero-field energy formula for the concurrence,
     max(0, -+ energy/(n j) - g_zz - 1) / 2, its sign branch by the sign of j;
-    arrays broadcast."""
-    sign = np.where(j > 0, -1.0, 1.0)
-    return 0.5 * np.maximum(0.0, sign * energy / (n * j) - g_zz - 1.0)
+    arrays broadcast, and floats give a float without numpy (a formula of 0
+    may be -0)."""
+    excess = (1.0 - 2.0 * (j > 0)) * energy / (n * j) - g_zz - 1.0
+    return 0.5 * (excess > 0.0) * excess
 
 
 def ground_state_concurrence(params: ModelParams) -> tuple[GibbsBlock, float]:
     """The ground state and its nearest-neighbor concurrence: the Gibbs block
-    at T = 0 and its concurrence, from one `reweight` call.
+    at T = 0 and its concurrence, from one `gibbs_concurrence_point` call.
 
     A degenerate ground level (a field on a crossing, or the +-k mode pair of
     an odd ring) gives the uniform mixture over the level, the T -> 0 limit,
@@ -198,14 +216,14 @@ def ground_state_concurrence(params: ModelParams) -> tuple[GibbsBlock, float]:
     U = j <kappa> is a subnormal double of few bits, and U/(n j) carries its
     rounding. A single site has no bond and reports 0.
     """
-    g, value = gibbs_concurrence(ring_model(params.n), params.j, params.b, 0.0)
+    g, value = gibbs_concurrence_point(ring_model(params.n), params.j, params.b, 0.0)
     if params.b == 0.0 and params.j != 0.0:
         formula = _energy_formula(g.u, params.n, params.j, g.g_zz)
-        if abs(formula - value) > 1e-9 + math.ulp(float(g.u)) / (params.n * abs(params.j)):
+        if abs(formula - value) > 1e-9 + math.ulp(g.u) / (params.n * abs(params.j)):
             raise RuntimeError(
                 f"zero-field energy formula ({formula}) disagrees with the "
                 f"reduced-density route ({value})")
-    return g, float(value)
+    return g, value
 
 
 def _draw_parameters(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,6 +237,7 @@ def _draw_parameters(rng: np.random.Generator, samples: int) -> tuple[np.ndarray
     same order, as one `uniform` call per value; redraws that use up the
     block draw more doubles.
     """
+    import numpy as np
     u = rng.random(3 * samples).tolist()
     # high - low as a double: 4 and 6 exactly, and the log span rounded once
     log_t_low = math.log(0.05)
@@ -253,6 +272,7 @@ def _ring_gaps(rings: list[RingModel], j: np.ndarray, b: np.ndarray,
     positive: its evenness implies the concurrence's, and on odd rings it
     breaks even where both signs are unentangled. It is computed on every
     ring, so the odd control reads it too."""
+    import numpy as np
     abs_j = np.abs(j)
     rows_j = np.array([j, j, -j, abs_j, -abs_j])
     rows_b = np.zeros((5, b.size))
@@ -307,6 +327,7 @@ def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED,
     n_list = list(n_list)
     if not n_list:
         raise ValueError("ring list must be nonempty")
+    import numpy as np
     rings = {n: ring_model(n) for n in n_list}
     if odd_control:
         if odd_control < 3 or odd_control % 2 == 0:

@@ -1,9 +1,12 @@
 """Gibbs-state observables and the nearest-neighbor reduced density matrix.
 
-Everything thermal is a reweighting of one cached ring: `reweight` reads
-only the ring's class table (`RingModel.classes`), where levels of one
-energy at every (j, b) are one class. At any broadcast block of points
-(j, b, t) it forms the class energies E = j * kappa + b * sz, subtracts each
+Everything thermal is a reweighting of one cached ring, by one of two
+kernels that read only the ring's class table (`RingModel.classes`), where
+levels of one energy at every (j, b) are one class: `reweight` for a block
+of points, in numpy, and `reweight_point` for a single point, in pure
+Python, so that a command that asks about one point never imports numpy.
+Both follow the rules below. At any broadcast block of points (j, b, t)
+`reweight` forms the class energies E = j * kappa + b * sz, subtracts each
 (j, b)'s ground energy, divides by -t, applies one exp and contracts the
 weights with the class table (multiplicity, kappa, sum(sigma_z) and the
 pair-pattern probabilities, each summed over the class). Every level is
@@ -36,20 +39,23 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .eigensolver import RingModel, same_level
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # A kernel pass holds at most this many (point, class) weights; larger
 # blocks of points are reweighted a pass at a time, so the passes bound the
 # memory of a stack of any size (a `verify` call stacks every ring it
 # checks). A point weighs each level class of each ring of the stack once
-# (203 classes at n = 10, 4,029 at n = 16), never each of its 2^n levels, so
-# a pass of one ring takes at least 260 points. A pass forms the class
+# (188 classes at n = 10, 2,901 at n = 16), never each of its 2^n levels, so
+# a pass of one ring takes at least 361 points. A pass forms the class
 # energies of the (j, b) entries it reads and frees them before the next
 # pass: its points' own where every point has its own entry (a `verify`
 # call, a single point), else those from the lowest to the highest its
@@ -80,7 +86,8 @@ class GibbsBlock:
     a stack, except probabilities, which adds a trailing axis of four: a
     bond's pair patterns 00, 01, 10, 11. z_shifted is sum_n exp(-(E_n -
     E0)/t) with E0 the ring's ground energy at the point's (j, b), so it is
-    at least 1.
+    at least 1. At a single point of `reweight_point` every field is a
+    float, and probabilities the tuple of the four patterns.
     """
 
     z_shifted: np.ndarray
@@ -95,11 +102,14 @@ class GibbsBlock:
         probabilities p00 and p11 as corners, p01 (= p10) as the center and
         half the flip-flop correlator <sigma_x sigma_x> as the coherence."""
         p = self.probabilities
-        return PairDensity(u_plus=p[..., 0], u_minus=p[..., 3], w=p[..., 1], z=self.g_xx / 2.0)
+        if not isinstance(p, tuple):
+            p = tuple(p[..., k] for k in range(4))
+        return PairDensity(u_plus=p[0], u_minus=p[3], w=p[1], z=self.g_xx / 2.0)
 
 
 def _flat(x: np.ndarray, shape: tuple[int, ...], dtype=float) -> np.ndarray:
     """x broadcast to shape, as a new flat array."""
+    import numpy as np
     out = np.empty(shape, dtype)
     out[...] = x
     return out.ravel()
@@ -119,18 +129,21 @@ class _Layout(NamedTuple):
 
 @functools.lru_cache(maxsize=64)
 def _layout(rings: tuple[RingModel, ...]) -> _Layout:
-    """The layout of a stack of rings, built on its first call: the rings'
-    kappa and sz concatenated, a lone ring being a stack of one."""
+    """The layout of a stack of rings, built on its first call from the
+    rings' class tables: their kappa and sz concatenated, and each table as
+    one (6, classes) array, a lone ring being a stack of one."""
+    import numpy as np
     kappa = np.concatenate([r.class_kappa for r in rings])
     sz = np.concatenate([r.class_sz for r in rings])
-    sizes = np.array([r.class_kappa.size for r in rings])
+    sizes = np.array([len(r.class_kappa) for r in rings])
     bounds = [0, *itertools.accumulate(sizes.tolist())]
     starts = np.array(bounds[:-1])
     segments = tuple(slice(lo, hi) for lo, hi in itertools.pairwise(bounds))
     two_n = np.array([[2.0 * r.n] for r in rings])
-    for array in (kappa, sz, starts, sizes, two_n):
+    tables = tuple(np.array(r.classes) for r in rings)
+    for array in (kappa, sz, starts, sizes, two_n, *tables):
         array.setflags(write=False)
-    return _Layout(kappa, sz, starts, sizes, tuple(r.classes for r in rings), segments, two_n)
+    return _Layout(kappa, sz, starts, sizes, tables, segments, two_n)
 
 
 def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
@@ -165,6 +178,7 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
     degeneracy. Every bond has the same averages; on a single site the bond
     averages are 0.
     """
+    import numpy as np
     lone = isinstance(ring, RingModel)
     layout = _layout((ring,) if lone else tuple(ring))
     kappa, sz, starts = layout.kappa, layout.sz, layout.starts
@@ -246,3 +260,29 @@ def reweight(ring: RingModel | Sequence[RingModel], j, b, t) -> GibbsBlock:
     return GibbsBlock(z_shifted=z.reshape(shape), u=u.reshape(shape), m=moments[2].reshape(shape),
                       g_xx=(moments[1] / layout.two_n).reshape(shape),
                       g_zz=(moments[3] - moments[4] - moments[4] + moments[5]).reshape(shape), probabilities=p)
+
+
+def reweight_point(ring: RingModel, j: float, b: float, t: float) -> GibbsBlock:
+    """`reweight` of one ring at the single point (j, b, t), in pure Python
+    and as floats: the same ground-energy shift, T = 0 rule and refusals,
+    and each sum over the classes correctly rounded (`math.fsum`)."""
+    j, b, t = float(j), float(b), float(t)
+    if not t >= 0:
+        raise ValueError("temperature must be a number" if math.isnan(t) else "temperature must be nonnegative")
+    energies = [j * kappa + b * sz for kappa, sz in zip(ring.class_kappa, ring.class_sz)]
+    e0 = min(energies)
+    if t == 0:
+        # each class of the ground level weighs exactly 1, every other class 0
+        weights = [float(same_level(e, e0, e0)) for e in energies]
+    else:
+        # a gap over a subnormal T overflows to -inf, which weighs exactly 0
+        weights = [math.exp((e0 - e) / t) for e in energies]
+    z, kappa, m, p00, p01, p11 = (math.fsum(map(operator.mul, weights, column)) for column in ring.classes)
+    if not 1.0 <= z < math.inf:
+        raise FloatingPointError("non-finite shifted partition sum")
+    kappa, m, p00, p01, p11 = (x / z for x in (kappa, m, p00, p01, p11))
+    u = j * kappa + b * m
+    if not all(map(math.isfinite, (u, kappa, m, p00, p01, p11))):
+        raise FloatingPointError("non-finite thermal observable")
+    return GibbsBlock(z_shifted=z, u=u, m=m, g_xx=kappa / (2.0 * ring.n), g_zz=p00 - p01 - p01 + p11,
+                      probabilities=(p00, p01, p01, p11))

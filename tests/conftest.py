@@ -50,13 +50,18 @@ def ring_builds(monkeypatch):
     return record
 
 
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Replace a package function in every package module that holds it by its name."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "xxring" and getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, replacement)
+
+
 @pytest.fixture
 def reweight_calls(monkeypatch):
     """Record the ring size (a tuple of sizes for a stack) and the output
     shape of every thermal.reweight call, under every name the package's
     modules hold it by."""
-    import sys
-
     import xxring.thermal as thermal
 
     calls = []
@@ -68,7 +73,23 @@ def reweight_calls(monkeypatch):
                       block.u.shape))
         return block
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "xxring" and getattr(module, "reweight", None) is original:
-            monkeypatch.setattr(module, "reweight", counting)
+    _patch_everywhere(monkeypatch, original, counting)
+    return calls
+
+
+@pytest.fixture
+def point_calls(monkeypatch):
+    """Record the ring size and the temperature of every
+    thermal.reweight_point call, under every name the package's modules
+    hold it by."""
+    import xxring.thermal as thermal
+
+    calls = []
+    original = thermal.reweight_point
+
+    def counting(ring, j, b, t):
+        calls.append((ring.n, t))
+        return original(ring, j, b, t)
+
+    _patch_everywhere(monkeypatch, original, counting)
     return calls

@@ -330,27 +330,22 @@ def _folded(n: int, particles: int) -> np.ndarray:
     return np.minimum(p, 2 * n - p)
 
 
-def _level_classes(n, occupied, particles):
-    """Each level's class, and each class's (sz, kappa), from the levels'
-    occupied modes."""
+def _level_kappa(n, occupied, particles):
+    """Each level's kappa from its occupied modes, summed once per count key."""
     # a level's count key: a base-3 digit per +-k class counting its occupied modes, then its grid parity
     parity = particles % 2
     digits = np.where(parity == 1, occupied @ 3 ** _folded(n, 1), occupied @ 3 ** _folded(n, 0))
     keys, members = np.unique(2 * digits + parity, return_inverse=True)
     counts = keys[:, None] // 2 // 3 ** np.arange(n + 1) % 3
     counted = counts.sum(axis=1)
-    if n > 1:
-        q = np.arange(n + 1)
-        cosines = np.sin(np.pi * (n - 2 * q) / (2 * n))
-        grid = ((q - counted[:, None]) % 2 == 1) * (2 - (q == 0) - (q == n))  # modes per class
-        holes = 2 * counted > n
-        summed = np.where(holes[:, None], grid - counts, counts)
-        kappa = np.where(holes, -4.0, 4.0) * (summed * cosines).sum(axis=1) + 0.0
-    else:  # a single site has no bond
-        kappa = np.zeros(keys.size)
-    pairs, merged = np.unique(np.stack([n - 2.0 * counted, kappa], axis=1), axis=0,
-                              return_inverse=True)
-    return merged[members], pairs
+    if n == 1:  # a single site has no bond
+        return np.zeros(members.size)
+    q = np.arange(n + 1)
+    cosines = np.sin(np.pi * (n - 2 * q) / (2 * n))
+    grid = ((q - counted[:, None]) % 2 == 1) * (2 - (q == 0) - (q == n))  # modes per class
+    holes = 2 * counted > n
+    summed = np.where(holes[:, None], grid - counts, counts)
+    return (np.where(holes, -4.0, 4.0) * (summed * cosines).sum(axis=1) + 0.0)[members]
 
 
 class LevelTable:
@@ -360,17 +355,14 @@ class LevelTable:
     bit mask over the mode index m, and `levels` is the per-level table,
     shape (levels, 5): kappa, sz, p00, p01 (= p10) and p11, the pair sums
     (2/n^2) sin^2((k - q)/2) over filled, filled-empty and empty mode pairs.
-    `members` is each level's class, the levels of one bit-identical
-    (sz, kappa), and `class_sz` and `class_kappa` are each class's own sz and
-    kappa, ordered by sz, then kappa."""
+    Levels of one count key share one bit-identical kappa."""
 
     def __init__(self, n: int):
         _check_ring_size(n)
         masks = np.arange(1 << n)
         occupied = _bits(masks, n)
         particles = occupied.sum(axis=1)
-        members, pairs = _level_classes(n, occupied, particles)
-        kappa = pairs[members, 1]
+        kappa = _level_kappa(n, occupied, particles)
         order = np.lexsort((kappa, particles))
         filled = occupied[order].astype(float)
         empty = 1.0 - filled
@@ -388,8 +380,6 @@ class LevelTable:
         self.kappa, self.sz = levels[:, 0], levels[:, 1]
         self.modes = masks[order]
         self.sector_starts = np.searchsorted(particles[order], np.arange(n + 1))
-        self.members = members[order]
-        self.class_sz, self.class_kappa = pairs.T.copy()
 
     def energies(self, j, b) -> np.ndarray:
         """Level energies j * kappa + b * sz; one row per point if j or b is an array."""
@@ -411,7 +401,7 @@ def level_table(n: int) -> LevelTable:
 def eigenvalues(spectrum) -> np.ndarray:
     """All 2^n eigenvalues of a package spectrum, sorted ascending: each
     class energy repeated by its multiplicity."""
-    multiplicity = spectrum.ring.classes[0].astype(int)
+    multiplicity = np.array(spectrum.ring.classes[0]).astype(int)
     return np.sort(np.repeat(spectrum.class_energies(), multiplicity))
 
 

@@ -53,3 +53,27 @@ def test_a_moved_byte_stops_the_comparison():
     message = r"^2 of 4 ops differ: op 1 \(sweep .*\); op 3 \(sweep .*\); first: "
     with pytest.raises(AssertionError, match=message):
         ab_ops.compare(cli.main, moved, warmup, argvs)
+
+
+def _printing(text):
+    """A main that prints text and exits 0."""
+    def main(argv):
+        print(text)
+        return 0
+    return main
+
+
+@pytest.mark.parametrize("moved, byte_equal, at_rtol", [
+    ("U = 0.500000000000001", False, True),
+    ("U = 0.500000001", False, False),
+    ("V = 0.5", False, False),
+    ("U = 0.5", True, True),
+], ids=["roundoff", "beyond_rtol", "text", "unmoved"])
+def test_rtol_compares_numbers_at_the_tolerance_and_text_exactly(moved, byte_equal, at_rtol):
+    argvs = [["thermal"], ["ground"]]
+    for rtol, passes in ((None, byte_equal), (1e-12, at_rtol)):
+        if passes:
+            assert len(ab_ops.compare(_printing("U = 0.5"), _printing(moved), argvs[0], argvs, rtol)) == 2
+        else:
+            with pytest.raises(AssertionError, match="^2 of 2 ops differ"):
+                ab_ops.compare(_printing("U = 0.5"), _printing(moved), argvs[0], argvs, rtol)

@@ -77,7 +77,7 @@ def test_criterion_02_closed_form_oracle_agreement():
         spectrum = full_spectrum(ModelParams(n=4, j=j, b=b))
         obs = reweight(spectrum.ring, j, b, t)
         cf = closed_forms(j, b, 1.0 / t)
-        z_spectral = math.exp(math.log(obs.z_shifted) - float(spectrum.class_energies().min()) / t)
+        z_spectral = math.exp(math.log(obs.z_shifted) - min(spectrum.class_energies()) / t)
         for got, want in [(z_spectral, cf.z), (obs.u, 4 * cf.u_bar), (obs.m, 4 * cf.m_bar),
                           (obs.g_zz, cf.g_zz), (obs.g_xx, cf.g_xx)]:
             worst = max(worst, abs(got - want) / max(1.0, abs(got), abs(want)))
@@ -201,7 +201,7 @@ def test_criterion_09_thermodynamic_identities():
         grid = np.geomspace(1e-2, 1e2, 40)
         us = np.array([reweight(spectrum.ring, j, b, tt).u for tt in grid])
         diffs = np.diff(us)
-        e0 = float(spectrum.class_energies().min())
+        e0 = min(spectrum.class_energies())
         resolvable = (us[1:] - e0) > 1e-12 * max(1.0, abs(e0))
         monotone_ok = monotone_ok and bool(
             np.all(us < 0.0) and np.all(diffs >= 0.0) and np.all(diffs[resolvable] > 0.0))

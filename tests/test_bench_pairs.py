@@ -53,3 +53,32 @@ def test_summary_gives_each_sides_quartiles_the_wins_and_the_verdict():
         "op_p50_ms (ms, lower is better, bound 0.25): base 1.3 [1.2, 1.4], working tree 1.3 [1.3, 1.3]; "
         "working tree won 1/3; same",
     ]
+
+
+def test_write_records_each_workload_with_its_runs_quartiles_wins_and_verdict(tmp_path):
+    metrics = [m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+               if m["name"] in ("ops_per_s", "op_p50_ms")]
+    base = [{"ops_per_s": 700.0, "op_p50_ms": 1.4}, {"ops_per_s": 800.0, "op_p50_ms": 1.2},
+            {"ops_per_s": 750.0, "op_p50_ms": 1.3}]
+    work = [{"ops_per_s": 900.0, "op_p50_ms": 1.3}, {"ops_per_s": 800.0, "op_p50_ms": 1.3},
+            {"ops_per_s": 850.0, "op_p50_ms": 1.3}]
+    shares = {"base": {"thermal": 0.75, "cli": 0.25}, "working_tree": {"thermal": 0.5, "cli": 0.5}}
+    environment = {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "base": "a" * 40,
+                   "working_tree": "b" * 40, "seeds": [1, 2, 3], "trace_seed": 1, "seconds": 30.0}
+    path = tmp_path / "BENCH_label.json"
+    path.write_text(json.dumps({"workloads": {"surface": {"kept": True}}}))
+    entry = {"metrics": bench_pairs.compared(metrics, base, work), "self_share": shares, "environment": environment}
+    bench_pairs.write(path, "cold_cli", entry)
+    data = json.loads(path.read_text())
+    assert data["workloads"]["surface"] == {"kept": True}
+    written = data["workloads"]["cold_cli"]
+    assert written["self_share"] == shares and written["environment"] == environment
+    assert written["metrics"]["ops_per_s"] == {
+        "unit": "1/s", "better": "higher", "bound": 0.2,
+        "base": {"runs": [700.0, 800.0, 750.0], "median": 750.0, "quartiles": [700.0, 800.0]},
+        "working_tree": {"runs": [900.0, 800.0, 850.0], "median": 850.0, "quartiles": [800.0, 900.0]},
+        "wins": 2, "pairs": 3, "verdict": "same"}
+    assert written["metrics"]["op_p50_ms"]["wins"] == 1 and written["metrics"]["op_p50_ms"]["verdict"] == "same"
+    # a second write of the workload replaces its entry and keeps the others
+    bench_pairs.write(path, "cold_cli", {"metrics": {}})
+    assert json.loads(path.read_text())["workloads"] == {"surface": {"kept": True}, "cold_cli": {"metrics": {}}}

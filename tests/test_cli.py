@@ -256,10 +256,10 @@ def test_printed_digits_do_not_depend_on_the_blas_thread_count():
         # 486 level classes, none merged
         ["sweep", "--n", "11", "--j", "1.2", "--t-min", "0.1", "--t-max", "4", "--t-steps", "20",
          "--b-min", "0", "--b-max", "3", "--b-steps", "10"],
-        # 400 points x 4,029 classes: a BLAS product here rounds differently on two threads
+        # 400 points x 2,901 classes: a BLAS product here rounds differently on two threads
         ["sweep", "--n", "16", "--j", "0.8", "--t-min", "0.1", "--t-max", "4", "--t-steps", "20",
          "--b-min", "0", "--b-max", "3", "--b-steps", "20"],
-        # one stack of 4,039 classes at 1,500 points, in 6 kernel passes
+        # one stack of 2,911 classes at 1,500 points, in 5 kernel passes
         ["verify", "--n-list", "2,3,16", "--samples", "300", "--odd-control", "0"],
     ]
     script = ("import sys\nfrom xxring.cli import main\n"
@@ -446,7 +446,7 @@ def test_sweep_refuses_a_grid_over_the_cap_before_building_it(capsys, monkeypatc
      "1,1,1,4,-5.58022686797,-1.34870708615,-0.528939972727,-0.116113647198,0.243238037307\n"),
     # H and T scale together: the state of j = t = 1 to the ~4 digits a subnormal j carries
     ("thermal --n 4 --j 1e-320 --b 0 --t 1e-320",
-     "Z_shifted   = 1.41664853217\nU           = -5.07010165762e-320\nM           = 5.24250349532e-18\n"
+     "Z_shifted   = 1.41664853217\nU           = -5.07010165762e-320\nM           = 0\n"
      "Gxx         = -0.633761132758\nGzz         = -0.350483403629\nconcurrence = 0.309002834573\n"),
 ], ids=["thermal", "sweep", "subnormal_exchange"])
 def test_subnormal_temperatures_print_no_warnings(capsys, argv, want):
@@ -645,10 +645,11 @@ def test_sixteen_sites_pass_the_benchmark_checks(capsys, command, j, b, extra):
         assert "tangle" in out and "tangle        = 0\n" not in out
 
 
-def test_thermal_reads_everything_from_one_kernel_call(capsys, reweight_calls):
+def test_thermal_reads_everything_from_one_kernel_call(capsys, reweight_calls, point_calls):
     code, out, _ = run_cli(capsys, "thermal", "--n", "6", "--j", "1", "--b", "0.5", "--t", "0.7")
     assert code == 0 and "concurrence" in out
-    assert reweight_calls == [(6, ())]
+    # one call of the single-point kernel, none of the block kernel
+    assert point_calls == [(6, 0.7)] and reweight_calls == []
 
 
 _REUSE_COMMANDS = {
@@ -865,8 +866,8 @@ def test_import_builds_no_parser():
     assert result.returncode == 0, result.stderr
 
 
-def test_import_loads_only_the_standard_library_and_numpy():
-    # start-up cost: a fresh `python -m xxring` imports nothing else
+def test_import_loads_only_the_standard_library():
+    # start-up cost: a fresh `python -m xxring` imports nothing else, numpy included
     code = ("import sys; before = set(sys.modules); import xxring.cli; "
             "new = {name.partition('.')[0] for name in set(sys.modules) - before}; "
             "print(sorted(new - set(sys.stdlib_module_names)))")
@@ -874,7 +875,23 @@ def test_import_loads_only_the_standard_library_and_numpy():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "['numpy', 'xxring']\n"
+    assert result.stdout == "['xxring']\n"
+
+
+def test_import_loads_every_layer_the_benchmark_tracer_reads():
+    # the tracer wraps the public functions of each of its LAYERS modules, read from sys.modules
+    # right after `import xxring.cli`: none of them may wait for a command to import it
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from tracer import LAYERS, PACKAGE
+    finally:
+        sys.path.pop(0)
+    code = f"import sys, xxring.cli; print([m for m in {list(LAYERS)!r} if '{PACKAGE}.' + m not in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(xxring.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert len(LAYERS) == 7 and result.stdout == "[]\n"
 
 
 # The fresh-process entry: `python -m xxring` and the console script run
@@ -943,6 +960,8 @@ def test_python_m_imports_argparse_only_for_an_argv_the_table_declines(argv, wan
     assert bool(re.search(r"\|\s+argparse$", result.stderr, re.M)) == loads_argparse
     # the four-site closed forms are a test oracle, never on a command's import path
     assert not re.search(r"\|\s+xxring\.analytic_n4$", result.stderr, re.M)
+    # numpy only for the commands that reweight a block of points
+    assert bool(re.search(r"\|\s+numpy$", result.stderr, re.M)) == (argv[0] in ("sweep", "verify"))
 
 
 def test_python_m_freezes_the_heap_before_the_command():

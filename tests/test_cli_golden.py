@@ -133,15 +133,16 @@ def _split(text: str) -> tuple[str, list[float]]:
     return _NUMBER.sub("#", text), [float(x) for x in _NUMBER.findall(text)]
 
 
-def differences(got: str, want: str) -> list[str]:
-    """Lines of got that differ from want beyond the number tolerance."""
+def differences(got: str, want: str, rtol: float = RTOL) -> list[str]:
+    """Lines of got that differ from want beyond the number tolerance rtol
+    (relative to max(1, |recorded|)); the text between numbers must match."""
     got_lines, want_lines = got.splitlines(), want.splitlines()
     if len(got_lines) != len(want_lines):
         return [f"{len(got_lines)} lines, recorded {len(want_lines)}"]
     bad = []
     for g, w in zip(got_lines, want_lines):
         (g_text, g_nums), (w_text, w_nums) = _split(g), _split(w)
-        if g_text != w_text or any(abs(a - b) > RTOL * max(1.0, abs(b))
+        if g_text != w_text or any(abs(a - b) > rtol * max(1.0, abs(b))
                                    for a, b in zip(g_nums, w_nums)):
             bad.append(f"{g!r} vs recorded {w!r}")
     return bad

@@ -30,7 +30,7 @@ def test_full_spectrum_counts_and_ground(rng):
         spectrum = full_spectrum(ModelParams(n=n, j=j, b=b))
         values = eigenvalues(spectrum)
         assert values.size == 2 ** n
-        assert float(spectrum.class_energies().min()) == pytest.approx(values[0], abs=0)
+        assert min(spectrum.class_energies()) == pytest.approx(values[0], abs=0)
 
 
 def test_full_spectrum_n4_matches_reference_levels(rng):
@@ -50,7 +50,7 @@ def test_n6_ground_energy_against_brute_force():
     oracle = np.linalg.eigvalsh(full_hamiltonian(params))
     spectrum = full_spectrum(params)
     assert np.allclose(eigenvalues(spectrum), np.sort(oracle), atol=1e-9)
-    assert float(spectrum.class_energies().min()) == pytest.approx(-8.0, abs=1e-10)
+    assert min(spectrum.class_energies()) == pytest.approx(-8.0, abs=1e-10)
 
 
 def test_eigenvalue_sums_match_traces(rng):
@@ -78,7 +78,7 @@ def test_ground_states_span_degenerate_levels():
             assert len(states) == 2
             assert reweight(spectrum.ring, j, b_cross, 0.0).z_shifted == 2
             for sec, k in states:
-                assert sec.values[k] == pytest.approx(float(spectrum.class_energies().min()), abs=1e-12)
+                assert sec.values[k] == pytest.approx(min(spectrum.class_energies()), abs=1e-12)
 
 
 def test_ground_state_vector_unique_case():
@@ -88,7 +88,7 @@ def test_ground_state_vector_unique_case():
         assert vec.shape == (16,)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
         h = full_hamiltonian(ModelParams(n=4, j=j, b=1.0))
-        assert np.allclose(h @ vec, float(spectrum.class_energies().min()) * vec, atol=1e-9)
+        assert np.allclose(h @ vec, min(spectrum.class_energies()) * vec, atol=1e-9)
 
 
 def test_ground_state_vector_rejects_degeneracy():
@@ -120,7 +120,7 @@ def test_negative_exchange_keeps_sectors_ascending(rng):
 def test_the_level_width_lies_between_roundoff_and_every_splitting():
     # at B = 0 the sorted class energies of each ring step either by roundoff within one
     # level (an odd ring's spin-flip partners are built on the other mode grid; at most
-    # 2.0e-16 |E0|) or from one level to the next (at least 2.5e-5 |E0|)
+    # 1.2e-16 |E0|) or from one level to the next (at least 2.5e-5 |E0|)
     for n in range(2, N_MAX + 1):
         kappa = np.sort(ring_model(n).class_kappa)
         # |E0| is |j| times -kappa[0] for j > 0 and kappa[-1] for j < 0

@@ -67,7 +67,8 @@ def test_sweep_grid_order_and_contents():
     for k_b, b in enumerate(b_grid):
         for k_t, t in enumerate(t_grid):
             spectrum = full_spectrum(ModelParams(n=4, j=1.0, b=b))
-            assert concurrence[k_b, k_t] == thermal_concurrence(spectrum, t)
+            # the single-point kernel sums the same classes in another order
+            assert concurrence[k_b, k_t] == pytest.approx(thermal_concurrence(spectrum, t), rel=0, abs=1e-12)
             assert block.u[k_b, k_t] == reweight(ring_model(4), 1.0, b, t).u
 
 
@@ -621,12 +622,14 @@ def test_threshold_equals_the_pointwise_loop(n, j, b, tol):
         assert "%.*g" % (_resolved_digits(got, tol), got) == "%.*g" % (_resolved_digits(want, tol), want)
 
 
-def test_threshold_scans_in_one_call_then_bisects_one_midpoint_per_call(reweight_calls):
-    # the scan 0.05 * 2^k, k = 0..15, runs up past 1e3 max(1, |j|, |b|) in one call, and
-    # T_c lies in its bracket [1.6, 3.2]: halving the width 1.6 down to tol = 1e-6 takes
-    # ceil(log2(1.6e6)) = 21 steps, each one call at one point
+def test_threshold_scans_in_one_call_then_bisects_one_midpoint_per_call(reweight_calls, point_calls):
+    # the scan 0.05 * 2^k, k = 0..15, runs up past 1e3 max(1, |j|, |b|), one single-point
+    # kernel call per temperature, and T_c lies in its bracket [1.6, 3.2]: halving the width
+    # 1.6 down to tol = 1e-6 takes ceil(log2(1.6e6)) = 21 steps, each one call at one point
     assert 1.6 < threshold_temperature(ModelParams(n=12, j=1.0, b=0.5), tol=1e-6) < 3.2
-    assert reweight_calls == [(12, (16,))] + [(12, ())] * 21
+    assert point_calls[:16] == [(12, 0.05 * 2.0 ** k) for k in range(16)]
+    assert len(point_calls) == 16 + 21 and all(1.6 < t < 3.2 for _, t in point_calls[16:])
+    assert reweight_calls == []
 
 
 def test_sequential_bisection_stops_at_adjacent_doubles():

@@ -44,8 +44,8 @@ RINGS = range(1, 13)
 CROSSINGS_N4 = (2.0 * (math.sqrt(2.0) - 1.0), 2.0)
 # fully polarized: every spin down, so p00 is a tiny positive sum
 POLARIZED_N10 = (1.0, 3.0, 0.25)
-# the number of level classes (distinct (sz, kappa)) of some rings
-CLASS_COUNTS = {10: 203, 11: 486, 12: 528, 16: 4029}
+# the number of level classes (distinct (sz, kappa), kappa correctly rounded) of some rings
+CLASS_COUNTS = {6: 28, 9: 162, 10: 188, 11: 486, 12: 443, 16: 2901}
 
 
 def _seeded_points(n: int):
@@ -90,9 +90,9 @@ def test_sector_levels_match_the_ed_sectors(n):
     for j, b in zip(*_seeded_points(n)[:2]):
         params = ModelParams(n=n, j=float(j), b=float(b))
         spectrum = full_spectrum(params)
-        energies, multiplicity = spectrum.class_energies(), spectrum.ring.classes[0].astype(int)
+        energies, multiplicity = np.array(spectrum.class_energies()), np.array(spectrum.ring.classes[0]).astype(int)
         for sec in dense_sectors(params):
-            mine = spectrum.ring.class_sz == sec.sz
+            mine = np.array(spectrum.ring.class_sz) == sec.sz
             level = np.sort(np.repeat(energies[mine], multiplicity[mine]))
             want = sec.values
             assert np.all(np.abs(level - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
@@ -197,6 +197,18 @@ def _count_vectors(table):
     return counts
 
 
+def _levels(sz, kappa):
+    """Each class's or level's exact level: its index among the distinct
+    (sz, kappa) once kappas within 1e-9 of each other in a sector are one
+    (distinct levels of one sector lie 1e-2 or more apart on rings n <= 16)."""
+    order = np.lexsort((kappa, sz))
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (np.diff(sz[order]) != 0) | (np.diff(kappa[order]) > 1e-9)
+    level = np.empty(order.size, dtype=int)
+    level[order] = np.cumsum(new) - 1
+    return level
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_level_classes_fold_the_levels_exactly(n):
     table, ring = level_table(n), ring_model(n)
@@ -205,19 +217,37 @@ def test_level_classes_fold_the_levels_exactly(n):
                                 return_inverse=True)
     assert np.array_equal(table.kappa, table.kappa[first][group])
     assert np.array_equal(table.sz, table.sz[first][group])
-    # a class is every level with one (sz, kappa), bit for bit, as many as its multiplicity
-    assert np.array_equal(ring.class_sz, table.class_sz)
-    assert np.array_equal(ring.class_kappa, table.class_kappa)
-    members = table.members
-    assert ring.classes.shape == (6, ring.class_sz.size)
-    assert np.array_equal(ring.classes[0], np.bincount(members)) and ring.classes[0].sum() == 2 ** n
-    # every class sum is the sum over its levels, with the same zeros
-    for column, sums in zip(table.levels.T, ring.classes[1:]):
-        want = np.bincount(members, column)
-        assert np.all(np.abs(sums - want) <= 1e-12 * np.bincount(members, np.abs(column)))
-        assert np.array_equal(sums == 0.0, want == 0.0)
+    # classes of one sz hold distinct kappas, ascending, and sectors run by sz ascending
+    classes = np.array(ring.classes)
+    class_sz, class_kappa = np.array(ring.class_sz), np.array(ring.class_kappa)
+    assert classes.shape == (6, class_sz.size)
+    assert np.all((np.diff(class_sz) > 0) | ((np.diff(class_sz) == 0) & (np.diff(class_kappa) > 0)))
+    # the classes of each exact level hold as many levels as the per-level build gives it,
+    # and their sums are the sums over those levels, to 1e-12 per level or relative
+    mine, theirs = _levels(class_sz, class_kappa), _levels(table.sz, table.kappa)
+    assert mine.max() == theirs.max()
+    count = np.bincount(theirs)
+    assert np.array_equal(np.bincount(mine, classes[0]), count)
+    for name, column, sums in zip(("kappa", "sz", "p00", "p01", "p11"), table.levels.T, classes[1:]):
+        got, want = np.bincount(mine, sums), np.bincount(theirs, column)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(count, np.bincount(theirs, np.abs(column)))), name
+        # with the same zeros, but for kappa: the class table's is correctly rounded, so a
+        # level of kappa 0 is exactly 0 there and roundoff in the per-level build
+        if name != "kappa":
+            assert np.array_equal(got == 0.0, want == 0.0), name
     if n in CLASS_COUNTS:
-        assert ring.class_sz.size == CLASS_COUNTS[n]
+        assert class_sz.size == CLASS_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_class_table_invariants(n):
+    multiplicity, _, _, p00, p01, p11 = ring_model(n).classes
+    # every term of a pair sum is nonnegative, so every sum is too, with no roundoff below 0
+    assert min(p00 + p01 + p11) >= 0.0
+    assert sum(multiplicity) == 2 ** n
+    # the pair sums of each level sum to 1 (0 on a single site, which has no bond)
+    for count, total in zip(multiplicity, map(math.fsum, zip(p00, p01, p01, p11))):
+        assert abs(total - (count if n > 1 else 0.0)) <= 1e-12 * count
 
 
 @pytest.mark.parametrize("n", range(2, 17))
@@ -226,7 +256,7 @@ def test_kappa_is_exactly_particle_hole_odd(n):
     # kappa 0, and on even rings the holes of a sector-N set are a
     # sector-(n - N) set with kappa exactly -kappa, class by class
     ring = ring_model(n)
-    sz, kappa, multiplicity = ring.class_sz, ring.class_kappa, ring.classes[0]
+    sz, kappa, multiplicity = np.array(ring.class_sz), np.array(ring.class_kappa), np.array(ring.classes[0])
     assert kappa[sz == n].tolist() == [0.0] and kappa[sz == -n].tolist() == [0.0]
     if n % 2 == 0:
         for s in range(2, n + 1, 2):
@@ -235,11 +265,11 @@ def test_kappa_is_exactly_particle_hole_odd(n):
 
 
 def test_ring_holds_no_array_of_two_to_the_n_rows():
-    # the n = 16 ring keeps its 4,029 classes, not its 65,536 levels, and never
+    # the n = 16 ring keeps its 2,901 classes, not its 65,536 levels, and never
     # builds a per-level array: one 2^16 x 16 bit matrix alone is 8.4 MB
     ring = ring_model(16)
-    arrays = [value for value in vars(ring).values() if isinstance(value, np.ndarray)]
-    assert arrays and all(max(a.shape) < 2 ** 16 for a in arrays)
+    columns = [*ring.classes, ring.class_sz, ring.class_kappa]
+    assert all(len(column) == 2901 for column in columns)
     tracemalloc.start()
     try:
         RingModel(16)
@@ -270,8 +300,7 @@ def _points(draw):
 def test_every_level_is_a_bond_state(n):
     # class by class: the pair sums of each level sum to 1, so p00 + 2 p01 + p11
     # is the class's multiplicity
-    multiplicity, kappa, _, p00, p01, p11 = ring_model(n).classes
-    assert np.all(ring_model(n).classes[3:] >= 0.0)
+    multiplicity, kappa, _, p00, p01, p11 = np.array(ring_model(n).classes)
     assert np.all(np.abs(p00 + 2.0 * p01 + p11 - multiplicity) <= 1e-12 * multiplicity)
     # |<sigma_x sigma_x>| = kappa / (2n) = 2 |z| is bounded by p01 + p10 = 2 w
     assert np.all(np.abs(kappa / (2.0 * n)) <= 2.0 * p01 + 1e-12 * multiplicity)

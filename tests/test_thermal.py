@@ -58,7 +58,7 @@ def test_log_partition_matches_oracle(rng):
         params = ModelParams(n=n, j=j, b=b)
         spectrum = full_spectrum(params)
         obs = reweight(spectrum.ring, j, b, t)
-        log_z = math.log(obs.z_shifted) - float(spectrum.class_energies().min()) / t
+        log_z = math.log(obs.z_shifted) - min(spectrum.class_energies()) / t
         assert log_z == pytest.approx(log_partition(full_hamiltonian(params), t), abs=1e-10)
 
 
@@ -205,7 +205,7 @@ def test_internal_energy_negative_and_increasing(rng):
         assert np.all(us < 0.0)
         diffs = np.diff(us)
         assert np.all(diffs >= 0.0)
-        e0 = float(spectrum.class_energies().min())
+        e0 = min(spectrum.class_energies())
         resolvable = (us[1:] - e0) > 1e-12 * max(1.0, abs(e0))
         assert np.all(diffs[resolvable] > 0.0)
         assert resolvable.sum() >= 25

@@ -12,12 +12,15 @@ and then one error names how many differ and the first few. The script
 prints each side's median time per op in microseconds, the median per-op
 time ratio (working tree / base) with its quartiles, and how many ops ran
 faster on the working tree. With `--corpus` the ops are the argvs of `tests/test_cli_golden.py`'s
-CORPUS, refusals included, in place of a workload's, compared byte for byte
-where the golden test allows each number to drift by 1e-12.
+CORPUS, refusals included, in place of a workload's. With `--rtol R` the
+exit codes must be equal and the outputs only equal at a stated tolerance:
+line by line, the text between numbers must match exactly and each number
+must lie within R * max(1, |base|) of the base's (`test_cli_golden.differences`,
+the golden test's own comparator, which allows 1e-12).
 
     python tools/ab_ops.py --workload surface --seed 31
     python tools/ab_ops.py --workload propositions --seed 32 --base HEAD~1
-    python tools/ab_ops.py --workload cold_cli --seed 33
+    python tools/ab_ops.py --workload cold_cli --seed 33 --rtol 1e-12
     python tools/ab_ops.py --corpus
 
 With `--base HEAD` and a clean tree it is an A/A control.
@@ -70,11 +73,22 @@ def corpus_argvs():
     return argvs[0], argvs
 
 
-def compare(base_main, work_main, warmup, argvs) -> list[tuple[float, float]]:
+def same(base, work, rtol: float | None) -> bool:
+    """Whether two ops' (exit code, stdout, stderr) agree: byte for byte
+    where rtol is None, else with equal exit codes and every stdout and
+    stderr line equal at the tolerance rtol (`test_cli_golden.differences`)."""
+    if rtol is None:
+        return base == work
+    differences = importlib.import_module("test_cli_golden").differences
+    return base[0] == work[0] and not any(differences(w, b, rtol) for b, w in zip(base[1:], work[1:]))
+
+
+def compare(base_main, work_main, warmup, argvs, rtol: float | None = None) -> list[tuple[float, float]]:
     """Each op's (base, working tree) time in seconds, after one untimed
-    warm-up op on each side. Every op runs; if any op's output differs, one
-    error then gives how many differ, the first three by index and argv, and
-    the first one's outputs on both sides."""
+    warm-up op on each side. Every op runs; if any op's output differs
+    (`same`, at the tolerance rtol), one error then gives how many differ,
+    the first three by index and argv, and the first one's outputs on both
+    sides."""
     for main in (base_main, work_main):
         _run(main, warmup)
     times, moved = [], []
@@ -85,7 +99,7 @@ def compare(base_main, work_main, warmup, argvs) -> list[tuple[float, float]]:
         else:
             base_s, base = _timed(base_main, argv)
             work_s, work = _timed(work_main, argv)
-        if work != base:
+        if not same(base, work, rtol):
             moved.append((index, argv, base, work))
         times.append((base_s, work_s))
     if moved:
@@ -116,6 +130,8 @@ def main() -> int:
     ops.add_argument("--corpus", action="store_true", help="the golden test's commands in place of a workload's ops")
     parser.add_argument("--seed", type=int, default=31)
     parser.add_argument("--base", default="HEAD", help="commit to compare against (default HEAD)")
+    parser.add_argument("--rtol", type=float, metavar="R",
+                        help="compare each number to R * max(1, |base|) and the text exactly (default: byte for byte)")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         # the base commit's src/xxring, imported as BASE_PACKAGE
@@ -129,8 +145,9 @@ def main() -> int:
         else:
             label = f"{args.workload} seed {args.seed}"
             warmup, argvs = workload_argvs(workloads.make_op, args.workload, args.seed, OPS)
-        times = compare(base_cli.main, work_cli.main, warmup, argvs)
-    print(f"{label} vs {args.base}: {summary(times)}")
+        times = compare(base_cli.main, work_cli.main, warmup, argvs, args.rtol)
+    equal = "byte for byte" if args.rtol is None else f"at rtol {args.rtol:g}"
+    print(f"{label} vs {args.base}, outputs compared {equal}: {summary(times)}")
     return 0
 
 

@@ -22,8 +22,16 @@ side), and a verdict, the first of these that holds:
 
     python tools/bench_pairs.py --workload surface --pairs 10
     python tools/bench_pairs.py --workload cold_cli --pairs 3 --base HEAD~1 --seconds 10
+    python tools/bench_pairs.py --workload cold_cli --write BENCH_label.json
 
 Each run writes its result file to its own tree's `perfbench/results/`.
+With `--write PATH` the script also runs one `--trace 1` run per side
+(seed 1, the same seconds) and records the workload's entry in the JSON
+file PATH, keeping the entries of other workloads already there: every
+pair's metrics, each side's median and quartiles, the wins and the verdict
+of each end-to-end metric, each side's per-layer self-time shares from its
+traced run, and the environment (Python, numpy, nproc, both commits, the
+seeds and the seconds).
 """
 
 from __future__ import annotations
@@ -50,14 +58,19 @@ def export(base: str, directory: Path, paths) -> None:
         tar.extractall(directory, filter="data")
 
 
-def _run(tree: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """One untraced benchmark run in tree: each metric's value, from the run's last stdout line."""
+def _run(tree: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One benchmark run in tree, read from its stdout: each metric's value
+    (`metrics`, from the last line), the environment block (the line before
+    it) and, for a traced run, the per-layer self-time shares (`self_share`)."""
     done = subprocess.run([*command, "--workload", workload, "--seed", str(seed), "--seconds", repr(seconds),
-                           "--trace", "0"], cwd=tree, capture_output=True, text=True)
+                           "--trace", str(trace)], cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"benchmark in {tree} exited with {done.returncode}: {done.stderr[-2000:]}")
-    result = json.loads(done.stdout.splitlines()[-1])
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+    lines = done.stdout.splitlines()
+    result = json.loads(lines[-1])
+    shares = [json.loads(line.partition(": ")[2]) for line in lines if line.startswith("self_share: ")]
+    return {"metrics": {name: metric["value"] for name, metric in result["metrics"].items()},
+            "environment": json.loads(lines[-2])["environment"], "self_share": shares[0] if shares else None}
 
 
 def verdict(better: str, bound: float, base: list[float], work: list[float]) -> tuple[int, str]:
@@ -78,21 +91,46 @@ def verdict(better: str, bound: float, base: list[float], work: list[float]) -> 
     return wins, "same"
 
 
-def summary(metrics: list[dict], base_runs: list[dict[str, float]], work_runs: list[dict[str, float]]) -> list[str]:
-    """One line per end-to-end metric (BENCHMARK.json's `end_to_end` entries)
-    over the paired runs: each side's median [quartiles], the working
-    tree's wins and the verdict."""
-    lines = []
+def compared(metrics: list[dict], base_runs: list[dict[str, float]],
+             work_runs: list[dict[str, float]]) -> dict[str, dict]:
+    """Each end-to-end metric (BENCHMARK.json's `end_to_end` entries) over
+    the paired runs, by name: its unit, direction and bound, each side's
+    runs, median and quartiles, the working tree's wins and the verdict."""
+    out = {}
     for metric in metrics:
         name = metric["name"]
-        base, work = ([run[name] for run in runs] for runs in (base_runs, work_runs))
-        wins, word = verdict(metric["better"], metric["bound"], base, work)
-        sides = [f"{label} {median:.4g} [{low:.4g}, {high:.4g}]"
-                 for label, (low, median, high) in (("base", statistics.quantiles(base, n=4)),
-                                                    ("working tree", statistics.quantiles(work, n=4)))]
-        lines.append(f"{name} ({metric['unit']}, {metric['better']} is better, bound {metric['bound']:g}): "
-                     f"{', '.join(sides)}; working tree won {wins}/{len(base)}; {word}")
+        sides = {}
+        for side, runs in (("base", base_runs), ("working_tree", work_runs)):
+            values = [run[name] for run in runs]
+            low, median, high = statistics.quantiles(values, n=4)
+            sides[side] = {"runs": values, "median": median, "quartiles": [low, high]}
+        wins, word = verdict(metric["better"], metric["bound"], sides["base"]["runs"], sides["working_tree"]["runs"])
+        out[name] = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"], **sides,
+                     "wins": wins, "pairs": len(base_runs), "verdict": word}
+    return out
+
+
+def summary(metrics: list[dict], base_runs: list[dict[str, float]], work_runs: list[dict[str, float]]) -> list[str]:
+    """One line per end-to-end metric over the paired runs (`compared`):
+    each side's median [quartiles], the working tree's wins and the verdict."""
+    lines = []
+    for name, c in compared(metrics, base_runs, work_runs).items():
+        sides = [f"{label} {c[side]['median']:.4g} [{c[side]['quartiles'][0]:.4g}, {c[side]['quartiles'][1]:.4g}]"
+                 for label, side in (("base", "base"), ("working tree", "working_tree"))]
+        lines.append(f"{name} ({c['unit']}, {c['better']} is better, bound {c['bound']:g}): "
+                     f"{', '.join(sides)}; working tree won {c['wins']}/{c['pairs']}; {c['verdict']}")
     return lines
+
+
+def write(path: Path, workload: str, entry: dict) -> None:
+    """Record one workload's entry in the BENCH file at path, keeping the other workloads' entries."""
+    data = json.loads(path.read_text()) if path.exists() else {"workloads": {}}
+    data["workloads"][workload] = entry
+    path.write_text(json.dumps(data, indent=1) + "\n")
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
 def main() -> int:
@@ -103,21 +141,38 @@ def main() -> int:
     parser.add_argument("--base", default="HEAD", help="commit to compare against (default HEAD)")
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"],
                         help=f"run length of each side (default {spec['run_seconds']})")
+    parser.add_argument("--write", type=Path, metavar="PATH",
+                        help="record the pairs and one traced run per side in this BENCH JSON file")
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
-    base_runs, work_runs = [], []
+    base_runs, work_runs, traced = [], [], {}
     with tempfile.TemporaryDirectory() as tmp:
         export(args.base, Path(tmp), ARCHIVED)
         for seed in range(1, args.pairs + 1):
             sides = [(Path(tmp), base_runs), (ROOT, work_runs)]
             for tree, runs in sides if seed % 2 else sides[::-1]:
-                runs.append(_run(tree, spec["command"], args.workload, seed, args.seconds))
+                runs.append(_run(tree, spec["command"], args.workload, seed, args.seconds)["metrics"])
             print(f"pair {seed} ({'base' if seed % 2 else 'working tree'} first): "
                   + ", ".join(f"{m['name']} {base_runs[-1][m['name']]:.4g} -> {work_runs[-1][m['name']]:.4g}"
                               for m in spec["end_to_end"]), flush=True)
+        if args.write:
+            for side, tree in (("base", Path(tmp)), ("working_tree", ROOT)):
+                traced[side] = _run(tree, spec["command"], args.workload, 1, args.seconds, trace=1)
     print(f"{args.workload}, {args.pairs} pairs of {args.seconds:g} s, base {args.base} -> working tree:")
     print("\n".join(summary(spec["end_to_end"], base_runs, work_runs)))
+    if args.write:
+        env = traced["working_tree"]["environment"]
+        write(args.write, args.workload, {
+            "metrics": compared(spec["end_to_end"], base_runs, work_runs),
+            "self_share": {side: run["self_share"] for side, run in traced.items()},
+            "environment": {"python": env["python"], "numpy": env["numpy"], "nproc": env["nproc"],
+                            "base": _git("rev-parse", args.base),
+                            # HEAD, marked when the benchmarked files differ from it
+                            "working_tree": _git("rev-parse", "HEAD") + (
+                                " with uncommitted changes" if _git("status", "--porcelain", "--", *ARCHIVED) else ""),
+                            "seeds": list(range(1, args.pairs + 1)), "trace_seed": 1, "seconds": args.seconds},
+        })
     return 0
 
 
