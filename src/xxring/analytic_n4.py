@@ -15,13 +15,12 @@ to 1e3 stays finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class ClosedFormN4:
+class ClosedFormN4(NamedTuple):
     """Partition function, per-site energy and magnetization, correlators."""
 
     z: float

@@ -370,11 +370,12 @@ def entry() -> int:
     Freezing moves every object built so far out of the collector's reach,
     the package's imports, and numpy's for the commands that import it
     (`sweep`, `verify`), so the interpreter's exit no longer collects and
-    frees them one by one and the OS reclaims the memory instead: the exit
-    of `ground --n 12` went from ~45 to ~10 ms when it still imported numpy
-    (2-core Xeon VM, Python 3.11, numpy 2.4). Library callers call `main`,
-    which leaves their heap alone. A closed stdout ends the command quietly
-    with exit status 141.
+    frees them one by one and the OS reclaims the memory instead. It pays
+    without numpy too: medians of 21 alternated fresh runs, without and
+    with it, read 101 -> 93 ms of CPU for `ground --n 12` and 82 -> 79 ms
+    for `threshold --n 12`, faster with it in 20 and 18 of the 21 (2-core
+    VM, Python 3.11). Library callers call `main`, which leaves their heap
+    alone. A closed stdout ends the command quietly with exit status 141.
     """
     gc.freeze()
     try:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .basis import _check_ring_size
 from .hamiltonian import ModelParams
@@ -155,13 +155,12 @@ def ring_model(n: int) -> RingModel:
     return RingModel(n)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """The ring's spectrum at (j, b): a view of its cached `RingModel`, with
     class energies j * kappa + b * sz in the ring's class order."""
 
     params: ModelParams
-    ring: RingModel = field(repr=False, compare=False)
+    ring: RingModel
 
     def class_energies(self) -> list[float]:
         """The energy of each class's levels."""

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .entanglement import concurrence_xstate, concurrence_xstate_point
 from .eigensolver import GROUND_RTOL, RingModel, Spectrum, full_spectrum, ring_model, same_level
@@ -30,8 +29,7 @@ _SCAN_T_MIN = 0.05
 _SCAN_T_MAX = 1.0e3
 
 
-@dataclass(frozen=True)
-class PropositionReport:
+class PropositionReport(NamedTuple):
     proposition: int
     rings: tuple[int, ...]
     samples: int

@@ -13,7 +13,7 @@ Jordan-Wigner modes of `eigensolver`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .basis import _check_ring_size
 
@@ -23,18 +23,21 @@ from .basis import _check_ring_size
 MAX_ENERGY = 1e300
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Ring size n, exchange constant j, and magnetic field b (k_B = 1)."""
+class ModelParams(NamedTuple("ModelParams", [("n", int), ("j", float), ("b", float)])):
+    """Ring size n, exchange constant j, and magnetic field b (k_B = 1).
 
-    n: int
-    j: float
-    b: float
+    Construction refuses a bad ring size, a non-finite j or b, and level
+    energies beyond MAX_ENERGY. `_replace` and `_make` skip these checks, so
+    a changed point is built afresh: ModelParams(params.n, params.j, b).
+    """
 
-    def __post_init__(self):
-        _check_ring_size(self.n)
-        if not (math.isfinite(self.j) and math.isfinite(self.b)):
-            raise ValueError(f"j and b must be finite, got j={self.j}, b={self.b}")
-        scale = 4 * self.n * abs(self.j) + self.n * abs(self.b)
+    __slots__ = ()
+
+    def __new__(cls, n: int, j: float, b: float) -> ModelParams:
+        _check_ring_size(n)
+        if not (math.isfinite(j) and math.isfinite(b)):
+            raise ValueError(f"j and b must be finite, got j={j}, b={b}")
+        scale = 4 * n * abs(j) + n * abs(b)
         if not scale <= MAX_ENERGY:
             raise ValueError(f"level energies up to 4n|j| + n|b| = {scale:g} exceed {MAX_ENERGY:g}")
+        return super().__new__(cls, n, j, b)

@@ -42,7 +42,6 @@ import itertools
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .eigensolver import RingModel, same_level
@@ -67,8 +66,7 @@ if TYPE_CHECKING:
 _BLOCK_WEIGHTS = 1 << 20
 
 
-@dataclass(frozen=True)
-class PairDensity:
+class PairDensity(NamedTuple):
     """The four real parameters of the symmetric X-form two-qubit state."""
 
     u_plus: float
@@ -77,8 +75,7 @@ class PairDensity:
     z: float
 
 
-@dataclass(frozen=True)
-class GibbsBlock:
+class GibbsBlock(NamedTuple):
     """Gibbs averages at a block of points (j, b, t) of one ring, or of a
     stack of rings.
 

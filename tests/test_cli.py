@@ -867,15 +867,17 @@ def test_import_builds_no_parser():
 
 
 def test_import_loads_only_the_standard_library():
-    # start-up cost: a fresh `python -m xxring` imports nothing else, numpy included
-    code = ("import sys; before = set(sys.modules); import xxring.cli; "
+    # start-up cost: a fresh `python -m xxring` imports nothing else, numpy included,
+    # and `import xxring` neither dataclasses nor the inspect module it pulls in
+    code = ("import sys; before = set(sys.modules); import xxring; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); import xxring.cli; "
             "new = {name.partition('.')[0] for name in set(sys.modules) - before}; "
             "print(sorted(new - set(sys.stdlib_module_names)))")
     env = {**os.environ, "PYTHONPATH": str(Path(xxring.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "['xxring']\n"
+    assert result.stdout == "[]\n['xxring']\n"
 
 
 def test_import_loads_every_layer_the_benchmark_tracer_reads():
@@ -961,7 +963,11 @@ def test_python_m_imports_argparse_only_for_an_argv_the_table_declines(argv, wan
     # the four-site closed forms are a test oracle, never on a command's import path
     assert not re.search(r"\|\s+xxring\.analytic_n4$", result.stderr, re.M)
     # numpy only for the commands that reweight a block of points
-    assert bool(re.search(r"\|\s+numpy$", result.stderr, re.M)) == (argv[0] in ("sweep", "verify"))
+    loads_numpy = argv[0] in ("sweep", "verify")
+    assert bool(re.search(r"\|\s+numpy$", result.stderr, re.M)) == loads_numpy
+    # the records are named tuples: no argv imports dataclasses, and inspect comes only with numpy
+    assert not re.search(r"\|\s+dataclasses$", result.stderr, re.M)
+    assert bool(re.search(r"\|\s+inspect$", result.stderr, re.M)) == loads_numpy
 
 
 def test_python_m_freezes_the_heap_before_the_command():

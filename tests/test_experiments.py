@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -117,7 +116,7 @@ def test_sweep_zero_temperature_column_is_the_ground_state():
     fields = [-3.0, -1.0, 0.0, 0.5, B_CROSS_LOW, 1.0, 2.0, 3.0]
     _, concurrence = sweep(params, [0.0, 1.0], fields)
     for b, c in zip(fields, concurrence[:, 0], strict=True):
-        assert c == ground_state_concurrence(dataclasses.replace(params, b=b))[1], b
+        assert c == ground_state_concurrence(ModelParams(params.n, params.j, b))[1], b
 
 
 @pytest.mark.parametrize("t_grid, b_grid", [
@@ -378,7 +377,7 @@ def test_proposition3_reweights_both_exchange_signs_of_every_draw(monkeypatch, b
         j, b, t = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (j, b, t)))
         points.append((j, b, t))
         hit = (b == 0.0) & (np.sign(j) == branch)
-        return dataclasses.replace(block, u=np.where(hit, block.u - 400.0 * np.abs(j), block.u)), concurrence
+        return block._replace(u=np.where(hit, block.u - 400.0 * np.abs(j), block.u)), concurrence
 
     monkeypatch.setattr(experiments, "gibbs_concurrence", shifted)
     reports = verify_propositions([4], samples=6, seed=5)
