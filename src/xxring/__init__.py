@@ -2,22 +2,26 @@
 
 Spectra from Jordan-Wigner modes, Gibbs-state observables, nearest-neighbor
 concurrence, and the even-N multiqubit tangle, with closed-form four-site
-oracles and randomized symmetry verification.
+oracles and randomized symmetry verification. The block path's names resolve
+on first use, so `import xxring` loads neither `blocks` nor numpy.
 """
 
 from .eigensolver import RingModel, Spectrum, full_spectrum, ring_model
-from .entanglement import concurrence_xstate
 from .experiments import (
     PropositionReport,
-    gibbs_concurrence,
     ground_state_concurrence,
     level_crossings,
-    sweep,
     thermal_concurrence,
     threshold_temperature,
-    verify_propositions,
 )
 from .hamiltonian import ModelParams
-from .thermal import GibbsBlock, PairDensity, reweight
+from .thermal import GibbsBlock, PairDensity
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in ("concurrence_xstate", "gibbs_concurrence", "reweight", "sweep", "verify_propositions"):
+        from . import blocks
+        return getattr(blocks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

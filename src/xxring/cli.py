@@ -11,7 +11,10 @@ that is a command name followed by `--opt=value` and `--opt value` tokens
 (exact long options, values that do not start with "-") is read straight
 from that table, and imports no argparse; every other argv takes the
 argparse parser that `build_parser` makes from the same table, and both
-give the same namespace or refusal.
+give the same namespace or refusal. The handlers of the single-point
+commands are here; those of `sweep` and `verify`, which reweight a block of
+points, are in `blocks`, which the table imports on their first call
+(`_blocks_command`), so no other command compiles it or imports numpy.
 """
 
 from __future__ import annotations
@@ -28,13 +31,10 @@ from typing import TYPE_CHECKING
 from .eigensolver import full_spectrum, ring_model, same_level
 from .experiments import (
     DEFAULT_SEED,
-    MAX_POINTS,
     gibbs_concurrence_point,
     ground_state_concurrence,
     level_crossings,
-    sweep,
     threshold_temperature,
-    verify_propositions,
 )
 from .hamiltonian import ModelParams
 
@@ -51,63 +51,6 @@ _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 def _fmt(value: float) -> str:
     return format(value, ".12g")
-
-
-def _csv_lines(t_cells, b_cells, j: float, n: int, columns) -> list[str]:
-    """The sweep CSV: the header, then one line per grid point, B outer and
-    T inner, from the T and B cells of `_grid` (each "%.12g," of a value)
-    and the five columns (U, M, Gxx, Gzz, concurrence), each a list of rows
-    of floats, one row per field. The J and N cells are formatted once;
-    "%.12g" writes the bytes of _fmt."""
-    values = "%.12g,%.12g,%.12g,%.12g,%.12g\n"
-    lines = ["T,B,J,N,U,M,Gxx,Gzz,concurrence\n"]
-    rest = "%.12g,%d," % (j, n)
-    for b_cell, *row_columns in zip(b_cells, *columns):
-        point = b_cell + rest
-        lines += [t_cell + point + values % (u, m, g_xx, g_zz, c)
-                  for t_cell, u, m, g_xx, g_zz, c in zip(t_cells, *row_columns)]
-    return lines
-
-
-def _grid_steps(args, axis) -> int:
-    """Check one axis's grid options, building nothing; return its point count."""
-    lo, hi, steps, scale = (getattr(args, f"{axis}_{key}") for key in ("min", "max", "steps", "scale"))
-    if steps < 1:
-        raise ValueError(f"--{axis}-steps must be >= 1")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"--{axis}-min and --{axis}-max must be finite")
-    # a span wider than the doubles would overflow inside the grid's spacing
-    if not math.isfinite(hi - lo):
-        raise ValueError(f"--{axis}-max - --{axis}-min must be finite")
-    if hi < lo:
-        raise ValueError(f"--{axis}-max must be >= --{axis}-min")
-    if steps > 1 and scale == "log" and lo <= 0:
-        raise ValueError(f"log scale needs positive --{axis}-min")
-    return steps
-
-
-def _grid(args, axis) -> tuple[tuple[float, ...], tuple[str, ...]]:
-    """One axis of a sweep, after `_grid_steps` has checked it: its values,
-    ascending, as Python floats, and their CSV cells ("%.12g," of each
-    value), two tuples kept by `_axis`. The memo key carries the sign of
-    each bound, since -0.0 == 0.0 but a -0 axis prints -0."""
-    lo, hi, steps, scale = (getattr(args, f"{axis}_{key}") for key in ("min", "max", "steps", "scale"))
-    return _axis(lo, hi, steps, scale, math.copysign(1.0, lo), math.copysign(1.0, hi))
-
-
-@functools.lru_cache(maxsize=2)
-def _axis(lo, hi, steps, scale, lo_sign, hi_sign):
-    """`_grid`'s memo of the last two axes. A sweep reads its T axis and then
-    its B axis, so the sweeps of one process that share a T axis build it
-    once, and each new B axis replaces the previous one; a fresh process
-    builds both."""
-    if steps == 1:
-        values = (lo,)
-    else:
-        import numpy as np
-        space = np.geomspace if scale == "log" else np.linspace
-        values = tuple(sorted(space(lo, hi, steps).tolist()))
-    return values, tuple(["%.12g," % value for value in values])
 
 
 def _cmd_spectrum(args) -> int:
@@ -155,27 +98,6 @@ def _cmd_ground(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    params = ModelParams(n=args.n, j=args.j, b=0.0)
-    # checked before any grid is built: a huge grid would exhaust memory first
-    rows = _grid_steps(args, "t") * _grid_steps(args, "b")
-    if rows > MAX_POINTS:
-        raise ValueError(f"grid of {rows} rows exceeds cap {MAX_POINTS}")
-    (t_values, t_cells), (b_values, b_cells) = _grid(args, "t"), _grid(args, "b")
-    block, concurrence = sweep(params, t_values, b_values)
-    lines = _csv_lines(t_cells, b_cells, params.j, params.n,
-                       [a.tolist() for a in (block.u, block.m, block.g_xx, block.g_zz, concurrence)])
-    if args.output == "-":
-        # a line at a time: a write-through stdout (PYTHONUNBUFFERED) drops what a closed pipe
-        # cuts from one large write, but the next line's write raises BrokenPipeError
-        sys.stdout.writelines(lines)
-    else:
-        with open(args.output, "w", newline="") as handle:
-            handle.writelines(lines)
-        print(f"wrote {len(lines) - 1} rows to {args.output}", file=sys.stderr)
-    return 0
-
-
 def _resolved_digits(value: float, tol: float) -> int:
     """The significant digits of a positive bisection result down to the
     place of its tolerance, floor(log10 value) - floor(log10 tol) + 1, in
@@ -195,28 +117,12 @@ def _cmd_crossings(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    try:
-        n_list = [int(part) for part in args.n_list.split(",") if part.strip()]
-    except ValueError:
-        raise ValueError(f"--n-list must be comma-separated integers, got {args.n_list!r}") from None
-    reports = verify_propositions(n_list, samples=args.samples, seed=args.seed, odd_control=args.odd_control)
-    failed = False
-    for rep in reports[:3]:
-        scope = f"n in {list(rep.rings)}" + (", b = 0, both exchange signs" if rep.proposition == 3 else "")
-        if all(n < 2 for n in rep.rings):
-            # no bond in scope: a gap of 0 there checked nothing
-            print(f"proposition {rep.proposition}: nothing checked  (no ring with a bond, {scope})")
-            continue
-        status = "pass" if rep.passed else "FAIL"
-        failed = failed or not rep.passed
-        print(f"proposition {rep.proposition}: {status}  "
-              f"(max discrepancy {rep.max_discrepancy:.3e}, {rep.samples} samples, {scope})")
-    for control in reports[3:]:
-        print(f"proposition 2 on n={control.rings[0]} (odd, out of claim, negative control): "
-              f"symmetry {'UNEXPECTEDLY held' if control.passed else 'breaks as expected'} "
-              f"(max discrepancy {control.max_discrepancy:.3e})")
-    return 1 if failed else 0
+def _blocks_command(name: str):
+    """The handler `name` of `blocks`, imported on the command's first call."""
+    def run(args) -> int:
+        from . import blocks
+        return getattr(blocks, name)(args)
+    return run
 
 
 # The CLI grammar, read by `_read_options` and by `build_parser`. An option
@@ -233,7 +139,7 @@ _COMMANDS = {
                 (_N, _J, _B, (("--t",), float, _REQUIRED, "temperature (k_B = 1)"))),
     "ground": ("the T = 0 state: energy, concurrence, and (nondegenerate even n) tangle", _cmd_ground,
                (_N, _J, _B)),
-    "sweep": ("CSV of observables over a (t, b) grid", _cmd_sweep,
+    "sweep": ("CSV of observables over a (t, b) grid", _blocks_command("_cmd_sweep"),
               (_N, _J, (("--t-min",), float, _REQUIRED, None), (("--t-max",), float, _REQUIRED, None),
                (("--t-steps",), int, _REQUIRED, "number of grid points"), (("--t-scale",), _SCALES, "linear", None),
                (("--b-min",), float, _REQUIRED, None), (("--b-max",), float, _REQUIRED, None),
@@ -243,7 +149,7 @@ _COMMANDS = {
                   (_N, _J, _B, (("--tol",), float, 1e-6, "bisection tolerance"))),
     "crossings": ("fields where the ground level changes branch", _cmd_crossings,
                   (_N, _J, (("--b-max",), float, _REQUIRED, "largest field (may be inf)"))),
-    "verify": ("run the symmetry proposition suites", _cmd_verify,
+    "verify": ("run the symmetry proposition suites", _blocks_command("_cmd_verify"),
                ((("--n-list",), str, "2,3,4,5,6", "comma-separated ring sizes"),
                 (("--samples",), int, 200, None),
                 (("--seed",), int, DEFAULT_SEED, None),
@@ -370,12 +276,10 @@ def entry() -> int:
     Freezing moves every object built so far out of the collector's reach,
     the package's imports, and numpy's for the commands that import it
     (`sweep`, `verify`), so the interpreter's exit no longer collects and
-    frees them one by one and the OS reclaims the memory instead. It pays
-    without numpy too: medians of 21 alternated fresh runs, without and
-    with it, read 101 -> 93 ms of CPU for `ground --n 12` and 82 -> 79 ms
-    for `threshold --n 12`, faster with it in 20 and 18 of the 21 (2-core
-    VM, Python 3.11). Library callers call `main`, which leaves their heap
-    alone. A closed stdout ends the command quietly with exit status 141.
+    frees them one by one and the OS reclaims the memory instead; it pays
+    without numpy too (README). Library callers call `main`, which leaves
+    their heap alone. A closed stdout ends the command quietly with exit
+    status 141.
     """
     gc.freeze()
     try:

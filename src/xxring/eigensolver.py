@@ -58,14 +58,18 @@ def _class_table(n: int) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ..
         cos = [cosines[q] for q in grid]
         # a pair within class q weighs 2 sin^2(pi q / n)
         within = [2.0 * math.sin(math.pi * q / n) ** 2 for q in grid]
+        # over a key's +-k choices a pair from classes q != q' weighs on average
+        # sin^2(pi (q - q') / 2n) + sin^2(pi (q + q') / 2n) = 1 - cos(pi q / n) cos(pi q' / n):
+        # class i's row against the classes after it
+        against = [[1.0 - x * y for y in cos[i + 1:]] for i, x in enumerate(cos)]
+        last = len(grid) - 1
 
         def visit(i, counts, filled, empty, p00, p01, p11, multiplicity):
-            # filled[k], empty[k]: the key's filled and empty modes so far, weighed against class i + k;
-            # over the key's +-k choices a pair from classes q != q' weighs on average
-            # sin^2(pi (q - q') / 2n) + sin^2(pi (q + q') / 2n) = 1 - cos(pi q / n) cos(pi q' / n)
-            size, f, h = sizes[i], filled[0], empty[0]
-            row = [1.0 - cos[i] * x for x in cos[i + 1:]]
-            for c in range(size + 1):
+            # filled[k], empty[k]: the key's filled and empty modes so far, weighed against class i + k
+            size, f, h, row = sizes[i], filled[0], empty[0], against[i]
+            # at the last class only the counts that give the key the grid's parity
+            first, step = ((parity - sum(counts)) % 2, 2) if i == last else (0, 1)
+            for c in range(first, size + 1, step):
                 e, key = size - c, counts + (c,)
                 # n^2 times the key's mean pair sums, nonnegative terms over ordered mode pairs
                 q00 = p00 + 2 * e * h + e * (e - 1) * within[i]
@@ -73,13 +77,11 @@ def _class_table(n: int) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ..
                 q11 = p11 + 2 * c * f + c * (c - 1) * within[i]
                 # a key stands for prod C(g_q, c_q) levels: 2 choices for each half-filled +-k pair
                 weight = 2.0 * multiplicity if c == 1 == e else multiplicity
-                if i + 1 < len(grid):
+                if i < last:
                     visit(i + 1, key, [a + c * r for a, r in zip(filled[1:], row)],
                           [a + e * r for a, r in zip(empty[1:], row)], q00, q01, q11, weight)
                     continue
                 down = sum(key)
-                if down % 2 != parity:
-                    continue
                 # the cosines of a whole grid sum to 0, so a set more than half full sums its holes:
                 # kappa(S) = -kappa(holes of S), exactly 0 for a full grid (+ 0.0 turns -0.0 into 0)
                 if 2 * down > n:
@@ -148,9 +150,9 @@ def ring_model(n: int) -> RingModel:
 
     A ring holds its class table with each class's kappa and sz as tuples
     of floats: 1.5 MB for the n = 16 ring. Measured on a 2-CPU machine
-    (median of 15 builds, peak by tracemalloc), the n = 16 ring builds in
-    57-78 ms with a 1.6 MB peak, the n = 12 ring in 6.2-7.8 ms and the
-    n = 10 ring in 2.1-2.3 ms.
+    (medians of 21 builds at n = 16 and 61 at n = 12, peak by tracemalloc),
+    the n = 16 ring builds in 56 ms with a 1.6 MB peak, the n = 12 ring in
+    6.0 ms and the n = 10 ring in about 2 ms.
     """
     return RingModel(n)
 

@@ -1,23 +1,19 @@
-"""Drivers: temperature/field sweeps, threshold-temperature bisection,
-ground-level crossings (exact, from the lower envelope of the sector-floor
-lines), ground-state concurrence, and randomized verification of the
-model's symmetry propositions. Only `sweep` and `verify_propositions`
-reweight a block of points (`gibbs_concurrence`) and import numpy; the
-rest work on single points (`gibbs_concurrence_point`)."""
+"""Drivers on single points: thermal concurrence, threshold-temperature
+bisection, ground-level crossings (exact, from the lower envelope of the
+sector-floor lines) and ground-state concurrence, each through the
+pure-Python point kernel (`gibbs_concurrence_point`). The drivers that
+reweight a block of points, (T, B) sweeps and the randomized verification
+of the model's symmetry propositions, are in `blocks`, with numpy."""
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .entanglement import concurrence_xstate, concurrence_xstate_point
+from .entanglement import concurrence_xstate_point
 from .eigensolver import GROUND_RTOL, RingModel, Spectrum, full_spectrum, ring_model, same_level
 from .hamiltonian import ModelParams
-from .thermal import GibbsBlock, PairDensity, reweight, reweight_point
-
-if TYPE_CHECKING:
-    import numpy as np
+from .thermal import GibbsBlock, point_levels, reweight_point
 
 # Below this, the clamped concurrence is indistinguishable from roundoff.
 POSITIVE_CONCURRENCE = 1e-12
@@ -37,35 +33,12 @@ class PropositionReport(NamedTuple):
     passed: bool
 
 
-def gibbs_concurrence(ring: RingModel | Sequence[RingModel], j, b, t) -> tuple[GibbsBlock, np.ndarray | float]:
-    """Gibbs averages and nearest-neighbor concurrence at the broadcast
-    points (j, b, t) of one ring, or of a stack of rings, from one
-    `reweight` call on its bond.
-
-    The concurrence is the X-state closed form of the block's positive-sum
-    pair probabilities (`GibbsBlock.pair_density`): a float at a single
-    point of one ring, else an array of the block's shape. A single site has
-    no bond and reports 0, never reaching the state checks.
-    """
-    import numpy as np
-    block = reweight(ring, j, b, t)
-    rho = block.pair_density()
-    lone = isinstance(ring, RingModel)
-    bonded = [r.n > 1 for r in ([ring] if lone else ring)]
-    if all(bonded):
-        return block, concurrence_xstate(rho)
-    bonded = np.array(bonded[0] if lone else bonded)
-    concurrence = np.zeros(block.g_xx.shape)
-    concurrence[bonded] = concurrence_xstate(PairDensity(*(x[bonded] for x in (
-        rho.u_plus, rho.u_minus, rho.w, rho.z))))
-    return block, concurrence[()]
-
-
-def gibbs_concurrence_point(ring: RingModel, j: float, b: float, t: float) -> tuple[GibbsBlock, float]:
-    """`gibbs_concurrence` at the single point (j, b, t) of one ring, as
-    floats and without numpy (`reweight_point`, `concurrence_xstate_point`).
+def gibbs_concurrence_point(ring: RingModel, j: float, b: float, t: float, levels=None) -> tuple[GibbsBlock, float]:
+    """`blocks.gibbs_concurrence` at the single point (j, b, t) of one ring,
+    as floats and without numpy (`reweight_point`, given the `point_levels`
+    of (j, b) where a caller has formed them, and `concurrence_xstate_point`).
     A single site has no bond and reports 0, never reaching the state checks."""
-    block = reweight_point(ring, j, b, t)
+    block = reweight_point(ring, j, b, t, levels)
     return block, concurrence_xstate_point(block.pair_density()) if ring.n > 1 else 0.0
 
 
@@ -81,33 +54,6 @@ def thermal_concurrence(spectrum: Spectrum, t: float) -> float:
     return gibbs_concurrence_point(spectrum.ring, params.j, params.b, t)[1]
 
 
-def sweep(params: ModelParams, t_grid, b_grid) -> tuple[GibbsBlock, np.ndarray]:
-    """Observables and concurrence on the (t, b) grid, in one reweighting of
-    the cached ring.
-
-    Returns the Gibbs block and its concurrence, both of shape
-    (fields, temperatures): entry [k_b, k_t] is the point (b_grid[k_b],
-    t_grid[k_t]). The grids are any sequences of real numbers, read in the
-    order given; the CLI passes the ascending tuples of floats its axis memo
-    keeps, which are read, never changed. The concurrence is the same number
-    `thermal_concurrence` gives at the point; a single site has no bond and
-    reports 0. A grid of more than MAX_POINTS points is refused before any
-    reweighting.
-    """
-    t_values = [float(t) for t in t_grid]
-    b_values = [float(b) for b in b_grid]
-    if not t_values or not b_values:
-        raise ValueError("temperature and field grids must be nonempty")
-    if not all(map(math.isfinite, t_values + b_values)):
-        raise ValueError("temperature and field grid entries must be finite")
-    # the grid's strongest field must pass the energy bound of a single point
-    ModelParams(n=params.n, j=params.j, b=max(map(abs, b_values)))
-    if len(t_values) * len(b_values) > MAX_POINTS:
-        raise ValueError(f"grid of {len(t_values) * len(b_values)} rows exceeds cap {MAX_POINTS}")
-    import numpy as np
-    return gibbs_concurrence(ring_model(params.n), params.j, np.array(b_values)[:, None], t_values)
-
-
 def _splits(lo: float, hi: float, tol: float) -> bool:
     """Whether bisection still narrows [lo, hi]: wider than tol, with a midpoint
     strictly inside (for adjacent doubles the midpoint is lo or hi)."""
@@ -117,14 +63,15 @@ def _splits(lo: float, hi: float, tol: float) -> bool:
 def threshold_temperature(params: ModelParams, tol: float = 1e-6) -> float | None:
     """Largest temperature with positive nearest-neighbor concurrence.
 
-    Coarse factor-2 upward scan, then bisection of the last positive
-    bracket down to tol (or to adjacent doubles, if tol is finer), one
-    `gibbs_concurrence_point` call per temperature; None when nothing in the
-    scan is entangled, and at j = 0, where every Gibbs state is a product state.
-    The threshold scales with the couplings, so the scan covers
-    [0.05 min(1, |j|), 1e3 max(1, |j|, |b|)]: the top of the entangled
-    window lay between 0.6 |j| and 4.6 |j| on rings n = 2..12 with
-    |b| <= 100 |j|, and no ring was entangled beyond |b| = 56 |j|.
+    A factor-2 scan over [0.05 min(1, |j|), 1e3 max(1, |j|, |b|)], read
+    from the top down to the first entangled point, then bisection of the
+    bracket above it down to tol (or to adjacent doubles, if tol is finer):
+    one `gibbs_concurrence_point` call per temperature, on the class gaps of
+    (j, b) formed once (`point_levels`). None when no scan point is
+    entangled, and at j = 0, where every Gibbs state is a product state. The
+    threshold scales with the couplings: the top of the entangled window lay
+    between 0.6 |j| and 4.6 |j| on rings n = 2..12 with |b| <= 100 |j|, and
+    no ring was entangled beyond |b| = 56 |j|.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -139,16 +86,20 @@ def threshold_temperature(params: ModelParams, tol: float = 1e-6) -> float | Non
         t *= 2.0
     grid.append(t)
     ring = ring_model(params.n)
-    entangled = [gibbs_concurrence_point(ring, params.j, params.b, t)[1] > POSITIVE_CONCURRENCE for t in grid]
-    if not any(entangled):
-        return None
-    last = max(k for k, flag in enumerate(entangled) if flag)
-    if last == len(grid) - 1:
+    levels = point_levels(ring, float(params.j), float(params.b))
+
+    def entangled(t: float) -> bool:
+        return gibbs_concurrence_point(ring, params.j, params.b, t, levels)[1] > POSITIVE_CONCURRENCE
+
+    if entangled(grid[-1]):
         raise RuntimeError(f"still entangled at the top of the scan range ({grid[-1]})")
+    last = next((k for k in range(len(grid) - 2, -1, -1) if entangled(grid[k])), None)
+    if last is None:
+        return None
     lo, hi = grid[last], grid[last + 1]
     while _splits(lo, hi, tol):
         mid = 0.5 * (lo + hi)
-        if gibbs_concurrence_point(ring, params.j, params.b, mid)[1] > POSITIVE_CONCURRENCE:
+        if entangled(mid):
             lo = mid
         else:
             hi = mid
@@ -222,123 +173,3 @@ def ground_state_concurrence(params: ModelParams) -> tuple[GibbsBlock, float]:
                 f"zero-field energy formula ({formula}) disagrees with the "
                 f"reduced-density route ({value})")
     return g, value
-
-
-def _draw_parameters(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`samples` draws of (j, b, t) from one block of the generator's doubles.
-
-    Each draw reads j = uniform(-2, 2), redrawn while |j| < 0.05 so that
-    energy-based relations keep a safe denominator, then b = uniform(-3, 3)
-    and t = exp(uniform(log 0.05, log 50)). `Generator.uniform(low, high)`
-    maps the generator's next double u to low + (high - low) * u, so walking
-    one `rng.random` block with the same maps reads the same doubles, in the
-    same order, as one `uniform` call per value; redraws that use up the
-    block draw more doubles.
-    """
-    import numpy as np
-    u = rng.random(3 * samples).tolist()
-    # high - low as a double: 4 and 6 exactly, and the log span rounded once
-    log_t_low = math.log(0.05)
-    log_t_span = math.log(50.0) - log_t_low
-    j, b, t = [], [], []
-    k = 0
-    for left in range(samples, 0, -1):
-        j_k = 0.0
-        while abs(j_k) < 0.05:
-            if len(u) - k < 3:
-                u += rng.random(3 * left).tolist()
-            j_k = -2.0 + 4.0 * u[k]
-            k += 1
-        j.append(j_k)
-        b.append(-3.0 + 6.0 * u[k])
-        t.append(math.exp(log_t_low + log_t_span * u[k + 1]))
-        k += 2
-    return np.array(j), np.array(b), np.array(t)
-
-
-def _ring_gaps(rings: list[RingModel], j: np.ndarray, b: np.ndarray,
-               t: np.ndarray) -> dict[int, tuple[float, float, float]]:
-    """Worst gaps of the three propositions on each of the rings over the
-    draws (j, b, t), by ring size, from one kernel call on the rings as one
-    stack at the rows (j, b), (j, -b), (-j, b), (|j|, 0) and (-|j|, 0): the
-    field mirror of the concurrence (rows 0 and 1), the exchange mirror
-    (rows 0 and 2), and at zero field the gap between the concurrence and
-    the halved energy formula (rows 3 and 4, whose sign branch follows the
-    sign of j). Every concurrence is the clamped X-state value the program
-    prints. The exchange mirror compares the unclamped X-state value
-    2 (|z| - sqrt(u+ u-)), which is the concurrence wherever that is
-    positive: its evenness implies the concurrence's, and on odd rings it
-    breaks even where both signs are unentangled. It is computed on every
-    ring, so the odd control reads it too."""
-    import numpy as np
-    abs_j = np.abs(j)
-    rows_j = np.array([j, j, -j, abs_j, -abs_j])
-    rows_b = np.zeros((5, b.size))
-    rows_b[0] = rows_b[2] = b
-    rows_b[1] = -b
-    g, concurrence = gibbs_concurrence(rings, rows_j, rows_b, t)
-    n = np.array([float(ring.n) for ring in rings])[:, None, None]
-    mirror_b = np.abs(concurrence[:, 0] - concurrence[:, 1]).max(axis=1)
-    # 2 (|z| - sqrt(u+ u-)) of rows 0 and 2, with z = g_xx / 2 and corners p00 and p11
-    p = g.probabilities[:, 0:3:2]
-    unclamped = np.abs(g.g_xx[:, 0:3:2]) - 2.0 * np.sqrt(p[..., 0] * p[..., 3])
-    mirror_j = np.abs(unclamped[:, 0] - unclamped[:, 1]).max(axis=1)
-    zero_field = slice(3, 5)
-    formula = _energy_formula(g.u[:, zero_field], n, rows_j[zero_field], g.g_zz[:, zero_field])
-    energy_gap = np.abs(concurrence[:, zero_field] - formula).max(axis=(1, 2))
-    return {ring.n: gaps for ring, gaps in zip(rings, zip(mirror_b.tolist(), mirror_j.tolist(), energy_gap.tolist()))}
-
-
-def verify_propositions(n_list, samples: int = 200, seed: int = DEFAULT_SEED,
-                        odd_control: int = 0) -> list[PropositionReport]:
-    """Randomized checks of the three symmetry propositions.
-
-    1: concurrence is even in the field for every ring size.
-    2: concurrence is even in the exchange constant for even rings.
-    3: at zero field the concurrence, the X-state value every command
-       prints, equals the halved energy formula, with the sign branch
-       chosen by the sign of the exchange constant.
-
-    Each proposition is checked on `samples` draws of (j, b, t) per
-    applicable ring size. Each report names its rings (`rings`: the list as
-    given for 1 and 3, its even rings for 2) and holds their worst
-    discrepancy, 0 for no ring; it passes below 1e-9. The draws are made
-    once, in one generator call (`_draw_parameters`), and the distinct
-    rings, in first-listed order and then the control, are reweighted as one
-    stack at the same 5 * samples points (at most MAX_POINTS) serving all
-    three: one kernel call (`_ring_gaps`), whose passes bound its memory. An
-    empty ring list is refused: it would pass every proposition vacuously.
-
-    A nonzero odd_control adds a fourth report, proposition 2 on the rings
-    (odd_control,), an odd ring n >= 3 outside the claim: the symmetry
-    breaks there (expect a failing flag), so it is never a pass criterion.
-    Every argument is checked, the list's rings before the control, before
-    any draw.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if 5 * samples > MAX_POINTS:
-        raise ValueError(f"{samples} samples make {5 * samples} points per ring, over cap {MAX_POINTS}")
-    # numpy's own refusal names neither the argument nor its value
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    n_list = list(n_list)
-    if not n_list:
-        raise ValueError("ring list must be nonempty")
-    import numpy as np
-    rings = {n: ring_model(n) for n in n_list}
-    if odd_control:
-        if odd_control < 3 or odd_control % 2 == 0:
-            raise ValueError(f"control requires an odd ring n >= 3, got n={odd_control}")
-        rings[odd_control] = ring_model(odd_control)
-    rng = np.random.default_rng(seed)
-    j, b, t = _draw_parameters(rng, samples)
-    gaps = _ring_gaps(list(rings.values()), j, b, t)
-    scopes = [(1, tuple(n_list)), (2, tuple(n for n in n_list if n % 2 == 0)), (3, tuple(n_list))]
-    if odd_control:
-        scopes.append((2, (odd_control,)))
-    reports = []
-    for k, scope in scopes:
-        gap = max((gaps[n][k - 1] for n in scope), default=0.0)
-        reports.append(PropositionReport(k, scope, samples, gap, gap < PROPOSITION_TOL))
-    return reports

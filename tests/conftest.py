@@ -60,16 +60,16 @@ def _patch_everywhere(monkeypatch, original, replacement):
 @pytest.fixture
 def reweight_calls(monkeypatch):
     """Record the ring size (a tuple of sizes for a stack) and the output
-    shape of every thermal.reweight call, under every name the package's
+    shape of every blocks.reweight call, under every name the package's
     modules hold it by."""
-    import xxring.thermal as thermal
+    import xxring.blocks as blocks
 
     calls = []
-    original = thermal.reweight
+    original = blocks.reweight
 
     def counting(ring, j, b, t):
         block = original(ring, j, b, t)
-        calls.append((ring.n if isinstance(ring, thermal.RingModel) else tuple(r.n for r in ring),
+        calls.append((ring.n if isinstance(ring, blocks.RingModel) else tuple(r.n for r in ring),
                       block.u.shape))
         return block
 
@@ -87,9 +87,9 @@ def point_calls(monkeypatch):
     calls = []
     original = thermal.reweight_point
 
-    def counting(ring, j, b, t):
+    def counting(ring, j, b, t, levels=None):
         calls.append((ring.n, t))
-        return original(ring, j, b, t)
+        return original(ring, j, b, t, levels)
 
     _patch_everywhere(monkeypatch, original, counting)
     return calls

@@ -71,11 +71,10 @@ from itertools import combinations
 import numpy as np
 
 from xxring.basis import _check_ring_size
+from xxring.blocks import _clamp_unit, _first, reweight
 from xxring.eigensolver import full_spectrum, same_level
-from xxring.entanglement import _clamp_unit, _first
 from xxring.experiments import POSITIVE_CONCURRENCE, _splits, thermal_concurrence
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import reweight
 
 # The full-space route.
 

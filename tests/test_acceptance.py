@@ -17,17 +17,15 @@ import math
 import numpy as np
 
 from xxring.analytic_n4 import closed_forms
+from xxring.blocks import concurrence_xstate, reweight, verify_propositions
 from xxring.eigensolver import full_spectrum
-from xxring.entanglement import concurrence_xstate
 from xxring.experiments import (
     ground_state_concurrence,
     level_crossings,
     thermal_concurrence,
     threshold_temperature,
-    verify_propositions,
 )
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import reweight
 
 from oracles import (
     concurrence_from_correlators,

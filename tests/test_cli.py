@@ -18,12 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xxring
+import xxring.blocks as blocks
 import xxring.cli as cli
+from xxring.blocks import reweight
 from xxring.cli import main
 from xxring.eigensolver import full_spectrum
 from xxring.experiments import level_crossings, thermal_concurrence, threshold_temperature
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import reweight
 
 from test_cli_golden import CORPUS
 
@@ -297,9 +298,9 @@ def test_sweep_csv_schema_and_determinism(capsys, tmp_path):
                "--t-scale", "log", "--b-min=0.7", "--b-max=1.2", "--b-steps", "2"]
     first = run_cli(capsys, *surface)
     assert first[0] == 0 and first[1].count("\n") == 1 + 2 * 40
-    hits = cli._axis.cache_info().hits
+    hits = blocks._axis.cache_info().hits
     assert run_cli(capsys, *surface) == first
-    assert cli._axis.cache_info().hits == hits + 2
+    assert blocks._axis.cache_info().hits == hits + 2
     assert run_cli(capsys, *argv)[1] == out
     assert run_cli(capsys, *surface) == first
 
@@ -318,10 +319,10 @@ def test_csv_row_format_writes_the_per_field_bytes():
         want = ",".join(format(v, ".12g") for v in (t, b, j)) + ",16," \
             + ",".join(format(v, ".12g") for v in values) + "\n"
         (_, t_cells), (_, b_cells) = (
-            cli._grid(argparse.Namespace(**{f"{axis}_min": v, f"{axis}_max": v, f"{axis}_steps": 1,
+            blocks._grid(argparse.Namespace(**{f"{axis}_min": v, f"{axis}_max": v, f"{axis}_steps": 1,
                                             f"{axis}_scale": "linear"}), axis)
             for axis, v in (("t", t), ("b", b)))
-        assert cli._csv_lines(t_cells, b_cells, j, 16, [[[v]] for v in values]) == [
+        assert blocks._csv_lines(t_cells, b_cells, j, 16, [[[v]] for v in values]) == [
             "T,B,J,N,U,M,Gxx,Gzz,concurrence\n", want]
 
 
@@ -400,12 +401,10 @@ def test_verify_checks_the_ring_list_before_the_control(capsys):
 
 def test_verify_refuses_more_samples_than_the_cap_before_drawing(capsys, monkeypatch):
     # a billion samples would draw for hours; five kernel points per sample are capped
-    import xxring.experiments as experiments
-
     def no_draw(rng, samples):
         raise AssertionError("drew before refusing")
 
-    monkeypatch.setattr(experiments, "_draw_parameters", no_draw)
+    monkeypatch.setattr(blocks, "_draw_parameters", no_draw)
     code, out, err = run_cli(capsys, "verify", "--samples", "1000000000")
     assert code == 2 and out == ""
     assert err == "error: 1000000000 samples make 5000000000 points per ring, over cap 2000000\n"
@@ -424,7 +423,7 @@ def test_sweep_refuses_a_grid_over_the_cap_before_building_it(capsys, monkeypatc
     def no_grid(args, axis):
         raise AssertionError("built a grid before refusing it")
 
-    monkeypatch.setattr(cli, "_grid", no_grid)
+    monkeypatch.setattr(blocks, "_grid", no_grid)
     code, out, err = run_cli(capsys, "sweep", "--n", "4", "--j", "1", "--t-min", "1", "--t-max", "2",
                              "--t-steps", t_steps, "--b-min", "0", "--b-max", "1", "--b-steps", b_steps,
                              "--b-scale", scale)
@@ -468,7 +467,7 @@ def test_verify_exits_one_when_a_claim_fails(capsys, monkeypatch):
                 PropositionReport(2, tuple(n_list), samples, 0.0, True),
                 PropositionReport(3, tuple(n_list), samples, 0.0, True)]
 
-    monkeypatch.setattr(cli, "verify_propositions", broken)
+    monkeypatch.setattr(blocks, "verify_propositions", broken)
     code, out, _ = run_cli(capsys, "verify", "--n-list", "2", "--samples", "1",
                            "--odd-control", "0")
     assert code == 1
@@ -868,9 +867,10 @@ def test_import_builds_no_parser():
 
 def test_import_loads_only_the_standard_library():
     # start-up cost: a fresh `python -m xxring` imports nothing else, numpy included,
-    # and `import xxring` neither dataclasses nor the inspect module it pulls in
+    # and `import xxring` neither dataclasses nor the inspect module it pulls in, nor the
+    # block path's module
     code = ("import sys; before = set(sys.modules); import xxring; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); import xxring.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'xxring.blocks'} & set(sys.modules))); import xxring.cli; "
             "new = {name.partition('.')[0] for name in set(sys.modules) - before}; "
             "print(sorted(new - set(sys.stdlib_module_names)))")
     env = {**os.environ, "PYTHONPATH": str(Path(xxring.__file__).parents[1])}
@@ -894,6 +894,21 @@ def test_import_loads_every_layer_the_benchmark_tracer_reads():
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert len(LAYERS) == 7 and result.stdout == "[]\n"
+
+
+def test_the_package_root_resolves_the_block_path_names_on_first_use():
+    # the root holds every name it held when it imported them all
+    code = ("import sys; from xxring import PropositionReport; print('xxring.blocks' in sys.modules); "
+            "from xxring import reweight, sweep, gibbs_concurrence, verify_propositions, concurrence_xstate; "
+            "import xxring.blocks as blocks; "
+            "print([f is getattr(blocks, f.__name__) for f in (reweight, sweep, gibbs_concurrence, "
+            "verify_propositions, concurrence_xstate)], PropositionReport is blocks.PropositionReport); "
+            "print(hasattr(sys.modules['xxring'], 'no_such_name'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(xxring.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n[True, True, True, True, True] True\nFalse\n"
 
 
 # The fresh-process entry: `python -m xxring` and the console script run
@@ -962,9 +977,10 @@ def test_python_m_imports_argparse_only_for_an_argv_the_table_declines(argv, wan
     assert bool(re.search(r"\|\s+argparse$", result.stderr, re.M)) == loads_argparse
     # the four-site closed forms are a test oracle, never on a command's import path
     assert not re.search(r"\|\s+xxring\.analytic_n4$", result.stderr, re.M)
-    # numpy only for the commands that reweight a block of points
+    # numpy, and the module of the block path, only for the commands that reweight a block of points
     loads_numpy = argv[0] in ("sweep", "verify")
     assert bool(re.search(r"\|\s+numpy$", result.stderr, re.M)) == loads_numpy
+    assert bool(re.search(r"\|\s+xxring\.blocks$", result.stderr, re.M)) == loads_numpy
     # the records are named tuples: no argv imports dataclasses, and inspect comes only with numpy
     assert not re.search(r"\|\s+dataclasses$", result.stderr, re.M)
     assert bool(re.search(r"\|\s+inspect$", result.stderr, re.M)) == loads_numpy

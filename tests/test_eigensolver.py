@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from xxring.basis import N_MAX
+from xxring.blocks import reweight
 from xxring.eigensolver import GROUND_RTOL, full_spectrum, ring_model
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import reweight
 
 from oracles import (
     build_sector_hamiltonian,

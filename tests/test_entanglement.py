@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from xxring.blocks import concurrence_xstate, reweight
 from xxring.eigensolver import full_spectrum, ring_model
-from xxring.entanglement import concurrence_xstate
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import PairDensity, reweight
+from xxring.thermal import PairDensity
 
 from oracles import (
     SY,

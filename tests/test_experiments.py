@@ -7,22 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import xxring.blocks as blocks
 import xxring.experiments as experiments
-import xxring.thermal as thermal
+from xxring.blocks import concurrence_xstate, gibbs_concurrence, reweight, sweep, verify_propositions
 from xxring.cli import _resolved_digits, main
 from xxring.eigensolver import full_spectrum, ring_model
-from xxring.entanglement import concurrence_xstate
-from xxring.experiments import (
-    gibbs_concurrence,
-    ground_state_concurrence,
-    level_crossings,
-    sweep,
-    thermal_concurrence,
-    threshold_temperature,
-    verify_propositions,
-)
+from xxring.experiments import ground_state_concurrence, level_crossings, thermal_concurrence, threshold_temperature
 from xxring.hamiltonian import MAX_ENERGY, ModelParams
-from xxring.thermal import reweight
 
 from oracles import (
     _draw_parameters,
@@ -303,15 +294,15 @@ def test_block_draws_are_the_one_at_a_time_stream(samples):
     for seed in range(51):
         rng = np.random.default_rng(seed)
         want = [np.array(column) for column in zip(*(_draw_parameters(rng) for _ in range(samples)))]
-        got = experiments._draw_parameters(np.random.default_rng(seed), samples)
+        got = blocks._draw_parameters(np.random.default_rng(seed), samples)
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), seed
 
 
 def test_verify_draws_its_samples_once(capsys, monkeypatch):
     # the propositions and the odd control read the same (j, b, t) draws
     calls = []
-    draw = experiments._draw_parameters
-    monkeypatch.setattr(experiments, "_draw_parameters",
+    draw = blocks._draw_parameters
+    monkeypatch.setattr(blocks, "_draw_parameters",
                         lambda rng, samples: calls.append(samples) or draw(rng, samples))
     assert main(["verify", "--n-list", "2,3", "--samples", "7", "--seed", "11"]) == 0
     assert calls == [7]
@@ -322,7 +313,7 @@ def test_verify_propositions_validation(monkeypatch):
     def no_draw(rng, samples):
         raise AssertionError("drew before refusing")
 
-    monkeypatch.setattr(experiments, "_draw_parameters", no_draw)
+    monkeypatch.setattr(blocks, "_draw_parameters", no_draw)
     with pytest.raises(ValueError):
         verify_propositions([4], samples=0)
     # an empty list would pass every proposition vacuously
@@ -370,7 +361,7 @@ def test_proposition3_reweights_both_exchange_signs_of_every_draw(monkeypatch, b
     # its gap reads both: lowering one branch's energies by 400 |j| moves the
     # energy formula (n = 4) by 100 there, and the concurrence not at all
     points = []
-    original = experiments.gibbs_concurrence
+    original = blocks.gibbs_concurrence
 
     def shifted(ring, j, b, t):
         block, concurrence = original(ring, j, b, t)
@@ -379,7 +370,7 @@ def test_proposition3_reweights_both_exchange_signs_of_every_draw(monkeypatch, b
         hit = (b == 0.0) & (np.sign(j) == branch)
         return block._replace(u=np.where(hit, block.u - 400.0 * np.abs(j), block.u)), concurrence
 
-    monkeypatch.setattr(experiments, "gibbs_concurrence", shifted)
+    monkeypatch.setattr(blocks, "gibbs_concurrence", shifted)
     reports = verify_propositions([4], samples=6, seed=5)
     assert len(points) == 1
     zero_field = {(float(jj), float(tt)) for jj, bb, tt in zip(*(a.ravel() for a in points[0]))
@@ -476,7 +467,7 @@ def test_verify_stacks_its_rings_into_few_kernel_calls(capsys, reweight_calls):
 
 
 def _draws(samples, seed):
-    return experiments._draw_parameters(np.random.default_rng(seed), samples)
+    return blocks._draw_parameters(np.random.default_rng(seed), samples)
 
 
 def _random_lists():
@@ -508,22 +499,22 @@ def test_stacked_gaps_equal_the_per_ring_reference(n_list, control, samples, see
     j, b, t = _draws(samples, seed)
     if stacking == "rule":
         calls = []
-        original = experiments._ring_gaps
+        original = blocks._ring_gaps
 
         def recording(stack, *points):
             calls.append((stack, points, original(stack, *points)))
             return calls[-1][-1]
 
-        monkeypatch.setattr(experiments, "_ring_gaps", recording)
+        monkeypatch.setattr(blocks, "_ring_gaps", recording)
         verify_propositions(n_list, samples=samples, seed=seed, odd_control=control)
         monkeypatch.undo()
         [(stack, points, got)] = calls
         assert stack == rings
         assert all(np.array_equal(drawn, want) for drawn, want in zip(points, (j, b, t), strict=True))
     else:
-        got = experiments._ring_gaps(rings, j, b, t)
+        got = blocks._ring_gaps(rings, j, b, t)
     # a stack changes no number: every gap is the ring's own, bit for bit
-    want = {ring.n: experiments._ring_gaps([ring], j, b, t)[ring.n] for ring in rings}
+    want = {ring.n: blocks._ring_gaps([ring], j, b, t)[ring.n] for ring in rings}
     assert got == want
     # the reports read the same worst gaps, and no pass flag moves
     reports = verify_propositions(n_list, samples=samples, seed=seed, odd_control=control)
@@ -545,16 +536,16 @@ def _assert_stack_is_each_ring_alone(sizes, j, b, t):
     shape = np.broadcast_shapes(np.shape(j), np.shape(b), np.shape(t))
     rings = [ring_model(n) for n in sizes]
     stacked = reweight(rings, j, b, t)
-    hits = thermal._layout.cache_info().hits
+    hits = blocks._layout.cache_info().hits
     again = reweight(rings, j, b, t)
-    assert thermal._layout.cache_info().hits == hits + 1
+    assert blocks._layout.cache_info().hits == hits + 1
     backward = reweight(rings[::-1], j, b, t)
     assert stacked.u.shape == again.u.shape == backward.u.shape == (len(sizes),) + shape
     for k, n in enumerate(sizes):
         alone = reweight(ring_model(n), j, b, t)
-        hits = thermal._layout.cache_info().hits
+        hits = blocks._layout.cache_info().hits
         listed = reweight([ring_model(n)], j, b, t)
-        assert thermal._layout.cache_info().hits == hits + 1
+        assert blocks._layout.cache_info().hits == hits + 1
         assert alone.u.shape == shape and listed.u.shape == (1,) + shape
         for name in _FIELDS:
             want = getattr(alone, name).tobytes()
@@ -564,7 +555,7 @@ def _assert_stack_is_each_ring_alone(sizes, j, b, t):
             assert getattr(listed, name)[0].tobytes() == want, (sizes, n, name)
     # every layout, a lone ring's too, is read-only
     for stack in (rings, rings[::-1], rings[:1]):
-        layout = thermal._layout(tuple(stack))
+        layout = blocks._layout(tuple(stack))
         arrays = [layout.kappa, layout.sz, layout.starts, layout.sizes, layout.two_n, *layout.tables]
         assert not any(array.flags.writeable for array in arrays), sizes
 
@@ -596,7 +587,7 @@ def test_a_stack_reweights_each_ring_as_alone(monkeypatch):
     _assert_stack_is_each_ring_alone([16, 15, 4], 1.3, np.linspace(-2.0, 2.0, 30)[:, None], np.linspace(0.0, 3.0, 40))
     # passes of a few points, lone and stacked: every point its own entry (verify's
     # rows, T = 0 among them), and a grid whose passes read a range of entries
-    monkeypatch.setattr(thermal, "_BLOCK_WEIGHTS", 100)
+    monkeypatch.setattr(blocks, "_BLOCK_WEIGHTS", 100)
     j, b = rng.uniform(-2.0, 2.0, (5, 8)), rng.uniform(-3.0, 3.0, (5, 8))
     t = np.exp(rng.uniform(math.log(0.05), math.log(50.0), 8))
     t[[2, 5]] = 0.0
@@ -622,13 +613,42 @@ def test_threshold_equals_the_pointwise_loop(n, j, b, tol):
 
 
 def test_threshold_scans_in_one_call_then_bisects_one_midpoint_per_call(reweight_calls, point_calls):
-    # the scan 0.05 * 2^k, k = 0..15, runs up past 1e3 max(1, |j|, |b|), one single-point
-    # kernel call per temperature, and T_c lies in its bracket [1.6, 3.2]: halving the width
-    # 1.6 down to tol = 1e-6 takes ceil(log2(1.6e6)) = 21 steps, each one call at one point
+    # the scan 0.05 * 2^k, k = 0..15, runs up past 1e3 max(1, |j|, |b|) and is read from the top,
+    # one single-point kernel call per temperature, down to the first entangled point, 1.6
+    # (k = 5): 11 calls. T_c lies in the bracket above it, [1.6, 3.2]: halving the width 1.6
+    # down to tol = 1e-6 takes ceil(log2(1.6e6)) = 21 steps, each one call at one point
     assert 1.6 < threshold_temperature(ModelParams(n=12, j=1.0, b=0.5), tol=1e-6) < 3.2
-    assert point_calls[:16] == [(12, 0.05 * 2.0 ** k) for k in range(16)]
-    assert len(point_calls) == 16 + 21 and all(1.6 < t < 3.2 for _, t in point_calls[16:])
+    assert point_calls[:11] == [(12, 0.05 * 2.0 ** k) for k in range(15, 4, -1)]
+    assert len(point_calls) == 11 + 21 and all(1.6 < t < 3.2 for _, t in point_calls[11:])
     assert reweight_calls == []
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_threshold_at_the_largest_couplings_reads_tens_of_points(point_calls, sign):
+    # at 4n|j| = MAX_ENERGY the scan range [0.05, 1e3 |j|] holds 1,058 points, but T_c = 1.94 |j|
+    # lies 10 halvings below its top: the scan reads 11 points, and the bisection of a factor-2
+    # bracket down to adjacent doubles (tol is far below their spacing) at most 53 midpoints
+    n = 16
+    j = sign * MAX_ENERGY / (4 * n)
+    tc = threshold_temperature(ModelParams(n=n, j=j, b=0.0))
+    t = [point[1] for point in point_calls]
+    assert t[0] > 1e3 * abs(j) and all(t[k + 1] == t[k] / 2.0 for k in range(10))
+    assert t[10] < tc < t[9] and all(t[10] < mid < t[9] for mid in t[11:])
+    assert 11 < len(t) <= 11 + 53
+
+
+def test_threshold_refusals_read_the_top_first_and_an_unentangled_scan_whole(point_calls, monkeypatch):
+    # a ring still entangled at the top of the scan is refused at its first point, the top
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "POSITIVE_CONCURRENCE", -1.0)
+        with pytest.raises(RuntimeError, match=r"still entangled at the top of the scan range \(1638.4\)"):
+            threshold_temperature(ModelParams(n=4, j=1.0, b=0.0))
+    assert point_calls == [(4, 1638.4)]
+    # far beyond the entangled fields no point is entangled: every point of the scan
+    # 0.05 * 2^k up past 1e3 |b| = 1e5 is read, from the top, and there is no threshold
+    point_calls.clear()
+    assert threshold_temperature(ModelParams(n=4, j=1.0, b=100.0)) is None
+    assert point_calls == [(4, 0.05 * 2.0 ** k) for k in range(21, -1, -1)]
 
 
 def test_sequential_bisection_stops_at_adjacent_doubles():
@@ -648,7 +668,7 @@ def test_largest_accepted_energies_stay_finite():
         params = ModelParams(n=n, j=j, b=b)
         spectrum = full_spectrum(params)
         assert np.isfinite(eigenvalues(spectrum).sum())
-        block, concurrence = experiments.gibbs_concurrence(ring_model(n), j, b, [1.0, abs(j) + abs(b)])
+        block, concurrence = blocks.gibbs_concurrence(ring_model(n), j, b, [1.0, abs(j) + abs(b)])
         assert all(np.all(np.isfinite(a)) for a in (block.u, block.m, block.z_shifted, concurrence))
         assert all(map(math.isfinite, level_crossings(n, j, math.inf)))
         threshold_temperature(params)

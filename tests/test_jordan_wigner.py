@@ -21,11 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xxring.blocks import gibbs_concurrence, reweight
 from xxring.cli import main
 from xxring.eigensolver import RingModel, full_spectrum, ring_model, same_level
-from xxring.experiments import gibbs_concurrence
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import reweight
 
 from oracles import (
     bonds,

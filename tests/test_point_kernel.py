@@ -8,10 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from xxring.entanglement import concurrence_xstate, concurrence_xstate_point
+from xxring.blocks import concurrence_xstate, gibbs_concurrence, reweight
 from xxring.eigensolver import ring_model
-from xxring.experiments import gibbs_concurrence, gibbs_concurrence_point
-from xxring.thermal import PairDensity, reweight, reweight_point
+from xxring.entanglement import concurrence_xstate_point
+from xxring.experiments import gibbs_concurrence_point
+from xxring.thermal import PairDensity, reweight_point
 
 CROSSING_N4 = 2.0 * (math.sqrt(2.0) - 1.0)
 

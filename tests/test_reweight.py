@@ -11,11 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import xxring.thermal as thermal
+import xxring.blocks as blocks
+from xxring.blocks import reweight, verify_propositions
 from xxring.eigensolver import ring_model, same_level
-from xxring.experiments import verify_propositions
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import reweight
 
 from oracles import (
     bonds,
@@ -79,7 +78,7 @@ def test_block_matches_pointwise_views(rng, monkeypatch):
     b_grid = list(rng.uniform(-3.0, 3.0, size=5))
     t_grid = list(np.geomspace(0.05, 50.0, 7))
     whole = reweight(ring_model(n), j, np.array(b_grid)[:, None], t_grid)
-    monkeypatch.setattr(thermal, "_BLOCK_WEIGHTS", 1)
+    monkeypatch.setattr(blocks, "_BLOCK_WEIGHTS", 1)
     split = reweight(ring_model(n), j, np.array(b_grid)[:, None], t_grid)
     for field in ("z_shifted", "u", "m", "g_xx", "g_zz", "probabilities"):
         assert np.allclose(getattr(whole, field), getattr(split, field), rtol=RTOL, atol=0)

@@ -4,9 +4,9 @@ import sys
 import numpy as np
 import pytest
 
+from xxring.blocks import reweight
 from xxring.eigensolver import full_spectrum, ring_model
 from xxring.hamiltonian import ModelParams
-from xxring.thermal import reweight
 
 from oracles import (
     SX,
